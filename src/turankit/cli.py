@@ -9,9 +9,9 @@ Two subcommands:
 
 Exit codes: 0 all cases verified (inconclusive cases produce a stderr
 warning but still exit 0), 1 at least one certified violation, 2 bad
-configuration.  Identical configuration (including seed) produces a
-byte-identical JSON report; worker-pool parallelism never reorders the
-output because reports are assembled in input order.
+configuration.  Identical configuration produces a byte-identical JSON
+report; worker-pool parallelism never reorders the output because reports
+are assembled in input order.
 """
 
 from __future__ import annotations
@@ -19,25 +19,22 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import DomainError, TermCapError
 from .evalf import default_log_grid, explore_conjecture
 from .intervals import get_precision, set_precision
-from .series import (gauss_lower, gauss_upper, kummer_gamma, kummer_lower,
-                     kummer_upper, binomial_upper)
-from .verify import (GRID_DELTAS, GRID_X_POS, SignReport, TwoSidedBoundReport,
-                     Verdict, suite_corollary, suite_turan, verify_corollary_twosided,
-                     verify_theorem1, verify_theorem2, verify_theorem3,
-                     verify_turan, GRID_SHIFTS, GRID_C_1F1, GRID_2F1_UPPER,
-                     GRID_A0_1F1, GRID_2F1_LOWER)
+from .verify import (FAMILIES, THEOREM_FAMILIES, Case, SignReport, Verdict,
+                     case_params, default_cases, run_case)
 
-THEOREMS = ("thm1", "thm2", "thm3", "binomial", "corollary", "turan", "all")
-FAMILIES = ("1f1-upper", "1f1-gamma", "1f1-lower", "2f1-upper", "2f1-lower",
-            "binomial")
-_DEFAULT_M = {"thm1": 40, "thm2": 30, "thm3": 40, "binomial": 40}
+THEOREMS = (*THEOREM_FAMILIES, "all")
+# flags that describe one explicit case
+CASE_FLAGS = ("family", "a", "b", "delta", "c", "a0", "b0", "x_grid")
 
 
 def _rational(text: str) -> Fraction:
@@ -60,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run sign-theorem and bound checks")
     v.add_argument("--theorem", choices=THEOREMS, required=True)
-    v.add_argument("--family", choices=FAMILIES)
+    v.add_argument("--family", choices=tuple(FAMILIES))
     v.add_argument("--a", type=_rational, help="first shift")
     v.add_argument("--b", type=_rational, help="second shift")
     v.add_argument("--delta", type=_rational, help="shift increment")
@@ -77,8 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the default parameter grids")
     v.add_argument("--tol", type=_rational, help="evaluation tolerance")
     v.add_argument("--precision", type=int, help="working decimal digits")
-    v.add_argument("--jobs", type=int, default=1)
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at most one per core and case")
     v.add_argument("--out-json")
     v.add_argument("--out-csv")
 
@@ -95,201 +92,78 @@ def build_parser() -> argparse.ArgumentParser:
                    help="explicit grid overriding --points/--x-max")
     e.add_argument("--tol", type=_rational)
     e.add_argument("--precision", type=int)
-    e.add_argument("--seed", type=int, default=0)
     e.add_argument("--out-json")
     e.add_argument("--out-csv")
     return p
 
 
-def _spec_for(family: str, p: dict, M: int):
-    if family == "1f1-upper":
-        return kummer_upper(p["c"], M)
-    if family == "1f1-gamma":
-        return kummer_gamma(p["c"], M)
-    if family == "1f1-lower":
-        return kummer_lower(p["a0"], M)
-    if family == "2f1-upper":
-        return gauss_upper(p["b0"], p["c"], M)
-    if family == "2f1-lower":
-        return gauss_lower(p["a0"], p["b0"], M)
-    if family == "binomial":
-        return binomial_upper(M)
-    raise DomainError(f"unknown family {family!r}")
-
-
-def _run_case(case: dict) -> dict:
+def _run_case(case: Case, precision: int, tol) -> dict:
     """Worker entry: run one case and return a JSON-ready record.  Kept
     at module level so process pools can pickle it."""
-    set_precision(case["precision"])
-    theorem = case["theorem"]
-    params = {k: Fraction(v) for k, v in case["params"].items()}
-    weight_keys = {"c", "a0", "b0"}
+    set_precision(precision)
+    params = {k: str(v) for k, v in case.params.items()}
+    pstr = ";".join(f"{k}={params[k]}" for k in sorted(params))
+    record = {"theorem": case.theorem, "params": params,
+              "first_violation": None, "csv_rows": []}
     try:
-        if theorem in ("thm1", "thm2", "thm3", "binomial"):
-            spec = _spec_for(case["family"], params, case["M"])
-            fn = {"thm1": verify_theorem1, "binomial": verify_theorem1,
-                  "thm2": verify_theorem2, "thm3": verify_theorem3}[theorem]
-            rep = fn(spec, params["a"], params["b"], params["delta"], case["M"])
-            return _sign_record(theorem, case, rep)
-        xs = [Fraction(x) for x in case["x_grid"]]
-        tol = Fraction(case["tol"]) if case.get("tol") else None
-        spec = _spec_for(case["family"], params, _DEFAULT_M["thm1"])
-        if theorem == "corollary":
-            rep = verify_corollary_twosided(spec, params["a"], params["b"],
-                                            params["delta"], xs, tol)
-        else:
-            rep = verify_turan(spec, params["a"], params["delta"], xs, tol)
-        return _bound_record(theorem, case, rep)
+        rep = run_case(case, tol)
     except TermCapError as exc:
-        return {"theorem": theorem, "params": case["params"],
-                "verdict": Verdict.INCONCLUSIVE.value, "first_violation": None,
-                "details": {"family": case["family"], "reason": str(exc)},
-                "csv_rows": []}
-
-
-def _sign_record(theorem: str, case: dict, rep: SignReport) -> dict:
-    counts: dict = {}
-    for s in rep.per_index_sign:
-        counts[s.value] = counts.get(s.value, 0) + 1
-    params = {k: str(v) for k, v in rep.params.items()}
-    for k in ("c", "a0", "b0"):
-        if k in case["params"]:
-            params[k] = case["params"][k]
-    rows = [[theorem, _pstr(params), str(m), s.value]
-            for m, s in enumerate(rep.per_index_sign)]
-    return {
-        "theorem": theorem,
-        "params": params,
-        "verdict": rep.verdict.value,
-        "first_violation": rep.first_violation,
-        "details": {
-            "family": case["family"],
+        return {**record, "verdict": Verdict.INCONCLUSIVE.value,
+                "details": {"family": case.family, "reason": str(exc)}}
+    record["verdict"] = rep.verdict.value
+    if isinstance(rep, SignReport):
+        record["first_violation"] = rep.first_violation
+        record["details"] = {
+            "family": case.family,
             "truncation_order": rep.truncation_order,
-            "sign_counts": counts,
+            "sign_counts": Counter(s.value for s in rep.per_index_sign),
             "mk_single_sign_change": rep.mk_single_sign_change,
             "mk_all_negative": rep.mk_all_negative,
             "escalated": rep.escalated,
             "inconclusive_before_escalation": rep.inconclusive_before_escalation,
             "reason": rep.reason,
-        },
-        "csv_rows": rows,
-    }
-
-
-def _bound_record(theorem: str, case: dict, rep: TwoSidedBoundReport) -> dict:
-    params = {k: str(v) for k, v in rep.params.items()}
-    for k in ("c", "a0", "b0"):
-        if k in case["params"]:
-            params[k] = case["params"][k]
+        }
+        record["csv_rows"] = [[case.theorem, pstr, str(m), s.value]
+                              for m, s in enumerate(rep.per_index_sign)]
+        return record
     within = [w if w is None else bool(w) for w in rep.within]
-    rows = [[theorem, _pstr(params), str(x), json.dumps(w)]
-            for x, w in zip(rep.x_grid, within)]
-    return {
-        "theorem": theorem,
-        "params": params,
-        "verdict": rep.verdict.value,
-        "first_violation": None,
-        "details": {
-            "family": case["family"],
-            "x_grid": [str(x) for x in rep.x_grid],
-            "within": within,
-            "lower_bound": repr(float(rep.lower_bound.midpoint)),
-            "rel_gap_at_top": rep.rel_gap_at_top,
-            "approaches_lower": rep.approaches_lower,
-            "reason": None,
-        },
-        "csv_rows": rows,
+    record["details"] = {
+        "family": case.family,
+        "x_grid": [str(x) for x in rep.x_grid],
+        "within": within,
+        "lower_bound": repr(float(rep.lower_bound.midpoint)),
+        "rel_gap_at_top": rep.rel_gap_at_top,
+        "approaches_lower": rep.approaches_lower,
+        "reason": None,
     }
+    record["csv_rows"] = [[case.theorem, pstr, str(x), json.dumps(w)]
+                          for x, w in zip(rep.x_grid, within)]
+    return record
 
 
-def _pstr(params: dict) -> str:
-    return ";".join(f"{k}={params[k]}" for k in sorted(params))
-
-
-def _shift_pairs():
-    return [(a, b) for a in GRID_SHIFTS for b in GRID_SHIFTS if b > a]
-
-
-def _default_cases(theorem: str, M: int | None, tol, precision: int) -> list[dict]:
-    """Expand a theorem selector into independent case dicts (the unit of
-    worker-pool parallelism)."""
-
-    def sign_cases(tid, fam_params, m_default):
-        out = []
-        for fam, wp in fam_params:
-            for a, b in _shift_pairs():
-                for d in GRID_DELTAS:
-                    p = {"a": str(a), "b": str(b), "delta": str(d)}
-                    p.update({k: str(v) for k, v in wp.items()})
-                    out.append({"theorem": tid, "family": fam, "params": p,
-                                "M": M or m_default, "precision": precision})
-        return out
-
-    if theorem == "thm1":
-        fams = [("1f1-upper", {"c": c}) for c in GRID_C_1F1]
-        fams += [("2f1-upper", {"b0": b0, "c": c}) for b0, c in GRID_2F1_UPPER]
-        return sign_cases("thm1", fams, _DEFAULT_M["thm1"])
-    if theorem == "thm2":
-        fams = [("1f1-gamma", {"c": c}) for c in GRID_C_1F1]
-        return sign_cases("thm2", fams, _DEFAULT_M["thm2"])
-    if theorem == "thm3":
-        fams = [("1f1-lower", {"a0": a0}) for a0 in GRID_A0_1F1]
-        fams += [("2f1-lower", {"a0": a0, "b0": b0}) for a0, b0 in GRID_2F1_LOWER]
-        return sign_cases("thm3", fams, _DEFAULT_M["thm3"])
-    if theorem == "binomial":
-        return sign_cases("binomial", [("binomial", {})], _DEFAULT_M["binomial"])
-    if theorem == "corollary":
-        return [{"theorem": "corollary", "family": "1f1-upper",
-                 "params": {"a": "1", "b": "2", "delta": "1", "c": "3"},
-                 "x_grid": [str(x) for x in GRID_X_POS],
-                 "tol": str(tol) if tol else None, "precision": precision}]
-    if theorem == "turan":
-        return [{"theorem": "turan", "family": "1f1-upper",
-                 "params": {"a": "1", "b": "2", "delta": "1", "c": "3"},
-                 "x_grid": [str(x) for x in GRID_X_POS],
-                 "tol": str(tol) if tol else None, "precision": precision},
-                {"theorem": "turan", "family": "1f1-upper",
-                 "params": {"a": "2", "b": "3", "delta": "1", "c": "5"},
-                 "x_grid": ["3"],
-                 "tol": str(tol) if tol else None, "precision": precision}]
-    cases = []
-    for t in ("thm1", "thm2", "thm3", "binomial", "corollary", "turan"):
-        cases.extend(_default_cases(t, M, tol, precision))
-    return cases
-
-
-_REQUIRED_WEIGHTS = {"1f1-upper": ("c",), "1f1-gamma": ("c",),
-                     "1f1-lower": ("a0",), "2f1-upper": ("b0", "c"),
-                     "2f1-lower": ("a0", "b0"), "binomial": ()}
-
-
-def _single_case(args, precision: int) -> dict:
+def _explicit_case(args) -> Case:
+    """The one case the flags describe; every flag given must be used."""
     if args.family is None:
         raise DomainError("--family is required for an explicit case")
-    need = _REQUIRED_WEIGHTS[args.family]
-    params = {}
-    for k in need:
-        val = getattr(args, k)
-        if val is None:
-            raise DomainError(f"--{k} is required for family {args.family}")
-        params[k] = str(val)
-    if args.theorem in ("thm1", "thm2", "thm3", "binomial"):
-        for k in ("a", "b", "delta"):
-            if getattr(args, k) is None:
-                raise DomainError(f"--{k} is required for {args.theorem}")
-        params.update(a=str(args.a), b=str(args.b), delta=str(args.delta))
-        return {"theorem": args.theorem, "family": args.family,
-                "params": params, "M": args.M or _DEFAULT_M[args.theorem],
-                "precision": precision}
-    if args.a is None or args.delta is None:
-        raise DomainError("--a and --delta are required for bound checks")
-    params["a"] = str(args.a)
-    params["delta"] = str(args.delta)
-    params["b"] = str(args.b if args.b is not None else args.a + args.delta)
-    xs = args.x_grid if args.x_grid else list(GRID_X_POS)
-    return {"theorem": args.theorem, "family": args.family, "params": params,
-            "x_grid": [str(x) for x in xs],
-            "tol": str(args.tol) if args.tol else None, "precision": precision}
+    names = case_params(args.theorem, args.family)
+    for k in ("a", "b", "delta", "c", "a0", "b0"):
+        if (getattr(args, k) is None) == (k in names):
+            need = "required" if k in names else "not used"
+            raise DomainError(f"--{k} is {need} for {args.theorem} "
+                              f"on family {args.family}")
+    return Case(args.theorem, args.family,
+                {k: getattr(args, k) for k in names}, args.M, args.x_grid)
+
+
+def _cases(args) -> list[Case]:
+    given = [f for f in CASE_FLAGS if getattr(args, f) is not None]
+    if args.theorem != "all" and args.grid is None and given:
+        return [_explicit_case(args)]
+    if given:
+        flag = "--" + given[0].replace("_", "-")
+        raise DomainError(f"{flag} describes one case and cannot be combined "
+                          "with --grid default or --theorem all")
+    return default_cases(args.theorem, args.M)
 
 
 def _emit(report: dict, out_json: str | None):
@@ -319,24 +193,17 @@ def cmd_verify(args) -> int:
     precision = args.precision or get_precision()
     if args.precision:
         set_precision(args.precision)
-    explicit = args.a is not None or args.family is not None
     try:
-        if args.theorem != "all" and explicit and args.grid is None:
-            cases = [_single_case(args, precision)]
+        if args.jobs < 1:
+            raise DomainError("--jobs must be at least 1")
+        cases = _cases(args)
+        workers = min(args.jobs, os.cpu_count() or 1, len(cases))
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                records = list(pool.map(_run_case, cases, repeat(precision),
+                                        repeat(args.tol)))
         else:
-            cases = _default_cases(args.theorem, args.M, args.tol, precision)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for c in cases:
-        c.setdefault("tol", str(args.tol) if args.tol else None)
-
-    try:
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                records = list(pool.map(_run_case, cases))
-        else:
-            records = [_run_case(c) for c in cases]
+            records = [_run_case(c, precision, args.tol) for c in cases]
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -358,7 +225,7 @@ def cmd_verify(args) -> int:
         "command": "verify", "theorem": args.theorem,
         "family": args.family, "grid": args.grid,
         "M": args.M, "tol": str(args.tol) if args.tol else None,
-        "precision": precision, "seed": args.seed, "jobs": args.jobs,
+        "precision": precision, "jobs": args.jobs,
         "cases": len(cases),
     }
     report = {"run_id": _run_id(config), "config_echo": config,
@@ -401,7 +268,7 @@ def cmd_explore(args) -> int:
     config = {"command": "explore", "branch": rep.branch, "params": params,
               "points": len(xs), "x_max": str(args.x_max),
               "tol": str(args.tol) if args.tol else None,
-              "precision": precision, "seed": args.seed}
+              "precision": precision}
     per_case = [{
         "theorem": "conjecture", "params": params, "verdict": verdict,
         "first_violation": None,

@@ -18,6 +18,10 @@ certified arithmetic:
 
 Orientation is antisymmetric: swapping a and b negates every coefficient,
 so checkers accept either order and flip the expected sign.
+
+A ``Case`` names one check, one series family and one parameter point;
+``default_cases`` expands the default grids into cases and ``run_case``
+runs one.  The suites and the command line both go through these.
 """
 
 from __future__ import annotations
@@ -289,6 +293,8 @@ def verify_corollary_twosided(spec: HypSeriesSpec, a, b, delta, x_grid,
         raise DomainError("x grid must be nonempty and positive")
     if not b > a > 0 or delta <= 0:
         raise DomainError("need b > a > 0 and delta > 0")
+    if spec.family is not Family.UPPER_FACTOR:
+        raise DomainError("two-sided bound needs an upper-factor spec")
     if weight_ratio_class(spec) is not MonotoneClass.DECREASING:
         raise DomainError("two-sided bound needs a decreasing weight-ratio spec")
     xs = sorted(xs)
@@ -329,76 +335,137 @@ def verify_turan(spec: HypSeriesSpec, a, delta, x_grid, tol=None) -> TwoSidedBou
     return rep
 
 
-# default parameter grids for the suite runners
-GRID_SHIFTS = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3))
-GRID_DELTAS = (Fraction(1, 2), Fraction(1), Fraction(2))
-GRID_C_1F1 = (Fraction(1), Fraction(2), Fraction(3))
-GRID_2F1_UPPER = ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(2)))
-GRID_A0_1F1 = (Fraction(1, 2), Fraction(1), Fraction(2))
-GRID_2F1_LOWER = ((Fraction(1, 2), Fraction(2)), (Fraction(1), Fraction(3)))
-GRID_X_POS = (Fraction(1, 4), Fraction(1), Fraction(4), Fraction(16), Fraction(50))
+# -- case model: the suites and the CLI expand and run cases through it --
+
+# family name -> (spec constructor, names of its weight parameters in the
+# constructor's argument order)
+FAMILIES = {
+    "1f1-upper": (kummer_upper, ("c",)),
+    "1f1-gamma": (kummer_gamma, ("c",)),
+    "1f1-lower": (kummer_lower, ("a0",)),
+    "2f1-upper": (gauss_upper, ("b0", "c")),
+    "2f1-lower": (gauss_lower, ("a0", "b0")),
+    "binomial": (binomial_upper, ()),
+}
+# check -> the families it covers; the key order is the order of "all"
+THEOREM_FAMILIES = {
+    "thm1": ("1f1-upper", "2f1-upper"),
+    "thm2": ("1f1-gamma",),
+    "thm3": ("1f1-lower", "2f1-lower"),
+    "binomial": ("binomial",),
+    "corollary": ("1f1-upper", "2f1-upper"),
+    "turan": ("1f1-upper", "2f1-upper"),
+}
+# default truncation order of each sign check
+DEFAULT_M = {"thm1": DEFAULT_ORDER, "thm2": 30, "thm3": DEFAULT_ORDER,
+             "binomial": DEFAULT_ORDER}
 
 
-def _shift_pairs():
-    return [(a, b) for a in GRID_SHIFTS for b in GRID_SHIFTS if b > a]
+def case_params(theorem: str, family: str) -> tuple[str, ...]:
+    """Names of the parameters a case of `theorem` on `family` takes."""
+    if family not in THEOREM_FAMILIES.get(theorem, ()):
+        raise DomainError(f"{theorem} does not cover family {family!r}; it covers "
+                          + ", ".join(THEOREM_FAMILIES.get(theorem, ())))
+    shifts = ("a", "delta") if theorem == "turan" else ("a", "b", "delta")
+    return shifts + FAMILIES[family][1]
 
 
-def suite_theorem1(M: int = DEFAULT_ORDER) -> list[SignReport]:
-    specs = [kummer_upper(c, M) for c in GRID_C_1F1]
-    specs += [gauss_upper(b, c, M) for b, c in GRID_2F1_UPPER]
-    out = []
-    for spec in specs:
-        for a, b in _shift_pairs():
-            for d in GRID_DELTAS:
-                out.append(verify_theorem1(spec, a, b, d))
-    return out
+@dataclass(frozen=True)
+class Case:
+    """One check at one parameter point.  M is the order of a sign check
+    (default: DEFAULT_M), x_grid the points of a bound check (default:
+    1/4, 1, 4, 16, 50)."""
+    theorem: str
+    family: str
+    params: dict
+    M: int | None = None
+    x_grid: tuple | None = None
+
+    def __post_init__(self):
+        names = case_params(self.theorem, self.family)
+        if set(self.params) != set(names):
+            raise DomainError(f"{self.theorem} on {self.family} takes the "
+                              f"parameters {', '.join(names)}")
+        if self.theorem in ("corollary", "turan"):
+            if self.M is not None:
+                raise DomainError(f"{self.theorem} takes no truncation order")
+        elif self.x_grid is not None:
+            raise DomainError(f"{self.theorem} takes no x grid")
+
+    def spec(self) -> HypSeriesSpec:
+        make, weights = FAMILIES[self.family]
+        order = self.M or DEFAULT_M.get(self.theorem, DEFAULT_ORDER)
+        return make(*(self.params[k] for k in weights), order)
 
 
-def suite_theorem2(M: int = 30) -> list[SignReport]:
-    out = []
-    for c in GRID_C_1F1:
-        spec = kummer_gamma(c, M)
-        for a, b in _shift_pairs():
-            for d in GRID_DELTAS:
-                out.append(verify_theorem2(spec, a, b, d))
-    return out
+def default_cases(theorem: str, M: int | None = None) -> list[Case]:
+    """The default grid of one check, in suite order, or of all six checks
+    one after another for "all".  M sets the order of the sign checks."""
+    if theorem == "all":
+        return [c for t in THEOREM_FAMILIES for c in default_cases(t, M)]
+    F = Fraction
+    if theorem == "corollary":
+        return [Case("corollary", "1f1-upper",
+                     {"a": F(1), "b": F(2), "delta": F(1), "c": F(3)})]
+    if theorem == "turan":
+        return [Case("turan", "1f1-upper", {"a": F(1), "delta": F(1), "c": F(3)}),
+                Case("turan", "1f1-upper", {"a": F(2), "delta": F(1), "c": F(5)},
+                     x_grid=(F(3),))]
+    weights = {"1f1-upper": [(1,), (2,), (3,)], "2f1-upper": [(2, 1), (1, 2)],
+               "1f1-gamma": [(1,), (2,), (3,)],
+               "1f1-lower": [(F(1, 2),), (1,), (2,)],
+               "2f1-lower": [(F(1, 2), 2), (1, 3)], "binomial": [()]}
+    shifts = (F(1, 2), F(1), F(3, 2), F(2), F(3))
+    pairs = [(a, b) for a in shifts for b in shifts if b > a]
+    deltas = (F(1, 2), F(1), F(2))
+    return [Case(theorem, fam,
+                 {**{k: F(v) for k, v in zip(FAMILIES[fam][1], w)},
+                  "a": a, "b": b, "delta": d}, M)
+            for fam in THEOREM_FAMILIES[theorem] for w in weights[fam]
+            for a, b in pairs for d in deltas]
 
 
-def suite_theorem3(M: int = DEFAULT_ORDER) -> list[SignReport]:
-    specs = [kummer_lower(a0, M) for a0 in GRID_A0_1F1]
-    specs += [gauss_lower(a0, b0, M) for a0, b0 in GRID_2F1_LOWER]
-    out = []
-    for spec in specs:
-        for a, b in _shift_pairs():
-            for d in GRID_DELTAS:
-                out.append(verify_theorem3(spec, a, b, d))
-    return out
+def run_case(case: Case, tol=None) -> SignReport | TwoSidedBoundReport:
+    """Run one case.  The binomial check is Theorem 1 on constant weights,
+    where the difference vanishes, so every coefficient must be zero."""
+    p, spec = case.params, case.spec()
+    xs = case.x_grid or (Fraction(1, 4), Fraction(1), Fraction(4), Fraction(16),
+                         Fraction(50))
+    if case.theorem == "corollary":
+        return verify_corollary_twosided(spec, p["a"], p["b"], p["delta"], xs, tol)
+    if case.theorem == "turan":
+        return verify_turan(spec, p["a"], p["delta"], xs, tol)
+    check = {"thm1": verify_theorem1, "binomial": verify_theorem1,
+             "thm2": verify_theorem2, "thm3": verify_theorem3}[case.theorem]
+    rep = check(spec, p["a"], p["b"], p["delta"])
+    if case.theorem == "binomial" and any(s is not Sign.ZERO
+                                          for s in rep.per_index_sign):
+        rep.verdict = Verdict.VIOLATED
+        rep.reason = "constant weights must give identically zero"
+    return rep
 
 
-def suite_binomial_degeneracy(M: int = DEFAULT_ORDER) -> list[SignReport]:
+def suite_theorem1(M: int = DEFAULT_M["thm1"]) -> list[SignReport]:
+    return [run_case(c) for c in default_cases("thm1", M)]
+
+
+def suite_theorem2(M: int = DEFAULT_M["thm2"]) -> list[SignReport]:
+    return [run_case(c) for c in default_cases("thm2", M)]
+
+
+def suite_theorem3(M: int = DEFAULT_M["thm3"]) -> list[SignReport]:
+    return [run_case(c) for c in default_cases("thm3", M)]
+
+
+def suite_binomial_degeneracy(M: int = DEFAULT_M["binomial"]) -> list[SignReport]:
     """Constant weights: the difference vanishes identically, so every
     coefficient must be exactly zero."""
-    spec = binomial_upper(M)
-    out = []
-    for a, b in _shift_pairs():
-        for d in GRID_DELTAS:
-            rep = verify_theorem1(spec, a, b, d)
-            if any(s is not Sign.ZERO for s in rep.per_index_sign):
-                rep.verdict = Verdict.VIOLATED
-                rep.reason = "constant weights must give identically zero"
-            out.append(rep)
-    return out
+    return [run_case(c) for c in default_cases("binomial", M)]
 
 
 def suite_corollary(tol=None) -> list[TwoSidedBoundReport]:
-    return [verify_corollary_twosided(kummer_upper(Fraction(3)),
-                                      Fraction(1), Fraction(2), Fraction(1),
-                                      GRID_X_POS, tol)]
+    return [run_case(c, tol) for c in default_cases("corollary")]
 
 
 def suite_turan(tol=None) -> list[TwoSidedBoundReport]:
-    reps = [verify_turan(kummer_upper(Fraction(3)), Fraction(1), Fraction(1),
-                         GRID_X_POS, tol)]
-    reps.append(verify_turan(kummer_upper(Fraction(5)), Fraction(2), Fraction(1),
-                             (Fraction(3),), tol))
-    return reps
+    return [run_case(c, tol) for c in default_cases("turan")]

@@ -117,16 +117,9 @@ class TestVerifySingleCase:
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
-        _, _, first = run_cli(SINGLE + ["--seed", "7"], tmp_path, "a")
-        _, _, second = run_cli(SINGLE + ["--seed", "7"], tmp_path, "b")
+        _, _, first = run_cli(SINGLE, tmp_path, "a")
+        _, _, second = run_cli(SINGLE, tmp_path, "b")
         assert first == second
-
-    def test_seed_changes_run_id_only(self, tmp_path):
-        _, rep1, _ = run_cli(SINGLE + ["--seed", "1"], tmp_path, "a")
-        _, rep2, _ = run_cli(SINGLE + ["--seed", "2"], tmp_path, "b")
-        assert rep1["run_id"] != rep2["run_id"]
-        assert rep1["per_case"] == rep2["per_case"]
-        assert rep1["summary"] == rep2["summary"]
 
     def test_jobs_do_not_change_results(self, tmp_path):
         base = ["verify", "--theorem", "binomial", "--grid", "default",
@@ -137,6 +130,53 @@ class TestDeterminism:
         assert rep1["summary"] == rep2["summary"]
         assert rep1["config_echo"]["jobs"] == 1
         assert rep2["config_echo"]["jobs"] == 2
+
+    def test_seed_flag_removed(self):
+        for argv in (SINGLE + ["--seed", "7"], ["explore", "--seed", "7"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+
+
+class TestJobs:
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_nonpositive_jobs_exit_2(self, jobs, capsys):
+        assert main(SINGLE + ["--jobs", jobs]) == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_pool_size_clamped_to_cores_and_cases(self, tmp_path,
+                                                  monkeypatch):
+        import turankit.cli as cli_mod
+
+        sizes = []
+
+        class RecordingPool:
+            """Stands in for the process pool; runs the cases inline."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 4)
+        grid = ["verify", "--theorem", "binomial", "--grid", "default",
+                "--M", "6", "--jobs", "1000000"]
+        code, rep, _ = run_cli(grid, tmp_path, "grid")
+        assert code == 0
+        assert sizes == [4]
+        assert rep["config_echo"]["jobs"] == 1000000
+        # one case: no pool at all
+        code, _, _ = run_cli(SINGLE + ["--jobs", "1000000"], tmp_path, "one")
+        assert code == 0
+        assert sizes == [4]
 
 
 class TestDefaultGrids:
@@ -166,12 +206,54 @@ class TestDefaultGrids:
         assert case["params"]["a"] == "2"
 
 
+class TestBadConfiguration:
+    def test_binomial_needs_binomial_family(self, capsys):
+        code = main(["verify", "--theorem", "binomial", "--family",
+                     "1f1-upper", "--c", "3", "--a", "1", "--b", "2",
+                     "--delta", "1", "--M", "6"])
+        assert code == 2
+        assert "does not cover family '1f1-upper'" in capsys.readouterr().err
+
+    def test_corollary_rejects_lower_family(self, capsys):
+        code = main(["verify", "--theorem", "corollary", "--family",
+                     "1f1-lower", "--a0", "3", "--a", "1", "--b", "2",
+                     "--delta", "1", "--x-grid", "1"])
+        assert code == 2
+        assert "does not cover family '1f1-lower'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--theorem", "binomial", "--grid", "default", "--c", "3"],
+        ["--theorem", "thm1", "--grid", "default", "--family", "1f1-upper"],
+        ["--theorem", "corollary", "--grid", "default", "--x-grid", "1"],
+        ["--theorem", "all", "--a", "1"],
+        ["--theorem", "all", "--b0", "2"],
+    ])
+    def test_case_flag_with_grid_exits_2(self, flags, capsys):
+        assert main(["verify", "--M", "4"] + flags) == 2
+        assert "cannot be combined" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, flag", [
+        (["--a0", "1"], "--a0"),
+        (["--x-grid", "1"], "x grid"),
+    ])
+    def test_unused_flag_on_explicit_case_exits_2(self, extra, flag, capsys):
+        assert main(SINGLE + extra) == 2
+        assert flag in capsys.readouterr().err
+
+    def test_turan_takes_no_second_shift(self, capsys):
+        code = main(["verify", "--theorem", "turan", "--family", "1f1-upper",
+                     "--c", "5", "--a", "2", "--b", "3", "--delta", "1",
+                     "--x-grid", "3"])
+        assert code == 2
+        assert "--b" in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_violated_maps_to_1(self, tmp_path, monkeypatch):
         import turankit.cli as cli_mod
 
-        def fake(case):
-            return {"theorem": case["theorem"], "params": case["params"],
+        def fake(case, precision, tol):
+            return {"theorem": case.theorem, "params": {},
                     "verdict": "violated", "first_violation": 3,
                     "details": {}, "csv_rows": []}
 
@@ -184,8 +266,8 @@ class TestExitCodes:
                                             capsys):
         import turankit.cli as cli_mod
 
-        def fake(case):
-            return {"theorem": case["theorem"], "params": case["params"],
+        def fake(case, precision, tol):
+            return {"theorem": case.theorem, "params": {},
                     "verdict": "inconclusive", "first_violation": None,
                     "details": {}, "csv_rows": []}
 

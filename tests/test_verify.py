@@ -9,11 +9,12 @@ from turankit.errors import DomainError
 from turankit.series import (Sign, binomial_upper, gauss_lower, gauss_upper,
                              kummer_gamma, kummer_lower, kummer_upper,
                              pfq_upper)
-from turankit.verify import (Verdict, suite_binomial_degeneracy,
-                             suite_corollary, suite_theorem1, suite_theorem2,
-                             suite_theorem3, suite_turan,
-                             verify_corollary_twosided, verify_theorem1,
-                             verify_theorem2, verify_theorem3, verify_turan)
+from turankit.verify import (Case, Verdict, default_cases,
+                             suite_binomial_degeneracy, suite_corollary,
+                             suite_theorem1, suite_theorem2, suite_theorem3,
+                             suite_turan, verify_corollary_twosided,
+                             verify_theorem1, verify_theorem2, verify_theorem3,
+                             verify_turan)
 
 NEG = {Sign.POSITIVE: Sign.NEGATIVE, Sign.NEGATIVE: Sign.POSITIVE,
        Sign.ZERO: Sign.ZERO}
@@ -175,6 +176,12 @@ class TestTwoSidedBounds:
             # increasing weight ratios: the bound direction does not apply
             verify_corollary_twosided(gauss_upper(F(1), F(2)), 1, 2, 1, [F(1, 2)])
 
+    def test_needs_upper_factor_family(self):
+        with pytest.raises(DomainError):
+            verify_corollary_twosided(kummer_lower(F(3)), 1, 2, 1, [F(1)])
+        with pytest.raises(DomainError):
+            verify_turan(kummer_lower(F(3)), 1, 1, [F(1)])
+
 
 class TestSuites:
     def test_theorem1_suite_all_verified(self):
@@ -202,3 +209,35 @@ class TestSuites:
     def test_bound_suites(self):
         for rep in suite_corollary() + suite_turan():
             assert rep.verdict is Verdict.VERIFIED
+
+
+class TestCases:
+    def test_default_grid_sizes_in_order(self):
+        cases = default_cases("all")
+        counts: dict = {}
+        for c in cases:
+            counts[c.theorem] = counts.get(c.theorem, 0) + 1
+        assert list(counts.items()) == [("thm1", 150), ("thm2", 90),
+                                        ("thm3", 150), ("binomial", 30),
+                                        ("corollary", 1), ("turan", 2)]
+        assert {c.spec().order for c in cases if c.theorem == "thm2"} == {30}
+        assert default_cases("thm3", 12)[0].M == 12
+
+    def test_spec_order_defaults(self):
+        params = {"a": 1, "b": 2, "delta": 1, "c": 3}
+        assert Case("corollary", "1f1-upper", params).spec() == kummer_upper(F(3))
+        assert Case("thm2", "1f1-gamma", params).spec().order == 30
+        assert Case("thm2", "1f1-gamma", params, 12).spec().order == 12
+
+    @pytest.mark.parametrize("theorem, family, params, extra", [
+        ("binomial", "1f1-upper", {"a": 1, "b": 2, "delta": 1, "c": 3}, {}),
+        ("corollary", "1f1-lower", {"a": 1, "b": 2, "delta": 1, "a0": 3}, {}),
+        ("thm1", "2f1-upper", {"a": 1, "b": 2, "delta": 1, "c": 3}, {}),
+        ("turan", "1f1-upper", {"a": 1, "b": 2, "delta": 1, "c": 3}, {}),
+        ("thm1", "1f1-upper", {"a": 1, "b": 2, "delta": 1, "c": 3},
+         {"x_grid": (F(1),)}),
+        ("turan", "1f1-upper", {"a": 1, "delta": 1, "c": 3}, {"M": 8}),
+    ])
+    def test_rejected_cases(self, theorem, family, params, extra):
+        with pytest.raises(DomainError):
+            Case(theorem, family, params, **extra)
