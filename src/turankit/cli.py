@@ -28,7 +28,7 @@ from itertools import repeat
 
 from .errors import DomainError, TermCapError
 from .evalf import default_log_grid, explore_conjecture
-from .intervals import get_precision, set_precision
+from .intervals import get_precision, working_precision
 from .verify import (FAMILIES, THEOREM_FAMILIES, Case, SignReport, Verdict,
                      case_params, default_cases, run_case)
 
@@ -100,13 +100,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_case(case: Case, precision: int, tol) -> dict:
     """Worker entry: run one case and return a JSON-ready record.  Kept
     at module level so process pools can pickle it."""
-    set_precision(precision)
     params = {k: str(v) for k, v in case.params.items()}
     pstr = ";".join(f"{k}={params[k]}" for k in sorted(params))
     record = {"theorem": case.theorem, "params": params,
               "first_violation": None, "csv_rows": []}
     try:
-        rep = run_case(case, tol)
+        with working_precision(precision):
+            rep = run_case(case, tol)
     except TermCapError as exc:
         return {**record, "verdict": Verdict.INCONCLUSIVE.value,
                 "details": {"family": case.family, "reason": str(exc)}}
@@ -191,8 +191,6 @@ def _run_id(config: dict) -> str:
 
 def cmd_verify(args) -> int:
     precision = args.precision or get_precision()
-    if args.precision:
-        set_precision(args.precision)
     try:
         if args.jobs < 1:
             raise DomainError("--jobs must be at least 1")
@@ -244,16 +242,15 @@ def cmd_verify(args) -> int:
 
 def cmd_explore(args) -> int:
     precision = args.precision or get_precision()
-    if args.precision:
-        set_precision(args.precision)
     try:
-        if args.x_grid is not None:
-            xs = sorted(args.x_grid)
-        else:
-            xs = default_log_grid(args.points, args.x_max,
-                                  negative=args.branch == "negative")
-        rep = explore_conjecture(args.a, args.b, args.delta, args.c, xs,
-                                 args.tol)
+        with working_precision(precision):
+            if args.x_grid is not None:
+                xs = sorted(args.x_grid)
+            else:
+                xs = default_log_grid(args.points, args.x_max,
+                                      negative=args.branch == "negative")
+            rep = explore_conjecture(args.a, args.b, args.delta, args.c, xs,
+                                     args.tol)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -273,11 +273,12 @@ def cross_ratio(spec: HypSeriesSpec, a, b, delta, x, tol=None) -> CertifiedInter
     is the spec's series; the quantity bounded between the Gamma quotient
     and 1 for decreasing-weight-ratio families."""
     a, b, delta, x = Fraction(a), Fraction(b), Fraction(delta), Fraction(x)
-    num1 = eval_pfq(PFQSpec.from_series(spec, b + delta), x, tol).value
-    num2 = eval_pfq(PFQSpec.from_series(spec, a), x, tol).value
-    den1 = eval_pfq(PFQSpec.from_series(spec, a + delta), x, tol).value
-    den2 = eval_pfq(PFQSpec.from_series(spec, b), x, tol).value
-    return (num1 * num2) / (den1 * den2)
+    f = {}
+    for s in (b + delta, a, a + delta, b):
+        # one sum per distinct shift: a + d and b coincide for Turan ratios
+        if s not in f:
+            f[s] = eval_pfq(PFQSpec.from_series(spec, s), x, tol).value
+    return (f[b + delta] * f[a]) / (f[a + delta] * f[b])
 
 
 class StepKind(enum.Enum):

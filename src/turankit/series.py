@@ -24,6 +24,9 @@ exact comparison of S1/S2 against a certified enclosure of the Gamma
 quotient Gamma(b+d)Gamma(a) / [Gamma(a+d)Gamma(b)] (a single interval per
 parameter tuple, exact when d is an integer).
 
+All coefficients and their half-range profiles come from one exact pass
+per parameter tuple (:func:`half_range_pass`).
+
 Everything is formal: truncation order is fixed up front and no statement
 about convergence is made or needed.
 """
@@ -34,12 +37,10 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import DomainError, PoleError
 from .exact import poch_table
-from .intervals import (CertifiedInterval, ci_exp, gamma_ratio, get_precision,
-                        log_gamma)
+from .intervals import CertifiedInterval, ci_exp, gamma_ratio, log_gamma
 
 
 class Family(enum.Enum):
@@ -188,114 +189,22 @@ def weight_ratio_class(spec: HypSeriesSpec) -> MonotoneClass:
     return MonotoneClass.NEITHER
 
 
-@dataclass
-class TruncatedSeries:
-    """Coefficients c_0..c_M of a formal power series.  For the
-    gamma-factor family the stored coefficients are the rational parts and
-    ``gamma_scale=a`` records an overall Gamma(a) factor."""
-
-    coeffs: list[Fraction]
-    gamma_scale: Fraction | None = None
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def _check_plain(self, other: "TruncatedSeries"):
-        if self.gamma_scale is not None or other.gamma_scale is not None:
-            raise DomainError("arithmetic on gamma-scaled series is not defined; "
-                              "use the factored psi path instead")
-        if self.order != other.order:
-            raise DomainError(
-                f"order mismatch: {self.order} vs {other.order}")
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_plain(other)
-        m = self.order
-        out = [Fraction(0)] * (m + 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci == 0:
-                continue
-            for j in range(m + 1 - i):
-                cj = other.coeffs[j]
-                if cj != 0:
-                    out[i + j] += ci * cj
-        return TruncatedSeries(out)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_plain(other)
-        return TruncatedSeries([x - y for x, y in zip(self.coeffs, other.coeffs)])
-
-
-def build_series(spec: HypSeriesSpec, shift_param) -> TruncatedSeries:
-    """Series of the spec's family with the shifted slot set to
-    ``shift_param``."""
-    a = Fraction(shift_param)
-    m = spec.order
-    w = [spec.weights.weight(n) for n in range(m + 1)]
-    if spec.family is Family.UPPER_FACTOR:
-        pa = poch_table(a, m)
-        return TruncatedSeries(
-            [w[n] * pa[n] / math.factorial(n) for n in range(m + 1)])
-    if spec.family is Family.GAMMA_FACTOR:
-        if a <= 0:
-            raise DomainError(f"gamma-factor series needs shift parameter > 0, got {a}")
-        pa = poch_table(a, m)
-        return TruncatedSeries([w[n] * pa[n] for n in range(m + 1)], gamma_scale=a)
-    if spec.family is Family.LOWER_FACTOR:
-        pa = poch_table(a, m)
-        for n in range(1, m + 1):
-            if pa[n] == 0:
-                raise PoleError(
-                    f"lower-factor series has a pole: ({a})_{n} = 0")
-        return TruncatedSeries([w[n] / pa[n] for n in range(m + 1)])
-    raise DomainError(f"unknown family {spec.family}")
-
-
-def _shift_quadruple(a, b, delta):
-    a, b, delta = Fraction(a), Fraction(b), Fraction(delta)
-    return a, b, delta
-
-
-def phi_coefficients(spec: HypSeriesSpec, a, b, delta, order: int | None = None):
-    """Coefficients of F(a+d,x)F(b,x) - F(b+d,x)F(a,x) for the
-    upper-factor family, exact via Cauchy products.  phi_0 = phi_1 = 0."""
-    if spec.family is not Family.UPPER_FACTOR:
-        raise DomainError("phi_coefficients needs an upper-factor family")
-    a, b, delta = _shift_quadruple(a, b, delta)
-    if order is not None and order != spec.order:
-        spec = HypSeriesSpec(spec.family, spec.weights, order)
-    lhs = build_series(spec, a + delta) * build_series(spec, b)
-    rhs = build_series(spec, b + delta) * build_series(spec, a)
-    return (lhs - rhs).coeffs
-
-
-def lambda_coefficients(spec: HypSeriesSpec, a, b, delta, order: int | None = None):
-    """Coefficients of the cross-product difference for the lower-factor
-    family, exact via Cauchy products.  lambda_0 = 0."""
-    if spec.family is not Family.LOWER_FACTOR:
-        raise DomainError("lambda_coefficients needs a lower-factor family")
-    a, b, delta = _shift_quadruple(a, b, delta)
-    if order is not None and order != spec.order:
-        spec = HypSeriesSpec(spec.family, spec.weights, order)
-    lhs = build_series(spec, a + delta) * build_series(spec, b)
-    rhs = build_series(spec, b + delta) * build_series(spec, a)
-    return (lhs - rhs).coeffs
+def sign_of(value) -> Sign:
+    """Sign of an exact rational, or the certified sign of an interval
+    (INCONCLUSIVE when the enclosure straddles zero)."""
+    if isinstance(value, CertifiedInterval):
+        s = value.sign()
+    else:
+        s = (value > 0) - (value < 0)
+    if s is None:
+        return Sign.INCONCLUSIVE
+    return Sign.POSITIVE if s > 0 else Sign.NEGATIVE if s < 0 else Sign.ZERO
 
 
 def gamma_quotient(a, b, delta) -> CertifiedInterval:
     """Enclosure of Gamma(b+d)Gamma(a) / [Gamma(a+d)Gamma(b)]; exact when
     d is an integer."""
     return gamma_ratio(b, delta) / gamma_ratio(a, delta)
-
-
-@lru_cache(maxsize=256)
-def _gamma_pair(a: Fraction, b: Fraction, delta: Fraction, dps: int):
-    # shared scale factors Gamma(a+d)Gamma(b) and Gamma(a)Gamma(b+d);
-    # keyed on precision so escalation does not reuse stale enclosures
-    g1 = ci_exp(log_gamma(a + delta) + log_gamma(b))
-    g2 = ci_exp(log_gamma(a) + log_gamma(b + delta))
-    return g1, g2
 
 
 @dataclass
@@ -306,41 +215,6 @@ class PsiCoefficient:
     s1: Fraction
     s2: Fraction
     sign: Sign
-
-
-def psi_coefficients(spec: HypSeriesSpec, a, b, delta, order: int | None = None,
-                     quotient: CertifiedInterval | None = None):
-    """Factored psi_m list for the gamma-factor family with certified
-    signs.  ``quotient`` may be passed to reuse or escalate the Gamma
-    quotient enclosure."""
-    if spec.family is not Family.GAMMA_FACTOR:
-        raise DomainError("psi_coefficients needs a gamma-factor family")
-    a, b, delta = _shift_quadruple(a, b, delta)
-    if a <= 0 or b <= 0:
-        raise DomainError("gamma-factor shifts must be positive")
-    m_top = spec.order if order is None else order
-    w = [spec.weights.weight(n) for n in range(m_top + 1)]
-    pad = poch_table(a + delta, m_top)
-    pbd = poch_table(b + delta, m_top)
-    pa = poch_table(a, m_top)
-    pb = poch_table(b, m_top)
-    degenerate = a == b
-    if not degenerate and quotient is None:
-        quotient = gamma_quotient(a, b, delta)
-    out = []
-    for m in range(m_top + 1):
-        s1 = Fraction(0)
-        s2 = Fraction(0)
-        for k in range(m + 1):
-            wk = w[k] * w[m - k]
-            s1 += wk * pad[k] * pb[m - k]
-            s2 += wk * pbd[k] * pa[m - k]
-        if degenerate:
-            sign = Sign.ZERO
-        else:
-            sign = _psi_sign(s1, s2, quotient)
-        out.append(PsiCoefficient(m, s1, s2, sign))
-    return out
 
 
 def _psi_sign(s1: Fraction, s2: Fraction, quotient: CertifiedInterval) -> Sign:
@@ -385,17 +259,7 @@ class MkProfile:
         return acc
 
     def signs(self) -> list[Sign]:
-        out = []
-        for v in self.values:
-            if isinstance(v, CertifiedInterval):
-                s = v.sign()
-                out.append(Sign.INCONCLUSIVE if s is None else
-                           (Sign.ZERO if s == 0 else
-                            (Sign.POSITIVE if s > 0 else Sign.NEGATIVE)))
-            else:
-                out.append(Sign.ZERO if v == 0 else
-                           (Sign.POSITIVE if v > 0 else Sign.NEGATIVE))
-        return out
+        return [sign_of(v) for v in self.values]
 
     def sign_change_count(self) -> int:
         """Number of sign alternations along k, zeros skipped."""
@@ -403,53 +267,160 @@ class MkProfile:
         return sum(1 for s1, s2 in zip(seq, seq[1:]) if s1 is not s2)
 
 
+def _shift_tables(family: Family, a: Fraction, b: Fraction, delta: Fraction,
+                  M: int) -> tuple:
+    """Pochhammer tables up to index M of a+d, b, a and b+d, once the
+    shifts suit the family: positive for the gamma family, and no pole
+    (s)_n = 0 with 1 <= n <= M for the lower family."""
+    if family is Family.GAMMA_FACTOR and (a <= 0 or b <= 0):
+        raise DomainError("gamma-factor shifts must be positive")
+    shifts = (a + delta, b, a, b + delta)
+    tables = tuple(poch_table(s, M) for s in shifts)
+    if family is Family.LOWER_FACTOR and M >= 1:
+        for s, table in zip(shifts, tables):
+            # (s)_n = 0 for some n <= M exactly when (s)_M = 0
+            if table[M] == 0:
+                raise PoleError(f"lower-factor series has a pole at shift "
+                                f"parameter {s}: ({s})_{M} = 0")
+    return tables
+
+
+def _half_range_row(family: Family, tables: tuple, m: int) -> list:
+    """Row m of the pass (see HalfRangePass) from the tables of _shift_tables."""
+    pad, pb, pa, pbd = tables
+    row = []
+    for k in range(m // 2 + 1):
+        j = m - k
+        if family is Family.LOWER_FACTOR:
+            p = 1 / (pad[k] * pb[j])
+            q = 1 / (pa[k] * pbd[j])
+            if k < j:
+                p += 1 / (pad[j] * pb[k])
+                q += 1 / (pa[j] * pbd[k])
+        else:
+            p = pad[k] * pb[j]
+            q = pa[k] * pbd[j]
+            if k < j:
+                p += pad[j] * pb[k]
+                q += pa[j] * pbd[k]
+        if family is Family.UPPER_FACTOR:
+            row.append((p - q) / (math.factorial(k) * math.factorial(j)))
+        elif family is Family.LOWER_FACTOR:
+            row.append(p - q)
+        else:
+            row.append((p, q))
+    return row
+
+
+def _gamma_values(rows: list, a: Fraction, b: Fraction, delta: Fraction) -> list:
+    """Gamma-family profile values Gamma(a+d)Gamma(b) p_k - Gamma(a)Gamma(b+d) q_k
+    of each row, with both Gamma products enclosed once."""
+    g1 = ci_exp(log_gamma(a + delta) + log_gamma(b))
+    g2 = ci_exp(log_gamma(a) + log_gamma(b + delta))
+    return [[g1 * p - g2 * q for p, q in row] for row in rows]
+
+
+@dataclass
+class HalfRangePass:
+    """The folded half-range values of the coefficients m = 0..M of
+    F(a+d,x)F(b,x) - F(b+d,x)F(a,x), made by :func:`half_range_pass`.
+
+    ``rows[m]`` holds, for k = 0..m//2, the k-th and (m-k)-th terms of the
+    coefficient's convolution folded together (one term when 2k = m), with
+    the weights w_k w_{m-k} left out:
+
+    * upper:  M_k = [(a+d)_k (b)_{m-k} - (a)_k (b+d)_{m-k}] / (k! (m-k)!),
+    * lower:  M_k = 1/[(a+d)_k (b)_{m-k}] - 1/[(a)_k (b+d)_{m-k}],
+    * gamma:  the pair (p_k, q_k) = ((a+d)_k (b)_{m-k}, (a)_k (b+d)_{m-k}).
+
+    So phi_m and lambda_m are sum_k w_k w_{m-k} M_k, and psi_m's factors
+    S1_m, S2_m are the same weighted sums of p_k and q_k."""
+
+    family: Family
+    a: Fraction
+    b: Fraction
+    delta: Fraction
+    weights: list  # w_0..w_M
+    rows: list
+
+    def _weighted(self, m: int, values) -> Fraction:
+        w = self.weights
+        return sum((w[k] * w[m - k] * v for k, v in enumerate(values)), Fraction(0))
+
+    def coefficients(self) -> list[Fraction]:
+        """phi_m (upper family) or lambda_m (lower family) for m = 0..M."""
+        return [self._weighted(m, row) for m, row in enumerate(self.rows)]
+
+    def psi(self, quotient: CertifiedInterval | None = None) -> list[PsiCoefficient]:
+        """Factored psi_m with certified signs for m = 0..M (gamma family).
+        ``quotient`` may be passed to reuse or escalate the Gamma quotient
+        enclosure."""
+        degenerate = self.a == self.b
+        if not degenerate and quotient is None:
+            quotient = gamma_quotient(self.a, self.b, self.delta)
+        out = []
+        for m, row in enumerate(self.rows):
+            s1 = self._weighted(m, [p for p, _ in row])
+            s2 = self._weighted(m, [q for _, q in row])
+            sign = Sign.ZERO if degenerate else _psi_sign(s1, s2, quotient)
+            out.append(PsiCoefficient(m, s1, s2, sign))
+        return out
+
+    def profiles(self) -> list[MkProfile]:
+        """The profile of every coefficient m = 2..M; gamma-family values
+        are the enclosures Gamma(a+d)Gamma(b) p_k - Gamma(a)Gamma(b+d) q_k."""
+        rows = self.rows[2:]
+        if self.family is Family.GAMMA_FACTOR:
+            rows = _gamma_values(rows, self.a, self.b, self.delta)
+        return [MkProfile(m, self.family, row) for m, row in enumerate(rows, 2)]
+
+
+def half_range_pass(family: Family, spec: HypSeriesSpec, a, b, delta,
+                    order: int | None = None) -> HalfRangePass:
+    """The one exact pass over the coefficients m = 0..order (default:
+    the spec's order) of the cross-product difference, from which every
+    coefficient and profile is read.  ``family`` is the family the caller
+    works with; a spec of another family is refused."""
+    if spec.family is not family:
+        raise DomainError(f"expected the {family.value}-factor family, "
+                          f"got {spec.family.value}")
+    a, b, delta = Fraction(a), Fraction(b), Fraction(delta)
+    M = spec.order if order is None else order
+    if M < 0:
+        raise DomainError(f"truncation order must be >= 0, got {M}")
+    tables = _shift_tables(family, a, b, delta, M)
+    return HalfRangePass(family, a, b, delta,
+                         [spec.weights.weight(n) for n in range(M + 1)],
+                         [_half_range_row(family, tables, m) for m in range(M + 1)])
+
+
+def phi_coefficients(spec: HypSeriesSpec, a, b, delta, order: int | None = None):
+    """Exact coefficients of F(a+d,x)F(b,x) - F(b+d,x)F(a,x) for the
+    upper-factor family.  phi_0 = phi_1 = 0."""
+    return half_range_pass(Family.UPPER_FACTOR, spec, a, b, delta, order).coefficients()
+
+
+def lambda_coefficients(spec: HypSeriesSpec, a, b, delta, order: int | None = None):
+    """Exact coefficients of the cross-product difference for the
+    lower-factor family.  lambda_0 = 0."""
+    return half_range_pass(Family.LOWER_FACTOR, spec, a, b, delta, order).coefficients()
+
+
+def psi_coefficients(spec: HypSeriesSpec, a, b, delta, order: int | None = None,
+                     quotient: CertifiedInterval | None = None):
+    """Factored psi_m list for the gamma-factor family with certified
+    signs.  ``quotient`` may be passed to reuse or escalate the Gamma
+    quotient enclosure."""
+    return half_range_pass(Family.GAMMA_FACTOR, spec, a, b, delta, order).psi(quotient)
+
+
 def mk_profile(spec: HypSeriesSpec, a, b, delta, m: int) -> MkProfile:
     """The M_k values for coefficient index m >= 2 (weights play no role:
     the profile depends only on the shift parameters and the family)."""
     if m < 2:
         raise DomainError(f"profile needs m >= 2, got {m}")
-    a, b, delta = _shift_quadruple(a, b, delta)
-    pad = poch_table(a + delta, m)
-    pbd = poch_table(b + delta, m)
-    pa = poch_table(a, m)
-    pb = poch_table(b, m)
-    half = m // 2
-    if spec.family is Family.UPPER_FACTOR:
-        vals = []
-        for k in range(half + 1):
-            denom = math.factorial(k) * math.factorial(m - k)
-            if 2 * k < m:
-                num = (pad[k] * pb[m - k] + pad[m - k] * pb[k]
-                       - pa[k] * pbd[m - k] - pa[m - k] * pbd[k])
-            else:
-                num = pad[k] * pb[m - k] - pa[k] * pbd[m - k]
-            vals.append(num / denom)
-        return MkProfile(m, spec.family, vals)
-    if spec.family is Family.LOWER_FACTOR:
-        for table, name in ((pad, a + delta), (pbd, b + delta), (pa, a), (pb, b)):
-            if any(table[n] == 0 for n in range(1, m + 1)):
-                raise PoleError(f"profile has a pole at shift parameter {name}")
-        vals = []
-        for k in range(half + 1):
-            if 2 * k < m:
-                num = (1 / (pad[k] * pb[m - k]) + 1 / (pad[m - k] * pb[k])
-                       - 1 / (pa[m - k] * pbd[k]) - 1 / (pa[k] * pbd[m - k]))
-            else:
-                num = 1 / (pad[k] * pb[m - k]) - 1 / (pa[k] * pbd[m - k])
-            vals.append(num)
-        return MkProfile(m, spec.family, vals)
+    a, b, delta = Fraction(a), Fraction(b), Fraction(delta)
+    row = _half_range_row(spec.family, _shift_tables(spec.family, a, b, delta, m), m)
     if spec.family is Family.GAMMA_FACTOR:
-        if a <= 0 or b <= 0:
-            raise DomainError("gamma-factor profile needs positive shifts")
-        g1, g2 = _gamma_pair(a, b, delta, get_precision())
-        vals = []
-        for k in range(half + 1):
-            if 2 * k < m:
-                p = pad[k] * pb[m - k] + pad[m - k] * pb[k]
-                q = pa[k] * pbd[m - k] + pa[m - k] * pbd[k]
-            else:
-                p = pad[k] * pb[m - k]
-                q = pa[k] * pbd[m - k]
-            vals.append(g1 * p - g2 * q)
-        return MkProfile(m, spec.family, vals)
-    raise DomainError(f"unknown family {spec.family}")
+        [row] = _gamma_values([row], a, b, delta)
+    return MkProfile(m, spec.family, row)

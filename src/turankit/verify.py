@@ -36,9 +36,8 @@ from .intervals import (CertifiedInterval, gamma_ratio, get_precision,
                         working_precision)
 from .series import (DEFAULT_ORDER, Family, HypSeriesSpec, MonotoneClass,
                      Sign, binomial_upper, gamma_quotient, gauss_lower,
-                     gauss_upper, kummer_gamma, kummer_lower, kummer_upper,
-                     lambda_coefficients, mk_profile, phi_coefficients,
-                     psi_coefficients, weight_ratio_class, _psi_sign)
+                     gauss_upper, half_range_pass, kummer_gamma, kummer_lower,
+                     kummer_upper, sign_of, weight_ratio_class, _psi_sign)
 
 
 class Verdict(enum.Enum):
@@ -68,14 +67,6 @@ class SignReport:
         return tuple(self.params.values())
 
 
-def _sign_of(value: Fraction) -> Sign:
-    if value > 0:
-        return Sign.POSITIVE
-    if value < 0:
-        return Sign.NEGATIVE
-    return Sign.ZERO
-
-
 def _expected_sign(cls: MonotoneClass, a: Fraction, b: Fraction) -> Sign | None:
     """Claimed sign of the upper-factor coefficients for indices >= 2."""
     if cls is MonotoneClass.CONSTANT:
@@ -101,8 +92,9 @@ def verify_theorem1(spec: HypSeriesSpec, a, b, delta, M: int | None = None) -> S
         spec = HypSeriesSpec(spec.family, spec.weights, M)
     params = {"a": a, "b": b, "delta": delta}
     cls = weight_ratio_class(spec)
-    phi = phi_coefficients(spec, a, b, delta)
-    signs = [_sign_of(v) for v in phi]
+    hr = half_range_pass(Family.UPPER_FACTOR, spec, a, b, delta)
+    phi = hr.coefficients()
+    signs = [sign_of(v) for v in phi]
 
     if a == b:
         verdict = (Verdict.VERIFIED_DEGENERATE
@@ -131,8 +123,7 @@ def verify_theorem1(spec: HypSeriesSpec, a, b, delta, M: int | None = None) -> S
     single_change = True
     total_zero = True
     m0_sign = Sign.NEGATIVE if b > a else Sign.POSITIVE
-    for m in range(2, M + 1):
-        prof = mk_profile(spec, a, b, delta, m)
+    for prof in hr.profiles():
         if prof.total() != 0:
             total_zero = False
         ok = (prof.sign_change_count() == 1
@@ -152,8 +143,7 @@ def verify_theorem1(spec: HypSeriesSpec, a, b, delta, M: int | None = None) -> S
                       Verdict.VERIFIED)
 
 
-def verify_theorem2(spec: HypSeriesSpec, a, b, delta, M: int | None = None,
-                    check_profiles: bool = True) -> SignReport:
+def verify_theorem2(spec: HypSeriesSpec, a, b, delta, M: int | None = None) -> SignReport:
     """Certified negativity of the gamma-factor coefficients psi_m for
     0 <= m <= M (b > a; positive when a > b).  Undecided indices get one
     retry with the Gamma-quotient enclosure recomputed at doubled
@@ -166,7 +156,8 @@ def verify_theorem2(spec: HypSeriesSpec, a, b, delta, M: int | None = None,
     if spec.order != M:
         spec = HypSeriesSpec(spec.family, spec.weights, M)
     params = {"a": a, "b": b, "delta": delta}
-    psis = psi_coefficients(spec, a, b, delta)
+    hr = half_range_pass(Family.GAMMA_FACTOR, spec, a, b, delta)
+    psis = hr.psi()
     signs = [p.sign for p in psis]
 
     if a == b:
@@ -196,14 +187,13 @@ def verify_theorem2(spec: HypSeriesSpec, a, b, delta, M: int | None = None,
     still_open = [m for m, s in enumerate(signs) if s is Sign.INCONCLUSIVE]
 
     mk_all_neg = None
-    if check_profiles and first_violation is None:
+    if first_violation is None:
         mk_all_neg = True
         want = -1 if b > a else 1
-        for m in range(2, M + 1):
-            prof = mk_profile(spec, a, b, delta, m)
+        for prof in hr.profiles():
             vals = prof.signs()
             if any(s is (Sign.POSITIVE if want < 0 else Sign.NEGATIVE) for s in vals):
-                return SignReport("thm2", params, M, signs, m, None, False,
+                return SignReport("thm2", params, M, signs, prof.m, None, False,
                                   Verdict.VIOLATED,
                                   reason="profile value with certified wrong sign")
             if any(s is Sign.INCONCLUSIVE for s in vals):
@@ -235,8 +225,9 @@ def verify_theorem3(spec: HypSeriesSpec, a, b, delta, M: int | None = None) -> S
     if spec.order != M:
         spec = HypSeriesSpec(spec.family, spec.weights, M)
     params = {"a": a, "b": b, "delta": delta}
-    lam = lambda_coefficients(spec, a, b, delta)
-    signs = [_sign_of(v) for v in lam]
+    hr = half_range_pass(Family.LOWER_FACTOR, spec, a, b, delta)
+    lam = hr.coefficients()
+    signs = [sign_of(v) for v in lam]
 
     if a == b:
         verdict = (Verdict.VERIFIED_DEGENERATE
@@ -255,8 +246,7 @@ def verify_theorem3(spec: HypSeriesSpec, a, b, delta, M: int | None = None) -> S
                 break
 
     mk_all_neg = True
-    for m in range(2, M + 1):
-        prof = mk_profile(spec, a, b, delta, m)
+    for prof in hr.profiles():
         if any(s is not expected for s in prof.signs()):
             mk_all_neg = False
     if first_violation is not None or not mk_all_neg:
@@ -280,13 +270,17 @@ class TwoSidedBoundReport:
     verdict: Verdict
 
 
+# relative gap to the lower bound at the largest x that counts as sharp
+SHARPNESS_REL = 0.05
+
+
 def verify_corollary_twosided(spec: HypSeriesSpec, a, b, delta, x_grid,
-                              tol=None, sharpness_rel: float = 0.05) -> TwoSidedBoundReport:
+                              tol=None) -> TwoSidedBoundReport:
     """Pointwise certified check of
     Gamma-quotient < f(b+d,x)f(a,x)/[f(a+d,x)f(b,x)] < 1 on positive x,
     for decreasing-weight-ratio upper-factor series with b > a > 0; also
     reports whether the largest grid point approaches the lower bound to
-    within sharpness_rel."""
+    within SHARPNESS_REL."""
     a, b, delta = Fraction(a), Fraction(b), Fraction(delta)
     xs = [Fraction(x) for x in x_grid]
     if not xs or any(x <= 0 for x in xs):
@@ -313,7 +307,7 @@ def verify_corollary_twosided(spec: HypSeriesSpec, a, b, delta, x_grid,
             within.append(None)
     top = values[-1]
     gap = abs(top.midpoint - lower.midpoint) / abs(lower.midpoint)
-    approaches = float(gap) <= sharpness_rel
+    approaches = float(gap) <= SHARPNESS_REL
     if any(w is False for w in within):
         verdict = Verdict.VIOLATED
     elif any(w is None for w in within):

@@ -11,14 +11,7 @@ from pathlib import Path
 import pytest
 
 from turankit.cli import build_parser, main
-from turankit.intervals import get_precision, set_precision
-
-
-@pytest.fixture(autouse=True)
-def _restore_precision():
-    saved = get_precision()
-    yield
-    set_precision(saved)
+from turankit.intervals import get_precision
 
 
 def run_cli(argv, tmp_path, name="out"):
@@ -179,6 +172,19 @@ class TestJobs:
         code, _, _ = run_cli(SINGLE + ["--jobs", "1000000"], tmp_path, "one")
         assert code == 0
         assert sizes == [4]
+
+
+class TestPrecisionScope:
+    @pytest.mark.parametrize("argv", [
+        SINGLE + ["--precision", "60"],
+        ["explore", "--precision", "60", "--points", "4"],
+    ])
+    def test_main_leaves_precision_unchanged(self, argv, tmp_path):
+        before = get_precision()
+        code, rep, _ = run_cli(argv, tmp_path)
+        assert code == 0
+        assert rep["config_echo"]["precision"] == 60
+        assert get_precision() == before
 
 
 class TestDefaultGrids:

@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 
 from turankit.errors import DomainError, PoleError
 from turankit.series import (DEFAULT_ORDER, Family, HypSeriesSpec, MonotoneClass,
-                             Sign, TruncatedSeries, WeightRule, binomial_upper,
-                             build_series, gamma_quotient, gauss_lower,
-                             gauss_upper, kummer_gamma, kummer_lower,
-                             kummer_upper, lambda_coefficients, mk_profile,
-                             pfq_upper, phi_coefficients, psi_coefficients,
-                             weight_ratio_class, weight_sequence)
+                             Sign, WeightRule, binomial_upper, gamma_quotient,
+                             gauss_lower, gauss_upper, kummer_gamma,
+                             kummer_lower, kummer_upper, lambda_coefficients,
+                             mk_profile, pfq_upper, phi_coefficients,
+                             psi_coefficients, weight_ratio_class,
+                             weight_sequence)
 from turankit.exact import pochhammer
 
 
@@ -62,6 +62,18 @@ def _lambda_oracle(spec, a, b, d, M):
     gb = _lower_coeffs(spec, F(b) + F(d), M)
     lhs, rhs = _convolve(fa, fb), _convolve(gb, ga)
     return [p - q for p, q in zip(lhs, rhs)]
+
+
+def _psi_parts_oracle(spec, a, b, d, M):
+    """S1_m and S2_m of the factored psi_m as full-range double loops."""
+    w = [spec.weights.weight(n) for n in range(M + 1)]
+    a, b, d = F(a), F(b), F(d)
+
+    def conv(s, t):
+        return [sum(w[k] * w[m - k] * pochhammer(s, k) * pochhammer(t, m - k)
+                    for k in range(m + 1)) for m in range(M + 1)]
+
+    return conv(a + d, b), conv(b + d, a)
 
 
 def _psi_numeric(spec, a, b, d, m):
@@ -122,37 +134,6 @@ class TestWeightRule:
     def test_weight_sequence(self):
         spec = kummer_upper(F(2), 6)
         assert weight_sequence(spec, 3) == 1 / pochhammer(F(2), 3)
-
-
-# ------------------------------------------------------------ truncations
-
-class TestTruncatedSeries:
-    def test_product_is_truncated_cauchy(self):
-        s = TruncatedSeries([F(1), F(2), F(3)])
-        t = TruncatedSeries([F(1), F(-1), F(1, 2)])
-        assert (s * t).coeffs == [F(1), F(1), F(3, 2)]
-
-    def test_order_mismatch_rejected(self):
-        with pytest.raises(DomainError):
-            TruncatedSeries([F(1)]) * TruncatedSeries([F(1), F(2)])
-
-    def test_gamma_scaled_products_rejected(self):
-        s = TruncatedSeries([F(1), F(2)], gamma_scale=F(1))
-        with pytest.raises(DomainError):
-            s * TruncatedSeries([F(1), F(2)])
-
-    def test_build_kummer_matches_definition(self):
-        spec = kummer_upper(F(3), 8)
-        got = build_series(spec, F(1, 2)).coeffs
-        want = [pochhammer(F(1, 2), n) / (pochhammer(F(3), n) * mpfact(n))
-                for n in range(9)]
-        assert got == want
-
-    def test_lower_pole_raises(self):
-        with pytest.raises(PoleError):
-            build_series(kummer_lower(F(1), 6), F(-2))
-        with pytest.raises(PoleError):
-            build_series(kummer_lower(F(1), 6), F(0))
 
 
 # --------------------------------------------------- phi (upper families)
@@ -246,6 +227,12 @@ class TestLambda:
         with pytest.raises(DomainError):
             lambda_coefficients(kummer_upper(F(1), 4), 1, 2, 1)
 
+    def test_lower_pole_raises(self):
+        with pytest.raises(PoleError):
+            lambda_coefficients(kummer_lower(F(1), 6), F(-2), 3, F(1, 2))
+        with pytest.raises(PoleError):
+            lambda_coefficients(kummer_lower(F(1), 6), F(0), 3, F(1, 2))
+
 
 # ---------------------------------------------------- psi (gamma families)
 
@@ -282,6 +269,22 @@ class TestPsi:
     def test_positive_shift_guard(self):
         with pytest.raises(DomainError):
             psi_coefficients(kummer_gamma(F(1), 4), 0, 1, 1)
+
+
+# ------------------------------------------ all three against the oracles
+
+@given(shift_pairs, st.integers(min_value=0, max_value=12))
+@settings(max_examples=30, deadline=None)
+def test_coefficients_match_double_loop_oracles(abd, M):
+    a, b, d = abd
+    upper, lower = gauss_upper(F(3, 2), F(5, 2)), gauss_lower(F(1, 2), F(2))
+    assert phi_coefficients(upper, a, b, d, order=M) == _phi_oracle(upper, a, b, d, M)
+    assert lambda_coefficients(lower, a, b, d, order=M) == \
+        _lambda_oracle(lower, a, b, d, M)
+    gamma = kummer_gamma(F(5, 2))
+    s1, s2 = _psi_parts_oracle(gamma, a, b, d, M)
+    psis = psi_coefficients(gamma, a, b, d, order=M)
+    assert [p.s1 for p in psis] == s1 and [p.s2 for p in psis] == s2
 
 
 # -------------------------------------------------- half-range profiles

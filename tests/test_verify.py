@@ -183,6 +183,16 @@ class TestTwoSidedBounds:
             verify_turan(kummer_lower(F(3)), 1, 1, [F(1)])
 
 
+@pytest.mark.parametrize("check, spec", [
+    (verify_theorem1, kummer_lower(F(1), 6)),
+    (verify_theorem2, kummer_upper(F(1), 6)),
+    (verify_theorem3, kummer_gamma(F(1), 6)),
+])
+def test_sign_check_needs_its_family(check, spec):
+    with pytest.raises(DomainError):
+        check(spec, 1, 2, 1)
+
+
 class TestSuites:
     def test_theorem1_suite_all_verified(self):
         reports = suite_theorem1(M=12)
