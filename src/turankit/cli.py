@@ -190,8 +190,8 @@ def _run_id(config: dict) -> str:
 
 
 def cmd_verify(args) -> int:
-    precision = args.precision or get_precision()
     try:
+        precision = get_precision() if args.precision is None else args.precision
         if args.jobs < 1:
             raise DomainError("--jobs must be at least 1")
         cases = _cases(args)
@@ -241,8 +241,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    precision = args.precision or get_precision()
     try:
+        precision = get_precision() if args.precision is None else args.precision
         with working_precision(precision):
             if args.x_grid is not None:
                 xs = sorted(args.x_grid)
@@ -251,7 +251,7 @@ def cmd_explore(args) -> int:
                                       negative=args.branch == "negative")
             rep = explore_conjecture(args.a, args.b, args.delta, args.c, xs,
                                      args.tol)
-    except DomainError as exc:
+    except (DomainError, TermCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if rep.violations:

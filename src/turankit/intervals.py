@@ -12,8 +12,9 @@ the interval a certificate, not an estimate: an independent recomputation
 at higher precision must land inside it (and the test suite checks this).
 
 Working precision defaults to 30 significant decimal digits and can be
-overridden with the TURANKIT_PRECISION environment variable or
-:func:`set_precision`.  Internally a fixed number of guard digits is added.
+overridden with the TURANKIT_PRECISION environment variable, which is read
+when the precision is first needed, or with :func:`set_precision`.
+Internally a fixed number of guard digits is added.
 """
 
 from __future__ import annotations
@@ -48,12 +49,15 @@ def _init_dps() -> int:
     return dps
 
 
-_working_dps = _init_dps()
-_ctx.dps = _working_dps + _GUARD_DPS
+# None until the precision is first read, so that a bad TURANKIT_PRECISION
+# raises DomainError there and not while the package is imported
+_working_dps: int | None = None
 
 
 def get_precision() -> int:
     """Current working precision in significant decimal digits."""
+    if _working_dps is None:
+        set_precision(_init_dps())
     return _working_dps
 
 
@@ -68,7 +72,7 @@ def set_precision(dps: int) -> None:
 @contextmanager
 def working_precision(dps: int):
     """Temporarily run at ``dps`` decimal digits (used for escalation)."""
-    old = _working_dps
+    old = get_precision()
     set_precision(dps)
     try:
         yield
@@ -87,6 +91,7 @@ def _raw_to_fraction(raw) -> Fraction:
 
 
 def _raw_pair_from_fractions(lo: Fraction, hi: Fraction):
+    get_precision()  # every interval starts here, so the context is set up
     prec = _ctx.prec
     lo_raw = from_rational(lo.numerator, lo.denominator, prec, round_floor)
     hi_raw = from_rational(hi.numerator, hi.denominator, prec, round_ceiling)
@@ -257,7 +262,7 @@ class CertifiedInterval:
     def __repr__(self):
         if self.exact is not None:
             return f"CertifiedInterval(exact={self.exact})"
-        show = min(_working_dps, 20)
+        show = min(get_precision(), 20)
         a = mpmath.mp.make_mpf(self._iv._mpi_[0])
         b = mpmath.mp.make_mpf(self._iv._mpi_[1])
         return f"CertifiedInterval[{mpmath.nstr(a, show)}, {mpmath.nstr(b, show)}]"
@@ -333,7 +338,7 @@ def log_gamma(x) -> CertifiedInterval:
     x = Fraction(x)
     if x <= 0:
         raise DomainError(f"log_gamma needs x > 0, got {x}")
-    m, n_terms, remainder = _stirling_plan(x, _working_dps)
+    m, n_terms, remainder = _stirling_plan(x, get_precision())
     z = x + m
     zi = CertifiedInterval.from_fraction(z)
     acc = (zi - Fraction(1, 2)) * ci_log(zi) - zi + _half_log_two_pi()

@@ -25,7 +25,9 @@ quotient Gamma(b+d)Gamma(a) / [Gamma(a+d)Gamma(b)] (a single interval per
 parameter tuple, exact when d is an integer).
 
 All coefficients and their half-range profiles come from one exact pass
-per parameter tuple (:func:`half_range_pass`).
+per parameter tuple (:func:`half_range_pass`), made on integer Pochhammer
+tables over one common denominator, so that every sign a check needs is
+the sign of an integer (or, for psi, an integer cross-multiplication).
 
 Everything is formal: truncation order is fixed up front and no statement
 about convergence is made or needed.
@@ -35,8 +37,10 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import DomainError, PoleError
 from .exact import poch_table
@@ -94,15 +98,20 @@ class WeightRule:
         """w_n / w_{n-1} for n >= 1."""
         if n < 1:
             raise DomainError("weight ratio needs n >= 1")
-        num = Fraction(1)
+        return Fraction(*self._ratio_parts(n))
+
+    def _ratio_parts(self, n: int) -> tuple[int, int]:
+        """Positive integers (num, den) with ratio(n) = num / den."""
+        num = den = 1
         for u in self.upper:
-            num *= u + n - 1
-        den = Fraction(1)
+            num *= u.numerator + (n - 1) * u.denominator
+            den *= u.denominator
         for l in self.lower:
-            den *= l + n - 1
+            num *= l.denominator
+            den *= l.numerator + (n - 1) * l.denominator
         if self.inv_factorial:
             den *= n
-        return num / den
+        return num, den
 
 
 @dataclass(frozen=True)
@@ -177,14 +186,17 @@ def weight_ratio_class(spec: HypSeriesSpec) -> MonotoneClass:
     """Strict monotonicity class of n -> w_n/w_{n-1} over the truncation
     range.  The upper-factor sign theorem assumes this; it is checked,
     not trusted."""
-    ratios = [spec.weights.ratio(n) for n in range(1, spec.order + 1)]
+    ratios = [spec.weights._ratio_parts(n) for n in range(1, spec.order + 1)]
     if len(ratios) < 2:
         return MonotoneClass.CONSTANT
-    if all(r2 == r1 for r1, r2 in zip(ratios, ratios[1:])):
+    # sign of r_{n+1} - r_n for each n, by cross-multiplication
+    steps = {(n2 * d1 > n1 * d2) - (n2 * d1 < n1 * d2)
+             for (n1, d1), (n2, d2) in zip(ratios, ratios[1:])}
+    if steps == {0}:
         return MonotoneClass.CONSTANT
-    if all(r2 < r1 for r1, r2 in zip(ratios, ratios[1:])):
+    if steps == {-1}:
         return MonotoneClass.DECREASING
-    if all(r2 > r1 for r1, r2 in zip(ratios, ratios[1:])):
+    if steps == {1}:
         return MonotoneClass.INCREASING
     return MonotoneClass.NEITHER
 
@@ -217,21 +229,36 @@ class PsiCoefficient:
     sign: Sign
 
 
-def _psi_sign(s1: Fraction, s2: Fraction, quotient: CertifiedInterval) -> Sign:
-    # psi_m < 0  iff  S1/S2 < Gamma(b+d)Gamma(a)/[Gamma(a+d)Gamma(b)];
-    # S2 > 0 because every term is a product of positive factors.
-    r = s1 / s2
+def quotient_sign(quotient: CertifiedInterval):
+    """The test (p, q) -> sign of p - Q q, for q > 0 and the Gamma quotient
+    Q enclosed by ``quotient``, decided by integer cross-multiplication.
+
+    With (p, q) = (S1_m, S2_m) it gives the sign of psi_m.  With a
+    gamma-family profile pair (p_k, q_k) it gives the sign of
+    Gamma(a+d)Gamma(b) p_k - Gamma(a)Gamma(b+d) q_k.  A tie is ZERO when Q
+    is exact and INCONCLUSIVE when p/q lies inside the enclosure."""
     if quotient.exact is not None:
-        if r < quotient.exact:
+        lo = hi = quotient.exact
+        tie = Sign.ZERO
+    else:
+        lo, hi, tie = quotient.lo, quotient.hi, Sign.INCONCLUSIVE
+    lo_num, lo_den = lo.numerator, lo.denominator
+    hi_num, hi_den = hi.numerator, hi.denominator
+
+    def sign(p, q) -> Sign:
+        if p * lo_den < lo_num * q:
             return Sign.NEGATIVE
-        if r > quotient.exact:
+        if p * hi_den > hi_num * q:
             return Sign.POSITIVE
-        return Sign.ZERO
-    if r < quotient.lo:
-        return Sign.NEGATIVE
-    if r > quotient.hi:
-        return Sign.POSITIVE
-    return Sign.INCONCLUSIVE
+        return tie
+
+    return sign
+
+
+def sign_change_count(signs) -> int:
+    """Number of sign alternations along a sign list, zeros skipped."""
+    seq = [s for s in signs if s in (Sign.POSITIVE, Sign.NEGATIVE)]
+    return sum(1 for s1, s2 in zip(seq, seq[1:]) if s1 is not s2)
 
 
 @dataclass
@@ -263,116 +290,161 @@ class MkProfile:
 
     def sign_change_count(self) -> int:
         """Number of sign alternations along k, zeros skipped."""
-        seq = [s for s in self.signs() if s in (Sign.POSITIVE, Sign.NEGATIVE)]
-        return sum(1 for s1, s2 in zip(seq, seq[1:]) if s1 is not s2)
+        return sign_change_count(self.signs())
 
 
-def _shift_tables(family: Family, a: Fraction, b: Fraction, delta: Fraction,
-                  M: int) -> tuple:
-    """Pochhammer tables up to index M of a+d, b, a and b+d, once the
-    shifts suit the family: positive for the gamma family, and no pole
-    (s)_n = 0 with 1 <= n <= M for the lower family."""
-    if family is Family.GAMMA_FACTOR and (a <= 0 or b <= 0):
-        raise DomainError("gamma-factor shifts must be positive")
-    shifts = (a + delta, b, a, b + delta)
-    tables = tuple(poch_table(s, M) for s in shifts)
-    if family is Family.LOWER_FACTOR and M >= 1:
-        for s, table in zip(shifts, tables):
+class _IntegerTables:
+    """The four shifts s = a+d, b, a, b+d of one case, scaled by the common
+    denominator D of a, b and d to integers S = s D, with their tables up
+    to index M:
+
+    * upper and gamma:  P_n = prod_{i<n} (S + iD) = D^n (s)_n,
+    * lower:  the suffix products R_n = prod_{n<=i<M} (S + iD) = P_M / P_n,
+      so that 1/(s)_n = D^n R_n / P_M.
+
+    The shifts must suit the family: positive for the gamma family, and no
+    pole (s)_n = 0 with 1 <= n <= M for the lower family."""
+
+    def __init__(self, family: Family, a: Fraction, b: Fraction, delta: Fraction,
+                 M: int):
+        if family is Family.GAMMA_FACTOR and (a <= 0 or b <= 0):
+            raise DomainError("gamma-factor shifts must be positive")
+        self.family = family
+        self.D = D = math.lcm(a.denominator, b.denominator, delta.denominator)
+        self.tables = []
+        for s in (a + delta, b, a, b + delta):
+            S = s.numerator * (D // s.denominator)
+            steps = [S + i * D for i in range(M)]
+            if family is not Family.LOWER_FACTOR:
+                self.tables.append(list(accumulate(steps, operator.mul, initial=1)))
+                continue
             # (s)_n = 0 for some n <= M exactly when (s)_M = 0
-            if table[M] == 0:
+            if 0 in steps:
                 raise PoleError(f"lower-factor series has a pole at shift "
                                 f"parameter {s}: ({s})_{M} = 0")
-    return tables
-
-
-def _half_range_row(family: Family, tables: tuple, m: int) -> list:
-    """Row m of the pass (see HalfRangePass) from the tables of _shift_tables."""
-    pad, pb, pa, pbd = tables
-    row = []
-    for k in range(m // 2 + 1):
-        j = m - k
+            self.tables.append(list(accumulate(reversed(steps), operator.mul,
+                                               initial=1))[::-1])
         if family is Family.LOWER_FACTOR:
-            p = 1 / (pad[k] * pb[j])
-            q = 1 / (pa[k] * pbd[j])
+            # With X = P_M(a) P_M(b+d) and Y = P_M(a+d) P_M(b), the folded
+            # reciprocals p_k / Y - q_k / X times D^m give M_k, so the row
+            # holds p_k X - q_k Y, negated when X Y < 0.
+            t1, t2, t3, t4 = self.tables
+            self.x, self.y = t3[0] * t4[0], t1[0] * t2[0]
+            self.flip = (self.x < 0) != (self.y < 0)
+
+    def row(self, m: int) -> list:
+        """Row m of the pass (see HalfRangePass)."""
+        t1, t2, t3, t4 = self.tables
+        row = []
+        for k in range(m // 2 + 1):
+            j = m - k
+            p = t1[k] * t2[j]
+            q = t3[k] * t4[j]
             if k < j:
-                p += 1 / (pad[j] * pb[k])
-                q += 1 / (pa[j] * pbd[k])
-        else:
-            p = pad[k] * pb[j]
-            q = pa[k] * pbd[j]
-            if k < j:
-                p += pad[j] * pb[k]
-                q += pa[j] * pbd[k]
-        if family is Family.UPPER_FACTOR:
-            row.append((p - q) / (math.factorial(k) * math.factorial(j)))
-        elif family is Family.LOWER_FACTOR:
-            row.append(p - q)
-        else:
-            row.append((p, q))
-    return row
+                p += t1[j] * t2[k]
+                q += t3[j] * t4[k]
+            if self.family is Family.UPPER_FACTOR:
+                row.append(math.comb(m, k) * (p - q))
+            elif self.family is Family.LOWER_FACTOR:
+                r = p * self.x - q * self.y
+                row.append(-r if self.flip else r)
+            else:
+                row.append((p, q))
+        return row
+
+    def exact(self, m: int, r: int, den: int = 1) -> Fraction:
+        """r * scale_m / den as one reduced Fraction (see HalfRangePass)."""
+        Dm = self.D ** m
+        if self.family is Family.UPPER_FACTOR:
+            return Fraction(r, Dm * math.factorial(m) * den)
+        if self.family is Family.LOWER_FACTOR:
+            return Fraction(r * Dm, abs(self.x * self.y) * den)
+        return Fraction(r, Dm * den)
 
 
-def _gamma_values(rows: list, a: Fraction, b: Fraction, delta: Fraction) -> list:
-    """Gamma-family profile values Gamma(a+d)Gamma(b) p_k - Gamma(a)Gamma(b+d) q_k
-    of each row, with both Gamma products enclosed once."""
-    g1 = ci_exp(log_gamma(a + delta) + log_gamma(b))
-    g2 = ci_exp(log_gamma(a) + log_gamma(b + delta))
-    return [[g1 * p - g2 * q for p, q in row] for row in rows]
+def _weight_numerators(rule: WeightRule, M: int) -> tuple[list[int], int]:
+    """Integers W_0..W_M and L > 0 with w_n = W_n / L, from the recurrence
+    w_n = w_{n-1} ratio(n): W_n = prod_{i<=n} num_i prod_{i>n} den_i over
+    L = prod_i den_i, reduced by their common factor."""
+    parts = [rule._ratio_parts(n) for n in range(1, M + 1)]
+    W = [1]
+    for num, _ in parts:
+        W.append(W[-1] * num)
+    L = 1
+    for n in range(M, 0, -1):
+        W[n] *= L
+        L *= parts[n - 1][1]
+    W[0] = L
+    g = math.gcd(L, *W)
+    return [x // g for x in W], L // g
 
 
 @dataclass
 class HalfRangePass:
     """The folded half-range values of the coefficients m = 0..M of
-    F(a+d,x)F(b,x) - F(b+d,x)F(a,x), made by :func:`half_range_pass`.
+    F(a+d,x)F(b,x) - F(b+d,x)F(a,x), made by :func:`half_range_pass` in
+    integer arithmetic.
 
     ``rows[m]`` holds, for k = 0..m//2, the k-th and (m-k)-th terms of the
     coefficient's convolution folded together (one term when 2k = m), with
-    the weights w_k w_{m-k} left out:
+    the weights w_k w_{m-k} left out, as integers r_k with M_k = r_k scale_m
+    and scale_m > 0:
 
     * upper:  M_k = [(a+d)_k (b)_{m-k} - (a)_k (b+d)_{m-k}] / (k! (m-k)!),
+      r_k = C(m,k) D^m k! (m-k)! M_k, scale_m = 1 / (D^m m!),
     * lower:  M_k = 1/[(a+d)_k (b)_{m-k}] - 1/[(a)_k (b+d)_{m-k}],
-    * gamma:  the pair (p_k, q_k) = ((a+d)_k (b)_{m-k}, (a)_k (b+d)_{m-k}).
+      scale_m = D^m / |(a+d)_M (b)_M (a)_M (b+d)_M D^{4M}|,
+    * gamma:  the pairs (p_k, q_k) = ((a+d)_k (b)_{m-k}, (a)_k (b+d)_{m-k})
+      as integer pairs with scale_m = 1 / D^m.
 
-    So phi_m and lambda_m are sum_k w_k w_{m-k} M_k, and psi_m's factors
-    S1_m, S2_m are the same weighted sums of p_k and q_k."""
+    So an upper or lower profile value has the sign of an integer, and a
+    gamma profile sign is decided from its pair by :func:`quotient_sign`.
+    With the integer weights W_n = w_n L, phi_m and lambda_m are
+    sum_k W_k W_{m-k} r_k scale_m / L^2, and psi_m's factors S1_m, S2_m are
+    the same weighted sums of p_k and q_k (:meth:`sums`)."""
 
     family: Family
     a: Fraction
     b: Fraction
     delta: Fraction
-    weights: list  # w_0..w_M
+    tables: _IntegerTables
+    weights: list  # W_0..W_M
+    L: int
     rows: list
 
-    def _weighted(self, m: int, values) -> Fraction:
+    def _weighted(self, m: int, values) -> int:
         w = self.weights
-        return sum((w[k] * w[m - k] * v for k, v in enumerate(values)), Fraction(0))
+        return sum(w[k] * w[m - k] * v for k, v in enumerate(values))
+
+    def sums(self) -> list:
+        """sum_k W_k W_{m-k} r_k for m = 0..M, which has the sign of phi_m
+        or lambda_m; for the gamma family the pairs of integers with the
+        ratio S1_m / S2_m."""
+        if self.family is Family.GAMMA_FACTOR:
+            return [(self._weighted(m, [p for p, _ in row]),
+                     self._weighted(m, [q for _, q in row]))
+                    for m, row in enumerate(self.rows)]
+        return [self._weighted(m, row) for m, row in enumerate(self.rows)]
 
     def coefficients(self) -> list[Fraction]:
         """phi_m (upper family) or lambda_m (lower family) for m = 0..M."""
-        return [self._weighted(m, row) for m, row in enumerate(self.rows)]
+        L2 = self.L * self.L
+        return [self.tables.exact(m, s, L2) for m, s in enumerate(self.sums())]
 
     def psi(self, quotient: CertifiedInterval | None = None) -> list[PsiCoefficient]:
         """Factored psi_m with certified signs for m = 0..M (gamma family).
         ``quotient`` may be passed to reuse or escalate the Gamma quotient
         enclosure."""
         degenerate = self.a == self.b
-        if not degenerate and quotient is None:
-            quotient = gamma_quotient(self.a, self.b, self.delta)
-        out = []
-        for m, row in enumerate(self.rows):
-            s1 = self._weighted(m, [p for p, _ in row])
-            s2 = self._weighted(m, [q for _, q in row])
-            sign = Sign.ZERO if degenerate else _psi_sign(s1, s2, quotient)
-            out.append(PsiCoefficient(m, s1, s2, sign))
-        return out
-
-    def profiles(self) -> list[MkProfile]:
-        """The profile of every coefficient m = 2..M; gamma-family values
-        are the enclosures Gamma(a+d)Gamma(b) p_k - Gamma(a)Gamma(b+d) q_k."""
-        rows = self.rows[2:]
-        if self.family is Family.GAMMA_FACTOR:
-            rows = _gamma_values(rows, self.a, self.b, self.delta)
-        return [MkProfile(m, self.family, row) for m, row in enumerate(rows, 2)]
+        if not degenerate:
+            if quotient is None:
+                quotient = gamma_quotient(self.a, self.b, self.delta)
+            sign = quotient_sign(quotient)
+        L2 = self.L * self.L
+        return [PsiCoefficient(m, self.tables.exact(m, s1, L2),
+                               self.tables.exact(m, s2, L2),
+                               Sign.ZERO if degenerate else sign(s1, s2))
+                for m, (s1, s2) in enumerate(self.sums())]
 
 
 def half_range_pass(family: Family, spec: HypSeriesSpec, a, b, delta,
@@ -388,10 +460,10 @@ def half_range_pass(family: Family, spec: HypSeriesSpec, a, b, delta,
     M = spec.order if order is None else order
     if M < 0:
         raise DomainError(f"truncation order must be >= 0, got {M}")
-    tables = _shift_tables(family, a, b, delta, M)
-    return HalfRangePass(family, a, b, delta,
-                         [spec.weights.weight(n) for n in range(M + 1)],
-                         [_half_range_row(family, tables, m) for m in range(M + 1)])
+    tables = _IntegerTables(family, a, b, delta, M)
+    weights, L = _weight_numerators(spec.weights, M)
+    return HalfRangePass(family, a, b, delta, tables, weights, L,
+                         [tables.row(m) for m in range(M + 1)])
 
 
 def phi_coefficients(spec: HypSeriesSpec, a, b, delta, order: int | None = None):
@@ -416,11 +488,18 @@ def psi_coefficients(spec: HypSeriesSpec, a, b, delta, order: int | None = None,
 
 def mk_profile(spec: HypSeriesSpec, a, b, delta, m: int) -> MkProfile:
     """The M_k values for coefficient index m >= 2 (weights play no role:
-    the profile depends only on the shift parameters and the family)."""
+    the profile depends only on the shift parameters and the family).
+    Gamma-family values are the enclosures
+    Gamma(a+d)Gamma(b) p_k - Gamma(a)Gamma(b+d) q_k."""
     if m < 2:
         raise DomainError(f"profile needs m >= 2, got {m}")
     a, b, delta = Fraction(a), Fraction(b), Fraction(delta)
-    row = _half_range_row(spec.family, _shift_tables(spec.family, a, b, delta, m), m)
+    tables = _IntegerTables(spec.family, a, b, delta, m)
+    row = tables.row(m)
     if spec.family is Family.GAMMA_FACTOR:
-        [row] = _gamma_values([row], a, b, delta)
-    return MkProfile(m, spec.family, row)
+        g1 = ci_exp(log_gamma(a + delta) + log_gamma(b))
+        g2 = ci_exp(log_gamma(a) + log_gamma(b + delta))
+        values = [g1 * tables.exact(m, p) - g2 * tables.exact(m, q) for p, q in row]
+    else:
+        values = [tables.exact(m, r) for r in row]
+    return MkProfile(m, spec.family, values)

@@ -37,7 +37,8 @@ from .intervals import (CertifiedInterval, gamma_ratio, get_precision,
 from .series import (DEFAULT_ORDER, Family, HypSeriesSpec, MonotoneClass,
                      Sign, binomial_upper, gamma_quotient, gauss_lower,
                      gauss_upper, half_range_pass, kummer_gamma, kummer_lower,
-                     kummer_upper, sign_of, weight_ratio_class, _psi_sign)
+                     kummer_upper, quotient_sign, sign_change_count, sign_of,
+                     weight_ratio_class)
 
 
 class Verdict(enum.Enum):
@@ -93,8 +94,7 @@ def verify_theorem1(spec: HypSeriesSpec, a, b, delta, M: int | None = None) -> S
     params = {"a": a, "b": b, "delta": delta}
     cls = weight_ratio_class(spec)
     hr = half_range_pass(Family.UPPER_FACTOR, spec, a, b, delta)
-    phi = hr.coefficients()
-    signs = [sign_of(v) for v in phi]
+    signs = [sign_of(v) for v in hr.sums()]
 
     if a == b:
         verdict = (Verdict.VERIFIED_DEGENERATE
@@ -112,8 +112,8 @@ def verify_theorem1(spec: HypSeriesSpec, a, b, delta, M: int | None = None) -> S
                                  "no sign is claimed")
 
     first_violation = None
-    if phi[0] != 0 or phi[1] != 0:
-        first_violation = 0 if phi[0] != 0 else 1
+    if signs[0] is not Sign.ZERO or signs[1] is not Sign.ZERO:
+        first_violation = 0 if signs[0] is not Sign.ZERO else 1
     else:
         for m in range(2, M + 1):
             if signs[m] is not expected:
@@ -123,12 +123,13 @@ def verify_theorem1(spec: HypSeriesSpec, a, b, delta, M: int | None = None) -> S
     single_change = True
     total_zero = True
     m0_sign = Sign.NEGATIVE if b > a else Sign.POSITIVE
-    for prof in hr.profiles():
-        if prof.total() != 0:
+    for row in hr.rows[2:]:
+        # the row holds C(m,k) D^m k!(m-k)! M_k, so the M_k sum to zero
+        # exactly when the row does
+        if sum(row) != 0:
             total_zero = False
-        ok = (prof.sign_change_count() == 1
-              and prof.signs()[0] is m0_sign)
-        if not ok:
+        prof_signs = [sign_of(v) for v in row]
+        if sign_change_count(prof_signs) != 1 or prof_signs[0] is not m0_sign:
             single_change = False
 
     if first_violation is not None or not total_zero or not single_change:
@@ -157,25 +158,26 @@ def verify_theorem2(spec: HypSeriesSpec, a, b, delta, M: int | None = None) -> S
         spec = HypSeriesSpec(spec.family, spec.weights, M)
     params = {"a": a, "b": b, "delta": delta}
     hr = half_range_pass(Family.GAMMA_FACTOR, spec, a, b, delta)
-    psis = hr.psi()
-    signs = [p.sign for p in psis]
 
     if a == b:
-        verdict = (Verdict.VERIFIED_DEGENERATE
-                   if all(s is Sign.ZERO for s in signs) else Verdict.VIOLATED)
-        return SignReport("thm2", params, M, signs, None, None, None, verdict,
+        # S1_m = S2_m and the Gamma quotient is 1, so psi_m = 0
+        return SignReport("thm2", params, M, [Sign.ZERO] * (M + 1), None, None,
+                          None, Verdict.VERIFIED_DEGENERATE,
                           reason="degenerate equal shifts")
 
+    sums = hr.sums()
+    sign = quotient_sign(gamma_quotient(a, b, delta))
+    signs = [sign(s1, s2) for s1, s2 in sums]
     expected = Sign.NEGATIVE if b > a else Sign.POSITIVE
-    pending = [p.m for p in psis if p.sign is Sign.INCONCLUSIVE]
+    pending = [m for m, s in enumerate(signs) if s is Sign.INCONCLUSIVE]
     before = len(pending)
     escalated = False
     if pending:
         escalated = True
         with working_precision(2 * get_precision()):
-            quot = gamma_quotient(a, b, delta)
+            escalated_sign = quotient_sign(gamma_quotient(a, b, delta))
             for m in pending:
-                signs[m] = _psi_sign(psis[m].s1, psis[m].s2, quot)
+                signs[m] = escalated_sign(*sums[m])
 
     first_violation = None
     for m, s in enumerate(signs):
@@ -189,14 +191,14 @@ def verify_theorem2(spec: HypSeriesSpec, a, b, delta, M: int | None = None) -> S
     mk_all_neg = None
     if first_violation is None:
         mk_all_neg = True
-        want = -1 if b > a else 1
-        for prof in hr.profiles():
-            vals = prof.signs()
-            if any(s is (Sign.POSITIVE if want < 0 else Sign.NEGATIVE) for s in vals):
-                return SignReport("thm2", params, M, signs, prof.m, None, False,
+        wrong = Sign.POSITIVE if b > a else Sign.NEGATIVE
+        for m, row in enumerate(hr.rows[2:], 2):
+            vals = [sign(p, q) for p, q in row]
+            if wrong in vals:
+                return SignReport("thm2", params, M, signs, m, None, False,
                                   Verdict.VIOLATED,
                                   reason="profile value with certified wrong sign")
-            if any(s is Sign.INCONCLUSIVE for s in vals):
+            if Sign.INCONCLUSIVE in vals:
                 mk_all_neg = None
 
     if first_violation is not None:
@@ -226,8 +228,7 @@ def verify_theorem3(spec: HypSeriesSpec, a, b, delta, M: int | None = None) -> S
         spec = HypSeriesSpec(spec.family, spec.weights, M)
     params = {"a": a, "b": b, "delta": delta}
     hr = half_range_pass(Family.LOWER_FACTOR, spec, a, b, delta)
-    lam = hr.coefficients()
-    signs = [sign_of(v) for v in lam]
+    signs = [sign_of(v) for v in hr.sums()]
 
     if a == b:
         verdict = (Verdict.VERIFIED_DEGENERATE
@@ -237,7 +238,7 @@ def verify_theorem3(spec: HypSeriesSpec, a, b, delta, M: int | None = None) -> S
 
     expected = Sign.NEGATIVE if b > a else Sign.POSITIVE
     first_violation = None
-    if lam[0] != 0:
+    if signs[0] is not Sign.ZERO:
         first_violation = 0
     else:
         for m in range(1, M + 1):
@@ -246,8 +247,8 @@ def verify_theorem3(spec: HypSeriesSpec, a, b, delta, M: int | None = None) -> S
                 break
 
     mk_all_neg = True
-    for prof in hr.profiles():
-        if any(s is not expected for s in prof.signs()):
+    for row in hr.rows[2:]:
+        if any(sign_of(v) is not expected for v in row):
             mk_all_neg = False
     if first_violation is not None or not mk_all_neg:
         return SignReport("thm3", params, M, signs, first_violation, None,

@@ -3,6 +3,7 @@ and worker counts, and the exit-code mapping."""
 
 import csv
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from turankit.cli import build_parser, main
+from turankit.errors import TermCapError
 from turankit.intervals import get_precision
 
 
@@ -187,6 +189,29 @@ class TestPrecisionScope:
         assert get_precision() == before
 
 
+class TestBadPrecision:
+    @pytest.mark.parametrize("precision", ["0", "3"])
+    @pytest.mark.parametrize("argv", [SINGLE, ["explore", "--points", "4"]])
+    def test_too_small_exits_2(self, argv, precision, capsys):
+        assert main(argv + ["--precision", precision]) == 2
+        assert "error: working precision too small" in capsys.readouterr().err
+
+    def test_import_survives_bad_environment_precision(self):
+        env = dict(os.environ, TURANKIT_PRECISION="abc")
+        proc = subprocess.run([sys.executable, "-c", "import turankit"],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("argv", [SINGLE, ["explore", "--points", "4"]])
+    def test_bad_environment_precision_exits_2(self, argv):
+        env = dict(os.environ, TURANKIT_PRECISION="abc")
+        proc = subprocess.run([sys.executable, "-m", "turankit.cli", *argv],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr == ("error: TURANKIT_PRECISION must be an integer, "
+                               "got 'abc'\n")
+
+
 class TestDefaultGrids:
     def test_binomial_grid(self, tmp_path):
         code, rep, _ = run_cli(["verify", "--theorem", "binomial",
@@ -324,6 +349,17 @@ class TestExplore:
         code = main(["explore", "--branch", "negative", "--x-grid=-2,-1"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_term_cap_exits_2(self, monkeypatch, capsys):
+        import turankit.cli as cli_mod
+
+        def capped(*args):
+            raise TermCapError("term cap reached before the tolerance")
+
+        monkeypatch.setattr(cli_mod, "explore_conjecture", capped)
+        assert main(["explore", "--points", "4"]) == 2
+        assert capsys.readouterr().err == \
+            "error: term cap reached before the tolerance\n"
 
     def test_grid_overrides_points(self, tmp_path):
         _, rep, _ = run_cli(["explore", "--x-grid", "1,3", "--points", "99"],

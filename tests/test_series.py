@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 from turankit.errors import DomainError, PoleError
 from turankit.series import (DEFAULT_ORDER, Family, HypSeriesSpec, MonotoneClass,
                              Sign, WeightRule, binomial_upper, gamma_quotient,
-                             gauss_lower, gauss_upper, kummer_gamma,
-                             kummer_lower, kummer_upper, lambda_coefficients,
-                             mk_profile, pfq_upper, phi_coefficients,
-                             psi_coefficients, weight_ratio_class,
+                             gauss_lower, gauss_upper, half_range_pass,
+                             kummer_gamma, kummer_lower, kummer_upper,
+                             lambda_coefficients, mk_profile, pfq_upper,
+                             phi_coefficients, psi_coefficients,
+                             quotient_sign, sign_of, weight_ratio_class,
                              weight_sequence)
 from turankit.exact import pochhammer
 
@@ -74,6 +75,40 @@ def _psi_parts_oracle(spec, a, b, d, M):
                     for k in range(m + 1)) for m in range(M + 1)]
 
     return conv(a + d, b), conv(b + d, a)
+
+
+def _profile_oracle(family, a, b, d, m):
+    """M_k for k = 0..m//2 from the definition: the k-th and (m-k)-th
+    terms of the convolution, one Pochhammer product each.  For the gamma
+    family, the pairs (p_k, q_k)."""
+    a, b, d = F(a), F(b), F(d)
+
+    def term(s, t, i, l):
+        if family is Family.UPPER_FACTOR:
+            return pochhammer(s, i) * pochhammer(t, l) / (mpfact(i) * mpfact(l))
+        if family is Family.LOWER_FACTOR:
+            return 1 / (pochhammer(s, i) * pochhammer(t, l))
+        return pochhammer(s, i) * pochhammer(t, l)
+
+    out = []
+    for k in range(m // 2 + 1):
+        folded = {(k, m - k), (m - k, k)}
+        p = sum(term(a + d, b, i, l) for i, l in folded)
+        q = sum(term(a, b + d, i, l) for i, l in folded)
+        out.append((p, q) if family is Family.GAMMA_FACTOR else p - q)
+    return out
+
+
+def _gamma_profile_numeric(a, b, d, p, q):
+    """Gamma(a+d)Gamma(b) p - Gamma(a)Gamma(b+d) q at 60 digits, as a
+    Fraction."""
+    from turankit.intervals import _raw_to_fraction
+
+    with mpmath.workdps(60):
+        mpq = lambda v: mpmath.mpf(v.numerator) / v.denominator
+        g = lambda v: mpmath.gamma(mpq(v))
+        value = g(a + d) * g(b) * mpq(p) - g(a) * g(b + d) * mpq(q)
+        return _raw_to_fraction(value._mpf_)
 
 
 def _psi_numeric(spec, a, b, d, m):
@@ -285,6 +320,97 @@ def test_coefficients_match_double_loop_oracles(abd, M):
     s1, s2 = _psi_parts_oracle(gamma, a, b, d, M)
     psis = psi_coefficients(gamma, a, b, d, order=M)
     assert [p.s1 for p in psis] == s1 and [p.s2 for p in psis] == s2
+
+
+# Shifts for the upper and lower families may be negative or zero; a
+# lower-family shift with (s)_n = 0 for some 1 <= n <= M is a pole.
+signed_shifts = st.tuples(
+    st.fractions(min_value=-3, max_value=4, max_denominator=6),
+    st.fractions(min_value=-3, max_value=4, max_denominator=6),
+    st.fractions(min_value=-2, max_value=3, max_denominator=6),
+    st.booleans(),
+)
+
+
+def _has_pole(a, b, d, M):
+    return any(pochhammer(s, M) == 0 for s in (a + d, b, a, b + d))
+
+
+@given(signed_shifts, st.integers(min_value=0, max_value=15))
+@settings(max_examples=60, deadline=None)
+def test_upper_and_lower_kernels_match_oracles(abde, M):
+    a, b, d, equal = abde
+    if equal:
+        b = a
+    upper = gauss_upper(F(3, 2), F(5, 2))
+    lower = gauss_lower(F(1, 2), F(2))
+    assert phi_coefficients(upper, a, b, d, order=M) == _phi_oracle(upper, a, b, d, M)
+    hr_upper = half_range_pass(Family.UPPER_FACTOR, upper, a, b, d, order=M)
+    hr_lower = None
+    if M >= 1 and _has_pole(a, b, d, M):
+        with pytest.raises(PoleError):
+            lambda_coefficients(lower, a, b, d, order=M)
+    else:
+        assert lambda_coefficients(lower, a, b, d, order=M) == \
+            _lambda_oracle(lower, a, b, d, M)
+        hr_lower = half_range_pass(Family.LOWER_FACTOR, lower, a, b, d, order=M)
+    for m in range(2, M + 1):
+        want = _profile_oracle(Family.UPPER_FACTOR, a, b, d, m)
+        prof = mk_profile(upper, a, b, d, m)
+        assert prof.values == want
+        assert prof.signs() == [sign_of(v) for v in want]
+        assert sum(want) == 0 and prof.total() == 0
+        # the sign checks read the pass's integer rows: the same values up
+        # to scale_m > 0, so the same signs, and (thm1) a zero row sum
+        row = hr_upper.rows[m]
+        assert [hr_upper.tables.exact(m, r) for r in row] == want
+        assert [sign_of(r) for r in row] == prof.signs()
+        assert sum(row) == 0
+
+        if _has_pole(a, b, d, m):
+            with pytest.raises(PoleError):
+                mk_profile(lower, a, b, d, m)
+            continue
+        want = _profile_oracle(Family.LOWER_FACTOR, a, b, d, m)
+        prof = mk_profile(lower, a, b, d, m)
+        assert prof.values == want
+        assert prof.signs() == [sign_of(v) for v in want]
+        if hr_lower is not None:
+            row = hr_lower.rows[m]
+            assert [hr_lower.tables.exact(m, r) for r in row] == want
+            assert [sign_of(r) for r in row] == prof.signs()
+
+
+@given(shift_pairs, st.booleans(), st.integers(min_value=0, max_value=15))
+@settings(max_examples=25, deadline=None)
+def test_gamma_kernel_matches_oracles(abd, equal, M):
+    a, b, d = abd
+    if equal:
+        b = a
+    spec = kummer_gamma(F(5, 2))
+    s1, s2 = _psi_parts_oracle(spec, a, b, d, M)
+    psis = psi_coefficients(spec, a, b, d, order=M)
+    assert [p.s1 for p in psis] == s1 and [p.s2 for p in psis] == s2
+    hr = half_range_pass(Family.GAMMA_FACTOR, spec, a, b, d, order=M)
+    quotient = gamma_quotient(a, b, d)
+    sign = quotient_sign(quotient)
+    # with a = b each pair ties with the quotient 1: exact for integer d
+    tie = Sign.ZERO if quotient.exact is not None else Sign.INCONCLUSIVE
+    for m in range(2, M + 1):
+        prof = mk_profile(spec, a, b, d, m)
+        want = _profile_oracle(Family.GAMMA_FACTOR, a, b, d, m)
+        for (p, q), (P, Q), value in zip(want, hr.rows[m], prof.values, strict=True):
+            assert (hr.tables.exact(m, P), hr.tables.exact(m, Q)) == (p, q)
+            ref = _gamma_profile_numeric(a, b, d, p, q)
+            assert value.lo - F(1, 10**40) <= ref <= value.hi + F(1, 10**40)
+            if a == b:
+                assert ref == 0 and sign(P, Q) is tie
+                continue
+            # the sign check decides each profile sign from the pair and the
+            # Gamma quotient; the enclosure may only be less decisive
+            ref_sign = Sign.NEGATIVE if ref < 0 else Sign.POSITIVE
+            assert sign(P, Q) is ref_sign
+            assert sign_of(value) in (ref_sign, Sign.INCONCLUSIVE)
 
 
 # -------------------------------------------------- half-range profiles
