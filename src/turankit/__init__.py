@@ -16,15 +16,14 @@ certified interval arithmetic elsewhere:
 """
 
 from .errors import DomainError, PoleError, TermCapError
-from .exact import factorial, parse_rational, poch_table, pochhammer
+from .exact import parse_rational, poch_table, pochhammer
 from .intervals import (CertifiedInterval, gamma_ratio, get_precision,
                         log_gamma, set_precision, working_precision)
 from .series import (Family, HypSeriesSpec, MkProfile, MonotoneClass,
                      PsiCoefficient, Sign, binomial_upper, gamma_quotient,
                      gauss_lower, gauss_upper, kummer_gamma, kummer_lower,
                      kummer_upper, lambda_coefficients, mk_profile,
-                     phi_coefficients, psi_coefficients, weight_ratio_class,
-                     weight_sequence)
+                     phi_coefficients, psi_coefficients, weight_ratio_class)
 from .lemmas import (ChainKind, ChainReport, NecessityWitness,
                      PositivePolynomial, RatioChainReport, RatioMonotonicity,
                      check_ratio_chain, check_symmetric_chain,

@@ -8,15 +8,12 @@ rounding happens before a sign is decided.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
 
 from .errors import DomainError
-
-Rational = Fraction
 
 
 def parse_rational(value) -> Fraction:
@@ -61,10 +58,6 @@ def poch_table(a: Fraction, n: int) -> tuple[Fraction, ...]:
         acc *= a + i
         vals.append(acc)
     return tuple(vals)
-
-
-def factorial(n: int) -> int:
-    return math.factorial(n)
 
 
 @lru_cache(maxsize=256)

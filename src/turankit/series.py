@@ -178,10 +178,6 @@ def gauss_lower(a0, b0, order: int = DEFAULT_ORDER) -> HypSeriesSpec:
     )
 
 
-def weight_sequence(spec: HypSeriesSpec, n: int) -> Fraction:
-    return spec.weights.weight(n)
-
-
 def weight_ratio_class(spec: HypSeriesSpec) -> MonotoneClass:
     """Strict monotonicity class of n -> w_n/w_{n-1} over the truncation
     range.  The upper-factor sign theorem assumes this; it is checked,

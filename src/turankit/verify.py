@@ -1,23 +1,29 @@
 """Grid verification of coefficient-sign and two-sided-bound claims.
 
-Each checker turns one claim into an executable pass/fail over exact or
-certified arithmetic:
+Each sign theorem claims that the coefficients of f(a+d,x)f(b,x) -
+f(b+d,x)f(a,x) carry one sign from a first index on (those below are
+zero) and that each half-range profile keeps an invariant.  One checker,
+``check_signs``, tests this on the family's integer half-range pass; a
+``SIGN_RULES`` row holds what differs:
 
-* thm1: upper-factor cross-product difference has one-signed exact
-  coefficients (positive for decreasing weight ratios when b > a > 0,
-  negative for increasing; identically zero for constant), together with
-  the half-range profile structure (sum zero, single sign change);
-* thm2: gamma-factor coefficients psi_m are certified negative for
-  b > a > 0 via the factored form, with one precision escalation for any
-  index whose interval comparison is undecided;
-* thm3: lower-factor coefficients lambda_m are exactly negative for
-  b > a > 0, profile values all negative;
-* corollary/turan: the function-level two-sided bound
-  Gamma-quotient < f(b+d,x)f(a,x)/[f(a+d,x)f(b,x)] < 1 pointwise on an
-  x grid with certified strictness, plus sharpness near the large-x end.
+* thm1: upper-factor coefficients phi_m, m >= 2, are exactly one-signed
+  (positive for decreasing weight ratios when b > a > 0, negative for
+  increasing, zero for constant, no claim otherwise), with the profile
+  structure (sum zero, single sign change);
+* thm2: gamma-factor coefficients psi_m, m >= 0, are certified negative
+  for b > a > 0 via the factored form, with one precision escalation for
+  any index whose interval comparison is undecided; profile values all
+  negative (an undecided one leaves that open);
+* thm3: lower-factor coefficients lambda_m, m >= 1, are exactly negative
+  for b > a > 0, profile values all negative.
 
 Orientation is antisymmetric: swapping a and b negates every coefficient,
-so checkers accept either order and flip the expected sign.
+so the checker accepts either order and flips the claimed sign; a = b
+claims zero everywhere.
+
+The bound checks (corollary/turan) test the function-level two-sided
+bound Gamma-quotient < f(b+d,x)f(a,x)/[f(a+d,x)f(b,x)] < 1 pointwise on
+an x grid with certified strictness, plus sharpness near the large-x end.
 
 A ``Case`` names one check, one series family and one parameter point;
 ``default_cases`` expands the default grids into cases and ``run_case``
@@ -27,8 +33,10 @@ runs one.  The suites and the command line both go through these.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 
 from .errors import DomainError
 from .evalf import cross_ratio
@@ -68,80 +76,132 @@ class SignReport:
         return tuple(self.params.values())
 
 
-def _expected_sign(cls: MonotoneClass, a: Fraction, b: Fraction) -> Sign | None:
-    """Claimed sign of the upper-factor coefficients for indices >= 2."""
-    if cls is MonotoneClass.CONSTANT:
-        return Sign.ZERO
-    if cls is MonotoneClass.NEITHER:
-        return None
-    base = Sign.POSITIVE if cls is MonotoneClass.DECREASING else Sign.NEGATIVE
-    if b > a:
-        return base
-    return Sign.NEGATIVE if base is Sign.POSITIVE else Sign.POSITIVE
+def _weight_claim(spec: HypSeriesSpec) -> Sign | None:
+    """Theorem 1's sign for b > a: positive for decreasing weight ratios,
+    negative for increasing, zero for constant; no claim otherwise."""
+    return {MonotoneClass.DECREASING: Sign.POSITIVE,
+            MonotoneClass.INCREASING: Sign.NEGATIVE,
+            MonotoneClass.CONSTANT: Sign.ZERO}.get(weight_ratio_class(spec))
+
+
+def _sum_zero_one_change(rows, signs, lead):
+    """Theorem 1's profiles: the M_k of each m sum to zero and change sign
+    once, starting with the sign ``lead`` of M_0.  A row holds its M_k times
+    one positive scale, so it sums to zero exactly when they do.  Gives
+    (mk_single_sign_change, mk_all_negative, reason if broken)."""
+    one_change = all(sign_change_count(s) == 1 and s[0] is lead for s in signs)
+    if any(sum(row) for row in rows):
+        return one_change, None, "profile sum nonzero"
+    return one_change, None, None if one_change else "profile sign pattern broken"
+
+
+def _one_signed(rows, signs, lead):
+    """Theorems 2 and 3: every profile value has the sign ``lead``; a value
+    the Gamma-quotient enclosure leaves undecided leaves the claim open."""
+    values = [s for row in signs for s in row]
+    undecided = values.count(Sign.INCONCLUSIVE)
+    if values.count(lead) + undecided < len(values):
+        return None, False, "profile value off-sign"
+    return None, None if undecided else True, None
+
+
+@dataclass(frozen=True)
+class SignRule:
+    """What one sign theorem claims about the coefficients of
+    f(a+d,x)f(b,x) - f(b+d,x)f(a,x), stated for b > a."""
+    theorem_id: str
+    family: Family
+    positive_shifts: bool  # else a = 0 and b = 0 are allowed
+    first_signed: int      # coefficients below this index must be zero
+    claim: Callable        # spec -> claimed sign from first_signed on, or None
+    profiles: Callable     # (rows, row signs, lead) -> flags and reason
+
+
+SIGN_RULES = {
+    "thm1": SignRule("thm1", Family.UPPER_FACTOR, False, 2, _weight_claim,
+                     _sum_zero_one_change),
+    "thm2": SignRule("thm2", Family.GAMMA_FACTOR, True, 0,
+                     lambda spec: Sign.NEGATIVE, _one_signed),
+    "thm3": SignRule("thm3", Family.LOWER_FACTOR, True, 1,
+                     lambda spec: Sign.NEGATIVE, _one_signed),
+}
+
+_FLIP = {Sign.POSITIVE: Sign.NEGATIVE, Sign.NEGATIVE: Sign.POSITIVE,
+         Sign.ZERO: Sign.ZERO}
+
+
+def _sign_test(family: Family, a: Fraction, b: Fraction, delta: Fraction):
+    """The sign of one value of a pass: an integer, or for the gamma family
+    a pair (p, q) read as p - Q q with Q the Gamma quotient.  At a = b,
+    S1 = S2 and Q is exactly 1, which an enclosure would tie with."""
+    if family is not Family.GAMMA_FACTOR:
+        return sign_of
+    sign = quotient_sign(gamma_quotient(a, b, delta) if a != b
+                         else CertifiedInterval.from_fraction(1))
+    return lambda pair: sign(*pair)
+
+
+def check_signs(rule: SignRule, spec: HypSeriesSpec, a, b, delta,
+                M: int | None = None) -> SignReport:
+    """Check one sign theorem at one point: for 0 <= m <= M, coefficient m
+    is zero below ``rule.first_signed`` and has the claimed sign from there
+    on, and every profile m >= 2 keeps the rule's invariant.  a = b claims
+    zero everywhere; a > b flips every sign.  Values the Gamma-quotient
+    enclosure leaves undecided get one retry at doubled precision."""
+    a, b, delta = Fraction(a), Fraction(b), Fraction(delta)
+    if delta <= 0 or min(a, b) < 0 or (rule.positive_shifts and min(a, b) == 0):
+        shifts = "positive" if rule.positive_shifts else "nonnegative"
+        raise DomainError(f"need delta > 0 and {shifts} shifts")
+    if M is not None and M != spec.order:
+        spec = replace(spec, order=M)
+    hr = half_range_pass(rule.family, spec, a, b, delta)
+    sums = hr.sums()
+    sign = _sign_test(rule.family, a, b, delta)
+    signs = [sign(v) for v in sums]
+    report = partial(SignReport, rule.theorem_id, {"a": a, "b": b, "delta": delta},
+                     spec.order, signs)
+
+    claim = Sign.ZERO if a == b else rule.claim(spec)
+    if claim is None:
+        return report(None, None, None, Verdict.INCONCLUSIVE,
+                      reason="weight ratio sequence is not monotone; "
+                             "no sign is claimed")
+    if a > b:
+        claim = _FLIP[claim]
+    pending = [m for m, s in enumerate(signs) if s is Sign.INCONCLUSIVE]
+    if pending:
+        with working_precision(2 * get_precision()):
+            retry = _sign_test(rule.family, a, b, delta)
+        for m in pending:
+            signs[m] = retry(sums[m])
+    still_open = [m for m in pending if signs[m] is Sign.INCONCLUSIVE]
+    first = next((m for m, s in enumerate(signs) if s is not Sign.INCONCLUSIVE
+                  and s is not (claim if m >= rule.first_signed else Sign.ZERO)),
+                 None)
+    if a == b:
+        return report(first, None, None, Verdict.VERIFIED_DEGENERATE
+                      if first is None else Verdict.VIOLATED,
+                      reason="degenerate equal shifts")
+
+    rows = hr.rows[2:]
+    one_change, all_negative, broken = rule.profiles(
+        rows, [[sign(v) for v in row] for row in rows],
+        Sign.NEGATIVE if b > a else Sign.POSITIVE)
+    if first is not None or broken:
+        verdict = Verdict.VIOLATED
+    else:
+        verdict = Verdict.INCONCLUSIVE if still_open else Verdict.VERIFIED
+    return report(first, one_change, all_negative, verdict,
+                  broken or ("undecided indices remain after escalation"
+                             if still_open else None),
+                  still_open, bool(pending), len(pending))
 
 
 def verify_theorem1(spec: HypSeriesSpec, a, b, delta, M: int | None = None) -> SignReport:
     """Exact sign check of the upper-factor coefficients phi_m for
     2 <= m <= M plus the profile invariants: sum of M_k exactly zero and
     exactly one sign change along k, for every m."""
-    a, b, delta = Fraction(a), Fraction(b), Fraction(delta)
-    if delta <= 0 or a < 0 or b < 0:
-        raise DomainError("need delta > 0 and nonnegative shifts")
-    if M is None:
-        M = spec.order
-    if spec.order != M:
-        spec = HypSeriesSpec(spec.family, spec.weights, M)
-    params = {"a": a, "b": b, "delta": delta}
-    cls = weight_ratio_class(spec)
-    hr = half_range_pass(Family.UPPER_FACTOR, spec, a, b, delta)
-    signs = [sign_of(v) for v in hr.sums()]
-
-    if a == b:
-        verdict = (Verdict.VERIFIED_DEGENERATE
-                   if all(s is Sign.ZERO for s in signs) else Verdict.VIOLATED)
-        return SignReport("thm1", params, M, signs,
-                          None if verdict is not Verdict.VIOLATED else 0,
-                          None, None, verdict,
-                          reason="degenerate equal shifts")
-
-    expected = _expected_sign(cls, a, b)
-    if expected is None:
-        return SignReport("thm1", params, M, signs, None, None, None,
-                          Verdict.INCONCLUSIVE,
-                          reason="weight ratio sequence is not monotone; "
-                                 "no sign is claimed")
-
-    first_violation = None
-    if signs[0] is not Sign.ZERO or signs[1] is not Sign.ZERO:
-        first_violation = 0 if signs[0] is not Sign.ZERO else 1
-    else:
-        for m in range(2, M + 1):
-            if signs[m] is not expected:
-                first_violation = m
-                break
-
-    single_change = True
-    total_zero = True
-    m0_sign = Sign.NEGATIVE if b > a else Sign.POSITIVE
-    for row in hr.rows[2:]:
-        # the row holds C(m,k) D^m k!(m-k)! M_k, so the M_k sum to zero
-        # exactly when the row does
-        if sum(row) != 0:
-            total_zero = False
-        prof_signs = [sign_of(v) for v in row]
-        if sign_change_count(prof_signs) != 1 or prof_signs[0] is not m0_sign:
-            single_change = False
-
-    if first_violation is not None or not total_zero or not single_change:
-        reason = None
-        if not total_zero:
-            reason = "profile sum nonzero"
-        elif not single_change:
-            reason = "profile sign pattern broken"
-        return SignReport("thm1", params, M, signs, first_violation,
-                          single_change, None, Verdict.VIOLATED, reason)
-    return SignReport("thm1", params, M, signs, None, True, None,
-                      Verdict.VERIFIED)
+    return check_signs(SIGN_RULES["thm1"], spec, a, b, delta, M)
 
 
 def verify_theorem2(spec: HypSeriesSpec, a, b, delta, M: int | None = None) -> SignReport:
@@ -149,113 +209,14 @@ def verify_theorem2(spec: HypSeriesSpec, a, b, delta, M: int | None = None) -> S
     0 <= m <= M (b > a; positive when a > b).  Undecided indices get one
     retry with the Gamma-quotient enclosure recomputed at doubled
     precision."""
-    a, b, delta = Fraction(a), Fraction(b), Fraction(delta)
-    if delta <= 0 or a <= 0 or b <= 0:
-        raise DomainError("need delta > 0 and positive shifts")
-    if M is None:
-        M = spec.order
-    if spec.order != M:
-        spec = HypSeriesSpec(spec.family, spec.weights, M)
-    params = {"a": a, "b": b, "delta": delta}
-    hr = half_range_pass(Family.GAMMA_FACTOR, spec, a, b, delta)
-
-    if a == b:
-        # S1_m = S2_m and the Gamma quotient is 1, so psi_m = 0
-        return SignReport("thm2", params, M, [Sign.ZERO] * (M + 1), None, None,
-                          None, Verdict.VERIFIED_DEGENERATE,
-                          reason="degenerate equal shifts")
-
-    sums = hr.sums()
-    sign = quotient_sign(gamma_quotient(a, b, delta))
-    signs = [sign(s1, s2) for s1, s2 in sums]
-    expected = Sign.NEGATIVE if b > a else Sign.POSITIVE
-    pending = [m for m, s in enumerate(signs) if s is Sign.INCONCLUSIVE]
-    before = len(pending)
-    escalated = False
-    if pending:
-        escalated = True
-        with working_precision(2 * get_precision()):
-            escalated_sign = quotient_sign(gamma_quotient(a, b, delta))
-            for m in pending:
-                signs[m] = escalated_sign(*sums[m])
-
-    first_violation = None
-    for m, s in enumerate(signs):
-        if s is Sign.INCONCLUSIVE:
-            continue
-        if s is not expected:
-            first_violation = m
-            break
-    still_open = [m for m, s in enumerate(signs) if s is Sign.INCONCLUSIVE]
-
-    mk_all_neg = None
-    if first_violation is None:
-        mk_all_neg = True
-        wrong = Sign.POSITIVE if b > a else Sign.NEGATIVE
-        for m, row in enumerate(hr.rows[2:], 2):
-            vals = [sign(p, q) for p, q in row]
-            if wrong in vals:
-                return SignReport("thm2", params, M, signs, m, None, False,
-                                  Verdict.VIOLATED,
-                                  reason="profile value with certified wrong sign")
-            if Sign.INCONCLUSIVE in vals:
-                mk_all_neg = None
-
-    if first_violation is not None:
-        verdict = Verdict.VIOLATED
-    elif still_open:
-        verdict = Verdict.INCONCLUSIVE
-    else:
-        verdict = Verdict.VERIFIED
-    return SignReport("thm2", params, M, signs, first_violation, None,
-                      mk_all_neg, verdict,
-                      reason=("undecided indices remain after escalation"
-                              if still_open else None),
-                      inconclusive_indices=still_open, escalated=escalated,
-                      inconclusive_before_escalation=before)
+    return check_signs(SIGN_RULES["thm2"], spec, a, b, delta, M)
 
 
 def verify_theorem3(spec: HypSeriesSpec, a, b, delta, M: int | None = None) -> SignReport:
     """Exact negativity of the lower-factor coefficients lambda_m for
     1 <= m <= M (b > a; positive when a > b), plus all profile values
     strictly one-signed."""
-    a, b, delta = Fraction(a), Fraction(b), Fraction(delta)
-    if delta <= 0 or a <= 0 or b <= 0:
-        raise DomainError("need delta > 0 and positive shifts")
-    if M is None:
-        M = spec.order
-    if spec.order != M:
-        spec = HypSeriesSpec(spec.family, spec.weights, M)
-    params = {"a": a, "b": b, "delta": delta}
-    hr = half_range_pass(Family.LOWER_FACTOR, spec, a, b, delta)
-    signs = [sign_of(v) for v in hr.sums()]
-
-    if a == b:
-        verdict = (Verdict.VERIFIED_DEGENERATE
-                   if all(s is Sign.ZERO for s in signs) else Verdict.VIOLATED)
-        return SignReport("thm3", params, M, signs, None, None, None, verdict,
-                          reason="degenerate equal shifts")
-
-    expected = Sign.NEGATIVE if b > a else Sign.POSITIVE
-    first_violation = None
-    if signs[0] is not Sign.ZERO:
-        first_violation = 0
-    else:
-        for m in range(1, M + 1):
-            if signs[m] is not expected:
-                first_violation = m
-                break
-
-    mk_all_neg = True
-    for row in hr.rows[2:]:
-        if any(sign_of(v) is not expected for v in row):
-            mk_all_neg = False
-    if first_violation is not None or not mk_all_neg:
-        return SignReport("thm3", params, M, signs, first_violation, None,
-                          mk_all_neg, Verdict.VIOLATED,
-                          reason=None if mk_all_neg else "profile value off-sign")
-    return SignReport("thm3", params, M, signs, None, None, True,
-                      Verdict.VERIFIED)
+    return check_signs(SIGN_RULES["thm3"], spec, a, b, delta, M)
 
 
 @dataclass
@@ -422,7 +383,8 @@ def default_cases(theorem: str, M: int | None = None) -> list[Case]:
 
 def run_case(case: Case, tol=None) -> SignReport | TwoSidedBoundReport:
     """Run one case.  The binomial check is Theorem 1 on constant weights,
-    where the difference vanishes, so every coefficient must be zero."""
+    where the difference vanishes, so Theorem 1 claims every coefficient
+    zero."""
     p, spec = case.params, case.spec()
     xs = case.x_grid or (Fraction(1, 4), Fraction(1), Fraction(4), Fraction(16),
                          Fraction(50))
@@ -432,12 +394,7 @@ def run_case(case: Case, tol=None) -> SignReport | TwoSidedBoundReport:
         return verify_turan(spec, p["a"], p["delta"], xs, tol)
     check = {"thm1": verify_theorem1, "binomial": verify_theorem1,
              "thm2": verify_theorem2, "thm3": verify_theorem3}[case.theorem]
-    rep = check(spec, p["a"], p["b"], p["delta"])
-    if case.theorem == "binomial" and any(s is not Sign.ZERO
-                                          for s in rep.per_index_sign):
-        rep.verdict = Verdict.VIOLATED
-        rep.reason = "constant weights must give identically zero"
-    return rep
+    return check(spec, p["a"], p["b"], p["delta"])
 
 
 def suite_theorem1(M: int = DEFAULT_M["thm1"]) -> list[SignReport]:

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from turankit.errors import DomainError
-from turankit.exact import (bernoulli, factorial, is_nonpositive_integer,
-                            parse_rational, poch_table, pochhammer)
+from turankit.exact import (bernoulli, is_nonpositive_integer, parse_rational,
+                            poch_table, pochhammer)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=64)
 
@@ -79,11 +79,6 @@ def test_is_nonpositive_integer():
     assert is_nonpositive_integer(F(-3))
     assert not is_nonpositive_integer(F(-1, 2))
     assert not is_nonpositive_integer(F(1))
-
-
-def test_factorial():
-    assert factorial(0) == 1
-    assert factorial(6) == 720
 
 
 class TestBernoulli:

@@ -19,8 +19,7 @@ from turankit.series import (DEFAULT_ORDER, Family, HypSeriesSpec, MonotoneClass
                              kummer_gamma, kummer_lower, kummer_upper,
                              lambda_coefficients, mk_profile, pfq_upper,
                              phi_coefficients, psi_coefficients,
-                             quotient_sign, sign_of, weight_ratio_class,
-                             weight_sequence)
+                             quotient_sign, sign_of, weight_ratio_class)
 from turankit.exact import pochhammer
 
 
@@ -165,10 +164,6 @@ class TestWeightRule:
         # same weights, short window: the dip past n = 4 is not yet visible
         spec4 = pfq_upper((F(1, 4), F(8)), (F(2), F(2)), 4)
         assert weight_ratio_class(spec4) is MonotoneClass.INCREASING
-
-    def test_weight_sequence(self):
-        spec = kummer_upper(F(2), 6)
-        assert weight_sequence(spec, 3) == 1 / pochhammer(F(2), 3)
 
 
 # --------------------------------------------------- phi (upper families)

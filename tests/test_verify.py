@@ -1,15 +1,18 @@
 """Theorem-level verdicts: sign suites, degenerate and swapped-shift
-handling, escalation bookkeeping, and the two-sided function bounds."""
+handling, violations on tampered passes, escalation bookkeeping, and the
+two-sided function bounds."""
 
 from fractions import Fraction as F
 
 import pytest
 
+from turankit import verify as verify_module
 from turankit.errors import DomainError
+from turankit.intervals import CertifiedInterval, get_precision
 from turankit.series import (Sign, binomial_upper, gauss_lower, gauss_upper,
                              kummer_gamma, kummer_lower, kummer_upper,
                              pfq_upper)
-from turankit.verify import (Case, Verdict, default_cases,
+from turankit.verify import (Case, Verdict, default_cases, run_case,
                              suite_binomial_degeneracy, suite_corollary,
                              suite_theorem1, suite_theorem2, suite_theorem3,
                              suite_turan, verify_corollary_twosided,
@@ -132,6 +135,166 @@ class TestTheorem3:
         spec = HypSeriesSpec(Family.LOWER_FACTOR, spec_weights, 12)
         rep = verify_theorem3(spec, 1, 2, 1, 12)
         assert rep.verdict is Verdict.VERIFIED
+
+
+def _tamper(monkeypatch, change, keep_sums=False):
+    """Pass every half-range pass of the sign checks through change(rows).
+    With keep_sums the coefficients are still read from the true rows, so
+    only the profiles are tampered with."""
+    real = verify_module.half_range_pass
+
+    def tampered(*args, **kwargs):
+        hr = real(*args, **kwargs)
+        sums = hr.sums()
+        change(hr.rows)
+        if keep_sums:
+            hr.sums = lambda: sums
+        return hr
+
+    monkeypatch.setattr(verify_module, "half_range_pass", tampered)
+
+
+def _negate_row5(rows):
+    rows[5] = [-v for v in rows[5]]
+
+
+def _double_p_row5(rows):
+    rows[5] = [(2 * p, q) for p, q in rows[5]]
+
+
+def _bump_row5(rows):
+    rows[5][0] += 1
+
+
+def _zigzag_row5(rows):
+    rows[5] = [-1, 2, -1]
+
+
+def _wrong_pair_row5(rows):
+    rows[5][0] = (2, 1)  # p/q = 2 above the Gamma quotient 3/2
+
+
+def _one_in_row5(rows):
+    rows[5][1] = 1
+
+
+THM1 = (verify_theorem1, kummer_upper(F(3)), (1, 2, F(1, 2), 12))
+THM2 = (verify_theorem2, kummer_gamma(F(3)), (1, 2, F(1, 2), 10))
+THM3 = (verify_theorem3, kummer_lower(F(1, 2)), (1, 2, 1, 12))
+
+
+class TestViolations:
+    """The sign checks on tampered passes: (a) coefficient 5 gets the wrong
+    sign, (b) the coefficients keep their signs but profile 5 breaks its
+    invariant.  Expected: verdict, first_violation, mk_single_sign_change,
+    mk_all_negative, reason.  first_violation indexes per_index_sign, so a
+    broken profile alone leaves it None, and the profiles are checked
+    whether or not a coefficient is off-sign."""
+
+    @pytest.mark.parametrize("check, change, keep_sums, expected", [
+        (THM1, _negate_row5, False,
+         (Verdict.VIOLATED, 5, False, None, "profile sign pattern broken")),
+        (THM1, _bump_row5, True,
+         (Verdict.VIOLATED, None, True, None, "profile sum nonzero")),
+        (THM1, _zigzag_row5, True,
+         (Verdict.VIOLATED, None, False, None, "profile sign pattern broken")),
+        (THM2, _double_p_row5, False,
+         (Verdict.VIOLATED, 5, None, False, "profile value off-sign")),
+        (THM2, _wrong_pair_row5, True,
+         (Verdict.VIOLATED, None, None, False, "profile value off-sign")),
+        (THM3, _negate_row5, False,
+         (Verdict.VIOLATED, 5, None, False, "profile value off-sign")),
+        (THM3, _one_in_row5, True,
+         (Verdict.VIOLATED, None, None, False, "profile value off-sign")),
+    ], ids=["thm1-coefficient", "thm1-sum", "thm1-pattern", "thm2-coefficient",
+            "thm2-profile", "thm3-coefficient", "thm3-profile"])
+    def test_tampered_pass(self, monkeypatch, check, change, keep_sums, expected):
+        _tamper(monkeypatch, change, keep_sums)
+        fn, spec, args = check
+        rep = fn(spec, *args)
+        assert (rep.verdict, rep.first_violation, rep.mk_single_sign_change,
+                rep.mk_all_negative, rep.reason) == expected
+        assert not rep.escalated and rep.inconclusive_indices == []
+
+    def test_binomial_nonzero(self, monkeypatch):
+        # constant weights: Theorem 1 claims every coefficient zero
+        _tamper(monkeypatch, _bump_row5)
+        rep = run_case(Case("binomial", "binomial", {"a": 1, "b": 2, "delta": 1}, 8))
+        assert (rep.verdict, rep.first_violation) == (Verdict.VIOLATED, 5)
+        assert rep.per_index_sign[5] is Sign.POSITIVE
+
+    @pytest.mark.parametrize("check, spec, M", [
+        (verify_theorem1, kummer_upper(F(3)), 12),
+        (verify_theorem2, kummer_gamma(F(3)), 10),
+        (verify_theorem3, kummer_lower(F(1, 2)), 12),
+    ], ids=["thm1", "thm2", "thm3"])
+    def test_degenerate_nonzero(self, monkeypatch, check, spec, M):
+        # at a = b every coefficient must be zero; for the gamma family
+        # S1 = S2 is checked against the exact quotient 1
+        _tamper(monkeypatch, _wrong_pair_row5 if check is verify_theorem2
+                else _one_in_row5)
+        rep = check(spec, 2, 2, 1, M)
+        assert (rep.verdict, rep.first_violation, rep.reason) == (
+            Verdict.VIOLATED, 5, "degenerate equal shifts")
+        assert rep.mk_single_sign_change is None and rep.mk_all_negative is None
+
+
+def _straddling_quotient(monkeypatch, also_doubled):
+    """An enclosure [0, 10^6] of the Gamma quotient, which holds every
+    S1/S2, at the base precision (and at doubled precision too when
+    also_doubled); the true enclosure otherwise."""
+    real = verify_module.gamma_quotient
+    base = get_precision()
+
+    def quotient(a, b, delta):
+        if also_doubled or get_precision() == base:
+            return CertifiedInterval.from_fraction_bounds(0, 10 ** 6)
+        return real(a, b, delta)
+
+    monkeypatch.setattr(verify_module, "gamma_quotient", quotient)
+
+
+class TestEscalation:
+    def test_retry_decides(self, monkeypatch):
+        _straddling_quotient(monkeypatch, also_doubled=False)
+        rep = verify_theorem2(kummer_gamma(F(3)), 1, 2, F(1, 2), 10)
+        assert rep.escalated
+        assert rep.inconclusive_before_escalation == 11
+        assert rep.verdict is Verdict.VERIFIED
+        assert rep.per_index_sign == [Sign.NEGATIVE] * 11
+        assert rep.inconclusive_indices == [] and rep.reason is None
+        # the profiles are read at the base precision
+        assert rep.mk_all_negative is None
+
+    def test_retry_still_undecided(self, monkeypatch):
+        _straddling_quotient(monkeypatch, also_doubled=True)
+        rep = verify_theorem2(kummer_gamma(F(3)), 1, 2, F(1, 2), 10)
+        assert rep.escalated
+        assert rep.inconclusive_before_escalation == 11
+        assert rep.verdict is Verdict.INCONCLUSIVE
+        assert rep.inconclusive_indices == list(range(11))
+        assert rep.first_violation is None
+        assert rep.reason == "undecided indices remain after escalation"
+
+
+@pytest.mark.parametrize("theorem, family, params, check", [
+    ("thm1", "1f1-upper", {"a": 1, "b": 2, "delta": 1, "c": 3}, "verify_theorem1"),
+    ("binomial", "binomial", {"a": 1, "b": 2, "delta": 1}, "verify_theorem1"),
+    ("thm2", "1f1-gamma", {"a": 1, "b": 2, "delta": 1, "c": 3}, "verify_theorem2"),
+    ("thm3", "1f1-lower", {"a": 1, "b": 2, "delta": 1, "a0": 3}, "verify_theorem3"),
+])
+def test_run_case_calls_the_public_check(monkeypatch, theorem, family, params,
+                                         check):
+    # perfbench times each sign case by wrapping these module-level names
+    calls = []
+    for name in ("verify_theorem1", "verify_theorem2", "verify_theorem3"):
+        def recorder(*args, _name=name, _real=getattr(verify_module, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(verify_module, name, recorder)
+    rep = run_case(Case(theorem, family, params, 8))
+    assert calls == [check]
+    assert rep.verdict is Verdict.VERIFIED
 
 
 class TestTwoSidedBounds:
