@@ -2,8 +2,18 @@
 
 Partial sums are exact rationals, so the only error is the truncated
 tail, which is bounded geometrically: once every surviving term ratio is
-provably below some r < 1, the tail is at most |next term| / (1 - r).
+provably below some r < 1, the tail is at most |last term| r / (1 - r).
 The result is an interval that provably contains the true sum.
+
+The sum runs on plain integers.  Every parameter is scaled to one common
+denominator D, so each term ratio t_{n+1}/t_n is a quotient A_n/B_n of
+two integers.  The last term is tn/T and the partial sum sn/T over one
+shared, never reduced denominator T, updated per term as
+``tn *= A_n; sn = sn*B_n + tn; T *= B_n``: a few multiplications by small
+integers and no gcd.  The ratio bound r = rn/rd is an integer pair too,
+from parameter pairs sorted once per call, and the tail test
+|tn| rn / (T (rd - rn)) <= tol/2 is one integer cross-multiplication.
+Fractions are built only for the returned value and bound.
 
 Also provides the classical transformation cross-checks (Kummer for the
 confluent function, Euler/Pfaff for the Gauss function), the cross-ratio
@@ -17,6 +27,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import DomainError, TermCapError
 from .exact import is_nonpositive_integer, parse_rational
@@ -88,21 +99,18 @@ def _termination_index(spec: PFQSpec) -> int | None:
     return min(stops) if stops else None
 
 
-def _ratio_bound(spec: PFQSpec, x: Fraction, n: int) -> Fraction:
-    """Upper bound for |t_{k+1}/t_k| valid for every k >= n, assuming all
-    shifted parameters are already positive at n.  Uppers are paired with
-    the largest denominators; unpaired denominators contribute their own
-    decay factor."""
+def _tail_pairs(spec: PFQSpec, scale: int):
+    """The factors of a bound on |t_{k+1}/t_k| for every k >= n, valid
+    once all shifted parameters are positive at n.  Uppers are paired with
+    the largest denominators (the lower parameters and the 1 of n!), and a
+    pair counts only if its upper is the larger; unpaired denominators
+    contribute their own decay factor.  Returns the pairs and the unpaired
+    denominators, every parameter multiplied by ``scale``."""
     dens = sorted(spec.lower + (Fraction(1),), reverse=True)
     ups = sorted(spec.upper, reverse=True)
-    r = abs(x)
-    for u, d in zip(ups, dens):
-        un, dn = u + n, d + n
-        if un > dn:
-            r *= un / dn
-    for d in dens[len(ups):]:
-        r /= d + n
-    return r
+    pairs = [(int(u * scale), int(d * scale))
+             for u, d in zip(ups, dens) if u > d]
+    return pairs, [int(d * scale) for d in dens[len(ups):]]
 
 
 def eval_pfq(spec: PFQSpec, x, tol=None, term_cap: int = TERM_CAP) -> EvalResult:
@@ -128,21 +136,6 @@ def eval_pfq(spec: PFQSpec, x, tol=None, term_cap: int = TERM_CAP) -> EvalResult
         raise DomainError(
             f"series with p = q + 1 diverges at |x| = {abs(x)} >= 1")
 
-    # exact term recurrence
-    term = Fraction(1)
-    total = Fraction(1)
-    if stop is not None:
-        for n in range(stop):
-            num = Fraction(1)
-            for u in spec.upper:
-                num *= u + n
-            den = Fraction(n + 1)
-            for l in spec.lower:
-                den *= l + n
-            term = term * num * x / den
-            total += term
-        return EvalResult(CertifiedInterval.from_fraction(total), stop + 1, Fraction(0))
-
     # ratio bound is valid only once every shifted parameter is positive
     n_min = 0
     for u in spec.upper:
@@ -152,30 +145,62 @@ def eval_pfq(spec: PFQSpec, x, tol=None, term_cap: int = TERM_CAP) -> EvalResult
         if l <= 0:
             n_min = max(n_min, 1 + int(-l))
 
+    # With U = uD and L = lD, t_{n+1}/t_n = A_n/B_n for
+    # A_n = x_num D^(q-p) prod(U + nD) and B_n = x_den (n+1) prod(L + nD),
+    # the power of D going to B_n when p > q; the sign is kept in A_n.
+    D = lcm(*(v.denominator for v in spec.upper + spec.lower))
+    ups = [int(u * D) for u in spec.upper]
+    lows = [int(l * D) for l in spec.lower]
+    x_num, x_den = x.numerator, x.denominator
+    a_scale = x_num * D ** max(spec.q - spec.p, 0)
+    b_scale = x_den * D ** max(spec.p - spec.q, 0)
+    # The tail bound at n is r = rn/rd; the tail after tn/T is at most
+    # |tn| rn / (T (rd - rn)), accepted once that is <= tol/2.
+    pairs, unpaired = _tail_pairs(spec, D)
+    rn_scale = abs(x_num) * D ** len(unpaired)
+    tol_lhs, tol_rhs = 2 * tol.denominator, tol.numerator
+
+    def ratio_bound(nD: int) -> tuple[int, int]:
+        rn, rd = rn_scale, x_den
+        for u, d in pairs:
+            rn *= u + nD
+            rd *= d + nD
+        for d in unpaired:
+            rd *= d + nD
+        return rn, rd
+
+    cap = term_cap if stop is None else stop
+    tn = sn = T = 1
     n = 0
-    while n < term_cap:
-        num = Fraction(1)
-        for u in spec.upper:
-            num *= u + n
-        den = Fraction(n + 1)
-        for l in spec.lower:
-            den *= l + n
-        term = term * num * x / den
-        total += term
+    while n < cap:
+        nD = n * D
+        a, b = a_scale, b_scale * (n + 1)
+        for u in ups:
+            a *= u + nD
+        for l in lows:
+            b *= l + nD
+        if b < 0:
+            a, b = -a, -b
+        tn *= a
+        sn = sn * b + tn
+        T *= b
         n += 1
-        if n >= n_min:
-            r = _ratio_bound(spec, x, n)
-            if r < 1:
-                bound = abs(term) * r / (1 - r)
-                if bound <= tol / 2:
-                    value = CertifiedInterval.from_fraction(total).widened(bound)
-                    return EvalResult(value, n + 1, bound)
-    r = _ratio_bound(spec, x, n)
+        if stop is None and n >= n_min:
+            rn, rd = ratio_bound(nD + D)
+            if rn < rd and (abs(tn) * (rn * tol_lhs)
+                            <= T * ((rd - rn) * tol_rhs)):
+                bound = Fraction(abs(tn) * rn, T * (rd - rn))
+                value = CertifiedInterval.from_fraction(Fraction(sn, T))
+                return EvalResult(value.widened(bound), n + 1, bound)
+    if stop is not None:
+        return EvalResult(CertifiedInterval.from_fraction(Fraction(sn, T)),
+                          stop + 1, Fraction(0))
+    r = Fraction(*ratio_bound(n * D))
     if r >= 1:
         raise TermCapError(
             f"no certifiable tail bound within {term_cap} terms")
-    bound = abs(term) * r / (1 - r)
-    value = CertifiedInterval.from_fraction(total).widened(bound)
+    bound = Fraction(abs(tn), T) * r / (1 - r)
+    value = CertifiedInterval.from_fraction(Fraction(sn, T)).widened(bound)
     return EvalResult(value, n + 1, bound, conclusive=False)
 
 

@@ -147,7 +147,8 @@ def check_signs(rule: SignRule, spec: HypSeriesSpec, a, b, delta,
     is zero below ``rule.first_signed`` and has the claimed sign from there
     on, and every profile m >= 2 keeps the rule's invariant.  a = b claims
     zero everywhere; a > b flips every sign.  Values the Gamma-quotient
-    enclosure leaves undecided get one retry at doubled precision."""
+    enclosure leaves undecided get one retry at doubled precision; once a
+    coefficient needs it, undecided profile values get it too."""
     a, b, delta = Fraction(a), Fraction(b), Fraction(delta)
     if delta <= 0 or min(a, b) < 0 or (rule.positive_shifts and min(a, b) == 0):
         shifts = "positive" if rule.positive_shifts else "nonnegative"
@@ -184,9 +185,13 @@ def check_signs(rule: SignRule, spec: HypSeriesSpec, a, b, delta,
                       reason="degenerate equal shifts")
 
     rows = hr.rows[2:]
+    row_signs = [[sign(v) for v in row] for row in rows]
+    if pending:
+        row_signs = [[retry(v) if s is Sign.INCONCLUSIVE else s
+                      for v, s in zip(row, srow)]
+                     for row, srow in zip(rows, row_signs)]
     one_change, all_negative, broken = rule.profiles(
-        rows, [[sign(v) for v in row] for row in rows],
-        Sign.NEGATIVE if b > a else Sign.POSITIVE)
+        rows, row_signs, Sign.NEGATIVE if b > a else Sign.POSITIVE)
     if first is not None or broken:
         verdict = Verdict.VIOLATED
     else:

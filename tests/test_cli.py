@@ -361,6 +361,13 @@ class TestExplore:
         assert capsys.readouterr().err == \
             "error: term cap reached before the tolerance\n"
 
+    def test_x_past_term_cap_exits_2(self, capsys):
+        # the 1F1 term ratio at x = 87,500 stays above 1 for all TERM_CAP
+        # terms, so the scan must stop at the cap and not hang
+        assert main(["explore", "--x-max", "100000", "--points", "2"]) == 2
+        assert capsys.readouterr().err == \
+            "error: no certifiable tail bound within 10000 terms\n"
+
     def test_grid_overrides_points(self, tmp_path):
         _, rep, _ = run_cli(["explore", "--x-grid", "1,3", "--points", "99"],
                             tmp_path)

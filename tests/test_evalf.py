@@ -9,14 +9,17 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath.rational import mpq
 
 from turankit.errors import DomainError, TermCapError
 from turankit.evalf import (ConjectureReport, PFQSpec, StepKind,
                             check_euler_pfaff, check_kummer_transform,
                             cross_ratio, default_log_grid, eval_1f1, eval_pfq,
                             explore_conjecture)
-from turankit.exact import pochhammer
-from turankit.intervals import _raw_to_fraction
+from turankit.exact import is_nonpositive_integer, pochhammer
+from turankit.intervals import _raw_to_fraction, get_precision
 from turankit.series import (gauss_upper, kummer_gamma, kummer_lower,
                              kummer_upper)
 
@@ -123,6 +126,50 @@ class TestEvalPfq:
         res = eval_pfq(PFQSpec((F(-7, 2),), (F(2),)), F(1, 2))
         ref = _ref((F(-7, 2),), (F(2),), F(1, 2))
         assert res.value.lo <= ref <= res.value.hi
+
+
+# rational parameters, with nonpositive integers drawn often enough that
+# terminating sums are common among the upper ones
+params = st.fractions(min_value=-6, max_value=6, max_denominator=8)
+uppers = st.one_of(params, st.integers(min_value=-6, max_value=0).map(F))
+lowers = params.filter(lambda q: not is_nonpositive_integer(q))
+
+
+def _contains_doubled_ref(res, up, lo, x) -> bool:
+    """True when the enclosure contains mpmath's value at twice the working
+    digits, give or take that value's own rounding: a relative 10^-(2p-2),
+    far inside the 10^-p tolerance, so an exact dyadic sum such as 3/8
+    still matches a reference of 0.3749...9.  Parameters enter mpmath as
+    exact rationals and x is dyadic, so mpmath sums the very series asked
+    for and returns an exact zero as 0."""
+    dps = 2 * get_precision()
+    with mpmath.workdps(dps):
+        val = mpmath.hyper([mpq(u.numerator, u.denominator) for u in up],
+                           [mpq(l.numerator, l.denominator) for l in lo],
+                           mpq(x.numerator, x.denominator),
+                           zeroprec=8 * mpmath.mp.prec)
+        ref = _raw_to_fraction(mpmath.mpf(val)._mpf_)
+    slack = abs(ref) / 10 ** (dps - 2)
+    return res.value.lo - slack <= ref <= res.value.hi + slack
+
+
+class TestDifferentialAgainstMpmath:
+    """Every enclosure contains mpmath's value at twice the precision."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(uppers, lowers,
+           st.integers(min_value=-96, max_value=96).map(lambda k: F(k, 8)))
+    def test_1f1(self, a, c, x):
+        res = eval_pfq(PFQSpec((a,), (c,)), x)
+        assert _contains_doubled_ref(res, (a,), (c,), x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(uppers, uppers, lowers,
+           st.integers(min_value=-63, max_value=63).map(lambda k: F(k, 64)))
+    def test_2f1_inside_unit_disk(self, a, b, c, x):
+        # may stop at the term cap near |x| = 1; still an enclosure
+        res = eval_pfq(PFQSpec((a, b), (c,)), x)
+        assert _contains_doubled_ref(res, (a, b), (c,), x)
 
 
 class TestEval1F1:

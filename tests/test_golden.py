@@ -7,12 +7,22 @@ certified sign), and the value and sign of every half-range profile value
 M_k for m = 2..M.  Gamma-family profile values are enclosures and enter
 through their endpoints at 30 digits.  Any change to the series kernel
 that moves one of these numbers changes the digest.  The second covers
-every field of the ``SignReport`` of each of those cases.
+every field of the ``SignReport`` of each of those cases.  The third
+covers every field of every ``EvalResult`` that ``eval_pfq`` returns for
+the 600 transformation checks of the acceptance suite, the 64-point
+conjecture scan, two long confluent sums and one sum per special path of
+the summation.
 """
 
 import dataclasses
 import hashlib
+from fractions import Fraction
+from itertools import product
 
+import turankit.evalf as evalf_module
+from turankit.evalf import (PFQSpec, check_euler_pfaff,
+                            check_kummer_transform, default_log_grid,
+                            eval_1f1, explore_conjecture)
 from turankit.intervals import CertifiedInterval, working_precision
 from turankit.series import (Family, Sign, lambda_coefficients, mk_profile,
                              phi_coefficients, psi_coefficients)
@@ -24,6 +34,14 @@ GOLDEN_SHA256 = "ea00540e3b4ba673b0c164a15fb3efac4b1a4131b1cbd1e56c3d0c7c9fb6671
 # computed by the three separate Theorem 1-3 checkers that the rule-table
 # checker replaced field for field
 REPORT_SHA256 = "234a4349e641fdd3f0b173c03e916217cc0314a40c003e1f3155f5b54324cd03"
+# computed by the Fraction summation loops of eval_pfq, which the integer
+# accumulator replaced result for result
+EVAL_SHA256 = "23e6c3eed902594a03dd4d05e291e3aef9d0a4f25e6ca15d7001749001d46a0f"
+
+GRID_PARAMS = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2),
+               Fraction(3))
+GRID_X_SIGNED = tuple(Fraction(s, 4) * sgn for s in (1, 2, 3)
+                      for sgn in (1, -1))
 
 
 def _text(value) -> str:
@@ -74,3 +92,62 @@ def test_sign_reports_match_golden_digest():
             fields = dataclasses.asdict(run_case(case))
             digest.update(repr(fields).encode() + b"\n")
     assert digest.hexdigest() == REPORT_SHA256
+
+
+def _eval_workload():
+    """The eval_pfq calls of the acceptance suite's transformation checks
+    and conjecture scan, two long 1F1 sums, and one sum per special path
+    of the summation."""
+    for a, c, x in product(GRID_PARAMS, GRID_PARAMS, GRID_X_SIGNED):
+        check_kummer_transform(a, c, x)
+    for i, a in enumerate(GRID_PARAMS):
+        for b in GRID_PARAMS[i:]:
+            for c, x in product(GRID_PARAMS, GRID_X_SIGNED):
+                check_euler_pfaff(a, b, c, x)
+    explore_conjecture(1, 2, 1, 3, default_log_grid(64, 50))
+    for x in (200, 1000):
+        eval_1f1(1, 3, x)
+    F = Fraction
+    for up, lo, x, kwargs in [
+            ((F(-3), F(2, 3)), (F(4),), F(7), {}),            # terminating
+            ((F(1, 2),), (F(3),), F(0), {}),                  # x = 0
+            ((F(1, 2),), (F(3),), F(1, 2), {"term_cap": 3}),  # capped
+            ((F(-7, 2),), (F(2),), F(1, 2), {}),          # negative upper
+            ((F(1),), (F(-5, 2),), F(3), {}),             # negative lower
+            ((F(5, 2), F(1, 3)), (F(7, 3), F(1, 2)), F(-2), {}),
+            ((), (F(1),), F(2), {}),
+            ((F(1),), (F(2),), F(3), {"tol": F(1, 10 ** 40)})]:
+        evalf_module.eval_pfq(PFQSpec(up, lo), x, **kwargs)
+
+
+def _hex(value) -> str:
+    # hex, since a long sum's tail bound has more decimal digits than str()
+    # converts by default
+    if value is None:
+        return "-"
+    return f"{value.numerator:x}/{value.denominator:x}"
+
+
+def test_eval_results_match_golden_digest(monkeypatch):
+    digest = hashlib.sha256()
+    real = evalf_module.eval_pfq
+    calls = 0
+
+    def recorder(spec, x, *args, **kwargs):
+        nonlocal calls
+        res = real(spec, x, *args, **kwargs)
+        calls += 1
+        line = " ".join([
+            ",".join(_hex(u) for u in spec.upper),
+            ",".join(_hex(l) for l in spec.lower), _hex(x),
+            str(res.terms_used), _hex(res.truncation_bound),
+            str(res.conclusive), _hex(res.value.lo), _hex(res.value.hi),
+            _hex(res.value.exact)])
+        digest.update(line.encode() + b"\n")
+        return res
+
+    monkeypatch.setattr(evalf_module, "eval_pfq", recorder)
+    with working_precision(30):
+        _eval_workload()
+    assert calls == 2002
+    assert digest.hexdigest() == EVAL_SHA256

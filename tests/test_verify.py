@@ -263,8 +263,8 @@ class TestEscalation:
         assert rep.verdict is Verdict.VERIFIED
         assert rep.per_index_sign == [Sign.NEGATIVE] * 11
         assert rep.inconclusive_indices == [] and rep.reason is None
-        # the profiles are read at the base precision
-        assert rep.mk_all_negative is None
+        # the undecided profile values are read at doubled precision too
+        assert rep.mk_all_negative is True
 
     def test_retry_still_undecided(self, monkeypatch):
         _straddling_quotient(monkeypatch, also_doubled=True)
