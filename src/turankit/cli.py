@@ -35,6 +35,12 @@ from .verify import (FAMILIES, THEOREM_FAMILIES, Case, SignReport, Verdict,
 THEOREMS = (*THEOREM_FAMILIES, "all")
 # flags that describe one explicit case
 CASE_FLAGS = ("family", "a", "b", "delta", "c", "a0", "b0", "x_grid")
+# Input caps; a larger value exits 2.  The sign kernel's cost grows about
+# as M^4 (its O(M^2) products are of integers that grow with M), and the
+# smallest point of the geometric explore grid has a denominator of three
+# bits per point, so both are bounded where a run still takes seconds.
+MAX_M = 200
+MAX_POINTS = 1024
 
 
 def _rational(text: str) -> Fraction:
@@ -194,6 +200,8 @@ def cmd_verify(args) -> int:
         precision = get_precision() if args.precision is None else args.precision
         if args.jobs < 1:
             raise DomainError("--jobs must be at least 1")
+        if args.M is not None and args.M > MAX_M:
+            raise DomainError(f"--M {args.M} is above the cap of {MAX_M}")
         cases = _cases(args)
         workers = min(args.jobs, os.cpu_count() or 1, len(cases))
         if workers > 1:
@@ -243,6 +251,9 @@ def cmd_verify(args) -> int:
 def cmd_explore(args) -> int:
     try:
         precision = get_precision() if args.precision is None else args.precision
+        if args.points > MAX_POINTS:
+            raise DomainError(f"--points {args.points} is above the cap of "
+                              f"{MAX_POINTS}")
         with working_precision(precision):
             if args.x_grid is not None:
                 xs = sorted(args.x_grid)

@@ -10,6 +10,10 @@ corrections after shifting the argument upward, with the classical bound
 on the first omitted term added explicitly to the enclosure.  That makes
 the interval a certificate, not an estimate: an independent recomputation
 at higher precision must land inside it (and the test suite checks this).
+Each Stirling term is an integer quotient, rounded outward on its own and
+added to the endpoints with outward rounding.  The shift, term count and
+coefficients are planned once per (floor(x), precision), and the finished
+enclosure is reused for every call with the same (x, precision).
 
 Working precision defaults to 30 significant decimal digits and can be
 overridden with the TURANKIT_PRECISION environment variable, which is read
@@ -22,10 +26,12 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import lru_cache
+from math import prod
 
 import mpmath
 from mpmath.ctx_iv import MPIntervalContext
-from mpmath.libmp import from_int, from_rational, round_ceiling, round_floor
+from mpmath.libmp import from_rational, mpf_add, round_ceiling, round_floor
 
 from .errors import DomainError
 from .exact import bernoulli, pochhammer
@@ -86,8 +92,8 @@ def _raw_to_fraction(raw) -> Fraction:
         if exp == 0:
             return Fraction(0)
         raise DomainError("interval endpoint is not finite")
-    q = Fraction(int(man)) * Fraction(2) ** exp
-    return -q if sign else q
+    man = -int(man) if sign else int(man)
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 def _raw_pair_from_fractions(lo: Fraction, hi: Fraction):
@@ -298,25 +304,28 @@ def rational_power(base, expo) -> CertifiedInterval:
 # -- ln(Gamma) via the shifted Stirling series ------------------------
 
 
-def _stirling_plan(x: Fraction, dps: int):
+@lru_cache(maxsize=256)
+def _stirling_plan(x_floor: int, dps: int):
     """Choose shift m and term count N so the first omitted Stirling term
-    is below the target; returns (m, N, remainder_bound)."""
+    is below the target.  Both depend on x only through floor(x).  Returns
+    (m, terms, remainder_bound), where terms[k-1] = (num, den) is the
+    coefficient B_2k / (2k(2k-1)) as a pair of integers, den > 0."""
     target = Fraction(1, 10 ** (dps + 8))
     floor_threshold = max(12, (2 * dps) // 3)
     while True:
-        if x >= floor_threshold:
-            m = 0
-        else:
-            m = floor_threshold - int(x) if x.denominator == 1 else \
-                floor_threshold - (x.numerator // x.denominator)
-        z_floor = (x.numerator + m * x.denominator) // x.denominator
+        m = max(0, floor_threshold - x_floor)
+        z_floor = x_floor + m
         power = z_floor
         z2 = z_floor * z_floor
         for n in range(1, 121):
             # power == z_floor**(2n-1)
             bound = abs(bernoulli(2 * n + 2)) / ((2 * n + 2) * (2 * n + 1) * power)
             if bound <= target:
-                return m, n, bound
+                terms = []
+                for k in range(1, n + 1):
+                    b = bernoulli(2 * k)
+                    terms.append((b.numerator, b.denominator * 2 * k * (2 * k - 1)))
+                return m, tuple(terms), bound
             power *= z2
         floor_threshold *= 2
 
@@ -333,27 +342,54 @@ def _half_log_two_pi() -> CertifiedInterval:
     return cached
 
 
+def _outward(num: int, den: int, prec: int):
+    """Raw enclosure [floor, ceil] of num/den at prec bits (den > 0; the
+    pair need not be reduced, since from_rational rounds the value)."""
+    return (from_rational(num, den, prec, round_floor),
+            from_rational(num, den, prec, round_ceiling))
+
+
 def log_gamma(x) -> CertifiedInterval:
-    """Certified enclosure of ln(Gamma(x)) for rational x > 0."""
+    """Certified enclosure of ln(Gamma(x)) for rational x > 0.  The result
+    is shared between calls with the same x and precision."""
     x = Fraction(x)
     if x <= 0:
         raise DomainError(f"log_gamma needs x > 0, got {x}")
-    m, n_terms, remainder = _stirling_plan(x, get_precision())
-    z = x + m
-    zi = CertifiedInterval.from_fraction(z)
-    acc = (zi - Fraction(1, 2)) * ci_log(zi) - zi + _half_log_two_pi()
-    inv = CertifiedInterval.from_fraction(1) / zi
-    inv2 = inv * inv
-    power = inv  # z**-(2k-1)
-    for k in range(1, n_terms + 1):
-        coeff = bernoulli(2 * k) / (2 * k * (2 * k - 1))
-        acc = acc + CertifiedInterval.from_fraction(coeff) * power
-        power = power * inv2
-    acc = acc.widened(remainder)
+    return _log_gamma(x, get_precision())
+
+
+@lru_cache(maxsize=1024)
+def _log_gamma(x: Fraction, dps: int) -> CertifiedInterval:
+    m, terms, remainder = _stirling_plan(x.numerator // x.denominator, dps)
+    prec = _ctx.prec
+    # z = x + m = p/q in lowest terms
+    p, q = x.numerator + m * x.denominator, x.denominator
+    zi = _ctx.make_mpf(_outward(p, q, prec))
+    acc = (_ctx.make_mpf(_outward(2 * p - q, 2 * q, prec)) * _ctx.log(zi)
+           - zi + _half_log_two_pi()._iv)
+    # add each term num q^(2k-1) / (den p^(2k-1)) rounded outward, as mpi_add
+    # does: lower endpoints rounded down, upper ones up
+    lo, hi = acc._mpi_
+    zp, zq, p2, q2 = p, q, p * p, q * q
+    for num, den in terms:
+        num, den = num * zq, den * zp
+        lo = mpf_add(lo, from_rational(num, den, prec, round_floor),
+                     prec, round_floor)
+        hi = mpf_add(hi, from_rational(num, den, prec, round_ceiling),
+                     prec, round_ceiling)
+        zp *= p2
+        zq *= q2
+    # widen by the remainder bound r, adding [-r, r] as mpi_add does
+    r, s = remainder.numerator, remainder.denominator
+    acc = _ctx.make_mpf((
+        mpf_add(lo, from_rational(-r, s, prec, round_floor), prec, round_floor),
+        mpf_add(hi, from_rational(r, s, prec, round_ceiling), prec, round_ceiling)))
     if m:
-        acc = acc - ci_log(CertifiedInterval.from_fraction(pochhammer(x, m)))
-    acc.exact = None
-    return acc
+        # (x)_m = prod(a + i b) / b^m for x = a/b
+        a, b = x.numerator, x.denominator
+        shift = prod(a + i * b for i in range(m))
+        acc = acc - _ctx.log(_ctx.make_mpf(_outward(shift, b ** m, prec)))
+    return CertifiedInterval(acc)
 
 
 def gamma_ratio(x, delta) -> CertifiedInterval:

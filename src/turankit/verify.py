@@ -355,7 +355,7 @@ class Case:
 
     def spec(self) -> HypSeriesSpec:
         make, weights = FAMILIES[self.family]
-        order = self.M or DEFAULT_M.get(self.theorem, DEFAULT_ORDER)
+        order = DEFAULT_M.get(self.theorem, DEFAULT_ORDER) if self.M is None else self.M
         return make(*(self.params[k] for k in weights), order)
 
 

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -279,6 +280,70 @@ class TestBadConfiguration:
                      "--x-grid", "3"])
         assert code == 2
         assert "--b" in capsys.readouterr().err
+
+
+def _no_work(*args):
+    raise AssertionError("a capped input must exit before any work")
+
+
+class TestInputCaps:
+    def test_order_zero_runs_at_order_zero(self, tmp_path):
+        code, rep, _ = run_cli(SINGLE[:-1] + ["0"], tmp_path)
+        assert code == 0
+        [case] = rep["per_case"]
+        assert rep["config_echo"]["M"] == 0
+        assert case["details"]["truncation_order"] == rep["config_echo"]["M"]
+
+    @pytest.mark.parametrize("argv", [
+        SINGLE[:-1], ["verify", "--theorem", "all", "--grid", "default", "--M"]])
+    def test_order_past_cap_exits_2(self, argv, monkeypatch, capsys):
+        import turankit.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "_run_case", _no_work)
+        monkeypatch.setattr(cli_mod, "default_cases", _no_work)
+        assert main(argv + [str(cli_mod.MAX_M + 1)]) == 2
+        assert capsys.readouterr().err == \
+            "error: --M 201 is above the cap of 200\n"
+
+    def test_order_at_cap_accepted(self, tmp_path, monkeypatch):
+        import turankit.cli as cli_mod
+
+        orders = []
+
+        def fake(case, precision, tol):
+            orders.append(case.spec().order)
+            return {"theorem": case.theorem, "params": {},
+                    "verdict": "verified", "first_violation": None,
+                    "details": {}, "csv_rows": []}
+
+        monkeypatch.setattr(cli_mod, "_run_case", fake)
+        code, _, _ = run_cli(SINGLE[:-1] + [str(cli_mod.MAX_M)], tmp_path)
+        assert code == 0
+        assert orders == [cli_mod.MAX_M]
+
+    def test_points_past_cap_exits_2(self, monkeypatch, capsys):
+        import turankit.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "default_log_grid", _no_work)
+        monkeypatch.setattr(cli_mod, "explore_conjecture", _no_work)
+        assert main(["explore", "--points", str(cli_mod.MAX_POINTS + 1)]) == 2
+        assert capsys.readouterr().err == \
+            "error: --points 1025 is above the cap of 1024\n"
+
+    def test_points_at_cap_accepted(self, tmp_path, monkeypatch):
+        import turankit.cli as cli_mod
+
+        counts = []
+
+        def fake_grid(count, x_max, negative):
+            counts.append(count)
+            return [Fraction(1), Fraction(2)]
+
+        monkeypatch.setattr(cli_mod, "default_log_grid", fake_grid)
+        code, _, _ = run_cli(["explore", "--points", str(cli_mod.MAX_POINTS)],
+                             tmp_path)
+        assert code == 0
+        assert counts == [cli_mod.MAX_POINTS]
 
 
 class TestExitCodes:

@@ -11,19 +11,22 @@ every field of the ``SignReport`` of each of those cases.  The third
 covers every field of every ``EvalResult`` that ``eval_pfq`` returns for
 the 600 transformation checks of the acceptance suite, the 64-point
 conjecture scan, two long confluent sums and one sum per special path of
-the summation.
+the summation.  The fourth covers the endpoints of the ln(Gamma)
+enclosure at every reduced n/d with d <= 12 and n < 200, at 10, 30 and
+60 digits.
 """
 
 import dataclasses
 import hashlib
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import turankit.evalf as evalf_module
 from turankit.evalf import (PFQSpec, check_euler_pfaff,
                             check_kummer_transform, default_log_grid,
                             eval_1f1, explore_conjecture)
-from turankit.intervals import CertifiedInterval, working_precision
+from turankit.intervals import CertifiedInterval, log_gamma, working_precision
 from turankit.series import (Family, Sign, lambda_coefficients, mk_profile,
                              phi_coefficients, psi_coefficients)
 from turankit.verify import default_cases, run_case
@@ -37,6 +40,10 @@ REPORT_SHA256 = "234a4349e641fdd3f0b173c03e916217cc0314a40c003e1f3155f5b54324cd0
 # computed by the Fraction summation loops of eval_pfq, which the integer
 # accumulator replaced result for result
 EVAL_SHA256 = "23e6c3eed902594a03dd4d05e291e3aef9d0a4f25e6ca15d7001749001d46a0f"
+# computed by the log_gamma that added each Stirling term as an exact
+# CertifiedInterval, which the integer term loop replaced endpoint for
+# endpoint
+LOG_GAMMA_SHA256 = "19dd0b5a16bf5dbe27906d4d5d422b66f832b2684cde9be8e2855bd31fe2d1ec"
 
 GRID_PARAMS = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2),
                Fraction(3))
@@ -151,3 +158,17 @@ def test_eval_results_match_golden_digest(monkeypatch):
         _eval_workload()
     assert calls == 2002
     assert digest.hexdigest() == EVAL_SHA256
+
+
+def test_log_gamma_endpoints_match_golden_digest():
+    digest = hashlib.sha256()
+    for dps in (10, 30, 60):
+        with working_precision(dps):
+            for d in range(1, 13):
+                for n in range(1, 200):
+                    if gcd(n, d) != 1:
+                        continue
+                    ci = log_gamma(Fraction(n, d))
+                    digest.update(f"{dps} {n}/{d} {_hex(ci.lo)} "
+                                  f"{_hex(ci.hi)}\n".encode())
+    assert digest.hexdigest() == LOG_GAMMA_SHA256

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from turankit import intervals
 from turankit.errors import DomainError
 from turankit.intervals import (CertifiedInterval, _raw_to_fraction, ci_exp,
                                 ci_log, gamma_ratio, get_precision, log_gamma,
@@ -54,6 +55,24 @@ class TestConstruction:
     def test_negative_widening_rejected(self):
         with pytest.raises(DomainError):
             CertifiedInterval.zero().widened(F(-1))
+
+
+class TestEndpointConversion:
+    @given(st.integers(min_value=0, max_value=1),
+           st.integers(min_value=1, max_value=2 ** 300),
+           st.integers(min_value=-3000, max_value=3000))
+    def test_matches_power_of_two_product(self, sign, man, exp):
+        q = F(man) * F(2) ** exp
+        raw = (sign, man, exp, man.bit_length())
+        assert _raw_to_fraction(raw) == (-q if sign else q)
+
+    def test_zero_and_non_finite(self):
+        from mpmath.libmp import finf, fnan, fninf, fzero
+
+        assert _raw_to_fraction(fzero) == 0
+        for raw in (finf, fninf, fnan):
+            with pytest.raises(DomainError):
+                _raw_to_fraction(raw)
 
 
 class TestExactPropagation:
@@ -232,6 +251,20 @@ class TestPrecisionControl:
         with working_precision(2 * base):
             w_hi = log_gamma(F(1, 3)).width
         assert w_hi < w_lo
+
+    def test_escalation_gets_its_own_enclosure(self):
+        x = F(7, 3)
+        with working_precision(30):
+            coarse = log_gamma(x)
+            with working_precision(60):
+                fine = log_gamma(x)
+                ref = _ref(mpmath.loggamma, x)
+                fresh = intervals._log_gamma.__wrapped__(x, 60)
+            assert log_gamma(x) is coarse
+        assert fine is not coarse
+        assert fine.lo <= ref <= fine.hi
+        assert fine.width < F(1, 10 ** 58) and fine.width < coarse.width
+        assert (fine.lo, fine.hi) == (fresh.lo, fresh.hi)
 
     def test_too_small_rejected(self):
         with pytest.raises(DomainError):
