@@ -18,7 +18,7 @@ certified interval arithmetic elsewhere:
 from .errors import DomainError, PoleError, TermCapError
 from .exact import parse_rational, poch_table, pochhammer
 from .intervals import (CertifiedInterval, gamma_ratio, get_precision,
-                        log_gamma, set_precision, working_precision)
+                        log_gamma, working_precision)
 from .series import (Family, HypSeriesSpec, MkProfile, MonotoneClass,
                      PsiCoefficient, Sign, binomial_upper, gamma_quotient,
                      gauss_lower, gauss_upper, kummer_gamma, kummer_lower,

@@ -39,6 +39,7 @@ CASE_FLAGS = ("family", "a", "b", "delta", "c", "a0", "b0", "x_grid")
 # as M^4 (its O(M^2) products are of integers that grow with M), and the
 # smallest point of the geometric explore grid has a denominator of three
 # bits per point, so both are bounded where a run still takes seconds.
+# MAX_POINTS also caps the length of an explicit --x-grid.
 MAX_M = 200
 MAX_POINTS = 1024
 
@@ -48,6 +49,12 @@ def _rational(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
+
+
+def _check_x_grid(x_grid) -> None:
+    if x_grid is not None and len(x_grid) > MAX_POINTS:
+        raise DomainError(f"--x-grid has {len(x_grid)} values, above the cap "
+                          f"of {MAX_POINTS}")
 
 
 def _rational_list(text: str) -> list[Fraction]:
@@ -202,6 +209,7 @@ def cmd_verify(args) -> int:
             raise DomainError("--jobs must be at least 1")
         if args.M is not None and args.M > MAX_M:
             raise DomainError(f"--M {args.M} is above the cap of {MAX_M}")
+        _check_x_grid(args.x_grid)
         cases = _cases(args)
         workers = min(args.jobs, os.cpu_count() or 1, len(cases))
         if workers > 1:
@@ -254,6 +262,7 @@ def cmd_explore(args) -> int:
         if args.points > MAX_POINTS:
             raise DomainError(f"--points {args.points} is above the cap of "
                               f"{MAX_POINTS}")
+        _check_x_grid(args.x_grid)
         with working_precision(precision):
             if args.x_grid is not None:
                 xs = sorted(args.x_grid)

@@ -1,9 +1,10 @@
 """Certified interval arithmetic and enclosures for ln(Gamma) and Gamma ratios.
 
-A :class:`CertifiedInterval` is a pair of binary floats [lo, hi] guaranteed
-to contain the true real value; every operation rounds outward.  Intervals
-whose value is known to be an exact rational carry that rational alongside
-the enclosure, so integer-shift Gamma ratios stay exact end to end.
+A :class:`CertifiedInterval` is a pair of raw binary floats [lo, hi]
+guaranteed to contain the true real value; each operation is one libmp
+interval function (``mpi_add``, ``mpi_exp``, ...), which rounds outward.
+Intervals whose value is known to be an exact rational carry that rational
+alongside the enclosure, so integer-shift Gamma ratios stay exact end to end.
 
 ln(Gamma) is computed from the Stirling series with Bernoulli-number
 corrections after shifting the argument upward, with the classical bound
@@ -15,23 +16,27 @@ added to the endpoints with outward rounding.  The shift, term count and
 coefficients are planned once per (floor(x), precision), and the finished
 enclosure is reused for every call with the same (x, precision).
 
-Working precision defaults to 30 significant decimal digits and can be
-overridden with the TURANKIT_PRECISION environment variable, which is read
-when the precision is first needed, or with :func:`set_precision`.
-Internally a fixed number of guard digits is added.
+The working precision belongs to the current context (:mod:`contextvars`),
+and :func:`working_precision` is the only way to change it.  Elsewhere it is
+30 significant decimal digits, or TURANKIT_PRECISION, read when first
+needed; a new thread or spawned worker process starts there.  Internally a
+fixed number of guard digits is added.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import prod
 
-import mpmath
-from mpmath.ctx_iv import MPIntervalContext
-from mpmath.libmp import from_rational, mpf_add, round_ceiling, round_floor
+from mpmath.libmp import (dps_to_prec, from_man_exp, ftwo, fzero, mpf_div,
+                          mpf_pi, mpi_add, mpi_div, mpi_exp, mpi_log, mpi_mul,
+                          mpi_neg, mpi_pow_int, mpi_sub, round_ceiling,
+                          round_floor, to_str)
 
 from .errors import DomainError
 from .exact import bernoulli, pochhammer
@@ -39,51 +44,50 @@ from .exact import bernoulli, pochhammer
 DEFAULT_DPS = 30
 _GUARD_DPS = 15
 
-_ctx = MPIntervalContext()
+# (decimal digits, bits including the guard digits) in the current context;
+# unset outside every working_precision block
+_precision: ContextVar[tuple[int, int]] = ContextVar("turankit_precision")
 
 
-def _init_dps() -> int:
-    raw = os.environ.get("TURANKIT_PRECISION")
-    if raw is None:
-        return DEFAULT_DPS
+def _digits_and_bits(dps: int) -> tuple[int, int]:
+    if dps < 5:
+        raise DomainError(f"working precision too small: {dps}")
+    return dps, dps_to_prec(dps + _GUARD_DPS)
+
+
+@cache
+def _default_precision() -> tuple[int, int]:
+    """The precision outside any working_precision block, read when first
+    needed, so that a bad TURANKIT_PRECISION raises DomainError there and
+    not while the package is imported."""
+    raw = os.environ.get("TURANKIT_PRECISION", str(DEFAULT_DPS))
     try:
         dps = int(raw)
     except ValueError:
         raise DomainError(f"TURANKIT_PRECISION must be an integer, got {raw!r}")
     if dps < 5:
         raise DomainError(f"TURANKIT_PRECISION too small: {dps}")
-    return dps
+    return _digits_and_bits(dps)
 
 
-# None until the precision is first read, so that a bad TURANKIT_PRECISION
-# raises DomainError there and not while the package is imported
-_working_dps: int | None = None
+def _bits() -> int:
+    return (_precision.get(None) or _default_precision())[1]
 
 
 def get_precision() -> int:
-    """Current working precision in significant decimal digits."""
-    if _working_dps is None:
-        set_precision(_init_dps())
-    return _working_dps
-
-
-def set_precision(dps: int) -> None:
-    global _working_dps
-    if dps < 5:
-        raise DomainError(f"working precision too small: {dps}")
-    _working_dps = dps
-    _ctx.dps = dps + _GUARD_DPS
+    """Working precision of the current context in significant decimal digits."""
+    return (_precision.get(None) or _default_precision())[0]
 
 
 @contextmanager
 def working_precision(dps: int):
-    """Temporarily run at ``dps`` decimal digits (used for escalation)."""
-    old = get_precision()
-    set_precision(dps)
+    """Run the block at ``dps`` decimal digits (used for escalation); other
+    threads and contexts keep their own precision."""
+    token = _precision.set(_digits_and_bits(dps))
     try:
         yield
     finally:
-        set_precision(old)
+        _precision.reset(token)
 
 
 def _raw_to_fraction(raw) -> Fraction:
@@ -96,21 +100,31 @@ def _raw_to_fraction(raw) -> Fraction:
     return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
-def _raw_pair_from_fractions(lo: Fraction, hi: Fraction):
-    get_precision()  # every interval starts here, so the context is set up
-    prec = _ctx.prec
-    lo_raw = from_rational(lo.numerator, lo.denominator, prec, round_floor)
-    hi_raw = from_rational(hi.numerator, hi.denominator, prec, round_ceiling)
-    return (lo_raw, hi_raw)
+def _from_rational(num: int, den: int, prec: int, rounding):
+    """num/den (den > 0, not necessarily reduced) rounded to prec bits.
+    Equal to libmp's from_rational, but each integer loses its trailing
+    zero bits in one shift rather than one shift per byte."""
+    if not num:
+        return fzero
+    s = (num & -num).bit_length() - 1
+    t = (den & -den).bit_length() - 1
+    return mpf_div(from_man_exp(num >> s, s), from_man_exp(den >> t, t),
+                   prec, rounding)
+
+
+def _outward(num: int, den: int, prec: int):
+    """Raw enclosure [floor, ceil] of num/den at prec bits (den > 0)."""
+    return (_from_rational(num, den, prec, round_floor),
+            _from_rational(num, den, prec, round_ceiling))
 
 
 class CertifiedInterval:
     """Enclosure [lo, hi] of a real value, optionally tagged exact-rational."""
 
-    __slots__ = ("_iv", "exact")
+    __slots__ = ("_pair", "exact")
 
-    def __init__(self, iv_value, exact: Fraction | None = None):
-        self._iv = iv_value
+    def __init__(self, pair, exact: Fraction | None = None):
+        self._pair = pair  # raw mpf endpoints (lo, hi)
         self.exact = exact
 
     # -- construction -------------------------------------------------
@@ -118,14 +132,17 @@ class CertifiedInterval:
     @classmethod
     def from_fraction(cls, q) -> "CertifiedInterval":
         q = Fraction(q)
-        return cls(_ctx.make_mpf(_raw_pair_from_fractions(q, q)), exact=q)
+        return cls(_outward(q.numerator, q.denominator, _bits()), exact=q)
 
     @classmethod
     def from_fraction_bounds(cls, lo, hi) -> "CertifiedInterval":
         lo, hi = Fraction(lo), Fraction(hi)
         if lo > hi:
             raise DomainError(f"bounds out of order: {lo} > {hi}")
-        return cls(_ctx.make_mpf(_raw_pair_from_fractions(lo, hi)))
+        prec = _bits()
+        return cls((
+            _from_rational(lo.numerator, lo.denominator, prec, round_floor),
+            _from_rational(hi.numerator, hi.denominator, prec, round_ceiling)))
 
     @classmethod
     def zero(cls) -> "CertifiedInterval":
@@ -136,11 +153,11 @@ class CertifiedInterval:
     @property
     def lo(self) -> Fraction:
         """Lower endpoint as an exact (dyadic) rational."""
-        return _raw_to_fraction(self._iv._mpi_[0])
+        return _raw_to_fraction(self._pair[0])
 
     @property
     def hi(self) -> Fraction:
-        return _raw_to_fraction(self._iv._mpi_[1])
+        return _raw_to_fraction(self._pair[1])
 
     @property
     def midpoint(self) -> Fraction:
@@ -168,20 +185,17 @@ class CertifiedInterval:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        exact = None
         if self.exact is not None and other.exact is not None:
-            exact = exact_op(self.exact, other.exact)
-            if exact is not None:
-                return CertifiedInterval.from_fraction(exact)
-        return CertifiedInterval(op(self._iv, other._iv))
+            return CertifiedInterval.from_fraction(exact_op(self.exact, other.exact))
+        return CertifiedInterval(op(self._pair, other._pair, _bits()))
 
     def __add__(self, other):
-        return self._combine(other, lambda x, y: x + y, lambda x, y: x + y)
+        return self._combine(other, mpi_add, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._combine(other, lambda x, y: x - y, lambda x, y: x - y)
+        return self._combine(other, mpi_sub, operator.sub)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -190,7 +204,7 @@ class CertifiedInterval:
         return other - self
 
     def __mul__(self, other):
-        return self._combine(other, lambda x, y: x * y, lambda x, y: x * y)
+        return self._combine(other, mpi_mul, operator.mul)
 
     __rmul__ = __mul__
 
@@ -200,8 +214,7 @@ class CertifiedInterval:
             return NotImplemented
         if other.contains_zero():
             raise DomainError("division by an interval containing zero")
-        return self._combine(other, lambda x, y: x / y,
-                             lambda x, y: x / y if y != 0 else None)
+        return self._combine(other, mpi_div, operator.truediv)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -212,22 +225,21 @@ class CertifiedInterval:
     def __neg__(self):
         if self.exact is not None:
             return CertifiedInterval.from_fraction(-self.exact)
-        return CertifiedInterval(-self._iv)
+        return CertifiedInterval(mpi_neg(self._pair, _bits()))
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
         if self.exact is not None:
             return CertifiedInterval.from_fraction(self.exact ** n)
-        return CertifiedInterval(self._iv ** n)
+        return CertifiedInterval(mpi_pow_int(self._pair, n, _bits()))
 
     def widened(self, radius) -> "CertifiedInterval":
         """Enclosure grown by ``radius`` on both sides (explicit error term)."""
         radius = Fraction(radius)
         if radius < 0:
             raise DomainError("negative widening radius")
-        pad = CertifiedInterval.from_fraction_bounds(-radius, radius)
-        return CertifiedInterval(self._iv + pad._iv)
+        return self + CertifiedInterval.from_fraction_bounds(-radius, radius)
 
     # -- predicates ---------------------------------------------------
 
@@ -269,16 +281,15 @@ class CertifiedInterval:
         if self.exact is not None:
             return f"CertifiedInterval(exact={self.exact})"
         show = min(get_precision(), 20)
-        a = mpmath.mp.make_mpf(self._iv._mpi_[0])
-        b = mpmath.mp.make_mpf(self._iv._mpi_[1])
-        return f"CertifiedInterval[{mpmath.nstr(a, show)}, {mpmath.nstr(b, show)}]"
+        a, b = (to_str(v, show) for v in self._pair)
+        return f"CertifiedInterval[{a}, {b}]"
 
 
 def ci_exp(x) -> CertifiedInterval:
     x = CertifiedInterval._coerce(x)
     if x.exact == 0:
         return CertifiedInterval.from_fraction(1)
-    return CertifiedInterval(_ctx.exp(x._iv))
+    return CertifiedInterval(mpi_exp(x._pair, _bits()))
 
 
 def ci_log(x) -> CertifiedInterval:
@@ -287,7 +298,7 @@ def ci_log(x) -> CertifiedInterval:
         raise DomainError("log needs a certainly-positive interval")
     if x.exact == 1:
         return CertifiedInterval.from_fraction(0)
-    return CertifiedInterval(_ctx.log(x._iv))
+    return CertifiedInterval(mpi_log(x._pair, _bits()))
 
 
 def rational_power(base, expo) -> CertifiedInterval:
@@ -330,23 +341,12 @@ def _stirling_plan(x_floor: int, dps: int):
         floor_threshold *= 2
 
 
-_HALF_LOG_TWO_PI_CACHE: dict[int, CertifiedInterval] = {}
-
-
-def _half_log_two_pi() -> CertifiedInterval:
-    prec = _ctx.prec
-    cached = _HALF_LOG_TWO_PI_CACHE.get(prec)
-    if cached is None:
-        cached = CertifiedInterval(_ctx.log(2 * _ctx.pi) / 2)
-        _HALF_LOG_TWO_PI_CACHE[prec] = cached
-    return cached
-
-
-def _outward(num: int, den: int, prec: int):
-    """Raw enclosure [floor, ceil] of num/den at prec bits (den > 0; the
-    pair need not be reduced, since from_rational rounds the value)."""
-    return (from_rational(num, den, prec, round_floor),
-            from_rational(num, den, prec, round_ceiling))
+@lru_cache(maxsize=16)
+def _half_log_two_pi(prec: int):
+    """Raw enclosure of ln(2 pi)/2 at prec bits."""
+    two = (ftwo, ftwo)
+    pi = (mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling))
+    return mpi_div(mpi_log(mpi_mul(two, pi, prec), prec), two, prec)
 
 
 def log_gamma(x) -> CertifiedInterval:
@@ -361,34 +361,28 @@ def log_gamma(x) -> CertifiedInterval:
 @lru_cache(maxsize=1024)
 def _log_gamma(x: Fraction, dps: int) -> CertifiedInterval:
     m, terms, remainder = _stirling_plan(x.numerator // x.denominator, dps)
-    prec = _ctx.prec
-    # z = x + m = p/q in lowest terms
+    prec = _digits_and_bits(dps)[1]
+    # z = x + m = p/q in lowest terms; start from (z - 1/2) ln z - z + ln(2 pi)/2
     p, q = x.numerator + m * x.denominator, x.denominator
-    zi = _ctx.make_mpf(_outward(p, q, prec))
-    acc = (_ctx.make_mpf(_outward(2 * p - q, 2 * q, prec)) * _ctx.log(zi)
-           - zi + _half_log_two_pi()._iv)
-    # add each term num q^(2k-1) / (den p^(2k-1)) rounded outward, as mpi_add
-    # does: lower endpoints rounded down, upper ones up
-    lo, hi = acc._mpi_
+    z = _outward(p, q, prec)
+    acc = mpi_add(mpi_sub(mpi_mul(_outward(2 * p - q, 2 * q, prec),
+                                  mpi_log(z, prec), prec), z, prec),
+                  _half_log_two_pi(prec), prec)
+    # add each term num q^(2k-1) / (den p^(2k-1)), itself rounded outward
     zp, zq, p2, q2 = p, q, p * p, q * q
     for num, den in terms:
-        num, den = num * zq, den * zp
-        lo = mpf_add(lo, from_rational(num, den, prec, round_floor),
-                     prec, round_floor)
-        hi = mpf_add(hi, from_rational(num, den, prec, round_ceiling),
-                     prec, round_ceiling)
+        acc = mpi_add(acc, _outward(num * zq, den * zp, prec), prec)
         zp *= p2
         zq *= q2
-    # widen by the remainder bound r, adding [-r, r] as mpi_add does
+    # widen by the remainder bound r
     r, s = remainder.numerator, remainder.denominator
-    acc = _ctx.make_mpf((
-        mpf_add(lo, from_rational(-r, s, prec, round_floor), prec, round_floor),
-        mpf_add(hi, from_rational(r, s, prec, round_ceiling), prec, round_ceiling)))
+    acc = mpi_add(acc, (_from_rational(-r, s, prec, round_floor),
+                        _from_rational(r, s, prec, round_ceiling)), prec)
     if m:
         # (x)_m = prod(a + i b) / b^m for x = a/b
         a, b = x.numerator, x.denominator
         shift = prod(a + i * b for i in range(m))
-        acc = acc - _ctx.log(_ctx.make_mpf(_outward(shift, b ** m, prec)))
+        acc = mpi_sub(acc, mpi_log(_outward(shift, b ** m, prec), prec), prec)
     return CertifiedInterval(acc)
 
 

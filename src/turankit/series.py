@@ -40,13 +40,11 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 
 from .errors import DomainError, PoleError
 from .exact import poch_table
-from .intervals import (CertifiedInterval, ci_exp, gamma_ratio, get_precision,
-                        log_gamma)
+from .intervals import CertifiedInterval, ci_exp, gamma_ratio, log_gamma
 
 
 class Family(enum.Enum):
@@ -484,15 +482,6 @@ def psi_coefficients(spec: HypSeriesSpec, a, b, delta, order: int | None = None,
     return half_range_pass(Family.GAMMA_FACTOR, spec, a, b, delta, order).psi(quotient)
 
 
-@lru_cache(maxsize=256)
-def _gamma_products(a: Fraction, b: Fraction, delta: Fraction, dps: int):
-    """Enclosures of Gamma(a+d)Gamma(b) and Gamma(a)Gamma(b+d) at ``dps``
-    digits; cached, because the profiles of one case ask for them once per
-    m."""
-    return (ci_exp(log_gamma(a + delta) + log_gamma(b)),
-            ci_exp(log_gamma(a) + log_gamma(b + delta)))
-
-
 def mk_profile(spec: HypSeriesSpec, a, b, delta, m: int) -> MkProfile:
     """The M_k values for coefficient index m >= 2 (weights play no role:
     the profile depends only on the shift parameters and the family).
@@ -504,7 +493,8 @@ def mk_profile(spec: HypSeriesSpec, a, b, delta, m: int) -> MkProfile:
     tables = _IntegerTables(spec.family, a, b, delta, m)
     row = tables.row(m)
     if spec.family is Family.GAMMA_FACTOR:
-        g1, g2 = _gamma_products(a, b, delta, get_precision())
+        g1 = ci_exp(log_gamma(a + delta) + log_gamma(b))
+        g2 = ci_exp(log_gamma(a) + log_gamma(b + delta))
         values = [g1 * tables.exact(m, p) - g2 * tables.exact(m, q) for p, q in row]
     else:
         values = [tables.exact(m, r) for r in row]

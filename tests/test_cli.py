@@ -330,6 +330,20 @@ class TestInputCaps:
         assert capsys.readouterr().err == \
             "error: --points 1025 is above the cap of 1024\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--theorem", "turan", "--family", "1f1-upper", "--c", "5",
+         "--a", "2", "--delta", "1"],
+        ["explore"]])
+    def test_x_grid_past_cap_exits_2(self, argv, monkeypatch, capsys):
+        import turankit.cli as cli_mod
+
+        for name in ("_run_case", "default_log_grid", "explore_conjecture"):
+            monkeypatch.setattr(cli_mod, name, _no_work)
+        grid = ",".join(str(k) for k in range(1, cli_mod.MAX_POINTS + 2))
+        assert main(argv + ["--x-grid", grid]) == 2
+        assert capsys.readouterr().err == \
+            "error: --x-grid has 1025 values, above the cap of 1024\n"
+
     def test_points_at_cap_accepted(self, tmp_path, monkeypatch):
         import turankit.cli as cli_mod
 

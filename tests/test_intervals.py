@@ -2,22 +2,25 @@
 independently computed higher-precision reference value, and exact tags
 must survive rational arithmetic untouched."""
 
+import contextvars
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction as F
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_rational, round_ceiling, round_floor
 
 from turankit import intervals
 from turankit.errors import DomainError
-from turankit.intervals import (CertifiedInterval, _raw_to_fraction, ci_exp,
+from turankit.intervals import (CertifiedInterval, _from_rational,
+                                _raw_to_fraction, ci_exp,
                                 ci_log, gamma_ratio, get_precision, log_gamma,
-                                rational_power, set_precision,
-                                working_precision)
+                                rational_power, working_precision)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=50)
 positives = st.fractions(min_value=F(1, 50), max_value=30, max_denominator=50)
@@ -268,7 +271,8 @@ class TestPrecisionControl:
 
     def test_too_small_rejected(self):
         with pytest.raises(DomainError):
-            set_precision(2)
+            with working_precision(2):
+                pass
 
     def test_env_var_override(self):
         code = ("from turankit.intervals import get_precision;"
@@ -277,3 +281,50 @@ class TestPrecisionControl:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True)
         assert out.stdout.strip() == "44"
+
+    def test_precision_belongs_to_each_thread(self):
+        seen = {}
+        meet = threading.Barrier(2, timeout=30)
+
+        def run(dps):
+            with working_precision(dps):
+                meet.wait()  # both threads are now inside their blocks
+                lg = log_gamma(F(1, 3))
+                ex = ci_exp(F(1, 3))
+                meet.wait()
+                seen[dps] = (get_precision(), lg.width, ex.width)
+
+        threads = [threading.Thread(target=run, args=(dps,)) for dps in (20, 80)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert [seen[d][0] for d in (20, 80)] == [20, 80]
+        for width in seen[20][1:]:
+            assert F(1, 10 ** 40) < width < F(1, 10 ** 19)
+        for width in seen[80][1:]:
+            assert width < F(1, 10 ** 79)
+
+    def test_precision_set_in_a_copied_context_stays_there(self):
+        base = get_precision()
+        ctx = contextvars.copy_context()
+        block = working_precision(base + 7)
+        ctx.run(block.__enter__)
+        assert ctx.run(get_precision) == base + 7
+        assert get_precision() == base
+        ctx.run(block.__exit__, None, None, None)
+        assert ctx.run(get_precision) == base
+
+
+class TestRationalEndpoints:
+    @given(st.integers(min_value=-10 ** 40, max_value=10 ** 40),
+           st.integers(min_value=0, max_value=400),
+           st.integers(min_value=1, max_value=10 ** 40),
+           st.integers(min_value=0, max_value=400),
+           st.sampled_from([60, 113, 200]))
+    def test_matches_from_rational(self, num, s, den, t, prec):
+        num, den = num << s, den << t
+        for rounding in (round_floor, round_ceiling):
+            assert (_from_rational(num, den, prec, rounding)
+                    == from_rational(num, den, prec, rounding))
