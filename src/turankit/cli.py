@@ -39,9 +39,12 @@ CASE_FLAGS = ("family", "a", "b", "delta", "c", "a0", "b0", "x_grid")
 # as M^4 (its O(M^2) products are of integers that grow with M), and the
 # smallest point of the geometric explore grid has a denominator of three
 # bits per point, so both are bounded where a run still takes seconds.
-# MAX_POINTS also caps the length of an explicit --x-grid.
+# MAX_POINTS also caps the length of an explicit --x-grid.  The certified
+# ln(Gamma) gets steeply dearer past 700 digits, and a check may retry at
+# twice the precision, so the precision is capped at half of that.
 MAX_M = 200
 MAX_POINTS = 1024
+MAX_PRECISION = 350
 
 
 def _rational(text: str) -> Fraction:
@@ -55,6 +58,19 @@ def _check_x_grid(x_grid) -> None:
     if x_grid is not None and len(x_grid) > MAX_POINTS:
         raise DomainError(f"--x-grid has {len(x_grid)} values, above the cap "
                           f"of {MAX_POINTS}")
+
+
+def _precision(args) -> int:
+    """The run's working precision, from --precision or else the
+    environment, checked against MAX_PRECISION."""
+    if args.precision is not None:
+        source, precision = "--precision", args.precision
+    else:
+        source, precision = "TURANKIT_PRECISION", get_precision()
+    if precision > MAX_PRECISION:
+        raise DomainError(f"{source} {precision} is above the cap of "
+                          f"{MAX_PRECISION}")
+    return precision
 
 
 def _rational_list(text: str) -> list[Fraction]:
@@ -204,7 +220,7 @@ def _run_id(config: dict) -> str:
 
 def cmd_verify(args) -> int:
     try:
-        precision = get_precision() if args.precision is None else args.precision
+        precision = _precision(args)
         if args.jobs < 1:
             raise DomainError("--jobs must be at least 1")
         if args.M is not None and args.M > MAX_M:
@@ -258,7 +274,7 @@ def cmd_verify(args) -> int:
 
 def cmd_explore(args) -> int:
     try:
-        precision = get_precision() if args.precision is None else args.precision
+        precision = _precision(args)
         if args.points > MAX_POINTS:
             raise DomainError(f"--points {args.points} is above the cap of "
                               f"{MAX_POINTS}")

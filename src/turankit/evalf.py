@@ -12,8 +12,11 @@ shared, never reduced denominator T, updated per term as
 ``tn *= A_n; sn = sn*B_n + tn; T *= B_n``: a few multiplications by small
 integers and no gcd.  The ratio bound r = rn/rd is an integer pair too,
 from parameter pairs sorted once per call, and the tail test
-|tn| rn / (T (rd - rn)) <= tol/2 is one integer cross-multiplication.
-Fractions are built only for the returned value and bound.
+|tn| rn / (T (rd - rn)) <= tol/2 is settled by the bit lengths of its two
+sides; only within about two bits of a tie are they multiplied out.  The
+returned enclosure is rounded outward from the unreduced pairs sn/T and
+|tn| rn / (T (rd - rn)), and the bound is reduced to a Fraction only when
+``EvalResult.truncation_bound`` is first read.
 
 Also provides the classical transformation cross-checks (Kummer for the
 confluent function, Euler/Pfaff for the Gauss function), the cross-ratio
@@ -25,8 +28,10 @@ question whether it is monotone on each half-line.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
+from itertools import islice
 from math import lcm
 
 from .errors import DomainError, TermCapError
@@ -88,10 +93,18 @@ class PFQSpec:
 
 @dataclass
 class EvalResult:
+    """A certified sum.  The truncation bound is kept as the unreduced
+    integer pair (num, den) that the summation produced, and reduced to
+    ``truncation_bound`` when that is first read."""
+
     value: CertifiedInterval
     terms_used: int
-    truncation_bound: Fraction
+    bound_pair: tuple[int, int]
     conclusive: bool = True
+
+    @cached_property
+    def truncation_bound(self) -> Fraction:
+        return Fraction(*self.bound_pair)
 
 
 def _termination_index(spec: PFQSpec) -> int | None:
@@ -99,18 +112,34 @@ def _termination_index(spec: PFQSpec) -> int | None:
     return min(stops) if stops else None
 
 
-def _tail_pairs(spec: PFQSpec, scale: int):
+def _tail_pairs(ups: list[int], dens: list[int]):
     """The factors of a bound on |t_{k+1}/t_k| for every k >= n, valid
     once all shifted parameters are positive at n.  Uppers are paired with
     the largest denominators (the lower parameters and the 1 of n!), and a
     pair counts only if its upper is the larger; unpaired denominators
-    contribute their own decay factor.  Returns the pairs and the unpaired
-    denominators, every parameter multiplied by ``scale``."""
-    dens = sorted(spec.lower + (Fraction(1),), reverse=True)
-    ups = sorted(spec.upper, reverse=True)
-    pairs = [(int(u * scale), int(d * scale))
-             for u, d in zip(ups, dens) if u > d]
-    return pairs, [int(d * scale) for d in dens[len(ups):]]
+    contribute their own decay factor.  Takes the parameters scaled to
+    integers and returns the pairs and the unpaired denominators."""
+    dens = sorted(dens, reverse=True)
+    pairs = [(u, d) for u, d in zip(sorted(ups, reverse=True), dens) if u > d]
+    return pairs, dens[len(ups):]
+
+
+def _term_ratios(ups: list[int], lows: list[int], a_scale: int, b_scale: int,
+                 D: int):
+    """Yield (A_n, B_n), B_n > 0, for n = 0, 1, ...: A_n = a_scale
+    prod(U + nD) and B_n = b_scale (n+1) prod(L + nD), with the sign moved
+    into A_n."""
+    n1 = 1
+    nD = 0
+    while True:
+        a, b = a_scale, b_scale * n1
+        for u in ups:
+            a *= u + nD
+        for l in lows:
+            b *= l + nD
+        yield (-a, -b) if b < 0 else (a, b)
+        n1 += 1
+        nD += D
 
 
 def eval_pfq(spec: PFQSpec, x, tol=None, term_cap: int = TERM_CAP) -> EvalResult:
@@ -120,88 +149,85 @@ def eval_pfq(spec: PFQSpec, x, tol=None, term_cap: int = TERM_CAP) -> EvalResult
     are summed exactly.  Otherwise summation proceeds until the geometric
     tail bound drops below tol (default 10^-precision); hitting the term
     cap first yields a wider but still rigorous interval flagged as
-    inconclusive."""
+    inconclusive, or TermCapError when no tail bound holds at the cap."""
     x = parse_rational(x) if not isinstance(x, Fraction) else x
     if tol is None:
-        tol = Fraction(1, 10 ** get_precision())
+        tol_num, tol_den = 1, 10 ** get_precision()
     else:
         tol = Fraction(tol) if not isinstance(tol, Fraction) else tol
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
+        if tol <= 0:
+            raise DomainError("tolerance must be positive")
+        tol_num, tol_den = tol.numerator, tol.denominator
 
     stop = _termination_index(spec)
     if x == 0:
-        return EvalResult(CertifiedInterval.from_fraction(Fraction(1)), 1, Fraction(0))
+        return EvalResult(CertifiedInterval.from_fraction(Fraction(1)), 1, (0, 1))
     if stop is None and spec.p == spec.q + 1 and abs(x) >= 1:
         raise DomainError(
             f"series with p = q + 1 diverges at |x| = {abs(x)} >= 1")
 
-    # ratio bound is valid only once every shifted parameter is positive
-    n_min = 0
-    for u in spec.upper:
-        if u <= 0:
-            n_min = max(n_min, 1 + int(-u))
-    for l in spec.lower:
-        if l <= 0:
-            n_min = max(n_min, 1 + int(-l))
-
     # With U = uD and L = lD, t_{n+1}/t_n = A_n/B_n for
     # A_n = x_num D^(q-p) prod(U + nD) and B_n = x_den (n+1) prod(L + nD),
-    # the power of D going to B_n when p > q; the sign is kept in A_n.
+    # the power of D going to B_n when p > q.
     D = lcm(*(v.denominator for v in spec.upper + spec.lower))
-    ups = [int(u * D) for u in spec.upper]
-    lows = [int(l * D) for l in spec.lower]
+    ups = [u.numerator * (D // u.denominator) for u in spec.upper]
+    lows = [l.numerator * (D // l.denominator) for l in spec.lower]
     x_num, x_den = x.numerator, x.denominator
-    a_scale = x_num * D ** max(spec.q - spec.p, 0)
-    b_scale = x_den * D ** max(spec.p - spec.q, 0)
-    # The tail bound at n is r = rn/rd; the tail after tn/T is at most
-    # |tn| rn / (T (rd - rn)), accepted once that is <= tol/2.
-    pairs, unpaired = _tail_pairs(spec, D)
+    ratios = _term_ratios(ups, lows, x_num * D ** max(spec.q - spec.p, 0),
+                          x_den * D ** max(spec.p - spec.q, 0), D)
+    # The ratio bound holds once every shifted parameter is positive, at
+    # n >= n_min.  The tail test is tried from n = max(n_min, 1) on, and
+    # never on a terminating sum; the terms before it are summed untested.
+    n_min = max([1 + -v // D for v in ups + lows if v <= 0], default=0)
+    first = max(n_min, 1)
+    n = stop if stop is not None else min(first, term_cap)
+    # The last term is tn/T and the partial sum sn/T.
+    tn = sn = T = 1
+    for a, b in islice(ratios, n):
+        tn *= a
+        sn = sn * b + tn
+        T *= b
+    if stop is not None:
+        return EvalResult(CertifiedInterval.from_fraction(Fraction(sn, T)),
+                          stop + 1, (0, 1))
+    # The bound at n is r = rn/rd, and the tail after tn/T is at most
+    # bn/bd = |tn| rn / (T (rd - rn)), accepted once that is <= tol/2, that
+    # is once |tn| rn 2 tol_den <= T (rd - rn) tol_num.
+    pairs, unpaired = _tail_pairs(ups, lows + [D])
     rn_scale = abs(x_num) * D ** len(unpaired)
-    tol_lhs, tol_rhs = 2 * tol.denominator, tol.numerator
-
-    def ratio_bound(nD: int) -> tuple[int, int]:
+    tol_lhs, tol_rhs = 2 * tol_den, tol_num
+    for a, b in ratios:
+        nD = n * D
         rn, rd = rn_scale, x_den
         for u, d in pairs:
             rn *= u + nD
             rd *= d + nD
         for d in unpaired:
             rd *= d + nD
-        return rn, rd
-
-    cap = term_cap if stop is None else stop
-    tn = sn = T = 1
-    n = 0
-    while n < cap:
-        nD = n * D
-        a, b = a_scale, b_scale * (n + 1)
-        for u in ups:
-            a *= u + nD
-        for l in lows:
-            b *= l + nD
-        if b < 0:
-            a, b = -a, -b
+        if rn < rd and n >= first:
+            lhs, rhs = rn * tol_lhs, (rd - rn) * tol_rhs
+            # A product of integers of i and j bits has i + j - 1 or i + j
+            # bits, so the bit lengths decide the test outside a band of
+            # three; only inside it are the two sides multiplied out.
+            gap = (tn.bit_length() + lhs.bit_length()
+                   - T.bit_length() - rhs.bit_length())
+            if gap < -1 or gap <= 1 and abs(tn) * lhs <= T * rhs:
+                bn, bd = abs(tn) * rn, T * (rd - rn)
+                return EvalResult(CertifiedInterval.around(sn, T, bn, bd),
+                                  n + 1, (bn, bd))
+        if n == term_cap:
+            break
         tn *= a
         sn = sn * b + tn
         T *= b
         n += 1
-        if stop is None and n >= n_min:
-            rn, rd = ratio_bound(nD + D)
-            if rn < rd and (abs(tn) * (rn * tol_lhs)
-                            <= T * ((rd - rn) * tol_rhs)):
-                bound = Fraction(abs(tn) * rn, T * (rd - rn))
-                value = CertifiedInterval.from_fraction(Fraction(sn, T))
-                return EvalResult(value.widened(bound), n + 1, bound)
-    if stop is not None:
-        return EvalResult(CertifiedInterval.from_fraction(Fraction(sn, T)),
-                          stop + 1, Fraction(0))
-    r = Fraction(*ratio_bound(n * D))
-    if r >= 1:
+    # n is below first only when the cap is; below n_min r bounds nothing
+    if n < n_min or rn >= rd:
         raise TermCapError(
             f"no certifiable tail bound within {term_cap} terms")
-    bound = Fraction(abs(tn), T) * r / (1 - r)
-    value = CertifiedInterval.from_fraction(Fraction(sn, T)).widened(bound)
-    return EvalResult(value, n + 1, bound, conclusive=False)
+    bn, bd = abs(tn) * rn, T * (rd - rn)
+    return EvalResult(CertifiedInterval.around(sn, T, bn, bd), n + 1,
+                      (bn, bd), conclusive=False)
 
 
 def eval_1f1(a, c, x, tol=None, use_transform: bool | None = None) -> EvalResult:
@@ -215,8 +241,7 @@ def eval_1f1(a, c, x, tol=None, use_transform: bool | None = None) -> EvalResult
         return eval_pfq(PFQSpec((a,), (c,)), x, tol)
     inner = eval_pfq(PFQSpec((c - a,), (c,)), -x, tol)
     scale = ci_exp(CertifiedInterval.from_fraction(x))
-    return EvalResult(scale * inner.value, inner.terms_used,
-                      inner.truncation_bound, inner.conclusive)
+    return replace(inner, value=scale * inner.value)
 
 
 def _midpoint_residual(u: CertifiedInterval, v: CertifiedInterval) -> float:

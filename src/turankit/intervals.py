@@ -145,6 +145,20 @@ class CertifiedInterval:
             _from_rational(hi.numerator, hi.denominator, prec, round_ceiling)))
 
     @classmethod
+    def around(cls, num: int, den: int, rad_num: int,
+               rad_den: int) -> "CertifiedInterval":
+        """Enclosure of num/den grown by rad_num/rad_den on both sides (an
+        explicit error term), from integer pairs that need not be reduced
+        (den, rad_den > 0).  Each endpoint is rounded outward once and the
+        two are added with outward rounding."""
+        if rad_num < 0:
+            raise DomainError("negative widening radius")
+        prec = _bits()
+        radius = (_from_rational(-rad_num, rad_den, prec, round_floor),
+                  _from_rational(rad_num, rad_den, prec, round_ceiling))
+        return cls(mpi_add(_outward(num, den, prec), radius, prec))
+
+    @classmethod
     def zero(cls) -> "CertifiedInterval":
         return cls.from_fraction(0)
 
@@ -233,13 +247,6 @@ class CertifiedInterval:
         if self.exact is not None:
             return CertifiedInterval.from_fraction(self.exact ** n)
         return CertifiedInterval(mpi_pow_int(self._pair, n, _bits()))
-
-    def widened(self, radius) -> "CertifiedInterval":
-        """Enclosure grown by ``radius`` on both sides (explicit error term)."""
-        radius = Fraction(radius)
-        if radius < 0:
-            raise DomainError("negative widening radius")
-        return self + CertifiedInterval.from_fraction_bounds(-radius, radius)
 
     # -- predicates ---------------------------------------------------
 

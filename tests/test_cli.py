@@ -359,6 +359,62 @@ class TestInputCaps:
         assert code == 0
         assert counts == [cli_mod.MAX_POINTS]
 
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        import turankit.cli as cli_mod
+
+        for name in ("_cases", "_run_case", "default_log_grid",
+                     "explore_conjecture"):
+            monkeypatch.setattr(cli_mod, name, _no_work)
+        return cli_mod
+
+    @pytest.mark.parametrize("argv", [SINGLE, ["explore"]])
+    def test_precision_past_cap_exits_2(self, argv, no_work, capsys):
+        over = str(no_work.MAX_PRECISION + 1)
+        assert main(argv + ["--precision", over]) == 2
+        assert capsys.readouterr().err == \
+            "error: --precision 351 is above the cap of 350\n"
+
+    @pytest.mark.parametrize("argv", [SINGLE, ["explore"]])
+    def test_environment_precision_past_cap_exits_2(self, argv, no_work,
+                                                    monkeypatch, capsys):
+        from turankit.intervals import _default_precision
+
+        monkeypatch.setenv("TURANKIT_PRECISION",
+                           str(no_work.MAX_PRECISION + 1))
+        _default_precision.cache_clear()
+        try:
+            assert main(argv) == 2
+        finally:
+            _default_precision.cache_clear()
+        assert capsys.readouterr().err == \
+            "error: TURANKIT_PRECISION 351 is above the cap of 350\n"
+
+    def test_precision_at_cap_accepted(self, tmp_path, monkeypatch):
+        import turankit.cli as cli_mod
+
+        seen = []
+
+        def fake_case(case, precision, tol):
+            seen.append(precision)
+            return {"theorem": case.theorem, "params": {},
+                    "verdict": "verified", "first_violation": None,
+                    "details": {}, "csv_rows": []}
+
+        def fake_scan(a, b, delta, c, xs, tol):
+            seen.append(get_precision())
+            return real_scan(a, b, delta, c, xs[-2:], tol)
+
+        real_scan = cli_mod.explore_conjecture
+        monkeypatch.setattr(cli_mod, "_run_case", fake_case)
+        monkeypatch.setattr(cli_mod, "explore_conjecture", fake_scan)
+        cap = str(cli_mod.MAX_PRECISION)
+        for argv in (SINGLE, ["explore", "--points", "4"]):
+            code, rep, _ = run_cli(argv + ["--precision", cap], tmp_path)
+            assert code == 0
+            assert rep["config_echo"]["precision"] == cli_mod.MAX_PRECISION
+        assert seen == [cli_mod.MAX_PRECISION] * 2
+
 
 class TestExitCodes:
     def test_violated_maps_to_1(self, tmp_path, monkeypatch):

@@ -5,21 +5,25 @@ The reference oracle is mpmath.hyper at 60 digits with arguments converted
 inside the high-precision context and results captured as exact dyadic
 rationals, so containment assertions are meaningful at any width."""
 
+from dataclasses import dataclass
 from fractions import Fraction as F
+from math import lcm
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.rational import mpq
 
 from turankit.errors import DomainError, TermCapError
-from turankit.evalf import (ConjectureReport, PFQSpec, StepKind,
-                            check_euler_pfaff, check_kummer_transform,
-                            cross_ratio, default_log_grid, eval_1f1, eval_pfq,
+from turankit.evalf import (TERM_CAP, ConjectureReport, PFQSpec, StepKind,
+                            _termination_index, check_euler_pfaff,
+                            check_kummer_transform, cross_ratio,
+                            default_log_grid, eval_1f1, eval_pfq,
                             explore_conjecture)
-from turankit.exact import is_nonpositive_integer, pochhammer
-from turankit.intervals import _raw_to_fraction, get_precision
+from turankit.exact import is_nonpositive_integer, parse_rational, pochhammer
+from turankit.intervals import (CertifiedInterval, _raw_to_fraction,
+                                get_precision)
 from turankit.series import (gauss_upper, kummer_gamma, kummer_lower,
                              kummer_upper)
 
@@ -330,3 +334,227 @@ class TestDefaultLogGrid:
             default_log_grid(4, F(-1))
         with pytest.raises(DomainError):
             default_log_grid(4, F(1), ratio=F(3, 2))
+
+
+# -- the summation loop before the bit-length tail screen -------------------
+# Kept verbatim as the reference that eval_pfq must match field for field,
+# apart from the names of the result type and helpers, and with the
+# CertifiedInterval.widened it called kept as a function here.
+
+@dataclass
+class _ReferenceResult:
+    value: CertifiedInterval
+    terms_used: int
+    truncation_bound: F
+    conclusive: bool = True
+
+
+def _widened(ci: CertifiedInterval, radius) -> CertifiedInterval:
+    radius = F(radius)
+    if radius < 0:
+        raise DomainError("negative widening radius")
+    return ci + CertifiedInterval.from_fraction_bounds(-radius, radius)
+
+
+def _reference_tail_pairs(spec: PFQSpec, scale: int):
+    dens = sorted(spec.lower + (F(1),), reverse=True)
+    ups = sorted(spec.upper, reverse=True)
+    pairs = [(int(u * scale), int(d * scale))
+             for u, d in zip(ups, dens) if u > d]
+    return pairs, [int(d * scale) for d in dens[len(ups):]]
+
+
+def _reference_eval_pfq(spec: PFQSpec, x, tol=None, term_cap: int = TERM_CAP):
+    Fraction = F
+    x = parse_rational(x) if not isinstance(x, Fraction) else x
+    if tol is None:
+        tol = Fraction(1, 10 ** get_precision())
+    else:
+        tol = Fraction(tol) if not isinstance(tol, Fraction) else tol
+    if tol <= 0:
+        raise DomainError("tolerance must be positive")
+
+    stop = _termination_index(spec)
+    if x == 0:
+        return _ReferenceResult(CertifiedInterval.from_fraction(Fraction(1)), 1, Fraction(0))
+    if stop is None and spec.p == spec.q + 1 and abs(x) >= 1:
+        raise DomainError(
+            f"series with p = q + 1 diverges at |x| = {abs(x)} >= 1")
+
+    # ratio bound is valid only once every shifted parameter is positive
+    n_min = 0
+    for u in spec.upper:
+        if u <= 0:
+            n_min = max(n_min, 1 + int(-u))
+    for l in spec.lower:
+        if l <= 0:
+            n_min = max(n_min, 1 + int(-l))
+
+    D = lcm(*(v.denominator for v in spec.upper + spec.lower))
+    ups = [int(u * D) for u in spec.upper]
+    lows = [int(l * D) for l in spec.lower]
+    x_num, x_den = x.numerator, x.denominator
+    a_scale = x_num * D ** max(spec.q - spec.p, 0)
+    b_scale = x_den * D ** max(spec.p - spec.q, 0)
+    pairs, unpaired = _reference_tail_pairs(spec, D)
+    rn_scale = abs(x_num) * D ** len(unpaired)
+    tol_lhs, tol_rhs = 2 * tol.denominator, tol.numerator
+
+    def ratio_bound(nD: int) -> tuple[int, int]:
+        rn, rd = rn_scale, x_den
+        for u, d in pairs:
+            rn *= u + nD
+            rd *= d + nD
+        for d in unpaired:
+            rd *= d + nD
+        return rn, rd
+
+    cap = term_cap if stop is None else stop
+    tn = sn = T = 1
+    n = 0
+    while n < cap:
+        nD = n * D
+        a, b = a_scale, b_scale * (n + 1)
+        for u in ups:
+            a *= u + nD
+        for l in lows:
+            b *= l + nD
+        if b < 0:
+            a, b = -a, -b
+        tn *= a
+        sn = sn * b + tn
+        T *= b
+        n += 1
+        if stop is None and n >= n_min:
+            rn, rd = ratio_bound(nD + D)
+            if rn < rd and (abs(tn) * (rn * tol_lhs)
+                            <= T * ((rd - rn) * tol_rhs)):
+                bound = Fraction(abs(tn) * rn, T * (rd - rn))
+                value = CertifiedInterval.from_fraction(Fraction(sn, T))
+                return _ReferenceResult(_widened(value, bound), n + 1, bound)
+    if stop is not None:
+        return _ReferenceResult(CertifiedInterval.from_fraction(Fraction(sn, T)),
+                                stop + 1, Fraction(0))
+    r = Fraction(*ratio_bound(n * D))
+    if r >= 1:
+        raise TermCapError(
+            f"no certifiable tail bound within {term_cap} terms")
+    bound = Fraction(abs(tn), T) * r / (1 - r)
+    value = _widened(CertifiedInterval.from_fraction(Fraction(sn, T)), bound)
+    return _ReferenceResult(value, n + 1, bound, conclusive=False)
+
+
+def _n_min(spec: PFQSpec) -> int:
+    return max([1 + int(-v) for v in spec.upper + spec.lower if v <= 0],
+               default=0)
+
+
+def _outcome(fn, *args, **kwargs):
+    """Every field of the result, or the type of the error raised."""
+    try:
+        res = fn(*args, **kwargs)
+    except (DomainError, TermCapError) as exc:
+        return type(exc)
+    return (res.terms_used, res.truncation_bound, res.conclusive,
+            res.value.lo, res.value.hi, res.value.exact)
+
+
+def _assert_matches_reference(spec, x, **kwargs):
+    got = _outcome(eval_pfq, spec, x, **kwargs)
+    if (_termination_index(spec) is None and x != 0
+            and kwargs.get("term_cap", TERM_CAP) < _n_min(spec)
+            and got is not DomainError):
+        # the reference used its ratio bound at a cap where it does not
+        # hold yet; eval_pfq finds no tail bound there
+        assert got is TermCapError
+        return
+    assert got == _outcome(_reference_eval_pfq, spec, x, **kwargs)
+
+
+TINY = F(1, 10 ** 1000)
+small = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+diff_upper = st.one_of(small, st.integers(min_value=-4, max_value=0).map(F))
+diff_lower = small.filter(lambda q: not is_nonpositive_integer(q))
+
+
+@st.composite
+def pfq_cases(draw):
+    """A spec with p <= 3 and q <= 2, an x inside the disk of convergence
+    when p = q + 1, and a tolerance and term cap, some of them drawn so
+    that the tail test lands within a few bits of a tie."""
+    q = draw(st.integers(min_value=0, max_value=2))
+    p = draw(st.integers(min_value=0, max_value=q + 1))
+    spec = PFQSpec(tuple(draw(st.lists(diff_upper, min_size=p, max_size=p))),
+                   tuple(draw(st.lists(diff_lower, min_size=q, max_size=q))))
+    limit = 1 if p == q + 1 else 6
+    x = draw(st.fractions(min_value=-limit, max_value=limit,
+                          max_denominator=16))
+    if p == q + 1 and abs(x) == 1:
+        x /= 2
+    kwargs = {}
+    if draw(st.booleans()):
+        kwargs["term_cap"] = draw(st.integers(min_value=0, max_value=30))
+    tol = draw(st.sampled_from(["default", "power", "tie"]))
+    if tol == "power":
+        kwargs["tol"] = F(1, 10 ** draw(st.integers(min_value=0, max_value=60)))
+    elif tol == "tie":
+        # twice the capped bound at n is the tolerance at which the tail
+        # test at n ties, here nudged by a factor (m + j)/m, j in {-1, 0, 1},
+        # that varies the leading bits of both sides
+        k = draw(st.integers(min_value=max(_n_min(spec), 1), max_value=40))
+        try:
+            capped = _reference_eval_pfq(spec, x, tol=TINY, term_cap=k)
+        except (DomainError, TermCapError):
+            capped = None
+        if capped is not None and not capped.conclusive:
+            m = draw(st.integers(min_value=2 ** 40, max_value=2 ** 80))
+            j = draw(st.integers(min_value=-1, max_value=1))
+            kwargs["tol"] = 2 * capped.truncation_bound * F(m + j, m)
+    return spec, x, kwargs
+
+
+class TestAgainstReferenceLoop:
+    """eval_pfq gives, field for field, what the summation loop gave before
+    the tail test was screened by bit lengths."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(pfq_cases())
+    # a tolerance met by the first term alone: the test is never tried at
+    # n = 0, and a cap of 0 still gives the bound after the first term
+    @example((PFQSpec((F(1, 2),), (F(3),)), F(1, 16), {"tol": F(1)}))
+    @example((PFQSpec((F(1, 2),), (F(3),)), F(1, 16), {"term_cap": 0}))
+    def test_every_field_matches(self, case):
+        spec, x, kwargs = case
+        _assert_matches_reference(spec, x, **kwargs)
+
+    @pytest.mark.parametrize("n", [3, 5, 20, 40])
+    def test_tie_passes_at_its_index(self, n):
+        # The tail bound of 1F1(1; 2; 3) exists from n = 3 on and falls at
+        # every n, so the test at n ties when tol is twice the bound there.
+        # Nudged by (m + j)/m for m across [2^40, 2^41), the two sides of
+        # the test differ by a hair, either way, with varied leading bits:
+        # some of these land one bit either side of the screen's band.
+        spec, x = PFQSpec((F(1),), (F(2),)), F(3)
+        tie = 2 * eval_pfq(spec, x, tol=TINY, term_cap=n).truncation_bound
+        for m in range(2 ** 40, 2 ** 41, 2 ** 34):
+            for j in (-1, 0, 1):
+                tol = tie * F(m + j, m)
+                res = eval_pfq(spec, x, tol=tol)
+                assert res.terms_used == (n + 2 if j < 0 else n + 1)
+                assert res.conclusive
+                _assert_matches_reference(spec, x, tol=tol)
+
+    def test_cap_below_positive_shift_has_no_tail_bound(self):
+        # 1F1(-21/2; 1; 1/2): the ratio bound holds from n = 11 on; the
+        # reference loop used it at n = 1 and returned an interval that
+        # misses the true value
+        spec, x = PFQSpec((F(-21, 2),), (F(1),)), F(1, 2)
+        ref = _ref(spec.upper, spec.lower, x)
+        stale = _reference_eval_pfq(spec, x, term_cap=1)
+        assert not stale.value.lo <= ref <= stale.value.hi
+        for cap in (1, 10):
+            with pytest.raises(TermCapError):
+                eval_pfq(spec, x, tol=F(1), term_cap=cap)
+        res = eval_pfq(spec, x, term_cap=11)
+        assert not res.conclusive
+        assert res.value.lo <= ref <= res.value.hi

@@ -48,16 +48,35 @@ class TestConstruction:
         with pytest.raises(DomainError):
             CertifiedInterval.from_fraction_bounds(F(1), F(0))
 
-    def test_widened(self):
-        ci = CertifiedInterval.zero().widened(F(1, 100))
+    def test_around(self):
+        ci = CertifiedInterval.around(0, 1, 1, 100)
         assert ci.contains(0)
         assert ci.contains(F(1, 100))
         assert ci.contains(F(-1, 100))
         assert ci.width >= F(2, 100)
 
-    def test_negative_widening_rejected(self):
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=-2 ** 200, max_value=2 ** 200),
+           st.integers(min_value=1, max_value=2 ** 200),
+           st.integers(min_value=0, max_value=2 ** 100),
+           st.integers(min_value=1, max_value=2 ** 200),
+           st.integers(min_value=0, max_value=40))
+    def test_around_unreduced_matches_reduced_sum(self, num, den, rad_num,
+                                                  rad_den, shift):
+        # the pairs scaled by a common factor give the endpoints of the
+        # reduced value plus the reduced radius interval
+        k = 3 ** shift << shift
+        ci = CertifiedInterval.around(num * k, den * k, rad_num * k,
+                                      rad_den * k)
+        radius = F(rad_num, rad_den)
+        ref = (CertifiedInterval.from_fraction(F(num, den))
+               + CertifiedInterval.from_fraction_bounds(-radius, radius))
+        assert (ci.lo, ci.hi) == (ref.lo, ref.hi)
+        assert ci.exact is None
+
+    def test_negative_radius_rejected(self):
         with pytest.raises(DomainError):
-            CertifiedInterval.zero().widened(F(-1))
+            CertifiedInterval.around(0, 1, -1, 1)
 
 
 class TestEndpointConversion:
