@@ -15,8 +15,11 @@ from parameter pairs sorted once per call, and the tail test
 |tn| rn / (T (rd - rn)) <= tol/2 is settled by the bit lengths of its two
 sides; only within about two bits of a tie are they multiplied out.  The
 returned enclosure is rounded outward from the unreduced pairs sn/T and
-|tn| rn / (T (rd - rn)), and the bound is reduced to a Fraction only when
-``EvalResult.truncation_bound`` is first read.
+bn/bd = |tn| rn / (T (rd - rn)), with one division each: the quotient of
+sn/T gives its floor and its ceiling, the ceiling c of bn/bd gives the
+radius [-c, c], and the two are added with outward rounding.  The bound
+is reduced to a Fraction only when ``EvalResult.truncation_bound`` is
+first read.
 
 Also provides the classical transformation cross-checks (Kummer for the
 confluent function, Euler/Pfaff for the Gauss function), the cross-ratio
@@ -245,9 +248,11 @@ def eval_1f1(a, c, x, tol=None, use_transform: bool | None = None) -> EvalResult
 
 
 def _midpoint_residual(u: CertifiedInterval, v: CertifiedInterval) -> float:
-    mu, mv = u.midpoint, v.midpoint
-    scale = max(abs(mu), abs(mv), Fraction(1))
-    return float(abs(mu - mv) / scale)
+    """|mu - mv| / max(|mu|, |mv|, 1) for the midpoints mu = n1/d1 and
+    mv = n2/d2.  All four quantities are taken over d1 d2, which cancels,
+    and the one int division is correctly rounded, as float(Fraction) is."""
+    (n1, d1), (n2, d2) = u._midpoint_pair(), v._midpoint_pair()
+    return abs(n1 * d2 - n2 * d1) / max(abs(n1) * d2, abs(n2) * d1, d1 * d2)
 
 
 @dataclass

@@ -6,6 +6,14 @@ interval function (``mpi_add``, ``mpi_exp``, ...), which rounds outward.
 Intervals whose value is known to be an exact rational carry that rational
 alongside the enclosure, so integer-shift Gamma ratios stay exact end to end.
 
+A rational num/den, reduced or not, is rounded with one division: the
+quotient that libmp's ``mpf_div`` forms, with a sticky bit for a nonzero
+remainder, is rounded once down and once up, so both endpoints are those
+of ``from_rational`` at either rounding.  The predicates (``sign``,
+``contains_zero``, ``strictly_less``, ``overlaps``) read the raw endpoints
+with libmp and build no Fraction; only the public ``lo``, ``hi``,
+``midpoint`` and ``width`` convert to exact rationals.
+
 ln(Gamma) is computed from the Stirling series with Bernoulli-number
 corrections after shifting the argument upward, with the classical bound
 on the first omitted term added explicitly to the enclosure.  That makes
@@ -33,9 +41,9 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from math import prod
 
-from mpmath.libmp import (dps_to_prec, from_man_exp, ftwo, fzero, mpf_div,
-                          mpf_pi, mpi_add, mpi_div, mpi_exp, mpi_log, mpi_mul,
-                          mpi_neg, mpi_pow_int, mpi_sub, round_ceiling,
+from mpmath.libmp import (dps_to_prec, ftwo, fzero, mpf_lt, mpf_neg, mpf_pi,
+                          mpi_add, mpi_div, mpi_exp, mpi_log, mpi_mul, mpi_neg,
+                          mpi_pow_int, mpi_sub, normalize, round_ceiling,
                           round_floor, to_str)
 
 from .errors import DomainError
@@ -90,32 +98,54 @@ def working_precision(dps: int):
         _precision.reset(token)
 
 
-def _raw_to_fraction(raw) -> Fraction:
-    sign, man, exp, _ = raw
-    if man == 0:
-        if exp == 0:
-            return Fraction(0)
+def _finite(raw):
+    """raw itself, or DomainError when it is an infinity or NaN."""
+    if not raw[1] and raw[2]:
         raise DomainError("interval endpoint is not finite")
+    return raw
+
+
+def _sign(raw) -> int:
+    sign, man, _, _ = _finite(raw)
+    return -1 if sign else (1 if man else 0)
+
+
+def _raw_to_fraction(raw) -> Fraction:
+    sign, man, exp, _ = _finite(raw)
     man = -int(man) if sign else int(man)
     return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
-def _from_rational(num: int, den: int, prec: int, rounding):
-    """num/den (den > 0, not necessarily reduced) rounded to prec bits.
-    Equal to libmp's from_rational, but each integer loses its trailing
-    zero bits in one shift rather than one shift per byte."""
+def _outward(num: int, den: int, prec: int):
+    """Raw enclosure [floor, ceil] of num/den at prec bits (den > 0, not
+    necessarily reduced).  The one quotient is the one mpf_div forms on
+    the odd parts of num and den, with the same extra bits and a sticky
+    bit for a nonzero remainder; it is rounded once each way."""
     if not num:
-        return fzero
+        return fzero, fzero
+    sign = 0
+    if num < 0:
+        sign, num = 1, -num
     s = (num & -num).bit_length() - 1
     t = (den & -den).bit_length() - 1
-    return mpf_div(from_man_exp(num >> s, s), from_man_exp(den >> t, t),
-                   prec, rounding)
+    man, den, exp = num >> s, den >> t, s - t
+    if den != 1:
+        extra = max(prec - man.bit_length() + den.bit_length() + 5, 5)
+        man, rem = divmod(man << extra, den)
+        exp -= extra
+        if rem:
+            man = (man << 1) | 1
+            exp -= 1
+    bc = man.bit_length()
+    return (normalize(sign, man, exp, bc, prec, round_floor),
+            normalize(sign, man, exp, bc, prec, round_ceiling))
 
 
-def _outward(num: int, den: int, prec: int):
-    """Raw enclosure [floor, ceil] of num/den at prec bits (den > 0)."""
-    return (_from_rational(num, den, prec, round_floor),
-            _from_rational(num, den, prec, round_ceiling))
+def _symmetric(num: int, den: int, prec: int):
+    """Raw enclosure [-r, r] of r = num/den >= 0 (den > 0): its ceiling c
+    and -c, since floor(-r) = -ceil(r)."""
+    c = _outward(num, den, prec)[1]
+    return mpf_neg(c), c
 
 
 class CertifiedInterval:
@@ -140,9 +170,8 @@ class CertifiedInterval:
         if lo > hi:
             raise DomainError(f"bounds out of order: {lo} > {hi}")
         prec = _bits()
-        return cls((
-            _from_rational(lo.numerator, lo.denominator, prec, round_floor),
-            _from_rational(hi.numerator, hi.denominator, prec, round_ceiling)))
+        return cls((_outward(lo.numerator, lo.denominator, prec)[0],
+                    _outward(hi.numerator, hi.denominator, prec)[1]))
 
     @classmethod
     def around(cls, num: int, den: int, rad_num: int,
@@ -154,9 +183,8 @@ class CertifiedInterval:
         if rad_num < 0:
             raise DomainError("negative widening radius")
         prec = _bits()
-        radius = (_from_rational(-rad_num, rad_den, prec, round_floor),
-                  _from_rational(rad_num, rad_den, prec, round_ceiling))
-        return cls(mpi_add(_outward(num, den, prec), radius, prec))
+        return cls(mpi_add(_outward(num, den, prec),
+                           _symmetric(rad_num, rad_den, prec), prec))
 
     @classmethod
     def zero(cls) -> "CertifiedInterval":
@@ -177,7 +205,18 @@ class CertifiedInterval:
     def midpoint(self) -> Fraction:
         if self.exact is not None:
             return self.exact
-        return (self.lo + self.hi) / 2
+        return Fraction(*self._midpoint_pair())
+
+    def _midpoint_pair(self) -> tuple[int, int]:
+        """The midpoint as an unreduced pair (num, den), den > 0: the exact
+        rational if there is one, else (lo + hi)/2 over a power of two."""
+        if self.exact is not None:
+            return self.exact.numerator, self.exact.denominator
+        (s1, m1, e1, _), (s2, m2, e2, _) = map(_finite, self._pair)
+        e = min(e1, e2)
+        n = ((-m1 if s1 else m1) << (e1 - e)) + ((-m2 if s2 else m2) << (e2 - e))
+        e -= 1
+        return (n << e, 1) if e >= 0 else (n, 1 << -e)
 
     @property
     def width(self) -> Fraction:
@@ -253,7 +292,7 @@ class CertifiedInterval:
     def contains_zero(self) -> bool:
         if self.exact is not None:
             return self.exact == 0
-        return self.lo <= 0 <= self.hi
+        return _sign(self._pair[0]) <= 0 <= _sign(self._pair[1])
 
     def contains(self, value) -> bool:
         value = Fraction(value) if not isinstance(value, Fraction) else value
@@ -266,23 +305,19 @@ class CertifiedInterval:
         if self.exact is not None:
             e = self.exact
             return 0 if e == 0 else (1 if e > 0 else -1)
-        if self.lo > 0:
+        if _sign(self._pair[0]) > 0:
             return 1
-        if self.hi < 0:
+        if _sign(self._pair[1]) < 0:
             return -1
         return None
 
     def strictly_less(self, other) -> bool:
         other = self._coerce(other)
-        return self.hi < other.lo
-
-    def strictly_greater(self, other) -> bool:
-        other = self._coerce(other)
-        return self.lo > other.hi
+        return mpf_lt(_finite(self._pair[1]), _finite(other._pair[0]))
 
     def overlaps(self, other) -> bool:
         other = self._coerce(other)
-        return not (self.hi < other.lo or other.hi < self.lo)
+        return not (self.strictly_less(other) or other.strictly_less(self))
 
     def __repr__(self):
         if self.exact is not None:
@@ -301,7 +336,8 @@ def ci_exp(x) -> CertifiedInterval:
 
 def ci_log(x) -> CertifiedInterval:
     x = CertifiedInterval._coerce(x)
-    if x.exact is not None and x.exact <= 0 or x.exact is None and x.lo <= 0:
+    if (x.exact is not None and x.exact <= 0
+            or x.exact is None and _sign(x._pair[0]) <= 0):
         raise DomainError("log needs a certainly-positive interval")
     if x.exact == 1:
         return CertifiedInterval.from_fraction(0)
@@ -381,10 +417,9 @@ def _log_gamma(x: Fraction, dps: int) -> CertifiedInterval:
         acc = mpi_add(acc, _outward(num * zq, den * zp, prec), prec)
         zp *= p2
         zq *= q2
-    # widen by the remainder bound r
-    r, s = remainder.numerator, remainder.denominator
-    acc = mpi_add(acc, (_from_rational(-r, s, prec, round_floor),
-                        _from_rational(r, s, prec, round_ceiling)), prec)
+    # widen by the remainder bound
+    acc = mpi_add(acc, _symmetric(remainder.numerator, remainder.denominator,
+                                  prec), prec)
     if m:
         # (x)_m = prod(a + i b) / b^m for x = a/b
         a, b = x.numerator, x.denominator

@@ -11,16 +11,18 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_rational, round_ceiling, round_floor
+from mpmath.libmp import (finf, fnan, fninf, from_rational, fzero,
+                          round_ceiling, round_floor)
 
 from turankit import intervals
 from turankit.errors import DomainError
-from turankit.intervals import (CertifiedInterval, _from_rational,
-                                _raw_to_fraction, ci_exp,
-                                ci_log, gamma_ratio, get_precision, log_gamma,
-                                rational_power, working_precision)
+from turankit.evalf import _midpoint_residual
+from turankit.intervals import (CertifiedInterval, _outward, _raw_to_fraction,
+                                _symmetric, ci_exp, ci_log, gamma_ratio,
+                                get_precision, log_gamma, rational_power,
+                                working_precision)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=50)
 positives = st.fractions(min_value=F(1, 50), max_value=30, max_denominator=50)
@@ -89,8 +91,6 @@ class TestEndpointConversion:
         assert _raw_to_fraction(raw) == (-q if sign else q)
 
     def test_zero_and_non_finite(self):
-        from mpmath.libmp import finf, fnan, fninf, fzero
-
         assert _raw_to_fraction(fzero) == 0
         for raw in (finf, fninf, fnan):
             with pytest.raises(DomainError):
@@ -140,7 +140,6 @@ class TestPredicates:
         a = CertifiedInterval.from_fraction_bounds(F(0), F(1))
         b = CertifiedInterval.from_fraction_bounds(F(2), F(3))
         assert a.strictly_less(b)
-        assert b.strictly_greater(a)
         assert not a.overlaps(b)
         c = CertifiedInterval.from_fraction_bounds(F(1, 2), F(5, 2))
         assert a.overlaps(c) and c.overlaps(b)
@@ -336,14 +335,173 @@ class TestPrecisionControl:
         assert ctx.run(get_precision) == base
 
 
+# integers with many trailing zero bits, powers of two among them
+shifted = st.builds(lambda m, s: m << s,
+                    st.integers(min_value=1, max_value=10 ** 40)
+                    | st.just(1) | st.just(3),
+                    st.integers(min_value=0, max_value=400))
+
+
 class TestRationalEndpoints:
-    @given(st.integers(min_value=-10 ** 40, max_value=10 ** 40),
-           st.integers(min_value=0, max_value=400),
-           st.integers(min_value=1, max_value=10 ** 40),
-           st.integers(min_value=0, max_value=400),
-           st.sampled_from([60, 113, 200]))
-    def test_matches_from_rational(self, num, s, den, t, prec):
-        num, den = num << s, den << t
-        for rounding in (round_floor, round_ceiling):
-            assert (_from_rational(num, den, prec, rounding)
-                    == from_rational(num, den, prec, rounding))
+    @settings(max_examples=600, deadline=None)
+    @given(shifted | st.just(0), st.booleans(), shifted,
+           st.sampled_from([20, 60, 113, 200]))
+    # a remainder far below the last kept bit: only the sticky bit moves
+    # the ceiling of 2^300 + 1/3 off 2^300
+    @example(3 << 300 | 1, False, 3, 60)
+    @example(3 << 300 | 1, True, 3, 60)
+    def test_matches_from_rational(self, num, negative, den, prec):
+        num = -num if negative else num
+        assert _outward(num, den, prec) == (
+            from_rational(num, den, prec, round_floor),
+            from_rational(num, den, prec, round_ceiling))
+
+    @given(shifted | st.just(0), shifted, st.sampled_from([20, 60, 113, 200]))
+    def test_symmetric_radius(self, num, den, prec):
+        assert _symmetric(num, den, prec) == (
+            from_rational(-num, den, prec, round_floor),
+            from_rational(num, den, prec, round_ceiling))
+
+
+def _fraction_sign(q):
+    return (q > 0) - (q < 0)
+
+
+class _Reference:
+    """The predicates on Fraction endpoints, as they were first written."""
+
+    @staticmethod
+    def sign(x):
+        if x.exact is not None:
+            return _fraction_sign(x.exact)
+        return 1 if x.lo > 0 else (-1 if x.hi < 0 else None)
+
+    @staticmethod
+    def contains_zero(x):
+        return x.exact == 0 if x.exact is not None else x.lo <= 0 <= x.hi
+
+    @staticmethod
+    def strictly_less(x, y):
+        return x.hi < y.lo
+
+    @staticmethod
+    def overlaps(x, y):
+        return not (x.hi < y.lo or y.hi < x.lo)
+
+    @staticmethod
+    def residual(u, v):
+        mu = u.exact if u.exact is not None else (u.lo + u.hi) / 2
+        mv = v.exact if v.exact is not None else (v.lo + v.hi) / 2
+        return float(abs(mu - mv) / max(abs(mu), abs(mv), F(1)))
+
+
+# dyadics of at most 100 bits, exact at the working precision, so that
+# intervals built from them can touch or differ in the last bit
+dyadics = st.builds(lambda m, e: F(m) * F(2) ** e,
+                    st.integers(min_value=-2 ** 100, max_value=2 ** 100),
+                    st.integers(min_value=-150, max_value=150))
+
+
+@st.composite
+def interval_pairs(draw):
+    """Two intervals: independent, touching (x.hi == y.lo), one step
+    apart at the last bit, or an exact-tagged rational against either."""
+    lo, hi = sorted(draw(st.tuples(dyadics, dyadics)))
+    x = CertifiedInterval.from_fraction_bounds(lo, hi)
+    kind = draw(st.sampled_from(["free", "touch", "step", "exact"]))
+    if kind == "free":
+        a, b = sorted(draw(st.tuples(dyadics, dyadics)))
+    elif kind == "exact":
+        q = draw(st.fractions(min_value=-4, max_value=4, max_denominator=60)
+                 | st.sampled_from([hi, lo, F(0)]))
+        y = CertifiedInterval.from_fraction(q)
+        return (x, y) if draw(st.booleans()) else (y, x)
+    else:
+        # the lowest set bit of hi, so that a step changes its last bit
+        n, d = hi.numerator or 1, hi.denominator if hi else 2 ** 150
+        step = F(0) if kind == "touch" else draw(
+            st.sampled_from([-1, 1])) * F(n & -n, d)
+        a = hi + step
+        b = a + draw(st.sampled_from([F(0), F(1, 2 ** 90), abs(a)]))
+    y = CertifiedInterval.from_fraction_bounds(a, b)
+    return (x, y) if draw(st.booleans()) else (y, x)
+
+
+class TestRawPredicates:
+    """sign, contains_zero, strictly_less, overlaps and the transformation
+    residual read raw endpoints; each must agree with the Fraction form."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(interval_pairs())
+    def test_match_fraction_endpoints(self, pair):
+        x, y = pair
+        for u, v in ((x, y), (y, x)):
+            assert u.strictly_less(v) == _Reference.strictly_less(u, v)
+            assert u.overlaps(v) == _Reference.overlaps(u, v)
+            assert u.sign() == _Reference.sign(u)
+            assert u.contains_zero() == _Reference.contains_zero(u)
+
+    def test_touching_endpoints(self):
+        a = CertifiedInterval.from_fraction_bounds(F(0), F(1))
+        b = CertifiedInterval.from_fraction_bounds(F(1), F(2))
+        assert not a.strictly_less(b) and a.overlaps(b) and b.overlaps(a)
+        assert CertifiedInterval.from_fraction_bounds(F(0), F(1)).sign() is None
+        assert CertifiedInterval.from_fraction_bounds(F(-1), F(0)).sign() is None
+        assert CertifiedInterval.from_fraction_bounds(F(0), F(0)).contains_zero()
+        assert not CertifiedInterval.from_fraction_bounds(
+            F(1, 2 ** 200), F(1)).contains_zero()
+
+    def test_exact_tag_decides(self):
+        # the enclosure of 1/3 straddles no zero, but the tag decides sign
+        third = CertifiedInterval.from_fraction(F(-1, 3))
+        assert third.sign() == -1 and not third.contains_zero()
+        zero = CertifiedInterval.from_fraction(0)
+        assert zero.sign() == 0 and zero.contains_zero()
+
+    @pytest.mark.parametrize("bad", [finf, fninf, fnan])
+    def test_non_finite_endpoint_raises(self, bad):
+        ok = CertifiedInterval.from_fraction_bounds(F(-1), F(1))
+        for pair in ((bad, bad), (fzero, bad), (bad, fzero)):
+            x = CertifiedInterval(pair)
+            with pytest.raises(DomainError):
+                x.sign()
+            with pytest.raises(DomainError):
+                x.contains_zero()
+            with pytest.raises(DomainError):
+                x.midpoint
+            with pytest.raises(DomainError):
+                _midpoint_residual(x, ok)
+        x = CertifiedInterval((bad, bad))
+        with pytest.raises(DomainError):
+            x.strictly_less(ok)
+        with pytest.raises(DomainError):
+            ok.strictly_less(x)
+        with pytest.raises(DomainError):
+            x.overlaps(ok)
+        with pytest.raises(DomainError):
+            ci_log(x)
+
+    @settings(max_examples=400, deadline=None)
+    @given(interval_pairs(), st.booleans())
+    def test_midpoint_residual_matches_fractions(self, pair, same):
+        u, v = pair
+        if same:
+            v = u
+        got, ref = _midpoint_residual(u, v), _Reference.residual(u, v)
+        assert got == ref and repr(got) == repr(ref)
+        assert u.midpoint == (u.exact if u.exact is not None
+                              else (u.lo + u.hi) / 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.fractions(max_denominator=10 ** 12),
+           st.integers(min_value=0, max_value=10 ** 6),
+           st.integers(min_value=1, max_value=200),
+           st.fractions(max_denominator=10 ** 12))
+    def test_midpoint_residual_on_wide_enclosures(self, c, r, k, d):
+        # non-dyadic centres with a radius, as eval_pfq returns them
+        u = CertifiedInterval.around(c.numerator, c.denominator, r, 10 ** k)
+        v = CertifiedInterval.around(d.numerator, d.denominator, r, 10 ** k)
+        w = u + CertifiedInterval.from_fraction(F(1, 10 ** k))
+        for p, q in ((u, v), (u, w), (u, u), (u, CertifiedInterval.from_fraction(d))):
+            got, ref = _midpoint_residual(p, q), _Reference.residual(p, q)
+            assert got == ref and repr(got) == repr(ref)
