@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 from turankit import (Sign, kummer_gamma, kummer_lower, kummer_upper,
                       lambda_coefficients, mk_profile, phi_coefficients,
-                      psi_coefficients)
+                      pochhammer, psi_coefficients)
 
 # A confluent-type series with weights w_n = 1/(c)_n, here c = 3.  The
 # weight ratios w_{n+1}/w_n = 1/(c+n) decrease, which is the only
@@ -37,13 +37,15 @@ for m, v in enumerate(phis[:8]):
 # to one side.
 prof = mk_profile(spec, a, b, delta, m=6)
 print("\nprofile at m=6:", [str(v) for v in prof.values])
-print("profile total:", prof.total(), " sign changes:",
+print("profile sum:", sum(prof.values), " sign changes:",
       prof.sign_change_count())
-assert prof.total() == 0
+assert sum(prof.values) == 0
 
-# Reattaching the weights recovers phi_6 exactly.
-print("weighted total:", prof.weighted_total(spec.weights), "== phi_6:",
-      phis[6])
+# Reattaching the weights w_k w_{6-k} recovers phi_6 exactly.
+weighted = sum(v / (pochhammer(3, k) * pochhammer(3, 6 - k))
+               for k, v in enumerate(prof.values))
+print("weighted sum:", weighted, "== phi_6:", phis[6])
+assert weighted == phis[6]
 
 # The reciprocal family h with weights 1/(a0)_n uses lambda_m, again an
 # exact rational, negative for every m >= 1 with no monotonicity

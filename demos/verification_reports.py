@@ -1,17 +1,17 @@
 """
-Verification reports and grid suites
-====================================
+Verification reports and default grids
+======================================
 
 The verifier wraps the exact coefficient machinery in pass/fail
-reports: expected sign per index, profile checks, and a verdict.  Grid
-suites then sweep shift tuples and weight families in one call.
+reports: expected sign per index, profile checks, and a verdict.  The
+default grids then sweep shift tuples and weight families, one case at
+a time.
 """
 
 from fractions import Fraction as F
 
-from turankit import (Verdict, kummer_gamma, kummer_upper,
-                      suite_binomial_degeneracy, suite_theorem1,
-                      verify_theorem1, verify_theorem2)
+from turankit import (Verdict, default_cases, kummer_gamma, kummer_upper,
+                      run_case, verify_theorem1, verify_theorem2)
 
 # One explicit case: decreasing weight ratios, b > a, fractional delta.
 rep = verify_theorem1(kummer_upper(F(3)), a=1, b=2, delta=F(1, 2), M=20)
@@ -32,12 +32,12 @@ print("\ngamma family verdict:", grep.verdict.value)
 print("undecided at first pass:", grep.inconclusive_before_escalation,
       " escalated:", grep.escalated)
 
-# Suites: 150 shift/weight combinations checked exactly in seconds.
-reports = suite_theorem1(M=15)
+# Default grids: 150 shift/weight combinations checked exactly in seconds.
+reports = [run_case(c) for c in default_cases("thm1", M=15)]
 verdicts = {r.verdict.value for r in reports}
-print(f"\nsuite over {len(reports)} cases -> verdicts {verdicts}")
+print(f"\ngrid of {len(reports)} cases -> verdicts {verdicts}")
 
-# Constant weights kill every coefficient; the suite asserts that too.
-flat = suite_binomial_degeneracy(M=15)
-print(f"constant-weight suite: {len(flat)} cases, all coefficients "
+# Constant weights kill every coefficient; each case checks that too.
+flat = [run_case(c) for c in default_cases("binomial", M=15)]
+print(f"constant-weight grid: {len(flat)} cases, all coefficients "
       f"identically zero")

@@ -16,7 +16,7 @@ certified interval arithmetic elsewhere:
 """
 
 from .errors import DomainError, PoleError, TermCapError
-from .exact import parse_rational, poch_table, pochhammer
+from .exact import parse_rational, pochhammer
 from .intervals import (CertifiedInterval, gamma_ratio, get_precision,
                         log_gamma, working_precision)
 from .series import (Family, HypSeriesSpec, MkProfile, MonotoneClass,
@@ -38,10 +38,9 @@ from .finite_sums import (Link4F3Report, QfqResult, QfqVerdict,
                           TerminatingSum, check_4f3_coefficient_link,
                           eval_qfq_sum, eval_terminating, link_factor,
                           qfq_sum, thm4d_sum)
-from .verify import (SignReport, TwoSidedBoundReport, Verdict,
-                     suite_binomial_degeneracy, suite_corollary,
-                     suite_theorem1, suite_theorem2, suite_theorem3,
-                     suite_turan, verify_corollary_twosided, verify_theorem1,
-                     verify_theorem2, verify_theorem3, verify_turan)
+from .verify import (Case, SignReport, TwoSidedBoundReport, Verdict,
+                     default_cases, run_case, verify_corollary_twosided,
+                     verify_theorem1, verify_theorem2, verify_theorem3,
+                     verify_turan)
 
 __version__ = "0.1.0"

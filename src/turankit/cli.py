@@ -2,7 +2,7 @@
 
 Two subcommands:
 
-* ``verify``   run one theorem case or the default grid suites and emit a
+* ``verify``   run one theorem case or the default grids and emit a
   JSON report (plus an optional CSV of per-index coefficient signs);
 * ``explore``  scan the conjectured monotone cross-ratio along an x grid
   and emit a JSON summary plus a plot-ready CSV.
@@ -40,8 +40,10 @@ CASE_FLAGS = ("family", "a", "b", "delta", "c", "a0", "b0", "x_grid")
 # smallest point of the geometric explore grid has a denominator of three
 # bits per point, so both are bounded where a run still takes seconds.
 # MAX_POINTS also caps the length of an explicit --x-grid.  The certified
-# ln(Gamma) gets steeply dearer past 700 digits, and a check may retry at
-# twice the precision, so the precision is capped at half of that.
+# ln(Gamma) needs about half as many exact Bernoulli numbers as digits,
+# whose cost grows steeply (0.1 s at 700 digits, 0.6 s at 1,400).  A check
+# may retry at twice the precision, so the precision is capped where that
+# retry stays well under a second.
 MAX_M = 200
 MAX_POINTS = 1024
 MAX_PRECISION = 350

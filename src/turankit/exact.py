@@ -9,7 +9,7 @@ rounding happens before a sign is decided.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 
 import mpmath
 
@@ -49,19 +49,10 @@ def pochhammer(a, n: int) -> Fraction:
     return prod
 
 
-@lru_cache(maxsize=4096)
-def poch_table(a: Fraction, n: int) -> tuple[Fraction, ...]:
-    """Table ((a)_0, (a)_1, ..., (a)_n) for repeated lookups."""
-    vals = [Fraction(1)]
-    acc = Fraction(1)
-    for i in range(n):
-        acc *= a + i
-        vals.append(acc)
-    return tuple(vals)
-
-
-@lru_cache(maxsize=256)
+@cache
 def bernoulli(n: int) -> Fraction:
-    """Exact Bernoulli number B_n (B_1 = -1/2 convention)."""
+    """Exact Bernoulli number B_n (B_1 = -1/2 convention).  A ln(Gamma) plan
+    at d digits reads about d/2 of them in order, which a bounded LRU cache
+    smaller than that would miss every time."""
     p, q = mpmath.bernfrac(n)
     return Fraction(int(p), int(q))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, PoleError
-from .exact import is_nonpositive_integer, poch_table
+from .exact import pochhammer
 from .lemmas import truncated_chain_holds
 from .series import kummer_upper, phi_coefficients
 
@@ -108,9 +108,10 @@ def link_factor(b, c, m: int) -> Fraction:
     (a+1)_k (b)_{m-k} - (a)_k (b+1)_{m-k} =
         -m (b+1)_{m-1} (-1)^k (a)_k (1-am/(a+b))_k /
         [(1-b-m)_k (-am/(a+b))_k]."""
+    if m < 1:
+        raise DomainError(f"link factor needs m >= 1, got {m}")
     b, c = Fraction(b), Fraction(c)
-    return Fraction(-m) * poch_table(b + 1, m - 1)[m - 1] / (
-        math.factorial(m) * poch_table(c, m)[m])
+    return -m * pochhammer(b + 1, m - 1) / (math.factorial(m) * pochhammer(c, m))
 
 
 @dataclass

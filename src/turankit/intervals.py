@@ -39,6 +39,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
 from functools import cache, lru_cache
+from itertools import count
 from math import prod
 
 from mpmath.libmp import (dps_to_prec, ftwo, fzero, mpf_lt, mpf_neg, mpf_pi,
@@ -185,10 +186,6 @@ class CertifiedInterval:
         prec = _bits()
         return cls(mpi_add(_outward(num, den, prec),
                            _symmetric(rad_num, rad_den, prec), prec))
-
-    @classmethod
-    def zero(cls) -> "CertifiedInterval":
-        return cls.from_fraction(0)
 
     # -- endpoints ----------------------------------------------------
 
@@ -365,23 +362,21 @@ def _stirling_plan(x_floor: int, dps: int):
     (m, terms, remainder_bound), where terms[k-1] = (num, den) is the
     coefficient B_2k / (2k(2k-1)) as a pair of integers, den > 0."""
     target = Fraction(1, 10 ** (dps + 8))
-    floor_threshold = max(12, (2 * dps) // 3)
-    while True:
-        m = max(0, floor_threshold - x_floor)
-        z_floor = x_floor + m
-        power = z_floor
-        z2 = z_floor * z_floor
-        for n in range(1, 121):
-            # power == z_floor**(2n-1)
-            bound = abs(bernoulli(2 * n + 2)) / ((2 * n + 2) * (2 * n + 1) * power)
-            if bound <= target:
-                terms = []
-                for k in range(1, n + 1):
-                    b = bernoulli(2 * k)
-                    terms.append((b.numerator, b.denominator * 2 * k * (2 * k - 1)))
-                return m, tuple(terms), bound
-            power *= z2
-        floor_threshold *= 2
+    m = max(0, max(12, (2 * dps) // 3) - x_floor)
+    z_floor = x_floor + m
+    power = z_floor
+    z2 = z_floor * z_floor
+    terms = []
+    # The loop ends: the terms shrink while n < pi z, and a z of at least
+    # max(12, 2 dps/3) meets the target before that for every dps >= 5.
+    for n in count(1):
+        b = bernoulli(2 * n)
+        terms.append((b.numerator, b.denominator * 2 * n * (2 * n - 1)))
+        # power == z_floor**(2n-1)
+        bound = abs(bernoulli(2 * n + 2)) / ((2 * n + 2) * (2 * n + 1) * power)
+        if bound <= target:
+            return m, tuple(terms), bound
+        power *= z2
 
 
 @lru_cache(maxsize=16)

@@ -64,11 +64,7 @@ class PositivePolynomial:
         return len(self.coeffs) - 1
 
     def __call__(self, x) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _eval_coeffs(self.coeffs, Fraction(x))
 
 
 def wronskian_coeffs(A: PositivePolynomial, B: PositivePolynomial) -> list[Fraction]:
@@ -85,6 +81,14 @@ def wronskian_coeffs(A: PositivePolynomial, B: PositivePolynomial) -> list[Fract
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return out
+
+
+def _chain_kind(up: bool, down: bool) -> ChainKind:
+    """The kind of a chain that is weakly increasing (``up``) and/or weakly
+    decreasing (``down``)."""
+    if up:
+        return ChainKind.BOTH if down else ChainKind.INCREASING_CHAIN
+    return ChainKind.DECREASING_CHAIN if down else ChainKind.NEITHER
 
 
 @dataclass(frozen=True)
@@ -110,15 +114,7 @@ def check_ratio_chain(A: PositivePolynomial, B: PositivePolynomial) -> RatioChai
         if lhs > rhs:
             down = False
         strict.append(lhs != rhs)
-    if up and down:
-        kind = ChainKind.BOTH
-    elif up:
-        kind = ChainKind.INCREASING_CHAIN
-    elif down:
-        kind = ChainKind.DECREASING_CHAIN
-    else:
-        kind = ChainKind.NEITHER
-    return RatioChainReport(kind, tuple(strict))
+    return RatioChainReport(_chain_kind(up, down), tuple(strict))
 
 
 @dataclass(frozen=True)
@@ -133,7 +129,7 @@ _NECESSITY_COEFF_GRID = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3))
 _NECESSITY_X_GRID = tuple(Fraction(k, 8) for k in range(1, 81))
 
 
-def _eval_coeffs(coeffs: list[Fraction], x: Fraction) -> Fraction:
+def _eval_coeffs(coeffs, x: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(coeffs):
         acc = acc * x + c
@@ -239,15 +235,7 @@ def check_symmetric_chain(a_list, b_list) -> ChainReport:
     seq = (Fraction(1),) + ratios  # anchored at e_0(b)/e_0(a) = 1
     up = all(r2 >= r1 for r1, r2 in zip(seq, seq[1:]))
     down = all(r2 <= r1 for r1, r2 in zip(seq, seq[1:]))
-    if up and down:
-        kind = ChainKind.BOTH
-    elif up:
-        kind = ChainKind.INCREASING_CHAIN
-    elif down:
-        kind = ChainKind.DECREASING_CHAIN
-    else:
-        kind = ChainKind.NEITHER
-    return ChainReport(ratios, kind)
+    return ChainReport(ratios, _chain_kind(up, down))
 
 
 def truncated_chain_holds(a_list, b_list) -> bool:
@@ -276,19 +264,19 @@ def two_f_two_condition(a1, b1, b2) -> bool:
     return a1 >= b1 * b2 / (b1 + b2)
 
 
+_RATIO_VERDICT = {ChainKind.BOTH: RatioMonotonicity.CONSTANT,
+                  ChainKind.INCREASING_CHAIN: RatioMonotonicity.INCREASING,
+                  ChainKind.DECREASING_CHAIN: RatioMonotonicity.DECREASING,
+                  ChainKind.NEITHER: RatioMonotonicity.UNDETERMINED}
+
+
 def ratio_R_monotone(a_list, b_list) -> RatioMonotonicity:
     """Monotonicity of R(x) = prod(a_i + x)/prod(b_i + x) on (0, inf) as
     decided by the symmetric chain; cross-validated against the sign of
     the expanded numerator's wronskian coefficients."""
-    report = check_symmetric_chain(a_list, b_list)
-    if report.kind is ChainKind.BOTH:
-        verdict = RatioMonotonicity.CONSTANT
-    elif report.kind is ChainKind.INCREASING_CHAIN:
-        verdict = RatioMonotonicity.INCREASING
-    elif report.kind is ChainKind.DECREASING_CHAIN:
-        verdict = RatioMonotonicity.DECREASING
-    else:
-        return RatioMonotonicity.UNDETERMINED
+    verdict = _RATIO_VERDICT[check_symmetric_chain(a_list, b_list).kind]
+    if verdict is RatioMonotonicity.UNDETERMINED:
+        return verdict
     w = wronskian_coeffs(expand_linear_factors(a_list),
                          expand_linear_factors(b_list))
     if verdict is RatioMonotonicity.CONSTANT:

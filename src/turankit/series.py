@@ -43,7 +43,6 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .errors import DomainError, PoleError
-from .exact import poch_table
 from .intervals import CertifiedInterval, ci_exp, gamma_ratio, log_gamma
 
 
@@ -82,17 +81,6 @@ class WeightRule:
         for p in self.upper + self.lower:
             if p <= 0:
                 raise DomainError(f"weight parameters must be positive, got {p}")
-
-    def weight(self, n: int) -> Fraction:
-        num = Fraction(1)
-        for u in self.upper:
-            num *= poch_table(u, n)[n]
-        den = Fraction(1)
-        for l in self.lower:
-            den *= poch_table(l, n)[n]
-        if self.inv_factorial:
-            den *= math.factorial(n)
-        return num / den
 
     def ratio(self, n: int) -> Fraction:
         """w_n / w_{n-1} for n >= 1."""
@@ -137,16 +125,6 @@ def gauss_upper(b, c, order: int = DEFAULT_ORDER) -> HypSeriesSpec:
     """2F1(a, b; c; x) shifted in a: w_n = (b)_n/(c)_n."""
     return HypSeriesSpec(
         Family.UPPER_FACTOR, WeightRule(upper=(Fraction(b),), lower=(Fraction(c),)), order
-    )
-
-
-def pfq_upper(uppers, lowers, order: int = DEFAULT_ORDER) -> HypSeriesSpec:
-    """(q+1)Fq(a, uppers; lowers; x) shifted in a."""
-    return HypSeriesSpec(
-        Family.UPPER_FACTOR,
-        WeightRule(upper=tuple(Fraction(u) for u in uppers),
-                   lower=tuple(Fraction(l) for l in lowers)),
-        order,
     )
 
 
@@ -266,20 +244,6 @@ class MkProfile:
     m: int
     family: Family
     values: list  # Fraction for upper/lower families, CertifiedInterval for gamma
-
-    def total(self):
-        acc = self.values[0]
-        for v in self.values[1:]:
-            acc = acc + v
-        return acc
-
-    def weighted_total(self, weights: "WeightRule"):
-        """sum_k w_k w_{m-k} M_k; equals the corresponding coefficient."""
-        acc = None
-        for k, v in enumerate(self.values):
-            term = v * (weights.weight(k) * weights.weight(self.m - k))
-            acc = term if acc is None else acc + term
-        return acc
 
     def signs(self) -> list[Sign]:
         return [sign_of(v) for v in self.values]
@@ -427,19 +391,29 @@ class HalfRangePass:
         L2 = self.L * self.L
         return [self.tables.exact(m, s, L2) for m, s in enumerate(self.sums())]
 
+    def sign_test(self, quotient: CertifiedInterval | None = None):
+        """The sign of one value of the pass: an integer, or for the gamma
+        family a pair (p, q) read as p - Q q with Q the Gamma quotient,
+        enclosed at the precision in force unless ``quotient`` is passed.
+        At a = b, S1 = S2 and Q is exactly 1, which an enclosure would tie
+        with, so ``quotient`` is ignored there."""
+        if self.family is not Family.GAMMA_FACTOR:
+            return sign_of
+        if self.a == self.b:
+            quotient = CertifiedInterval.from_fraction(1)
+        elif quotient is None:
+            quotient = gamma_quotient(self.a, self.b, self.delta)
+        sign = quotient_sign(quotient)
+        return lambda pair: sign(*pair)
+
     def psi(self, quotient: CertifiedInterval | None = None) -> list[PsiCoefficient]:
         """Factored psi_m with certified signs for m = 0..M (gamma family).
         ``quotient`` may be passed to reuse or escalate the Gamma quotient
         enclosure."""
-        degenerate = self.a == self.b
-        if not degenerate:
-            if quotient is None:
-                quotient = gamma_quotient(self.a, self.b, self.delta)
-            sign = quotient_sign(quotient)
+        sign = self.sign_test(quotient)
         L2 = self.L * self.L
         return [PsiCoefficient(m, self.tables.exact(m, s1, L2),
-                               self.tables.exact(m, s2, L2),
-                               Sign.ZERO if degenerate else sign(s1, s2))
+                               self.tables.exact(m, s2, L2), sign((s1, s2)))
                 for m, (s1, s2) in enumerate(self.sums())]
 
 

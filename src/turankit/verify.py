@@ -27,7 +27,7 @@ an x grid with certified strictness, plus sharpness near the large-x end.
 
 A ``Case`` names one check, one series family and one parameter point;
 ``default_cases`` expands the default grids into cases and ``run_case``
-runs one.  The suites and the command line both go through these.
+runs one.  The command line goes through these.
 """
 
 from __future__ import annotations
@@ -43,10 +43,9 @@ from .evalf import cross_ratio
 from .intervals import (CertifiedInterval, gamma_ratio, get_precision,
                         working_precision)
 from .series import (DEFAULT_ORDER, Family, HypSeriesSpec, MonotoneClass,
-                     Sign, binomial_upper, gamma_quotient, gauss_lower,
-                     gauss_upper, half_range_pass, kummer_gamma, kummer_lower,
-                     kummer_upper, quotient_sign, sign_change_count, sign_of,
-                     weight_ratio_class)
+                     Sign, binomial_upper, gauss_lower, gauss_upper,
+                     half_range_pass, kummer_gamma, kummer_lower,
+                     kummer_upper, sign_change_count, weight_ratio_class)
 
 
 class Verdict(enum.Enum):
@@ -70,10 +69,6 @@ class SignReport:
     inconclusive_indices: list[int] = field(default_factory=list)
     escalated: bool = False
     inconclusive_before_escalation: int = 0
-
-    @property
-    def parameter_tuple(self) -> tuple:
-        return tuple(self.params.values())
 
 
 def _weight_claim(spec: HypSeriesSpec) -> Sign | None:
@@ -130,17 +125,6 @@ _FLIP = {Sign.POSITIVE: Sign.NEGATIVE, Sign.NEGATIVE: Sign.POSITIVE,
          Sign.ZERO: Sign.ZERO}
 
 
-def _sign_test(family: Family, a: Fraction, b: Fraction, delta: Fraction):
-    """The sign of one value of a pass: an integer, or for the gamma family
-    a pair (p, q) read as p - Q q with Q the Gamma quotient.  At a = b,
-    S1 = S2 and Q is exactly 1, which an enclosure would tie with."""
-    if family is not Family.GAMMA_FACTOR:
-        return sign_of
-    sign = quotient_sign(gamma_quotient(a, b, delta) if a != b
-                         else CertifiedInterval.from_fraction(1))
-    return lambda pair: sign(*pair)
-
-
 def check_signs(rule: SignRule, spec: HypSeriesSpec, a, b, delta,
                 M: int | None = None) -> SignReport:
     """Check one sign theorem at one point: for 0 <= m <= M, coefficient m
@@ -157,7 +141,7 @@ def check_signs(rule: SignRule, spec: HypSeriesSpec, a, b, delta,
         spec = replace(spec, order=M)
     hr = half_range_pass(rule.family, spec, a, b, delta)
     sums = hr.sums()
-    sign = _sign_test(rule.family, a, b, delta)
+    sign = hr.sign_test()
     signs = [sign(v) for v in sums]
     report = partial(SignReport, rule.theorem_id, {"a": a, "b": b, "delta": delta},
                      spec.order, signs)
@@ -172,7 +156,7 @@ def check_signs(rule: SignRule, spec: HypSeriesSpec, a, b, delta,
     pending = [m for m, s in enumerate(signs) if s is Sign.INCONCLUSIVE]
     if pending:
         with working_precision(2 * get_precision()):
-            retry = _sign_test(rule.family, a, b, delta)
+            retry = hr.sign_test()
         for m in pending:
             signs[m] = retry(sums[m])
     still_open = [m for m in pending if signs[m] is Sign.INCONCLUSIVE]
@@ -296,7 +280,7 @@ def verify_turan(spec: HypSeriesSpec, a, delta, x_grid, tol=None) -> TwoSidedBou
     return rep
 
 
-# -- case model: the suites and the CLI expand and run cases through it --
+# -- case model: the CLI expands and runs cases through it --
 
 # family name -> (spec constructor, names of its weight parameters in the
 # constructor's argument order)
@@ -360,8 +344,8 @@ class Case:
 
 
 def default_cases(theorem: str, M: int | None = None) -> list[Case]:
-    """The default grid of one check, in suite order, or of all six checks
-    one after another for "all".  M sets the order of the sign checks."""
+    """The default grid of one check, or of all six checks one after another
+    for "all".  M sets the order of the sign checks."""
     if theorem == "all":
         return [c for t in THEOREM_FAMILIES for c in default_cases(t, M)]
     F = Fraction
@@ -401,28 +385,3 @@ def run_case(case: Case, tol=None) -> SignReport | TwoSidedBoundReport:
              "thm2": verify_theorem2, "thm3": verify_theorem3}[case.theorem]
     return check(spec, p["a"], p["b"], p["delta"])
 
-
-def suite_theorem1(M: int = DEFAULT_M["thm1"]) -> list[SignReport]:
-    return [run_case(c) for c in default_cases("thm1", M)]
-
-
-def suite_theorem2(M: int = DEFAULT_M["thm2"]) -> list[SignReport]:
-    return [run_case(c) for c in default_cases("thm2", M)]
-
-
-def suite_theorem3(M: int = DEFAULT_M["thm3"]) -> list[SignReport]:
-    return [run_case(c) for c in default_cases("thm3", M)]
-
-
-def suite_binomial_degeneracy(M: int = DEFAULT_M["binomial"]) -> list[SignReport]:
-    """Constant weights: the difference vanishes identically, so every
-    coefficient must be exactly zero."""
-    return [run_case(c) for c in default_cases("binomial", M)]
-
-
-def suite_corollary(tol=None) -> list[TwoSidedBoundReport]:
-    return [run_case(c, tol) for c in default_cases("corollary")]
-
-
-def suite_turan(tol=None) -> list[TwoSidedBoundReport]:
-    return [run_case(c, tol) for c in default_cases("turan")]

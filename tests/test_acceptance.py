@@ -17,8 +17,7 @@ from turankit.finite_sums import (QfqVerdict, check_4f3_coefficient_link,
 from turankit.lemmas import (ChainKind, PositivePolynomial, check_ratio_chain,
                              necessity_witness, wronskian_coeffs)
 from turankit.series import Sign, kummer_upper
-from turankit.verify import (Verdict, suite_binomial_degeneracy,
-                             suite_theorem1, suite_theorem2, suite_theorem3,
+from turankit.verify import (Verdict, default_cases, run_case,
                              verify_corollary_twosided)
 
 REPORTS = pathlib.Path(__file__).resolve().parent.parent / "reports"
@@ -33,7 +32,7 @@ def _announce(label: str):
 
 def test_product_difference_sign_suite_exact():
     t0 = time.monotonic()
-    reports = suite_theorem1(M=40)
+    reports = [run_case(c) for c in default_cases("thm1", 40)]
     elapsed = time.monotonic() - t0
     assert len(reports) == 150
     for rep in reports:
@@ -51,7 +50,7 @@ def test_product_difference_sign_suite_exact():
 
 
 def test_reciprocal_family_negativity_suite_exact():
-    reports = suite_theorem3(M=40)
+    reports = [run_case(c) for c in default_cases("thm3", 40)]
     assert len(reports) == 150
     for rep in reports:
         assert rep.verdict is Verdict.VERIFIED
@@ -63,7 +62,7 @@ def test_reciprocal_family_negativity_suite_exact():
 
 
 def test_gamma_family_certified_negativity_suite():
-    reports = suite_theorem2(M=30)
+    reports = [run_case(c) for c in default_cases("thm2", 30)]
     assert len(reports) == 90
     total = sum(len(r.per_index_sign) for r in reports)
     pending_default = sum(r.inconclusive_before_escalation for r in reports)
@@ -78,7 +77,7 @@ def test_gamma_family_certified_negativity_suite():
 
 
 def test_constant_weight_degeneracy_all_zero():
-    reports = suite_binomial_degeneracy(M=40)
+    reports = [run_case(c) for c in default_cases("binomial", 40)]
     assert len(reports) == 30
     for rep in reports:
         assert rep.verdict is Verdict.VERIFIED

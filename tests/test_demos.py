@@ -1,5 +1,5 @@
 """Every demo script runs to completion.  The demos assert on the values
-they print (profile totals, weighted totals, certified signs), so a demo
+they print (profile sums, coefficients, certified signs), so a demo
 that exits nonzero is a broken claim, not only a broken example."""
 
 import os

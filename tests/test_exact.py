@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from turankit.errors import DomainError
 from turankit.exact import (bernoulli, is_nonpositive_integer, parse_rational,
-                            poch_table, pochhammer)
+                            pochhammer)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=64)
 
@@ -63,15 +63,6 @@ class TestPochhammer:
            st.integers(min_value=0, max_value=8))
     def test_addition_formula(self, a, m, n):
         assert pochhammer(a, m + n) == pochhammer(a, m) * pochhammer(a + m, n)
-
-    def test_table_matches_scalar(self):
-        table = poch_table(F(1, 3), 10)
-        assert len(table) == 11
-        for n, v in enumerate(table):
-            assert v == pochhammer(F(1, 3), n)
-
-    def test_table_cached_identity(self):
-        assert poch_table(F(1, 3), 10) is poch_table(F(1, 3), 10)
 
 
 def test_is_nonpositive_integer():

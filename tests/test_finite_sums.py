@@ -125,6 +125,11 @@ class TestCoefficientLink:
             pochhammer(F(1), m) * pochhammer(c, m))
         assert link_factor(b, c, m) == want
 
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_link_factor_needs_positive_m(self, m):
+        with pytest.raises(DomainError):
+            link_factor(F(3, 2), F(2), m)
+
 
 class TestQfq:
     def test_frozen_values(self):

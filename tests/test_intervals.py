@@ -214,6 +214,24 @@ class TestLogGamma:
         with pytest.raises(DomainError):
             log_gamma(F(-1, 2))
 
+    @pytest.mark.parametrize("dps", [5, 30, 60, 244, 245, 350, 500, 700, 1000])
+    def test_plan_keeps_its_shift(self, dps):
+        # the shift is max(12, 2 dps/3) - floor(x), never doubled, and the
+        # term count stays below pi z, where the terms stop shrinking
+        for x_floor in (0, 1, 5, 50, 300):
+            m, terms, bound = intervals._stirling_plan(x_floor, dps)
+            assert m == max(0, max(12, 2 * dps // 3) - x_floor)
+            assert len(terms) < 3.14 * (x_floor + m)
+            assert bound <= F(1, 10 ** (dps + 8))
+
+    def test_contains_reference_at_1000_digits(self):
+        with working_precision(1000):
+            ci = log_gamma(F(1, 2))
+        with mpmath.workdps(1050):
+            ref = _raw_to_fraction(mpmath.loggamma(mpmath.mpf(1) / 2)._mpf_)
+        assert ci.lo <= ref <= ci.hi
+        assert ci.width < F(1, 10 ** 998)
+
     @given(st.fractions(min_value=F(1, 20), max_value=20, max_denominator=40))
     @settings(max_examples=30, deadline=None)
     def test_recurrence(self, x):

@@ -5,6 +5,7 @@ convolutions over Pochhammer symbols for the exact coefficients, and
 60-digit floating Gamma evaluation for the gamma-factor signs.
 """
 
+import math
 from fractions import Fraction as F
 
 import mpmath
@@ -12,12 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from turankit import series as series_module
 from turankit.errors import DomainError, PoleError
+from turankit.intervals import (CertifiedInterval, get_precision,
+                                working_precision)
 from turankit.series import (DEFAULT_ORDER, Family, HypSeriesSpec, MonotoneClass,
                              Sign, WeightRule, binomial_upper, gamma_quotient,
                              gauss_lower, gauss_upper, half_range_pass,
                              kummer_gamma, kummer_lower, kummer_upper,
-                             lambda_coefficients, mk_profile, pfq_upper,
+                             lambda_coefficients, mk_profile,
                              phi_coefficients, psi_coefficients,
                              quotient_sign, sign_of, weight_ratio_class)
 from turankit.exact import pochhammer
@@ -25,20 +29,27 @@ from turankit.exact import pochhammer
 
 # ---------------------------------------------------------------- oracles
 
+def _weight(rule, n):
+    """w_n = prod (u)_n / [prod (l)_n * (n!)^inv_factorial] from the
+    definition, independent of the ratio recurrence the package uses."""
+    w = F(math.prod(pochhammer(u, n) for u in rule.upper))
+    w /= math.prod(pochhammer(l, n) for l in rule.lower)
+    return w / math.factorial(n) if rule.inv_factorial else w
+
+
+def _weighted_sum(prof, rule):
+    """sum_k w_k w_{m-k} M_k over the profile; equals the coefficient."""
+    return sum(v * (_weight(rule, k) * _weight(rule, prof.m - k))
+               for k, v in enumerate(prof.values))
+
+
 def _upper_coeffs(spec, s, M):
-    return [spec.weights.weight(n) * pochhammer(s, n) / mpfact(n)
+    return [_weight(spec.weights, n) * pochhammer(s, n) / math.factorial(n)
             for n in range(M + 1)]
 
 
-def mpfact(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
 def _lower_coeffs(spec, s, M):
-    return [spec.weights.weight(n) / pochhammer(s, n) for n in range(M + 1)]
+    return [_weight(spec.weights, n) / pochhammer(s, n) for n in range(M + 1)]
 
 
 def _convolve(u, v):
@@ -66,7 +77,7 @@ def _lambda_oracle(spec, a, b, d, M):
 
 def _psi_parts_oracle(spec, a, b, d, M):
     """S1_m and S2_m of the factored psi_m as full-range double loops."""
-    w = [spec.weights.weight(n) for n in range(M + 1)]
+    w = [_weight(spec.weights, n) for n in range(M + 1)]
     a, b, d = F(a), F(b), F(d)
 
     def conv(s, t):
@@ -84,7 +95,8 @@ def _profile_oracle(family, a, b, d, m):
 
     def term(s, t, i, l):
         if family is Family.UPPER_FACTOR:
-            return pochhammer(s, i) * pochhammer(t, l) / (mpfact(i) * mpfact(l))
+            return pochhammer(s, i) * pochhammer(t, l) / (
+                math.factorial(i) * math.factorial(l))
         if family is Family.LOWER_FACTOR:
             return 1 / (pochhammer(s, i) * pochhammer(t, l))
         return pochhammer(s, i) * pochhammer(t, l)
@@ -118,7 +130,7 @@ def _psi_numeric(spec, a, b, d, m):
         a, b, d = F(a), F(b), F(d)
         total = mpmath.mpf(0)
         for k in range(m + 1):
-            wk = mpq(spec.weights.weight(k) * spec.weights.weight(m - k))
+            wk = mpq(_weight(spec.weights, k) * _weight(spec.weights, m - k))
             total += wk * (g(mpq(a + d) + k) * g(mpq(b) + m - k)
                            - g(mpq(b + d) + k) * g(mpq(a) + m - k))
         return total
@@ -143,7 +155,7 @@ class TestWeightRule:
     def test_ratio_consistent_with_weight(self):
         wr = WeightRule(upper=(F(3, 2),), lower=(F(2), F(5, 3)), inv_factorial=True)
         for n in range(1, 9):
-            assert wr.ratio(n) == wr.weight(n) / wr.weight(n - 1)
+            assert wr.ratio(n) == _weight(wr, n) / _weight(wr, n - 1)
 
     def test_ratio_needs_positive_index(self):
         with pytest.raises(DomainError):
@@ -155,14 +167,17 @@ class TestWeightRule:
         (gauss_upper(F(2), F(1), 12), MonotoneClass.DECREASING),
         (gauss_upper(F(1), F(2), 12), MonotoneClass.INCREASING),
         (binomial_upper(12), MonotoneClass.CONSTANT),
-        (pfq_upper((F(1, 4), F(8)), (F(2), F(2)), 10), MonotoneClass.NEITHER),
+        (HypSeriesSpec(Family.UPPER_FACTOR,
+                       WeightRule(upper=(F(1, 4), F(8)), lower=(F(2), F(2))), 10),
+         MonotoneClass.NEITHER),
     ])
     def test_monotone_class(self, spec, expected):
         assert weight_ratio_class(spec) is expected
 
     def test_class_depends_on_window(self):
         # same weights, short window: the dip past n = 4 is not yet visible
-        spec4 = pfq_upper((F(1, 4), F(8)), (F(2), F(2)), 4)
+        spec4 = HypSeriesSpec(Family.UPPER_FACTOR,
+                              WeightRule(upper=(F(1, 4), F(8)), lower=(F(2), F(2))), 4)
         assert weight_ratio_class(spec4) is MonotoneClass.INCREASING
 
 
@@ -354,7 +369,7 @@ def test_upper_and_lower_kernels_match_oracles(abde, M):
         prof = mk_profile(upper, a, b, d, m)
         assert prof.values == want
         assert prof.signs() == [sign_of(v) for v in want]
-        assert sum(want) == 0 and prof.total() == 0
+        assert sum(want) == 0 and sum(prof.values) == 0
         # the sign checks read the pass's integer rows: the same values up
         # to scale_m > 0, so the same signs, and (thm1) a zero row sum
         row = hr_upper.rows[m]
@@ -408,6 +423,49 @@ def test_gamma_kernel_matches_oracles(abd, equal, M):
             assert sign_of(value) in (ref_sign, Sign.INCONCLUSIVE)
 
 
+class TestSignTest:
+    def test_integer_families_read_the_integer_sign(self):
+        hr = half_range_pass(Family.LOWER_FACTOR, kummer_lower(F(1), 6), 1, 2, 1)
+        assert hr.sign_test() is sign_of
+
+    def test_enclosure_made_at_the_precision_in_force(self, monkeypatch):
+        # never kept on the pass, so the doubled-precision retry gets its own
+        seen = []
+        real = series_module.gamma_quotient
+
+        def recorder(a, b, delta):
+            seen.append(get_precision())
+            return real(a, b, delta)
+
+        monkeypatch.setattr(series_module, "gamma_quotient", recorder)
+        hr = half_range_pass(Family.GAMMA_FACTOR, kummer_gamma(F(3), 6), 1, 2,
+                             F(1, 2))
+        base = get_precision()
+        hr.sign_test()
+        with working_precision(2 * base):
+            hr.sign_test()
+        hr.sign_test()
+        assert seen == [base, 2 * base, base]
+
+    def test_passed_quotient_is_used(self):
+        hr = half_range_pass(Family.GAMMA_FACTOR, kummer_gamma(F(3), 6), 1, 2,
+                             F(1, 2))
+        sign = hr.sign_test(CertifiedInterval.from_fraction_bounds(0, 10 ** 6))
+        assert {sign(v) for v in hr.sums()} == {Sign.INCONCLUSIVE}
+
+    @pytest.mark.parametrize("quotient", [
+        None, CertifiedInterval.from_fraction(2),
+        CertifiedInterval.from_fraction_bounds(0, 10 ** 6)])
+    def test_equal_shifts_ignore_the_quotient(self, quotient):
+        spec = kummer_gamma(F(3), 8)
+        a, d = F(3, 2), F(1, 2)
+        hr = half_range_pass(Family.GAMMA_FACTOR, spec, a, a, d)
+        sign = hr.sign_test(quotient)
+        assert [sign(v) for v in hr.sums()] == [Sign.ZERO] * 9
+        assert [p.sign for p in psi_coefficients(spec, a, a, d, quotient=quotient)] \
+            == [Sign.ZERO] * 9
+
+
 # -------------------------------------------------- half-range profiles
 
 class TestProfiles:
@@ -416,7 +474,7 @@ class TestProfiles:
         spec = kummer_upper(F(3), m)
         a, b, d = F(1, 2), F(5, 2), F(4, 3)
         prof = mk_profile(spec, a, b, d, m)
-        assert prof.weighted_total(spec.weights) == \
+        assert _weighted_sum(prof, spec.weights) == \
             phi_coefficients(spec, a, b, d)[m]
 
     @pytest.mark.parametrize("m", [2, 3, 4, 7, 10])
@@ -424,7 +482,7 @@ class TestProfiles:
         spec = gauss_lower(F(1, 2), F(2), m)
         a, b, d = F(3, 4), F(2), F(1, 2)
         prof = mk_profile(spec, a, b, d, m)
-        assert prof.weighted_total(spec.weights) == \
+        assert _weighted_sum(prof, spec.weights) == \
             lambda_coefficients(spec, a, b, d)[m]
 
     @pytest.mark.parametrize("m", [2, 3, 5, 8])
@@ -433,7 +491,7 @@ class TestProfiles:
 
         spec = kummer_gamma(F(2), m)
         a, b, d = F(1), F(5, 2), F(1, 2)
-        tot = mk_profile(spec, a, b, d, m).weighted_total(spec.weights)
+        tot = _weighted_sum(mk_profile(spec, a, b, d, m), spec.weights)
         ref = _raw_to_fraction(_psi_numeric(spec, a, b, d, m)._mpf_)
         assert tot.lo - F(1, 10**50) <= ref <= tot.hi + F(1, 10**50)
 
@@ -442,7 +500,7 @@ class TestProfiles:
     def test_upper_total_is_exactly_zero(self, abd, m):
         a, b, d = abd
         prof = mk_profile(kummer_upper(F(2), m), a, b, d, m)
-        assert prof.total() == 0
+        assert sum(prof.values) == 0
 
     @pytest.mark.parametrize("m", list(range(2, 13)))
     def test_upper_single_sign_change(self, m):

@@ -1,4 +1,4 @@
-"""Theorem-level verdicts: sign suites, degenerate and swapped-shift
+"""Theorem-level verdicts: default grids, degenerate and swapped-shift
 handling, violations on tampered passes, escalation bookkeeping, and the
 two-sided function bounds."""
 
@@ -6,18 +6,19 @@ from fractions import Fraction as F
 
 import pytest
 
+from turankit import series as series_module
 from turankit import verify as verify_module
 from turankit.errors import DomainError
 from turankit.intervals import CertifiedInterval, get_precision
-from turankit.series import (Sign, binomial_upper, gauss_lower, gauss_upper,
-                             kummer_gamma, kummer_lower, kummer_upper,
-                             pfq_upper)
+from turankit.series import (Family, HypSeriesSpec, Sign, WeightRule,
+                             binomial_upper, gauss_lower, gauss_upper,
+                             kummer_gamma, kummer_lower, kummer_upper)
 from turankit.verify import (Case, Verdict, default_cases, run_case,
-                             suite_binomial_degeneracy, suite_corollary,
-                             suite_theorem1, suite_theorem2, suite_theorem3,
-                             suite_turan, verify_corollary_twosided,
-                             verify_theorem1, verify_theorem2, verify_theorem3,
-                             verify_turan)
+                             verify_corollary_twosided, verify_theorem1,
+                             verify_theorem2, verify_theorem3, verify_turan)
+
+# weights whose ratio sequence rises and then falls
+NONMONOTONE = WeightRule(upper=(F(1, 4), F(8)), lower=(F(2), F(2)))
 
 NEG = {Sign.POSITIVE: Sign.NEGATIVE, Sign.NEGATIVE: Sign.POSITIVE,
        Sign.ZERO: Sign.ZERO}
@@ -51,7 +52,7 @@ class TestTheorem1:
         assert all(s is Sign.ZERO for s in rep.per_index_sign)
 
     def test_nonmonotone_weights_inconclusive(self):
-        spec = pfq_upper((F(1, 4), F(8)), (F(2), F(2)), 10)
+        spec = HypSeriesSpec(Family.UPPER_FACTOR, NONMONOTONE, 10)
         rep = verify_theorem1(spec, 1, 2, 1, 10)
         assert rep.verdict is Verdict.INCONCLUSIVE
         assert rep.reason is not None
@@ -64,10 +65,6 @@ class TestTheorem1:
     def test_domain_validation(self):
         with pytest.raises(DomainError):
             verify_theorem1(kummer_upper(F(3)), 1, 2, 0, 10)
-
-    def test_parameter_tuple(self):
-        rep = verify_theorem1(kummer_upper(F(3)), 1, 2, 1, 8)
-        assert rep.parameter_tuple == (F(1), F(2), F(1))
 
 
 class TestTheorem2:
@@ -129,10 +126,7 @@ class TestTheorem3:
     def test_no_monotonicity_hypothesis_needed(self):
         # lower-family negativity needs no weight-ratio monotonicity at
         # all; even non-monotone weights verify
-        spec_weights = pfq_upper((F(1, 4), F(8)), (F(2), F(2)), 12).weights
-        from turankit.series import Family, HypSeriesSpec
-
-        spec = HypSeriesSpec(Family.LOWER_FACTOR, spec_weights, 12)
+        spec = HypSeriesSpec(Family.LOWER_FACTOR, NONMONOTONE, 12)
         rep = verify_theorem3(spec, 1, 2, 1, 12)
         assert rep.verdict is Verdict.VERIFIED
 
@@ -243,7 +237,7 @@ def _straddling_quotient(monkeypatch, also_doubled):
     """An enclosure [0, 10^6] of the Gamma quotient, which holds every
     S1/S2, at the base precision (and at doubled precision too when
     also_doubled); the true enclosure otherwise."""
-    real = verify_module.gamma_quotient
+    real = series_module.gamma_quotient
     base = get_precision()
 
     def quotient(a, b, delta):
@@ -251,7 +245,7 @@ def _straddling_quotient(monkeypatch, also_doubled):
             return CertifiedInterval.from_fraction_bounds(0, 10 ** 6)
         return real(a, b, delta)
 
-    monkeypatch.setattr(verify_module, "gamma_quotient", quotient)
+    monkeypatch.setattr(series_module, "gamma_quotient", quotient)
 
 
 class TestEscalation:
@@ -358,29 +352,30 @@ def test_sign_check_needs_its_family(check, spec):
 
 class TestSuites:
     def test_theorem1_suite_all_verified(self):
-        reports = suite_theorem1(M=12)
+        reports = [run_case(c) for c in default_cases("thm1", 12)]
         assert len(reports) == 150
         assert all(r.verdict is Verdict.VERIFIED for r in reports)
 
     def test_theorem2_suite_all_verified(self):
-        reports = suite_theorem2(M=10)
+        reports = [run_case(c) for c in default_cases("thm2", 10)]
         assert len(reports) == 90
         assert all(r.verdict is Verdict.VERIFIED for r in reports)
 
     def test_theorem3_suite_all_verified(self):
-        reports = suite_theorem3(M=12)
+        reports = [run_case(c) for c in default_cases("thm3", 12)]
         assert len(reports) == 150
         assert all(r.verdict is Verdict.VERIFIED for r in reports)
 
     def test_binomial_suite_degenerate_zero(self):
-        reports = suite_binomial_degeneracy(M=12)
+        reports = [run_case(c) for c in default_cases("binomial", 12)]
         assert len(reports) == 30
         for r in reports:
             assert r.verdict is Verdict.VERIFIED
             assert set(r.per_index_sign) == {Sign.ZERO}
 
     def test_bound_suites(self):
-        for rep in suite_corollary() + suite_turan():
+        for c in default_cases("corollary") + default_cases("turan"):
+            rep = run_case(c)
             assert rep.verdict is Verdict.VERIFIED
 
 
