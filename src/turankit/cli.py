@@ -17,12 +17,14 @@ are assembled in input order.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from fractions import Fraction
 from itertools import repeat
 
@@ -197,27 +199,32 @@ def _cases(args) -> list[Case]:
     return default_cases(args.theorem, args.M)
 
 
-def _emit(report: dict, out_json: str | None):
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if out_json:
-        with open(out_json, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+# the summary count each verdict adds to
+COUNTED_AS = {v.value: v.value for v in Verdict}
+COUNTED_AS[Verdict.VERIFIED_DEGENERATE.value] = Verdict.VERIFIED.value
 
 
-def _write_csv(path: str, header: list[str], rows):
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def _run_id(config: dict) -> str:
+def _publish(args, config: dict, records: list, header: list, rows) -> dict | None:
+    """Write the JSON report to --out-json (else stdout) and the CSV rows
+    to --out-csv if given, and return the summary; None, after an error
+    message, when a file cannot be written."""
+    summary = dict.fromkeys(COUNTED_AS.values(), 0)
+    for rec in records:
+        summary[COUNTED_AS[rec["verdict"]]] += 1
     blob = json.dumps(config, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
+    report = {"run_id": hashlib.sha256(blob).hexdigest()[:12],
+              "config_echo": config, "per_case": records, "summary": summary}
+    try:
+        out = open(args.out_json, "w") if args.out_json else nullcontext(sys.stdout)
+        with out as fh:
+            fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        if args.out_csv:
+            with open(args.out_csv, "w", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+    return summary
 
 
 def cmd_verify(args) -> int:
@@ -240,19 +247,8 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    csv_rows = []
-    for i, rec in enumerate(records):
-        for row in rec.pop("csv_rows"):
-            csv_rows.append([str(i)] + row)
-    summary = {"verified": 0, "violated": 0, "inconclusive": 0}
-    for rec in records:
-        if rec["verdict"] in (Verdict.VERIFIED.value,
-                              Verdict.VERIFIED_DEGENERATE.value):
-            summary["verified"] += 1
-        elif rec["verdict"] == Verdict.VIOLATED.value:
-            summary["violated"] += 1
-        else:
-            summary["inconclusive"] += 1
+    rows = [[str(i)] + row for i, rec in enumerate(records)
+            for row in rec.pop("csv_rows")]
     config = {
         "command": "verify", "theorem": args.theorem,
         "family": args.family, "grid": args.grid,
@@ -260,12 +256,10 @@ def cmd_verify(args) -> int:
         "precision": precision, "jobs": args.jobs,
         "cases": len(cases),
     }
-    report = {"run_id": _run_id(config), "config_echo": config,
-              "per_case": records, "summary": summary}
-    _emit(report, args.out_json)
-    if args.out_csv:
-        _write_csv(args.out_csv, ["case", "theorem", "params", "index", "sign"],
-                   csv_rows)
+    summary = _publish(args, config, records,
+                       ["case", "theorem", "params", "index", "sign"], rows)
+    if summary is None:
+        return 2
     if summary["violated"]:
         return 1
     if summary["inconclusive"]:
@@ -314,22 +308,15 @@ def cmd_explore(args) -> int:
             "reason": None,
         },
     }]
-    summary = {"verified": int(verdict == "verified"),
-               "violated": int(verdict == "violated"),
-               "inconclusive": int(verdict == "inconclusive")}
-    report = {"run_id": _run_id(config), "config_echo": config,
-              "per_case": per_case, "summary": summary}
-    _emit(report, args.out_json)
-    if args.out_csv:
-        bound_col = "bound_A" if rep.branch == "positive" else "bound_B"
-        bound_val = repr(float(rep.bound.midpoint))
-        rows = []
-        for i, (x, q) in enumerate(zip(rep.xs, rep.values)):
-            step = rep.steps[i - 1].value if i else ""
-            rows.append([repr(float(x)), repr(float(q.lo)), repr(float(q.hi)),
-                         bound_val, step])
-        _write_csv(args.out_csv, ["x", "Q_lo", "Q_hi", bound_col,
-                                  "decided_monotone_step"], rows)
+    bound_val = repr(float(rep.bound.midpoint))
+    rows = [[repr(float(x)), repr(float(q.lo)), repr(float(q.hi)), bound_val,
+             rep.steps[i - 1].value if i else ""]
+            for i, (x, q) in enumerate(zip(rep.xs, rep.values))]
+    header = ["x", "Q_lo", "Q_hi",
+              "bound_A" if rep.branch == "positive" else "bound_B",
+              "decided_monotone_step"]
+    if _publish(args, config, per_case, header, rows) is None:
+        return 2
     if rep.violations:
         return 1
     if rep.undecided:

@@ -21,6 +21,10 @@ radius [-c, c], and the two are added with outward rounding.  The bound
 is reduced to a Fraction only when ``EvalResult.truncation_bound`` is
 first read.
 
+A series stops after term m when -m is its largest nonpositive-integer
+upper parameter, and is summed exactly.  A lower parameter -n is then no
+pole if m <= n, as in mpmath, where 1F1(-1; -2; x) = 1 + x/2 exactly.
+
 Also provides the classical transformation cross-checks (Kummer for the
 confluent function, Euler/Pfaff for the Gauss function), the cross-ratio
 f(b+d,x)f(a,x) / [f(a+d,x)f(b,x)] used by the two-sided bounds, and a
@@ -31,40 +35,46 @@ question whether it is monotone on each half-line.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from math import lcm
 
-from .errors import DomainError, TermCapError
+from .errors import DomainError, PoleError, TermCapError
 from .exact import is_nonpositive_integer, parse_rational
-from .intervals import (CertifiedInterval, ci_exp, gamma_ratio,
-                        get_precision, rational_power, working_precision)
-from .series import Family, HypSeriesSpec, WeightRule
+from .intervals import (CertifiedInterval, ci_exp, get_precision,
+                        rational_power, working_precision)
+from .series import Family, HypSeriesSpec, gamma_quotient, kummer_upper
 
 TERM_CAP = 10000
 
 
 @dataclass(frozen=True)
 class PFQSpec:
-    """Parameters of pFq: p upper, q lower, p <= q + 1; no lower
-    parameter may be a nonpositive integer."""
+    """Parameters of pFq: p upper, q lower.  ``stop`` is the index of the
+    last term of a series that stops, else None and p <= q + 1 is needed.
+    A lower -n is a pole (PoleError) unless the series stops by term n."""
 
     upper: tuple[Fraction, ...]
     lower: tuple[Fraction, ...]
+    stop: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         up = tuple(Fraction(u) for u in self.upper)
         lo = tuple(Fraction(l) for l in self.lower)
         object.__setattr__(self, "upper", up)
         object.__setattr__(self, "lower", lo)
-        if len(up) > len(lo) + 1:
+        stop = min((-u.numerator for u in up if is_nonpositive_integer(u)),
+                   default=None)
+        object.__setattr__(self, "stop", stop)
+        if stop is None and len(up) > len(lo) + 1:
             raise DomainError(
                 f"need p <= q + 1, got p={len(up)}, q={len(lo)}")
         for l in lo:
-            if is_nonpositive_integer(l):
-                raise DomainError(f"lower parameter {l} is a nonpositive integer")
+            if is_nonpositive_integer(l) and (stop is None or stop > -l):
+                raise PoleError(f"lower parameter {l} is a nonpositive integer "
+                                f"and the series does not stop by term {-l}")
 
     @property
     def p(self) -> int:
@@ -110,11 +120,6 @@ class EvalResult:
         return Fraction(*self.bound_pair)
 
 
-def _termination_index(spec: PFQSpec) -> int | None:
-    stops = [-int(u) for u in spec.upper if is_nonpositive_integer(u)]
-    return min(stops) if stops else None
-
-
 def _tail_pairs(ups: list[int], dens: list[int]):
     """The factors of a bound on |t_{k+1}/t_k| for every k >= n, valid
     once all shifted parameters are positive at n.  Uppers are paired with
@@ -148,11 +153,11 @@ def _term_ratios(ups: list[int], lows: list[int], a_scale: int, b_scale: int,
 def eval_pfq(spec: PFQSpec, x, tol=None, term_cap: int = TERM_CAP) -> EvalResult:
     """Certified enclosure of pFq(upper; lower; x).
 
-    Terminating series (a nonpositive-integer upper parameter) and x = 0
-    are summed exactly.  Otherwise summation proceeds until the geometric
-    tail bound drops below tol (default 10^-precision); hitting the term
-    cap first yields a wider but still rigorous interval flagged as
-    inconclusive, or TermCapError when no tail bound holds at the cap."""
+    A series that stops (``spec.stop``) and x = 0 are summed exactly.
+    Otherwise summation proceeds until the geometric tail bound drops
+    below tol (default 10^-precision); hitting the term cap first yields
+    a wider but still rigorous interval flagged as inconclusive, or
+    TermCapError when no tail bound holds at the cap."""
     x = parse_rational(x) if not isinstance(x, Fraction) else x
     if tol is None:
         tol_num, tol_den = 1, 10 ** get_precision()
@@ -162,7 +167,7 @@ def eval_pfq(spec: PFQSpec, x, tol=None, term_cap: int = TERM_CAP) -> EvalResult
             raise DomainError("tolerance must be positive")
         tol_num, tol_den = tol.numerator, tol.denominator
 
-    stop = _termination_index(spec)
+    stop = spec.stop
     if x == 0:
         return EvalResult(CertifiedInterval.from_fraction(Fraction(1)), 1, (0, 1))
     if stop is None and spec.p == spec.q + 1 and abs(x) >= 1:
@@ -236,12 +241,15 @@ def eval_pfq(spec: PFQSpec, x, tol=None, term_cap: int = TERM_CAP) -> EvalResult
 def eval_1f1(a, c, x, tol=None, use_transform: bool | None = None) -> EvalResult:
     """Confluent function 1F1(a; c; x).  For x < 0 with c - a >= 0 the
     evaluation is routed through exp(x) * 1F1(c-a; c; -x), whose terms
-    are eventually one-signed; set use_transform to force either path."""
+    are eventually one-signed; set use_transform to force either path.
+    The transformation fails where c is a nonpositive integer."""
     a, c, x = Fraction(a), Fraction(c), Fraction(x)
     if use_transform is None:
-        use_transform = x < 0 and c - a >= 0
+        use_transform = x < 0 and c - a >= 0 and not is_nonpositive_integer(c)
     if not use_transform:
         return eval_pfq(PFQSpec((a,), (c,)), x, tol)
+    if is_nonpositive_integer(c):
+        raise DomainError(f"Kummer's transformation fails at c = {c}")
     inner = eval_pfq(PFQSpec((c - a,), (c,)), -x, tol)
     scale = ci_exp(CertifiedInterval.from_fraction(x))
     return replace(inner, value=scale * inner.value)
@@ -267,6 +275,8 @@ def check_kummer_transform(a, c, x, tol=None) -> TransformReport:
     """Certified check of 1F1(a; c; x) = exp(x) * 1F1(c-a; c; -x): both
     sides evaluated independently, intervals must overlap."""
     a, c, x = Fraction(a), Fraction(c), Fraction(x)
+    if is_nonpositive_integer(c):
+        raise DomainError(f"Kummer's transformation fails at c = {c}")
 
     def sides():
         return (eval_1f1(a, c, x, tol, use_transform=False).value,
@@ -299,6 +309,8 @@ def check_euler_pfaff(a, b, c, x, tol=None) -> EulerPfaffReport:
 
     Branches whose series argument leaves the unit disk are skipped."""
     a, b, c, x = Fraction(a), Fraction(b), Fraction(c), Fraction(x)
+    if is_nonpositive_integer(c):
+        raise DomainError(f"the Euler and Pfaff transformations fail at c = {c}")
     if x >= 1:
         raise DomainError("transformation checks need x < 1")
     values = {}
@@ -369,6 +381,8 @@ def explore_conjecture(a, b, delta, c, xs, tol=None) -> ConjectureReport:
     expected to fall from 1 toward the Gamma-quotient bound; on x < 0
     (needs a < b < c - d) it is expected to rise toward 1."""
     a, b, delta, c = Fraction(a), Fraction(b), Fraction(delta), Fraction(c)
+    if delta <= 0:
+        raise DomainError("need delta > 0")
     xs = [Fraction(v) for v in xs]
     if not xs:
         raise DomainError("empty x grid")
@@ -378,19 +392,19 @@ def explore_conjecture(a, b, delta, c, xs, tol=None) -> ConjectureReport:
         branch = "positive"
         if not b > a > 0:
             raise DomainError("positive branch needs b > a > 0")
-        bound = gamma_ratio(a, delta) / gamma_ratio(b, delta)
+        bound = gamma_quotient(b, a, delta)
         near_zero, far = 0, len(xs) - 1
     elif all(x < 0 for x in xs):
         branch = "negative"
         if not (a < b < c - delta):
             raise DomainError("negative branch needs a < b < c - delta")
-        bound = gamma_ratio(c - b - delta, delta) / gamma_ratio(c - a - delta, delta)
+        bound = gamma_quotient(c - a - delta, c - b - delta, delta)
         near_zero, far = len(xs) - 1, 0
     else:
         raise DomainError("x grid must lie entirely in one half-line")
 
-    spec_eval = HypSeriesSpec(Family.UPPER_FACTOR, WeightRule(lower=(c,)), order=0)
-    values = [cross_ratio(spec_eval, a, b, delta, x, tol) for x in xs]
+    spec = kummer_upper(c, 0)
+    values = [cross_ratio(spec, a, b, delta, x, tol) for x in xs]
     steps = []
     violations = undecided = 0
     expected = StepKind.DOWN if branch == "positive" else StepKind.UP
@@ -413,14 +427,15 @@ def explore_conjecture(a, b, delta, c, xs, tol=None) -> ConjectureReport:
 
 
 def default_log_grid(count: int = 64, x_max=Fraction(50),
-                     ratio=Fraction(7, 8), negative: bool = False) -> list[Fraction]:
-    """Geometric x grid: x_max * ratio^k, ascending; mirrored into the
-    negative half-line on request."""
+                     negative: bool = False) -> list[Fraction]:
+    """Geometric x grid: x_max (7/8)^k for k < count, ascending; mirrored
+    into the negative half-line on request.  The smallest point's
+    denominator gains three bits per point, which the CLI's cap on the
+    point count assumes."""
     x_max = Fraction(x_max)
-    ratio = Fraction(ratio)
-    if count < 1 or x_max <= 0 or not 0 < ratio < 1:
-        raise DomainError("need count >= 1, x_max > 0, 0 < ratio < 1")
-    pts = [x_max * ratio ** k for k in range(count)]
+    if count < 1 or x_max <= 0:
+        raise DomainError("need count >= 1 and x_max > 0")
+    pts = [x_max * Fraction(7, 8) ** k for k in range(count)]
     if negative:
         return sorted(-p for p in pts)
     return sorted(pts)

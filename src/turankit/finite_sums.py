@@ -1,20 +1,20 @@
 """Exact terminating hypergeometric sums at argument -1.
 
 A terminating sum here is a pFq whose designated upper parameter is a
-negative integer -m, evaluated at x = -1: exactly m + 1 rational terms.
-Two parameter shapes are built symbolically from user inputs (never
-accepted raw, to avoid transcription slips in the intricate patterns):
+negative integer -m, evaluated at x = -1: exactly m + 1 rational terms,
+summed by :func:`turankit.evalf.eval_pfq`.  A lower parameter -n with
+n >= m is allowed, since its zero divisor lies past the last term.  One
+parameter shape is built symbolically from user inputs (never accepted
+raw, to avoid transcription slips in the intricate pattern):
 
-* the 4F3 whose sign encodes the order of a and b,
+* the 2q+2 F 2q+1 whose positivity holds for alpha > beta > 0 under the
+  truncated symmetric-polynomial chain on (a_1..a_{q-1}; b_1..b_q); at
+  q = 1 it is the 4F3 whose sign encodes the order of a and b,
 
       4F3(-m, a, 1-c-m, 1-am/(a+b); c, 1-b-m, -am/(a+b) | -1),
 
   which is proportional, by an exactly known factor, to the m-th
-  coefficient of 1F1(a+1;c;x) 1F1(b;c;x) - 1F1(b+1;c;x) 1F1(a;c;x);
-
-* its 2q+2 F 2q+1 generalization whose positivity holds for
-  alpha > beta > 0 under the truncated symmetric-polynomial chain on
-  (a_1..a_{q-1}; b_1..b_q).
+  coefficient of 1F1(a+1;c;x) 1F1(b;c;x) - 1F1(b+1;c;x) 1F1(a;c;x).
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, PoleError
+from .evalf import PFQSpec, eval_pfq
 from .exact import pochhammer
 from .lemmas import truncated_chain_holds
-from .series import kummer_upper, phi_coefficients
+from .series import kummer_upper, phi_coefficients, sign_of
 
 
 @dataclass(frozen=True)
@@ -64,36 +65,14 @@ class TerminatingSum:
 
 def eval_terminating(ts: TerminatingSum) -> Fraction:
     """Exact value of the m+1-term sum at -1."""
-    total = Fraction(0)
-    term = Fraction(1)
-    for k in range(ts.m + 1):
-        total += term
-        if k == ts.m:
-            break
-        num = Fraction(1)
-        for u in ts.upper:
-            num *= u + k
-        den = Fraction(k + 1)
-        for l in ts.lower:
-            den *= l + k
-        term = term * num / den * -1
-    return total
+    return eval_pfq(PFQSpec(ts.upper, ts.lower), -1).value.exact
 
 
 def thm4d_sum(a, b, c, m: int) -> TerminatingSum:
-    """The 4F3(-1) whose sign matches sign(a - b); needs a, b, c > 0 and
-    am/(a+b) not an integer below m (pole screening)."""
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    if a <= 0 or b <= 0 or c <= 0:
-        raise DomainError("parameters must be positive")
-    if m < 2:
-        raise DomainError(f"need m >= 2, got {m}")
-    t = a * m / (a + b)
-    return TerminatingSum(
-        upper=(Fraction(-m), a, 1 - c - m, 1 - t),
-        lower=(c, 1 - b - m, -t),
-        m=m,
-    )
+    """The 4F3(-1) whose sign matches sign(a - b): the q = 1 case of
+    :func:`qfq_sum`.  Needs a, b, c > 0 and am/(a+b) not an integer below
+    m (pole screening)."""
+    return qfq_sum(a, b, (), (c,), m)
 
 
 def link_factor(b, c, m: int) -> Fraction:
@@ -138,16 +117,13 @@ def check_4f3_coefficient_link(a, b, c, m: int) -> Link4F3Report:
         raise ArithmeticError(
             f"proportionality failed at (a={a}, b={b}, c={c}, m={m}): "
             f"phi_m={phi_m}, factor*sum={factor * value}")
-    want = (a - b).numerator
-    got = value.numerator
-    sign_ok = (want > 0) == (got > 0) and (want < 0) == (got < 0) and (
-        (want == 0) == (got == 0))
-    return Link4F3Report(a, b, c, m, phi_m, value, factor, sign_ok)
+    return Link4F3Report(a, b, c, m, phi_m, value, factor,
+                         sign_of(a - b) is sign_of(value))
 
 
 def qfq_sum(alpha, beta, a_list, b_list, m: int) -> TerminatingSum:
     """The 2q+2 F 2q+1 terminating shape; q = len(b_list),
-    len(a_list) = q - 1.  Reduces to the thm4d shape at q = 1."""
+    len(a_list) = q - 1."""
     alpha, beta = Fraction(alpha), Fraction(beta)
     av = tuple(Fraction(v) for v in a_list)
     bv = tuple(Fraction(v) for v in b_list)

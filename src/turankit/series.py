@@ -391,69 +391,62 @@ class HalfRangePass:
         L2 = self.L * self.L
         return [self.tables.exact(m, s, L2) for m, s in enumerate(self.sums())]
 
-    def sign_test(self, quotient: CertifiedInterval | None = None):
+    def sign_test(self):
         """The sign of one value of the pass: an integer, or for the gamma
         family a pair (p, q) read as p - Q q with Q the Gamma quotient,
-        enclosed at the precision in force unless ``quotient`` is passed.
-        At a = b, S1 = S2 and Q is exactly 1, which an enclosure would tie
-        with, so ``quotient`` is ignored there."""
+        enclosed at the precision in force.  At a = b, S1 = S2 and Q is
+        exactly 1, which an enclosure would tie with."""
         if self.family is not Family.GAMMA_FACTOR:
             return sign_of
         if self.a == self.b:
             quotient = CertifiedInterval.from_fraction(1)
-        elif quotient is None:
+        else:
             quotient = gamma_quotient(self.a, self.b, self.delta)
         sign = quotient_sign(quotient)
         return lambda pair: sign(*pair)
 
-    def psi(self, quotient: CertifiedInterval | None = None) -> list[PsiCoefficient]:
-        """Factored psi_m with certified signs for m = 0..M (gamma family).
-        ``quotient`` may be passed to reuse or escalate the Gamma quotient
-        enclosure."""
-        sign = self.sign_test(quotient)
+    def psi(self) -> list[PsiCoefficient]:
+        """Factored psi_m with certified signs for m = 0..M (gamma family),
+        the Gamma quotient enclosed at the precision in force."""
+        sign = self.sign_test()
         L2 = self.L * self.L
         return [PsiCoefficient(m, self.tables.exact(m, s1, L2),
                                self.tables.exact(m, s2, L2), sign((s1, s2)))
                 for m, (s1, s2) in enumerate(self.sums())]
 
 
-def half_range_pass(family: Family, spec: HypSeriesSpec, a, b, delta,
-                    order: int | None = None) -> HalfRangePass:
-    """The one exact pass over the coefficients m = 0..order (default:
-    the spec's order) of the cross-product difference, from which every
-    coefficient and profile is read.  ``family`` is the family the caller
-    works with; a spec of another family is refused."""
+def half_range_pass(family: Family, spec: HypSeriesSpec, a, b, delta) -> HalfRangePass:
+    """The one exact pass over the coefficients m = 0..spec.order of the
+    cross-product difference, from which every coefficient and profile is
+    read.  ``family`` is the family the caller works with; a spec of
+    another family is refused."""
     if spec.family is not family:
         raise DomainError(f"expected the {family.value}-factor family, "
                           f"got {spec.family.value}")
     a, b, delta = Fraction(a), Fraction(b), Fraction(delta)
-    M = spec.order if order is None else order
-    if M < 0:
-        raise DomainError(f"truncation order must be >= 0, got {M}")
+    M = spec.order
     tables = _IntegerTables(family, a, b, delta, M)
     weights, L = _weight_numerators(spec.weights, M)
     return HalfRangePass(family, a, b, delta, tables, weights, L,
                          [tables.row(m) for m in range(M + 1)])
 
 
-def phi_coefficients(spec: HypSeriesSpec, a, b, delta, order: int | None = None):
+def phi_coefficients(spec: HypSeriesSpec, a, b, delta):
     """Exact coefficients of F(a+d,x)F(b,x) - F(b+d,x)F(a,x) for the
-    upper-factor family.  phi_0 = phi_1 = 0."""
-    return half_range_pass(Family.UPPER_FACTOR, spec, a, b, delta, order).coefficients()
+    upper-factor family, m = 0..spec.order.  phi_0 = phi_1 = 0."""
+    return half_range_pass(Family.UPPER_FACTOR, spec, a, b, delta).coefficients()
 
 
-def lambda_coefficients(spec: HypSeriesSpec, a, b, delta, order: int | None = None):
+def lambda_coefficients(spec: HypSeriesSpec, a, b, delta):
     """Exact coefficients of the cross-product difference for the
-    lower-factor family.  lambda_0 = 0."""
-    return half_range_pass(Family.LOWER_FACTOR, spec, a, b, delta, order).coefficients()
+    lower-factor family, m = 0..spec.order.  lambda_0 = 0."""
+    return half_range_pass(Family.LOWER_FACTOR, spec, a, b, delta).coefficients()
 
 
-def psi_coefficients(spec: HypSeriesSpec, a, b, delta, order: int | None = None,
-                     quotient: CertifiedInterval | None = None):
-    """Factored psi_m list for the gamma-factor family with certified
-    signs.  ``quotient`` may be passed to reuse or escalate the Gamma
-    quotient enclosure."""
-    return half_range_pass(Family.GAMMA_FACTOR, spec, a, b, delta, order).psi(quotient)
+def psi_coefficients(spec: HypSeriesSpec, a, b, delta):
+    """Factored psi_m list for the gamma-factor family, m = 0..spec.order,
+    with signs certified at the precision in force."""
+    return half_range_pass(Family.GAMMA_FACTOR, spec, a, b, delta).psi()
 
 
 def mk_profile(spec: HypSeriesSpec, a, b, delta, m: int) -> MkProfile:

@@ -40,11 +40,10 @@ from functools import partial
 
 from .errors import DomainError
 from .evalf import cross_ratio
-from .intervals import (CertifiedInterval, gamma_ratio, get_precision,
-                        working_precision)
+from .intervals import CertifiedInterval, get_precision, working_precision
 from .series import (DEFAULT_ORDER, Family, HypSeriesSpec, MonotoneClass,
-                     Sign, binomial_upper, gauss_lower, gauss_upper,
-                     half_range_pass, kummer_gamma, kummer_lower,
+                     Sign, binomial_upper, gamma_quotient, gauss_lower,
+                     gauss_upper, half_range_pass, kummer_gamma, kummer_lower,
                      kummer_upper, sign_change_count, weight_ratio_class)
 
 
@@ -213,8 +212,7 @@ class TwoSidedBoundReport:
     params: dict
     x_grid: list[Fraction]
     ratio_values: list[CertifiedInterval]
-    lower_bound: CertifiedInterval
-    upper_bound: Fraction
+    lower_bound: CertifiedInterval  # the upper bound is 1
     within: list  # True / False / None per x
     approaches_lower: bool
     rel_gap_at_top: float
@@ -243,7 +241,7 @@ def verify_corollary_twosided(spec: HypSeriesSpec, a, b, delta, x_grid,
     if weight_ratio_class(spec) is not MonotoneClass.DECREASING:
         raise DomainError("two-sided bound needs a decreasing weight-ratio spec")
     xs = sorted(xs)
-    lower = gamma_ratio(a, delta) / gamma_ratio(b, delta)
+    lower = gamma_quotient(b, a, delta)
     one = CertifiedInterval.from_fraction(Fraction(1))
     values = []
     within = []
@@ -266,8 +264,7 @@ def verify_corollary_twosided(spec: HypSeriesSpec, a, b, delta, x_grid,
     else:
         verdict = Verdict.VERIFIED
     return TwoSidedBoundReport({"a": a, "b": b, "delta": delta}, xs, values,
-                               lower, Fraction(1), within, approaches,
-                               float(gap), verdict)
+                               lower, within, approaches, float(gap), verdict)
 
 
 def verify_turan(spec: HypSeriesSpec, a, delta, x_grid, tol=None) -> TwoSidedBoundReport:

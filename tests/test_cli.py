@@ -503,6 +503,11 @@ class TestExplore:
         assert capsys.readouterr().err == \
             "error: no certifiable tail bound within 10000 terms\n"
 
+    @pytest.mark.parametrize("delta", ["0", "-1/2"])
+    def test_nonpositive_delta_exits_2(self, delta, capsys):
+        assert main(["explore", "--points", "4", f"--delta={delta}"]) == 2
+        assert capsys.readouterr().err == "error: need delta > 0\n"
+
     def test_grid_overrides_points(self, tmp_path):
         _, rep, _ = run_cli(["explore", "--x-grid", "1,3", "--points", "99"],
                             tmp_path)
@@ -513,6 +518,26 @@ class TestExplore:
         _, _, first = run_cli(argv, tmp_path, "a")
         _, _, second = run_cli(argv, tmp_path, "b")
         assert first == second
+
+
+class TestUnwritableOutput:
+    """A report that cannot be written is a configuration error: exit 2
+    with a one-line message, not a traceback and the violation code 1."""
+
+    def test_verify_json(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "r.json"
+        assert main(ENTRY_ARGS + ["--out-json", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert err.count("\n") == 1
+
+    def test_explore_csv(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "scan.csv"
+        assert main(["explore", "--x-grid", "1,2", "--out-json",
+                     str(tmp_path / "r.json"), "--out-csv", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert err.count("\n") == 1
 
 
 ENTRY_ARGS = ["verify", "--theorem", "thm1", "--family", "1f1-upper",

@@ -15,12 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.rational import mpq
 
-from turankit.errors import DomainError, TermCapError
+import turankit.evalf as evalf_mod
+from turankit.errors import DomainError, PoleError, TermCapError
 from turankit.evalf import (TERM_CAP, ConjectureReport, PFQSpec, StepKind,
-                            _termination_index, check_euler_pfaff,
-                            check_kummer_transform, cross_ratio,
-                            default_log_grid, eval_1f1, eval_pfq,
-                            explore_conjecture)
+                            check_euler_pfaff, check_kummer_transform,
+                            cross_ratio, default_log_grid, eval_1f1,
+                            eval_pfq, explore_conjecture)
 from turankit.exact import is_nonpositive_integer, parse_rational, pochhammer
 from turankit.intervals import (CertifiedInterval, _raw_to_fraction,
                                 get_precision)
@@ -36,16 +36,61 @@ def _ref(uppers, lowers, x) -> F:
         return _raw_to_fraction(mpmath.mpf(val)._mpf_)
 
 
+def _stop(upper) -> int | None:
+    """The index of the last term of a series with these upper parameters,
+    or None when it does not stop, found afresh."""
+    return min((-int(u) for u in upper if u <= 0 and u.denominator == 1),
+               default=None)
+
+
+def _stopped_sum(up, lo, x, stop) -> F:
+    """Oracle: the terms 0..stop of pFq(up; lo; x), each from its own
+    Pochhammer products."""
+    total = F(0)
+    for k in range(stop + 1):
+        num, den = F(x) ** k, pochhammer(F(1), k)
+        for u in up:
+            num *= pochhammer(F(u), k)
+        for l in lo:
+            den *= pochhammer(F(l), k)
+        total += num / den
+    return total
+
+
 class TestPFQSpec:
     def test_too_many_uppers(self):
         with pytest.raises(DomainError):
             PFQSpec((F(1), F(2), F(3)), (F(1),))
 
+    def test_too_many_uppers_allowed_when_stopping(self):
+        assert PFQSpec((F(-2), F(1), F(3)), ()).stop == 2
+
     def test_nonpositive_integer_lower(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(PoleError):
             PFQSpec((F(1),), (F(-2),))
-        with pytest.raises(DomainError):
+        with pytest.raises(PoleError):
             PFQSpec((F(1),), (F(0),))
+
+    @pytest.mark.parametrize("up,lo,stop", [
+        ((F(-1),), (F(-2),), 1),
+        ((F(-2),), (F(-2),), 2),
+        ((F(-5), F(1, 2), F(-3)), (F(-3), F(4)), 3),
+        ((F(0),), (F(0),), 0),
+    ])
+    def test_lower_past_stop_allowed(self, up, lo, stop):
+        assert PFQSpec(up, lo).stop == stop
+
+    @pytest.mark.parametrize("up,lo", [
+        ((F(-3),), (F(-2),)),
+        ((F(-5), F(1, 2)), (F(-4), F(4))),
+        ((F(-1),), (F(0),)),
+    ])
+    def test_pole_before_stop(self, up, lo):
+        with pytest.raises(PoleError):
+            PFQSpec(up, lo)
+
+    def test_stop_is_none_without_integer_upper(self):
+        assert PFQSpec((F(-1, 2), F(3)), (F(1),)).stop is None
 
     def test_from_series_upper(self):
         spec = PFQSpec.from_series(kummer_upper(F(3)), F(1, 2))
@@ -94,6 +139,25 @@ class TestEvalPfq:
                    / (pochhammer(F(4), n) * pochhammer(F(1), n))
                    for n in range(4))
         assert res.value.exact == hand
+        assert res.truncation_bound == 0
+
+    def test_lower_past_stop_matches_mpmath_convention(self):
+        # mpmath: hyp1f1(-1, -2, 0.5) = 1.25
+        res = eval_pfq(PFQSpec((F(-1),), (F(-2),)), F(1, 2))
+        assert res.value.exact == F(5, 4) == _ref((F(-1),), (F(-2),), F(1, 2))
+        assert res.terms_used == 2
+
+    @pytest.mark.parametrize("up,lo,x", [
+        ((F(-3), F(1, 2)), (F(-5),), F(2, 3)),
+        ((F(-2), F(-4)), (F(-2), F(3, 2)), F(-1)),
+        ((F(-4), F(7, 3)), (F(-4), F(-6)), F(5)),
+        ((F(-2), F(1), F(1)), (), F(3)),
+        ((F(-6), F(5, 2), F(-7, 3), F(1, 3)), (F(-6), F(-9, 2), F(2)), F(-1)),
+    ])
+    def test_lower_past_stop_exact(self, up, lo, x):
+        spec = PFQSpec(up, lo)
+        res = eval_pfq(spec, x)
+        assert res.value.exact == _stopped_sum(up, lo, x, _stop(up))
         assert res.truncation_bound == 0
 
     def test_divergent_rejected(self):
@@ -193,6 +257,12 @@ class TestEval1F1:
         ref = _ref((a,), (c,), x)
         assert auto.value.lo <= ref <= auto.value.hi
 
+    def test_no_transform_at_nonpositive_integer_c(self):
+        # 1F1(-1; -1; x) = 1 + x, but exp(x) 1F1(0; -1; -x) = exp(x)
+        assert eval_1f1(F(-1), F(-1), F(-1, 2)).value.exact == F(1, 2)
+        with pytest.raises(DomainError, match="transformation fails"):
+            eval_1f1(F(-1), F(-1), F(-1, 2), use_transform=True)
+
     def test_no_transform_when_difference_negative(self):
         # c - a < 0: alternating route unavailable, direct sum still certified
         res = eval_1f1(F(3), F(2), F(-3))
@@ -210,6 +280,12 @@ class TestKummerTransform:
         rep = check_kummer_transform(a, c, x)
         assert rep.overlap
         assert rep.residual < 1e-12
+
+    def test_c_nonpositive_integer_refused(self):
+        # both sides stop before the pole at c = -2, but 1F1(-1; -2; 1/2)
+        # = 5/4 while exp(1/2) 1F1(-1; -2; -1/2) = 3/4 exp(1/2)
+        with pytest.raises(DomainError, match="transformation"):
+            check_kummer_transform(F(-1), F(-2), F(1, 2))
 
     def test_equal_parameters_exponential(self):
         # a = c: both sides are exp(x)
@@ -242,6 +318,10 @@ class TestEulerPfaff:
         rep = check_euler_pfaff(F(1), F(2), F(3), F(-3))
         assert set(rep.values) == {"pfaff_a", "pfaff_b"}
         assert rep.all_overlap
+
+    def test_c_nonpositive_integer_refused(self):
+        with pytest.raises(DomainError, match="transformation"):
+            check_euler_pfaff(F(-1), F(1), F(-2), F(1, 4))
 
     def test_x_at_or_past_one_rejected(self):
         with pytest.raises(DomainError):
@@ -301,6 +381,17 @@ class TestConjectureExplorer:
         with pytest.raises(DomainError):
             explore_conjecture(F(1), F(2), F(1), F(3), [F(-1), F(1)])
 
+    @pytest.mark.parametrize("delta", [F(0), F(-1, 2)])
+    def test_delta_must_be_positive(self, delta, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("a bad delta must be refused before any work")
+
+        monkeypatch.setattr(evalf_mod, "cross_ratio", no_work)
+        monkeypatch.setattr(evalf_mod, "gamma_quotient", no_work)
+        for xs in ([F(1), F(2)], [F(-2), F(-1)]):
+            with pytest.raises(DomainError, match="need delta > 0"):
+                explore_conjecture(F(1), F(2), delta, F(4), xs)
+
     def test_branch_hypotheses(self):
         with pytest.raises(DomainError):
             explore_conjecture(F(2), F(1), F(1), F(3), [F(1), F(2)])
@@ -332,8 +423,6 @@ class TestDefaultLogGrid:
             default_log_grid(0)
         with pytest.raises(DomainError):
             default_log_grid(4, F(-1))
-        with pytest.raises(DomainError):
-            default_log_grid(4, F(1), ratio=F(3, 2))
 
 
 # -- the summation loop before the bit-length tail screen -------------------
@@ -374,7 +463,7 @@ def _reference_eval_pfq(spec: PFQSpec, x, tol=None, term_cap: int = TERM_CAP):
     if tol <= 0:
         raise DomainError("tolerance must be positive")
 
-    stop = _termination_index(spec)
+    stop = _stop(spec.upper)
     if x == 0:
         return _ReferenceResult(CertifiedInterval.from_fraction(Fraction(1)), 1, Fraction(0))
     if stop is None and spec.p == spec.q + 1 and abs(x) >= 1:
@@ -461,7 +550,7 @@ def _outcome(fn, *args, **kwargs):
 
 def _assert_matches_reference(spec, x, **kwargs):
     got = _outcome(eval_pfq, spec, x, **kwargs)
-    if (_termination_index(spec) is None and x != 0
+    if (_stop(spec.upper) is None and x != 0
             and kwargs.get("term_cap", TERM_CAP) < _n_min(spec)
             and got is not DomainError):
         # the reference used its ratio bound at a cap where it does not
@@ -484,8 +573,12 @@ def pfq_cases(draw):
     that the tail test lands within a few bits of a tie."""
     q = draw(st.integers(min_value=0, max_value=2))
     p = draw(st.integers(min_value=0, max_value=q + 1))
-    spec = PFQSpec(tuple(draw(st.lists(diff_upper, min_size=p, max_size=p))),
-                   tuple(draw(st.lists(diff_lower, min_size=q, max_size=q))))
+    upper = tuple(draw(st.lists(diff_upper, min_size=p, max_size=p)))
+    stop = _stop(upper)
+    # a lower parameter -n with n >= stop is no pole
+    lower = diff_lower if stop is None else st.one_of(
+        diff_lower, st.integers(min_value=stop, max_value=stop + 3).map(lambda n: F(-n)))
+    spec = PFQSpec(upper, tuple(draw(st.lists(lower, min_size=q, max_size=q))))
     limit = 1 if p == q + 1 else 6
     x = draw(st.fractions(min_value=-limit, max_value=limit,
                           max_denominator=16))

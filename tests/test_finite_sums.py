@@ -60,6 +60,8 @@ class TestTerminatingSum:
         ((F(-3), F(5, 2), F(1, 3)), (F(2), F(7, 4)), 3),
         ((F(-6),), (F(1, 2), F(9, 4)), 6),
         ((F(0),), (F(5),), 0),
+        # p > q + 1 is fine for a sum that stops
+        ((F(-3), F(2), F(1, 2)), (), 3),
     ])
     def test_matches_direct_oracle(self, up, lo, m):
         ts = TerminatingSum(up, lo, m)
@@ -141,11 +143,15 @@ class TestQfq:
         assert r.value == F(14, 3)
 
     def test_q1_reduces_to_4f3_shape(self):
+        # 4F3(-m, a, 1-c-m, 1-am/(a+b); c, 1-b-m, -am/(a+b) | -1), written
+        # out here rather than built by thm4d_sum, which is defined by qfq_sum
         for alpha, beta, c, m in [(F(3), F(1), F(2), 3), (F(5, 2), F(1, 2), F(1), 4),
                                   (F(2), F(1), F(3), 5)]:
-            got = eval_qfq_sum(alpha, beta, [], [c], m).value
-            want = eval_terminating(thm4d_sum(alpha, beta, c, m))
-            assert got == want
+            t = alpha * m / (alpha + beta)
+            ts = TerminatingSum((F(-m), alpha, 1 - c - m, 1 - t),
+                                (c, 1 - beta - m, -t), m)
+            assert thm4d_sum(alpha, beta, c, m) == ts
+            assert eval_qfq_sum(alpha, beta, [], [c], m).value == _direct_sum(ts)
 
     def test_matches_direct_oracle(self):
         ts = qfq_sum(F(3), F(1), [F(2)], [F(1), F(2)], 5)

@@ -6,6 +6,7 @@ convolutions over Pochhammer symbols for the exact coefficients, and
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import mpmath
@@ -198,7 +199,7 @@ class TestPhi:
     def test_matches_oracle(self, spec, abd):
         a, b, d = abd
         M = 10
-        got = phi_coefficients(spec, a, b, d, order=M)
+        got = phi_coefficients(replace(spec, order=M), a, b, d)
         assert got == _phi_oracle(spec, a, b, d, M)
 
     @given(shift_pairs)
@@ -252,7 +253,7 @@ class TestLambda:
     def test_matches_oracle(self, spec, abd):
         a, b, d = abd
         M = 10
-        got = lambda_coefficients(spec, a, b, d, order=M)
+        got = lambda_coefficients(replace(spec, order=M), a, b, d)
         assert got == _lambda_oracle(spec, a, b, d, M)
 
     @given(shift_pairs)
@@ -304,12 +305,12 @@ class TestPsi:
         assert all(p.sign is Sign.ZERO for p in ps)
         assert all(p.s1 == p.s2 for p in ps)
 
-    def test_supplied_quotient_reused(self):
+    def test_signs_follow_the_gamma_quotient(self):
         spec = kummer_gamma(F(2), 6)
-        q = gamma_quotient(F(1), F(2), F(1, 2))
-        direct = psi_coefficients(spec, 1, 2, F(1, 2))
-        seeded = psi_coefficients(spec, 1, 2, F(1, 2), quotient=q)
-        assert [p.sign for p in direct] == [p.sign for p in seeded]
+        sign = quotient_sign(gamma_quotient(F(1), F(2), F(1, 2)))
+        hr = half_range_pass(Family.GAMMA_FACTOR, spec, 1, 2, F(1, 2))
+        assert [p.sign for p in psi_coefficients(spec, 1, 2, F(1, 2))] == \
+            [sign(s1, s2) for s1, s2 in hr.sums()]
 
     def test_positive_shift_guard(self):
         with pytest.raises(DomainError):
@@ -322,13 +323,12 @@ class TestPsi:
 @settings(max_examples=30, deadline=None)
 def test_coefficients_match_double_loop_oracles(abd, M):
     a, b, d = abd
-    upper, lower = gauss_upper(F(3, 2), F(5, 2)), gauss_lower(F(1, 2), F(2))
-    assert phi_coefficients(upper, a, b, d, order=M) == _phi_oracle(upper, a, b, d, M)
-    assert lambda_coefficients(lower, a, b, d, order=M) == \
-        _lambda_oracle(lower, a, b, d, M)
-    gamma = kummer_gamma(F(5, 2))
+    upper, lower = gauss_upper(F(3, 2), F(5, 2), M), gauss_lower(F(1, 2), F(2), M)
+    assert phi_coefficients(upper, a, b, d) == _phi_oracle(upper, a, b, d, M)
+    assert lambda_coefficients(lower, a, b, d) == _lambda_oracle(lower, a, b, d, M)
+    gamma = kummer_gamma(F(5, 2), M)
     s1, s2 = _psi_parts_oracle(gamma, a, b, d, M)
-    psis = psi_coefficients(gamma, a, b, d, order=M)
+    psis = psi_coefficients(gamma, a, b, d)
     assert [p.s1 for p in psis] == s1 and [p.s2 for p in psis] == s2
 
 
@@ -352,18 +352,17 @@ def test_upper_and_lower_kernels_match_oracles(abde, M):
     a, b, d, equal = abde
     if equal:
         b = a
-    upper = gauss_upper(F(3, 2), F(5, 2))
-    lower = gauss_lower(F(1, 2), F(2))
-    assert phi_coefficients(upper, a, b, d, order=M) == _phi_oracle(upper, a, b, d, M)
-    hr_upper = half_range_pass(Family.UPPER_FACTOR, upper, a, b, d, order=M)
+    upper = gauss_upper(F(3, 2), F(5, 2), M)
+    lower = gauss_lower(F(1, 2), F(2), M)
+    assert phi_coefficients(upper, a, b, d) == _phi_oracle(upper, a, b, d, M)
+    hr_upper = half_range_pass(Family.UPPER_FACTOR, upper, a, b, d)
     hr_lower = None
     if M >= 1 and _has_pole(a, b, d, M):
         with pytest.raises(PoleError):
-            lambda_coefficients(lower, a, b, d, order=M)
+            lambda_coefficients(lower, a, b, d)
     else:
-        assert lambda_coefficients(lower, a, b, d, order=M) == \
-            _lambda_oracle(lower, a, b, d, M)
-        hr_lower = half_range_pass(Family.LOWER_FACTOR, lower, a, b, d, order=M)
+        assert lambda_coefficients(lower, a, b, d) == _lambda_oracle(lower, a, b, d, M)
+        hr_lower = half_range_pass(Family.LOWER_FACTOR, lower, a, b, d)
     for m in range(2, M + 1):
         want = _profile_oracle(Family.UPPER_FACTOR, a, b, d, m)
         prof = mk_profile(upper, a, b, d, m)
@@ -397,11 +396,11 @@ def test_gamma_kernel_matches_oracles(abd, equal, M):
     a, b, d = abd
     if equal:
         b = a
-    spec = kummer_gamma(F(5, 2))
+    spec = kummer_gamma(F(5, 2), M)
     s1, s2 = _psi_parts_oracle(spec, a, b, d, M)
-    psis = psi_coefficients(spec, a, b, d, order=M)
+    psis = psi_coefficients(spec, a, b, d)
     assert [p.s1 for p in psis] == s1 and [p.s2 for p in psis] == s2
-    hr = half_range_pass(Family.GAMMA_FACTOR, spec, a, b, d, order=M)
+    hr = half_range_pass(Family.GAMMA_FACTOR, spec, a, b, d)
     quotient = gamma_quotient(a, b, d)
     sign = quotient_sign(quotient)
     # with a = b each pair ties with the quotient 1: exact for integer d
@@ -447,23 +446,31 @@ class TestSignTest:
         hr.sign_test()
         assert seen == [base, 2 * base, base]
 
-    def test_passed_quotient_is_used(self):
+    def test_wide_enclosure_is_inconclusive(self, monkeypatch):
+        wide = CertifiedInterval.from_fraction_bounds(0, 10 ** 6)
+        monkeypatch.setattr(series_module, "gamma_quotient", lambda *args: wide)
         hr = half_range_pass(Family.GAMMA_FACTOR, kummer_gamma(F(3), 6), 1, 2,
                              F(1, 2))
-        sign = hr.sign_test(CertifiedInterval.from_fraction_bounds(0, 10 ** 6))
-        assert {sign(v) for v in hr.sums()} == {Sign.INCONCLUSIVE}
+        assert {hr.sign_test()(v) for v in hr.sums()} == {Sign.INCONCLUSIVE}
+        assert {p.sign for p in hr.psi()} == {Sign.INCONCLUSIVE}
 
     @pytest.mark.parametrize("quotient", [
         None, CertifiedInterval.from_fraction(2),
         CertifiedInterval.from_fraction_bounds(0, 10 ** 6)])
-    def test_equal_shifts_ignore_the_quotient(self, quotient):
+    def test_equal_shifts_ignore_the_quotient(self, quotient, monkeypatch):
+        # whatever the enclosure would be, and at any precision, S1 = S2
+        # and Q = 1 exactly
+        if quotient is not None:
+            monkeypatch.setattr(series_module, "gamma_quotient",
+                                lambda *args: quotient)
         spec = kummer_gamma(F(3), 8)
         a, d = F(3, 2), F(1, 2)
-        hr = half_range_pass(Family.GAMMA_FACTOR, spec, a, a, d)
-        sign = hr.sign_test(quotient)
-        assert [sign(v) for v in hr.sums()] == [Sign.ZERO] * 9
-        assert [p.sign for p in psi_coefficients(spec, a, a, d, quotient=quotient)] \
-            == [Sign.ZERO] * 9
+        with working_precision(60):
+            hr = half_range_pass(Family.GAMMA_FACTOR, spec, a, a, d)
+            sign = hr.sign_test()
+            assert [sign(v) for v in hr.sums()] == [Sign.ZERO] * 9
+            assert [p.sign for p in psi_coefficients(spec, a, a, d)] == \
+                [Sign.ZERO] * 9
 
 
 # -------------------------------------------------- half-range profiles

@@ -298,7 +298,6 @@ class TestTwoSidedBounds:
         assert rep.verdict is Verdict.VERIFIED
         assert rep.within == [True] * 5
         assert rep.lower_bound.exact == F(1, 2)
-        assert rep.upper_bound == 1
         assert rep.approaches_lower
         assert rep.rel_gap_at_top < 0.05
 
