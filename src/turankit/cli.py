@@ -77,6 +77,18 @@ def _precision(args) -> int:
     return precision
 
 
+def _check_outputs(args) -> None:
+    """Refuse an unwritable --out-json or --out-csv path before any work."""
+    for path in filter(None, (args.out_json, args.out_csv)):
+        existed = os.path.lexists(path)
+        try:
+            open(path, "a").close()
+        except OSError as exc:
+            raise DomainError(str(exc)) from exc
+        if not existed:
+            os.remove(path)
+
+
 def _rational_list(text: str) -> list[Fraction]:
     items = [t for t in text.split(",") if t.strip()]
     if not items:
@@ -236,11 +248,14 @@ def cmd_verify(args) -> int:
             raise DomainError(f"--M {args.M} is above the cap of {MAX_M}")
         _check_x_grid(args.x_grid)
         cases = _cases(args)
+        _check_outputs(args)
         workers = min(args.jobs, os.cpu_count() or 1, len(cases))
         if workers > 1:
+            # about four chunks a worker: fewer round trips to the parent
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 records = list(pool.map(_run_case, cases, repeat(precision),
-                                        repeat(args.tol)))
+                                        repeat(args.tol),
+                                        chunksize=-(-len(cases) // (4 * workers))))
         else:
             records = [_run_case(c, precision, args.tol) for c in cases]
     except DomainError as exc:
@@ -275,6 +290,7 @@ def cmd_explore(args) -> int:
             raise DomainError(f"--points {args.points} is above the cap of "
                               f"{MAX_POINTS}")
         _check_x_grid(args.x_grid)
+        _check_outputs(args)
         with working_precision(precision):
             if args.x_grid is not None:
                 xs = sorted(args.x_grid)

@@ -175,16 +175,16 @@ def weight_ratio_class(spec: HypSeriesSpec) -> MonotoneClass:
     return MonotoneClass.NEITHER
 
 
+_SIGNS = (Sign.ZERO, Sign.POSITIVE, Sign.NEGATIVE)  # by (v > 0) - (v < 0)
+
+
 def sign_of(value) -> Sign:
     """Sign of an exact rational, or the certified sign of an interval
     (INCONCLUSIVE when the enclosure straddles zero)."""
     if isinstance(value, CertifiedInterval):
         s = value.sign()
-    else:
-        s = (value > 0) - (value < 0)
-    if s is None:
-        return Sign.INCONCLUSIVE
-    return Sign.POSITIVE if s > 0 else Sign.NEGATIVE if s < 0 else Sign.ZERO
+        return Sign.INCONCLUSIVE if s is None else _SIGNS[s]
+    return _SIGNS[(value > 0) - (value < 0)]
 
 
 def gamma_quotient(a, b, delta) -> CertifiedInterval:
@@ -260,7 +260,8 @@ class _IntegerTables:
 
     * upper and gamma:  P_n = prod_{i<n} (S + iD) = D^n (s)_n,
     * lower:  the suffix products R_n = prod_{n<=i<M} (S + iD) = P_M / P_n,
-      so that 1/(s)_n = D^n R_n / P_M.
+      so that 1/(s)_n = D^n R_n / P_M, and the scale pair (x, y) = (X, Y) / g,
+      negated when X Y < 0: X = P_M(a) P_M(b+d), Y = P_M(a+d) P_M(b), g = gcd(X, Y).
 
     The shifts must suit the family: positive for the gamma family, and no
     pole (s)_n = 0 with 1 <= n <= M for the lower family."""
@@ -285,12 +286,13 @@ class _IntegerTables:
             self.tables.append(list(accumulate(reversed(steps), operator.mul,
                                                initial=1))[::-1])
         if family is Family.LOWER_FACTOR:
-            # With X = P_M(a) P_M(b+d) and Y = P_M(a+d) P_M(b), the folded
-            # reciprocals p_k / Y - q_k / X times D^m give M_k, so the row
-            # holds p_k X - q_k Y, negated when X Y < 0.
+            # M_k = D^m (p_k / Y - q_k / X) = D^m (p_k x - q_k y) / (g |x y|),
+            # so the row holds p_k x - q_k y, with x, y far smaller than X, Y
             t1, t2, t3, t4 = self.tables
-            self.x, self.y = t3[0] * t4[0], t1[0] * t2[0]
-            self.flip = (self.x < 0) != (self.y < 0)
+            X, Y = t3[0] * t4[0], t1[0] * t2[0]
+            self.g = math.gcd(X, Y)
+            g = self.g if (X < 0) == (Y < 0) else -self.g
+            self.x, self.y = X // g, Y // g
 
     def row(self, m: int) -> list:
         """Row m of the pass (see HalfRangePass)."""
@@ -306,8 +308,7 @@ class _IntegerTables:
             if self.family is Family.UPPER_FACTOR:
                 row.append(math.comb(m, k) * (p - q))
             elif self.family is Family.LOWER_FACTOR:
-                r = p * self.x - q * self.y
-                row.append(-r if self.flip else r)
+                row.append(p * self.x - q * self.y)
             else:
                 row.append((p, q))
         return row
@@ -318,7 +319,7 @@ class _IntegerTables:
         if self.family is Family.UPPER_FACTOR:
             return Fraction(r, Dm * math.factorial(m) * den)
         if self.family is Family.LOWER_FACTOR:
-            return Fraction(r * Dm, abs(self.x * self.y) * den)
+            return Fraction(r * Dm, self.g * abs(self.x * self.y) * den)
         return Fraction(r, Dm * den)
 
 
@@ -353,7 +354,8 @@ class HalfRangePass:
     * upper:  M_k = [(a+d)_k (b)_{m-k} - (a)_k (b+d)_{m-k}] / (k! (m-k)!),
       r_k = C(m,k) D^m k! (m-k)! M_k, scale_m = 1 / (D^m m!),
     * lower:  M_k = 1/[(a+d)_k (b)_{m-k}] - 1/[(a)_k (b+d)_{m-k}],
-      scale_m = D^m / |(a+d)_M (b)_M (a)_M (b+d)_M D^{4M}|,
+      r_k = p_k x - q_k y (p_k, q_k the folded suffix-table products) and
+      scale_m = D^m / (g |x y|), with x, y and g of :class:`_IntegerTables`,
     * gamma:  the pairs (p_k, q_k) = ((a+d)_k (b)_{m-k}, (a)_k (b+d)_{m-k})
       as integer pairs with scale_m = 1 / D^m.
 
@@ -374,7 +376,7 @@ class HalfRangePass:
 
     def _weighted(self, m: int, values) -> int:
         w = self.weights
-        return sum(w[k] * w[m - k] * v for k, v in enumerate(values))
+        return sum(map(operator.mul, map(operator.mul, w, w[m::-1]), values))
 
     def sums(self) -> list:
         """sum_k W_k W_{m-k} r_k for m = 0..M, which has the sign of phi_m
@@ -397,12 +399,9 @@ class HalfRangePass:
         enclosed at the precision in force.  At a = b, S1 = S2 and Q is
         exactly 1, which an enclosure would tie with."""
         if self.family is not Family.GAMMA_FACTOR:
-            return sign_of
-        if self.a == self.b:
-            quotient = CertifiedInterval.from_fraction(1)
-        else:
-            quotient = gamma_quotient(self.a, self.b, self.delta)
-        sign = quotient_sign(quotient)
+            return lambda v: _SIGNS[(v > 0) - (v < 0)]
+        sign = quotient_sign(CertifiedInterval.from_fraction(1) if self.a == self.b
+                             else gamma_quotient(self.a, self.b, self.delta))
         return lambda pair: sign(*pair)
 
     def psi(self) -> list[PsiCoefficient]:

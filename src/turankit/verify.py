@@ -141,7 +141,7 @@ def check_signs(rule: SignRule, spec: HypSeriesSpec, a, b, delta,
     hr = half_range_pass(rule.family, spec, a, b, delta)
     sums = hr.sums()
     sign = hr.sign_test()
-    signs = [sign(v) for v in sums]
+    signs = list(map(sign, sums))
     report = partial(SignReport, rule.theorem_id, {"a": a, "b": b, "delta": delta},
                      spec.order, signs)
 
@@ -168,7 +168,7 @@ def check_signs(rule: SignRule, spec: HypSeriesSpec, a, b, delta,
                       reason="degenerate equal shifts")
 
     rows = hr.rows[2:]
-    row_signs = [[sign(v) for v in row] for row in rows]
+    row_signs = [list(map(sign, row)) for row in rows]
     if pending:
         row_signs = [[retry(v) if s is Sign.INCONCLUSIVE else s
                       for v, s in zip(row, srow)]

@@ -184,7 +184,8 @@ def test_conjecture_scan_archived(tmp_path):
     code = main(["explore", "--points", "64", "--x-max", "50",
                  "--out-json", str(out_json), "--out-csv", str(out_csv)])
     assert code == 0
-    rows = list(csv.reader(out_csv.open()))
+    with out_csv.open() as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["x", "Q_lo", "Q_hi", "bound_A",
                        "decided_monotone_step"]
     assert len(rows) == 65

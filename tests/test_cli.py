@@ -88,7 +88,8 @@ class TestVerifySingleCase:
         code = main(SINGLE + ["--out-json", str(tmp_path / "r.json"),
                               "--out-csv", str(out_csv)])
         assert code == 0
-        rows = list(csv.reader(out_csv.open()))
+        with out_csv.open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["case", "theorem", "params", "index", "sign"]
         assert len(rows) == 42
         assert rows[1] == ["0", "thm1", "a=1;b=2;c=3;delta=1/2", "0", "0"]
@@ -146,7 +147,7 @@ class TestJobs:
                                                   monkeypatch):
         import turankit.cli as cli_mod
 
-        sizes = []
+        sizes, chunks = [], []
 
         class RecordingPool:
             """Stands in for the process pool; runs the cases inline."""
@@ -160,7 +161,8 @@ class TestJobs:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables):
+            def map(self, fn, *iterables, chunksize=1):
+                chunks.append(chunksize)
                 return map(fn, *iterables)
 
         monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", RecordingPool)
@@ -170,6 +172,8 @@ class TestJobs:
         code, rep, _ = run_cli(grid, tmp_path, "grid")
         assert code == 0
         assert sizes == [4]
+        # 30 binomial cases in about four chunks a worker
+        assert chunks == [2]
         assert rep["config_echo"]["jobs"] == 1000000
         # one case: no pool at all
         code, _, _ = run_cli(SINGLE + ["--jobs", "1000000"], tmp_path, "one")
@@ -459,7 +463,8 @@ class TestExplore:
         assert case["details"]["branch"] == "positive"
         assert case["details"]["violations"] == 0
         assert case["details"]["steps"] == 2
-        rows = list(csv.reader(out_csv.open()))
+        with out_csv.open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["x", "Q_lo", "Q_hi", "bound_A",
                            "decided_monotone_step"]
         assert len(rows) == 4
@@ -475,7 +480,8 @@ class TestExplore:
                      "--out-json", str(tmp_path / "r.json"),
                      "--out-csv", str(out_csv)])
         assert code == 0
-        rows = list(csv.reader(out_csv.open()))
+        with out_csv.open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0][3] == "bound_B"
         assert rows[2][4] == "up"
 
@@ -538,6 +544,52 @@ class TestUnwritableOutput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--out-json", "--out-csv"])
+    def test_verify_refused_before_any_case_runs(self, flag, tmp_path,
+                                                 monkeypatch, capsys):
+        import turankit.cli as cli_mod
+
+        def no_run(*args):
+            raise AssertionError("a case ran before the output was checked")
+
+        monkeypatch.setattr(cli_mod, "run_case", no_run)
+        path = tmp_path / "missing" / "out"
+        assert main(["verify", "--theorem", "all", "--grid", "default",
+                     "--jobs", "1", flag, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+
+    def test_explore_refused_before_the_scan(self, tmp_path, monkeypatch,
+                                             capsys):
+        import turankit.cli as cli_mod
+
+        def no_scan(*args):
+            raise AssertionError("the scan ran before the output was checked")
+
+        monkeypatch.setattr(cli_mod, "explore_conjecture", no_scan)
+        path = tmp_path / "missing" / "r.json"
+        assert main(["explore", "--points", "4", "--out-json", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_writable_paths_written_only_after_the_run(self, tmp_path,
+                                                       monkeypatch):
+        import turankit.cli as cli_mod
+
+        out_json, out_csv = tmp_path / "r.json", tmp_path / "r.csv"
+        seen = []
+
+        def run_case(*args):
+            seen.append((out_json.exists(), out_csv.exists()))
+            return real(*args)
+
+        real = cli_mod.run_case
+        monkeypatch.setattr(cli_mod, "run_case", run_case)
+        assert main(ENTRY_ARGS + ["--out-json", str(out_json),
+                                  "--out-csv", str(out_csv)]) == 0
+        assert seen == [(False, False)]
+        assert json.loads(out_json.read_text())["summary"]["verified"] == 1
+        assert out_csv.read_text().startswith("case,theorem")
 
 
 ENTRY_ARGS = ["verify", "--theorem", "thm1", "--family", "1f1-upper",

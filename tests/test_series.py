@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from turankit import series as series_module
@@ -26,6 +26,7 @@ from turankit.series import (DEFAULT_ORDER, Family, HypSeriesSpec, MonotoneClass
                              phi_coefficients, psi_coefficients,
                              quotient_sign, sign_of, weight_ratio_class)
 from turankit.exact import pochhammer
+from turankit.verify import default_cases
 
 
 # ---------------------------------------------------------------- oracles
@@ -347,6 +348,7 @@ def _has_pole(a, b, d, M):
 
 
 @given(signed_shifts, st.integers(min_value=0, max_value=15))
+@example((F(-1, 3), F(2), F(1, 2), False), 6)  # (a)_M < 0: X Y < 0
 @settings(max_examples=60, deadline=None)
 def test_upper_and_lower_kernels_match_oracles(abde, M):
     a, b, d, equal = abde
@@ -422,10 +424,28 @@ def test_gamma_kernel_matches_oracles(abd, equal, M):
             assert sign_of(value) in (ref_sign, Sign.INCONCLUSIVE)
 
 
+def test_lower_scale_pair_is_reduced_on_the_default_grid():
+    # (x, y) = (X, Y) / gcd(X, Y): coprime, and positive where all shifts are
+    for case in default_cases("thm3"):
+        p = case.params
+        tables = half_range_pass(Family.LOWER_FACTOR, case.spec(), p["a"], p["b"],
+                                 p["delta"]).tables
+        t1, t2, t3, t4 = tables.tables
+        assert math.gcd(tables.x, tables.y) == 1 and tables.x * tables.y > 0
+        assert (tables.g * tables.x, tables.g * tables.y) == \
+            (t3[0] * t4[0], t1[0] * t2[0])
+
+
 class TestSignTest:
     def test_integer_families_read_the_integer_sign(self):
-        hr = half_range_pass(Family.LOWER_FACTOR, kummer_lower(F(1), 6), 1, 2, 1)
-        assert hr.sign_test() is sign_of
+        for family, spec in ((Family.LOWER_FACTOR, kummer_lower(F(1), 6)),
+                             (Family.UPPER_FACTOR, kummer_upper(F(2), 6))):
+            hr = half_range_pass(family, spec, 1, 2, 1)
+            sign = hr.sign_test()
+            assert [sign(v) for v in (-7, 0, 5, -3 ** 90, 2 ** 100)] == [
+                Sign.NEGATIVE, Sign.ZERO, Sign.POSITIVE, Sign.NEGATIVE, Sign.POSITIVE]
+            values = hr.sums() + [v for row in hr.rows for v in row]
+            assert [sign(v) for v in values] == [sign_of(v) for v in values]
 
     def test_enclosure_made_at_the_precision_in_force(self, monkeypatch):
         # never kept on the pass, so the doubled-precision retry gets its own
