@@ -86,19 +86,19 @@ class WeightRule:
         """w_n / w_{n-1} for n >= 1."""
         if n < 1:
             raise DomainError("weight ratio needs n >= 1")
-        return Fraction(*self._ratio_parts(n))
+        num, den = self._ratio_parts(n)
+        return Fraction(num[-1], den[-1])
 
-    def _ratio_parts(self, n: int) -> tuple[int, int]:
-        """Positive integers (num, den) with ratio(n) = num / den."""
-        num = den = 1
-        for u in self.upper:
-            num *= u.numerator + (n - 1) * u.denominator
-            den *= u.denominator
-        for l in self.lower:
-            num *= l.denominator
-            den *= l.numerator + (n - 1) * l.denominator
+    def _ratio_parts(self, M: int) -> tuple[list[int], list[int]]:
+        """Positive integers with ratio(n) = num[n-1] / den[n-1], n = 1..M."""
+        num = [math.prod(l.denominator for l in self.lower)] * M
+        den = [math.prod(u.denominator for u in self.upper)] * M
+        for params, parts in ((self.upper, num), (self.lower, den)):
+            for s in params:  # the numerator of s + n - 1
+                parts[:] = map(operator.mul, parts, range(
+                    s.numerator, s.numerator + M * s.denominator, s.denominator))
         if self.inv_factorial:
-            den *= n
+            den[:] = map(operator.mul, den, range(1, M + 1))
         return num, den
 
 
@@ -160,12 +160,16 @@ def weight_ratio_class(spec: HypSeriesSpec) -> MonotoneClass:
     """Strict monotonicity class of n -> w_n/w_{n-1} over the truncation
     range.  The upper-factor sign theorem assumes this; it is checked,
     not trusted."""
-    ratios = [spec.weights._ratio_parts(n) for n in range(1, spec.order + 1)]
-    if len(ratios) < 2:
+    return _monotone_class(*spec.weights._ratio_parts(spec.order))
+
+
+def _monotone_class(num: list[int], den: list[int]) -> MonotoneClass:
+    """Strict monotonicity class of the positive ratios num[i] / den[i]."""
+    if len(num) < 2:
         return MonotoneClass.CONSTANT
     # sign of r_{n+1} - r_n for each n, by cross-multiplication
     steps = {(n2 * d1 > n1 * d2) - (n2 * d1 < n1 * d2)
-             for (n1, d1), (n2, d2) in zip(ratios, ratios[1:])}
+             for n1, d1, n2, d2 in zip(num, den, num[1:], den[1:])}
     if steps == {0}:
         return MonotoneClass.CONSTANT
     if steps == {-1}:
@@ -207,10 +211,8 @@ def quotient_sign(quotient: CertifiedInterval):
     """The test (p, q) -> sign of p - Q q, for q > 0 and the Gamma quotient
     Q enclosed by ``quotient``, decided by integer cross-multiplication.
 
-    With (p, q) = (S1_m, S2_m) it gives the sign of psi_m.  With a
-    gamma-family profile pair (p_k, q_k) it gives the sign of
-    Gamma(a+d)Gamma(b) p_k - Gamma(a)Gamma(b+d) q_k.  A tie is ZERO when Q
-    is exact and INCONCLUSIVE when p/q lies inside the enclosure."""
+    With (p, q) = (S1_m, S2_m) it gives the sign of psi_m.  A tie is ZERO
+    when Q is exact and INCONCLUSIVE when p/q lies inside the enclosure."""
     if quotient.exact is not None:
         lo = hi = quotient.exact
         tie = Sign.ZERO
@@ -229,12 +231,6 @@ def quotient_sign(quotient: CertifiedInterval):
     return sign
 
 
-def sign_change_count(signs) -> int:
-    """Number of sign alternations along a sign list, zeros skipped."""
-    seq = [s for s in signs if s in (Sign.POSITIVE, Sign.NEGATIVE)]
-    return sum(1 for s1, s2 in zip(seq, seq[1:]) if s1 is not s2)
-
-
 @dataclass
 class MkProfile:
     """Half-range decomposition of a single coefficient: the values M_k,
@@ -250,7 +246,8 @@ class MkProfile:
 
     def sign_change_count(self) -> int:
         """Number of sign alternations along k, zeros skipped."""
-        return sign_change_count(self.signs())
+        seq = [s for s in self.signs() if s in (Sign.POSITIVE, Sign.NEGATIVE)]
+        return sum(1 for s1, s2 in zip(seq, seq[1:]) if s1 is not s2)
 
 
 class _IntegerTables:
@@ -262,6 +259,10 @@ class _IntegerTables:
     * lower:  the suffix products R_n = prod_{n<=i<M} (S + iD) = P_M / P_n,
       so that 1/(s)_n = D^n R_n / P_M, and the scale pair (x, y) = (X, Y) / g,
       negated when X Y < 0: X = P_M(a) P_M(b+d), Y = P_M(a+d) P_M(b), g = gcd(X, Y).
+
+    ``tables`` holds them in that order, and so does ``row_tables``, but
+    for the lower family with the (a+d) table times x and the a table times
+    y, so that a row entry p_k x - q_k y is a difference of folded products.
 
     The shifts must suit the family: positive for the gamma family, and no
     pole (s)_n = 0 with 1 <= n <= M for the lower family."""
@@ -285,6 +286,7 @@ class _IntegerTables:
                                 f"parameter {s}: ({s})_{M} = 0")
             self.tables.append(list(accumulate(reversed(steps), operator.mul,
                                                initial=1))[::-1])
+        self.row_tables = self.tables
         if family is Family.LOWER_FACTOR:
             # M_k = D^m (p_k / Y - q_k / X) = D^m (p_k x - q_k y) / (g |x y|),
             # so the row holds p_k x - q_k y, with x, y far smaller than X, Y
@@ -293,10 +295,14 @@ class _IntegerTables:
             self.g = math.gcd(X, Y)
             g = self.g if (X < 0) == (Y < 0) else -self.g
             self.x, self.y = X // g, Y // g
+            self.row_tables = ([v * self.x for v in t1], t2,
+                               [v * self.y for v in t3], t4)
 
     def row(self, m: int) -> list:
         """Row m of the pass (see HalfRangePass)."""
-        t1, t2, t3, t4 = self.tables
+        t1, t2, t3, t4 = self.row_tables
+        upper = self.family is Family.UPPER_FACTOR
+        pairs = self.family is Family.GAMMA_FACTOR
         row = []
         for k in range(m // 2 + 1):
             j = m - k
@@ -305,12 +311,10 @@ class _IntegerTables:
             if k < j:
                 p += t1[j] * t2[k]
                 q += t3[j] * t4[k]
-            if self.family is Family.UPPER_FACTOR:
-                row.append(math.comb(m, k) * (p - q))
-            elif self.family is Family.LOWER_FACTOR:
-                row.append(p * self.x - q * self.y)
-            else:
+            if pairs:
                 row.append((p, q))
+            else:
+                row.append(math.comb(m, k) * (p - q) if upper else p - q)
         return row
 
     def exact(self, m: int, r: int, den: int = 1) -> Fraction:
@@ -323,19 +327,14 @@ class _IntegerTables:
         return Fraction(r, Dm * den)
 
 
-def _weight_numerators(rule: WeightRule, M: int) -> tuple[list[int], int]:
+def _weight_numerators(num: list[int], den: list[int]) -> tuple[list[int], int]:
     """Integers W_0..W_M and L > 0 with w_n = W_n / L, from the recurrence
-    w_n = w_{n-1} ratio(n): W_n = prod_{i<=n} num_i prod_{i>n} den_i over
-    L = prod_i den_i, reduced by their common factor."""
-    parts = [rule._ratio_parts(n) for n in range(1, M + 1)]
-    W = [1]
-    for num, _ in parts:
-        W.append(W[-1] * num)
-    L = 1
-    for n in range(M, 0, -1):
-        W[n] *= L
-        L *= parts[n - 1][1]
-    W[0] = L
+    w_n = w_{n-1} ratio(n) with ratio(n) = num_n / den_n (lists from n = 1):
+    W_n = prod_{i<=n} num_i prod_{i>n} den_i over L = prod_i den_i, reduced
+    by their common factor."""
+    tails = list(accumulate(reversed(den), operator.mul, initial=1))[::-1]
+    W = list(map(operator.mul, accumulate(num, operator.mul, initial=1), tails))
+    L = tails[0]
     g = math.gcd(L, *W)
     return [x // g for x in W], L // g
 
@@ -360,7 +359,7 @@ class HalfRangePass:
       as integer pairs with scale_m = 1 / D^m.
 
     So an upper or lower profile value has the sign of an integer, and a
-    gamma profile sign is decided from its pair by :func:`quotient_sign`.
+    gamma one is read from cross-products of its pair (:func:`quotient_sign`).
     With the integer weights W_n = w_n L, phi_m and lambda_m are
     sum_k W_k W_{m-k} r_k scale_m / L^2, and psi_m's factors S1_m, S2_m are
     the same weighted sums of p_k and q_k (:meth:`sums`)."""
@@ -370,6 +369,7 @@ class HalfRangePass:
     b: Fraction
     delta: Fraction
     tables: _IntegerTables
+    weight_class: MonotoneClass  # weight_ratio_class of the spec
     weights: list  # W_0..W_M
     L: int
     rows: list
@@ -383,8 +383,7 @@ class HalfRangePass:
         or lambda_m; for the gamma family the pairs of integers with the
         ratio S1_m / S2_m."""
         if self.family is Family.GAMMA_FACTOR:
-            return [(self._weighted(m, [p for p, _ in row]),
-                     self._weighted(m, [q for _, q in row]))
+            return [tuple(self._weighted(m, v) for v in zip(*row))
                     for m, row in enumerate(self.rows)]
         return [self._weighted(m, row) for m, row in enumerate(self.rows)]
 
@@ -393,15 +392,20 @@ class HalfRangePass:
         L2 = self.L * self.L
         return [self.tables.exact(m, s, L2) for m, s in enumerate(self.sums())]
 
-    def sign_test(self):
+    def quotient(self) -> CertifiedInterval:
+        """The Gamma quotient Q of a gamma-family pass, enclosed at the
+        precision in force; exactly 1 at a = b, where S1 = S2."""
+        if self.a == self.b:
+            return CertifiedInterval.from_fraction(1)
+        return gamma_quotient(self.a, self.b, self.delta)
+
+    def sign_test(self, quotient: CertifiedInterval | None = None):
         """The sign of one value of the pass: an integer, or for the gamma
-        family a pair (p, q) read as p - Q q with Q the Gamma quotient,
-        enclosed at the precision in force.  At a = b, S1 = S2 and Q is
-        exactly 1, which an enclosure would tie with."""
+        family a pair (p, q) read as p - Q q, with Q enclosed by
+        ``quotient`` (by default :meth:`quotient`)."""
         if self.family is not Family.GAMMA_FACTOR:
             return lambda v: _SIGNS[(v > 0) - (v < 0)]
-        sign = quotient_sign(CertifiedInterval.from_fraction(1) if self.a == self.b
-                             else gamma_quotient(self.a, self.b, self.delta))
+        sign = quotient_sign(self.quotient() if quotient is None else quotient)
         return lambda pair: sign(*pair)
 
     def psi(self) -> list[PsiCoefficient]:
@@ -425,8 +429,9 @@ def half_range_pass(family: Family, spec: HypSeriesSpec, a, b, delta) -> HalfRan
     a, b, delta = Fraction(a), Fraction(b), Fraction(delta)
     M = spec.order
     tables = _IntegerTables(family, a, b, delta, M)
-    weights, L = _weight_numerators(spec.weights, M)
-    return HalfRangePass(family, a, b, delta, tables, weights, L,
+    num, den = spec.weights._ratio_parts(M)
+    return HalfRangePass(family, a, b, delta, tables, _monotone_class(num, den),
+                         *_weight_numerators(num, den),
                          [tables.row(m) for m in range(M + 1)])
 
 

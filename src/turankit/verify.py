@@ -17,6 +17,11 @@ zero) and that each half-range profile keeps an invariant.  One checker,
 * thm3: lower-factor coefficients lambda_m, m >= 1, are exactly negative
   for b > a > 0, profile values all negative.
 
+Profiles are decided on the pass's integer rows by C-level reductions
+(``max``/``min``, ``sum``, ``dropwhile``), never one value at a time; a
+gamma pair (p, q) is read through its cross-products with the ends of the
+Gamma-quotient enclosure, the integers ``quotient_sign`` compares.
+
 Orientation is antisymmetric: swapping a and b negates every coefficient,
 so the checker accepts either order and flips the claimed sign; a = b
 claims zero everywhere.
@@ -33,18 +38,20 @@ runs one.  The command line goes through these.
 from __future__ import annotations
 
 import enum
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
+from itertools import chain, dropwhile
 
 from .errors import DomainError
 from .evalf import cross_ratio
 from .intervals import CertifiedInterval, get_precision, working_precision
-from .series import (DEFAULT_ORDER, Family, HypSeriesSpec, MonotoneClass,
-                     Sign, binomial_upper, gamma_quotient, gauss_lower,
-                     gauss_upper, half_range_pass, kummer_gamma, kummer_lower,
-                     kummer_upper, sign_change_count, weight_ratio_class)
+from .series import (DEFAULT_ORDER, Family, HalfRangePass, HypSeriesSpec,
+                     MonotoneClass, Sign, binomial_upper, gamma_quotient,
+                     gauss_lower, gauss_upper, half_range_pass, kummer_gamma,
+                     kummer_lower, kummer_upper, weight_ratio_class)
 
 
 class Verdict(enum.Enum):
@@ -70,33 +77,64 @@ class SignReport:
     inconclusive_before_escalation: int = 0
 
 
-def _weight_claim(spec: HypSeriesSpec) -> Sign | None:
+def _weight_claim(hr: HalfRangePass) -> Sign | None:
     """Theorem 1's sign for b > a: positive for decreasing weight ratios,
     negative for increasing, zero for constant; no claim otherwise."""
     return {MonotoneClass.DECREASING: Sign.POSITIVE,
             MonotoneClass.INCREASING: Sign.NEGATIVE,
-            MonotoneClass.CONSTANT: Sign.ZERO}.get(weight_ratio_class(spec))
+            MonotoneClass.CONSTANT: Sign.ZERO}.get(hr.weight_class)
 
 
-def _sum_zero_one_change(rows, signs, lead):
+def _worst(rows, lead: int) -> int:
+    """The value of the integer rows least of the sign ``lead`` (-1 or 1),
+    or ``lead`` if there is none: all have the sign when it has."""
+    values = chain.from_iterable(rows)
+    return max(values, default=lead) if lead < 0 else min(values, default=lead)
+
+
+def _sum_zero_one_change(rows, lead, quotients):
     """Theorem 1's profiles: the M_k of each m sum to zero and change sign
     once, starting with the sign ``lead`` of M_0.  A row holds its M_k times
     one positive scale, so it sums to zero exactly when they do.  Gives
     (mk_single_sign_change, mk_all_negative, reason if broken)."""
-    one_change = all(sign_change_count(s) == 1 and s[0] is lead for s in signs)
-    if any(sum(row) for row in rows):
+    # M_0 has the sign; past the values of that sign or zero, one is left
+    # and none has it
+    skip, most = ((0).__ge__, min) if lead < 0 else ((0).__le__, max)
+    one_change = all(row[0] * lead > 0 and
+                     most(dropwhile(skip, row), default=lead) * lead <= 0
+                     for row in rows)
+    if any(map(sum, rows)):
         return one_change, None, "profile sum nonzero"
     return one_change, None, None if one_change else "profile sign pattern broken"
 
 
-def _one_signed(rows, signs, lead):
-    """Theorems 2 and 3: every profile value has the sign ``lead``; a value
-    the Gamma-quotient enclosure leaves undecided leaves the claim open."""
-    values = [s for row in signs for s in row]
-    undecided = values.count(Sign.INCONCLUSIVE)
-    if values.count(lead) + undecided < len(values):
-        return None, False, "profile value off-sign"
-    return None, None if undecided else True, None
+def _cross(rows, end: Fraction) -> list[list[int]]:
+    """p d - n q, the sign of p/q - n/d, for the pairs (p, q) of the rows."""
+    n, d = end.numerator, end.denominator
+    return [list(map(operator.sub, map(d.__mul__, ps), map(n.__mul__, qs)))
+            for ps, qs in (zip(*row) for row in rows)]
+
+
+def _one_signed(rows, lead, quotients):
+    """Theorems 2 and 3: every profile value has the sign ``lead``.  A gamma
+    pair (p, q) stands for p - Q q: each enclosure of the Gamma quotient Q
+    in ``quotients`` reads the pairs still undecided by the cross-products
+    of quotient_sign, and a pair none of them decides leaves the claim open."""
+    off_sign = None, False, "profile value off-sign"
+    if not quotients:
+        return (None, True, None) if _worst(rows, lead) * lead > 0 else off_sign
+    for quotient in quotients:
+        exact = quotient.exact
+        lo, hi = (exact, exact) if exact is not None else (quotient.lo, quotient.hi)
+        near, far = (lo, hi) if lead < 0 else (hi, lo)
+        values = _cross(rows, near)
+        if _worst(values, lead) * lead > 0:
+            return None, True, None
+        if exact is not None or _worst(_cross(rows, far), lead) * lead < 0:
+            return off_sign
+        rows = [[pair for row, vrow in zip(rows, values)
+                 for pair, v in zip(row, vrow) if v * lead <= 0]]
+    return None, None, None
 
 
 @dataclass(frozen=True)
@@ -107,17 +145,19 @@ class SignRule:
     family: Family
     positive_shifts: bool  # else a = 0 and b = 0 are allowed
     first_signed: int      # coefficients below this index must be zero
-    claim: Callable        # spec -> claimed sign from first_signed on, or None
-    profiles: Callable     # (rows, row signs, lead) -> flags and reason
+    claim: Callable        # pass -> claimed sign from first_signed on, or None
+    # (rows m >= 2, lead sign -1 or 1, Gamma-quotient enclosures) -> flags
+    # and reason, decided by reductions over the rows' integers
+    profiles: Callable
 
 
 SIGN_RULES = {
     "thm1": SignRule("thm1", Family.UPPER_FACTOR, False, 2, _weight_claim,
                      _sum_zero_one_change),
     "thm2": SignRule("thm2", Family.GAMMA_FACTOR, True, 0,
-                     lambda spec: Sign.NEGATIVE, _one_signed),
+                     lambda hr: Sign.NEGATIVE, _one_signed),
     "thm3": SignRule("thm3", Family.LOWER_FACTOR, True, 1,
-                     lambda spec: Sign.NEGATIVE, _one_signed),
+                     lambda hr: Sign.NEGATIVE, _one_signed),
 }
 
 _FLIP = {Sign.POSITIVE: Sign.NEGATIVE, Sign.NEGATIVE: Sign.POSITIVE,
@@ -140,12 +180,12 @@ def check_signs(rule: SignRule, spec: HypSeriesSpec, a, b, delta,
         spec = replace(spec, order=M)
     hr = half_range_pass(rule.family, spec, a, b, delta)
     sums = hr.sums()
-    sign = hr.sign_test()
-    signs = list(map(sign, sums))
+    quotients = [hr.quotient()] if rule.family is Family.GAMMA_FACTOR else []
+    signs = list(map(hr.sign_test(*quotients), sums))
     report = partial(SignReport, rule.theorem_id, {"a": a, "b": b, "delta": delta},
                      spec.order, signs)
 
-    claim = Sign.ZERO if a == b else rule.claim(spec)
+    claim = Sign.ZERO if a == b else rule.claim(hr)
     if claim is None:
         return report(None, None, None, Verdict.INCONCLUSIVE,
                       reason="weight ratio sequence is not monotone; "
@@ -155,7 +195,8 @@ def check_signs(rule: SignRule, spec: HypSeriesSpec, a, b, delta,
     pending = [m for m, s in enumerate(signs) if s is Sign.INCONCLUSIVE]
     if pending:
         with working_precision(2 * get_precision()):
-            retry = hr.sign_test()
+            quotients.append(hr.quotient())
+        retry = hr.sign_test(quotients[-1])
         for m in pending:
             signs[m] = retry(sums[m])
     still_open = [m for m in pending if signs[m] is Sign.INCONCLUSIVE]
@@ -167,14 +208,8 @@ def check_signs(rule: SignRule, spec: HypSeriesSpec, a, b, delta,
                       if first is None else Verdict.VIOLATED,
                       reason="degenerate equal shifts")
 
-    rows = hr.rows[2:]
-    row_signs = [list(map(sign, row)) for row in rows]
-    if pending:
-        row_signs = [[retry(v) if s is Sign.INCONCLUSIVE else s
-                      for v, s in zip(row, srow)]
-                     for row, srow in zip(rows, row_signs)]
     one_change, all_negative, broken = rule.profiles(
-        rows, row_signs, Sign.NEGATIVE if b > a else Sign.POSITIVE)
+        hr.rows[2:], -1 if b > a else 1, quotients)
     if first is not None or broken:
         verdict = Verdict.VIOLATED
     else:

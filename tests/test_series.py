@@ -436,6 +436,30 @@ def test_lower_scale_pair_is_reduced_on_the_default_grid():
             (t3[0] * t4[0], t1[0] * t2[0])
 
 
+def test_lower_rows_from_the_folded_tables():
+    # the rows are built on the (a+d) table scaled by x and the a table
+    # scaled by y; each entry must still be p_k x - q_k y on the unscaled
+    # suffix tables, for every m, also where x y < 0
+    cases = [(case.spec(), case.params["a"], case.params["b"],
+              case.params["delta"]) for case in default_cases("thm3")]
+    cases.append((kummer_lower(F(1, 2)), F(-1, 3), F(2), F(1, 2)))
+    for spec, a, b, d in cases:
+        hr = half_range_pass(Family.LOWER_FACTOR, spec, a, b, d)
+        t1, t2, t3, t4 = hr.tables.tables
+        x, y = hr.tables.x, hr.tables.y
+        assert len(hr.rows) == spec.order + 1
+        for m, row in enumerate(hr.rows):
+            want = []
+            for k in range(m // 2 + 1):
+                j = m - k
+                p, q = t1[k] * t2[j], t3[k] * t4[j]
+                if k < j:
+                    p, q = p + t1[j] * t2[k], q + t3[j] * t4[k]
+                want.append(p * x - q * y)
+            assert row == want
+    assert x * y < 0  # the last case
+
+
 class TestSignTest:
     def test_integer_families_read_the_integer_sign(self):
         for family, spec in ((Family.LOWER_FACTOR, kummer_lower(F(1), 6)),

@@ -1,18 +1,21 @@
 """Theorem-level verdicts: default grids, degenerate and swapped-shift
-handling, violations on tampered passes, escalation bookkeeping, and the
-two-sided function bounds."""
+handling, violations on tampered passes, escalation bookkeeping, the
+profile predicates on integers, and the two-sided function bounds."""
 
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from turankit import series as series_module
 from turankit import verify as verify_module
 from turankit.errors import DomainError
 from turankit.intervals import CertifiedInterval, get_precision
-from turankit.series import (Family, HypSeriesSpec, Sign, WeightRule,
-                             binomial_upper, gauss_lower, gauss_upper,
-                             kummer_gamma, kummer_lower, kummer_upper)
+from turankit.series import (Family, HypSeriesSpec, MkProfile, Sign,
+                             WeightRule, binomial_upper, gauss_lower,
+                             gauss_upper, kummer_gamma, kummer_lower,
+                             kummer_upper, quotient_sign, sign_of)
 from turankit.verify import (Case, Verdict, default_cases, run_case,
                              verify_corollary_twosided, verify_theorem1,
                              verify_theorem2, verify_theorem3, verify_turan)
@@ -269,6 +272,99 @@ class TestEscalation:
         assert rep.inconclusive_indices == list(range(11))
         assert rep.first_violation is None
         assert rep.reason == "undecided indices remain after escalation"
+
+
+# ------------------------------------------- profile predicates on integers
+
+LEAD = {-1: Sign.NEGATIVE, 1: Sign.POSITIVE}
+
+
+def _ref_sum_zero_one_change(rows, lead):
+    """Theorem 1's profiles read value by value as Sign lists."""
+    one_change = all(MkProfile(2, Family.UPPER_FACTOR, row).sign_change_count() == 1
+                     and sign_of(row[0]) is LEAD[lead] for row in rows)
+    if any(sum(row) for row in rows):
+        return one_change, None, "profile sum nonzero"
+    return one_change, None, None if one_change else "profile sign pattern broken"
+
+
+def _ref_one_signed(signs, lead):
+    """Theorems 2 and 3 by counting Sign members; INCONCLUSIVE is open."""
+    values = [s for row in signs for s in row]
+    undecided = values.count(Sign.INCONCLUSIVE)
+    if values.count(LEAD[lead]) + undecided < len(values):
+        return None, False, "profile value off-sign"
+    return None, None if undecided else True, None
+
+
+def _ref_pair_signs(rows, quotients):
+    """Each gamma pair's sign by quotient_sign, an undecided one read again
+    with the second enclosure if there is one."""
+    signs = [[quotient_sign(quotients[0])(p, q) for p, q in row] for row in rows]
+    for quotient in quotients[1:]:
+        retry = quotient_sign(quotient)
+        signs = [[retry(p, q) if s is Sign.INCONCLUSIVE else s
+                  for (p, q), s in zip(row, srow)]
+                 for row, srow in zip(rows, signs)]
+    return signs
+
+
+integer_values = st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70))
+integer_rows = st.lists(st.lists(integer_values, min_size=1, max_size=6),
+                        max_size=5)
+# rows that sum to zero, so that thm1's sign pattern is what decides
+balanced_rows = st.lists(st.lists(integer_values, min_size=0, max_size=5).map(
+    lambda row: row + [-sum(row)]), max_size=5)
+leads = st.sampled_from([-1, 1])
+# dyadic ends are held exactly, so p/q can tie with them
+dyadic = st.builds(F, st.integers(0, 24), st.sampled_from([1, 2, 4, 8]))
+pair_rows = st.lists(st.lists(st.tuples(st.integers(-2, 24),
+                                        st.sampled_from([1, 2, 3, 4, 8])),
+                              min_size=1, max_size=6), max_size=5)
+
+
+@st.composite
+def enclosures(draw):
+    lo, hi = sorted((draw(dyadic), draw(dyadic)))
+    if draw(st.booleans()):
+        return CertifiedInterval.from_fraction(lo)
+    return CertifiedInterval.from_fraction_bounds(lo, hi)
+
+
+@given(st.one_of(integer_rows, balanced_rows), leads)
+@example([[0, 0, 0], [0]], -1)
+@example([[-2, 1, 1], [-5]], -1)
+@example([[0, -1, 1], [2, -2]], 1)
+@example([[-1, 0, 2, -1]], -1)
+@example([[3, 0, -3, 0]], 1)  # zeros on both sides of the sign change
+@example([[-3, 0, 3, 0]], -1)
+@example([[2, 0, -3, 0, 1]], 1)
+@settings(max_examples=300, deadline=None)
+def test_thm1_profiles_match_the_sign_lists(rows, lead):
+    assert verify_module._sum_zero_one_change(rows, lead, []) == \
+        _ref_sum_zero_one_change(rows, lead)
+
+
+@given(integer_rows, leads)
+@example([[0, 0]], 1)
+@example([[-1, -2], [-3]], -1)
+@example([[1], [0, 2]], 1)
+@settings(max_examples=300, deadline=None)
+def test_thm3_profiles_match_the_sign_lists(rows, lead):
+    assert verify_module._one_signed(rows, lead, []) == \
+        _ref_one_signed([[sign_of(v) for v in row] for row in rows], lead)
+
+
+@given(pair_rows, leads, st.lists(enclosures(), min_size=1, max_size=2))
+@example([[(3, 2), (1, 1)]], -1, [CertifiedInterval.from_fraction(F(3, 2))])
+@example([[(3, 2), (1, 1)]], -1, [CertifiedInterval.from_fraction_bounds(
+    F(3, 2), 2)])
+@example([[(4, 2), (5, 1)]], 1, [CertifiedInterval.from_fraction_bounds(1, 2),
+                                 CertifiedInterval.from_fraction(F(3, 2))])
+@settings(max_examples=300, deadline=None)
+def test_thm2_profiles_match_the_sign_lists(rows, lead, quotients):
+    assert verify_module._one_signed(rows, lead, quotients) == \
+        _ref_one_signed(_ref_pair_signs(rows, quotients), lead)
 
 
 @pytest.mark.parametrize("theorem, family, params, check", [
