@@ -342,6 +342,9 @@ def cmd_explore(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.tol is not None and args.tol <= 0:
+        print(f"error: --tol must be positive, got {args.tol}", file=sys.stderr)
+        return 2
     if args.command == "verify":
         return cmd_verify(args)
     return cmd_explore(args)

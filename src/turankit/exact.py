@@ -56,3 +56,11 @@ def bernoulli(n: int) -> Fraction:
     smaller than that would miss every time."""
     p, q = mpmath.bernfrac(n)
     return Fraction(int(p), int(q))
+
+
+def ratio_steps(nums, dens) -> list[int]:
+    """The sign of r_{i+1} - r_i for r_i = nums[i] / dens[i], dens[i] >= 0,
+    by cross-multiplication, so a zero denominator (a trailing zero
+    coefficient) reads as an infinite ratio."""
+    return [(n2 * d1 > n1 * d2) - (n2 * d1 < n1 * d2)
+            for n1, d1, n2, d2 in zip(nums, dens, nums[1:], dens[1:])]

@@ -22,6 +22,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import DomainError
+from .exact import ratio_steps
 
 
 class ChainKind(enum.Enum):
@@ -104,17 +105,9 @@ def check_ratio_chain(A: PositivePolynomial, B: PositivePolynomial) -> RatioChai
     handled without division."""
     if A.degree != B.degree:
         raise DomainError(f"degree mismatch: {A.degree} vs {B.degree}")
-    up = down = True
-    strict = []
-    for k in range(A.degree):
-        lhs = A.coeffs[k + 1] * B.coeffs[k]   # a_{k+1}/b_{k+1} vs a_k/b_k
-        rhs = A.coeffs[k] * B.coeffs[k + 1]
-        if lhs < rhs:
-            up = False
-        if lhs > rhs:
-            down = False
-        strict.append(lhs != rhs)
-    return RatioChainReport(_chain_kind(up, down), tuple(strict))
+    steps = ratio_steps(A.coeffs, B.coeffs)
+    return RatioChainReport(_chain_kind(-1 not in steps, 1 not in steps),
+                            tuple(s != 0 for s in steps))
 
 
 @dataclass(frozen=True)
@@ -231,11 +224,9 @@ def check_symmetric_chain(a_list, b_list) -> ChainReport:
         raise DomainError("parameters must be positive")
     ea = elementary_symmetric(av)
     eb = elementary_symmetric(bv)
-    ratios = tuple(x / y for x, y in zip(eb, ea))
-    seq = (Fraction(1),) + ratios  # anchored at e_0(b)/e_0(a) = 1
-    up = all(r2 >= r1 for r1, r2 in zip(seq, seq[1:]))
-    down = all(r2 <= r1 for r1, r2 in zip(seq, seq[1:]))
-    return ChainReport(ratios, _chain_kind(up, down))
+    steps = ratio_steps([1] + eb, [1] + ea)  # anchored at e_0(b)/e_0(a) = 1
+    return ChainReport(tuple(x / y for x, y in zip(eb, ea)),
+                       _chain_kind(-1 not in steps, 1 not in steps))
 
 
 def truncated_chain_holds(a_list, b_list) -> bool:
@@ -252,8 +243,7 @@ def truncated_chain_holds(a_list, b_list) -> bool:
         raise DomainError("parameters must be positive")
     eb = elementary_symmetric(bv)
     ea = [Fraction(1)] + elementary_symmetric(av)  # ea[j] = e_j(a), e_0 = 1
-    s = [eb[j - 1] / ea[j - 1] for j in range(1, q + 1)]  # s[j-1] = e_j(b)/e_{j-1}(a)
-    return all(s[j + 1] <= s[j] for j in range(q - 1))
+    return 1 not in ratio_steps(eb, ea)  # the ratios e_j(b)/e_{j-1}(a)
 
 
 def two_f_two_condition(a1, b1, b2) -> bool:

@@ -38,11 +38,12 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 
 from .errors import DomainError, PoleError
+from .exact import ratio_steps
 from .intervals import CertifiedInterval, ci_exp, gamma_ratio, log_gamma
 
 
@@ -165,12 +166,8 @@ def weight_ratio_class(spec: HypSeriesSpec) -> MonotoneClass:
 
 def _monotone_class(num: list[int], den: list[int]) -> MonotoneClass:
     """Strict monotonicity class of the positive ratios num[i] / den[i]."""
-    if len(num) < 2:
-        return MonotoneClass.CONSTANT
-    # sign of r_{n+1} - r_n for each n, by cross-multiplication
-    steps = {(n2 * d1 > n1 * d2) - (n2 * d1 < n1 * d2)
-             for n1, d1, n2, d2 in zip(num, den, num[1:], den[1:])}
-    if steps == {0}:
+    steps = set(ratio_steps(num, den))
+    if steps <= {0}:
         return MonotoneClass.CONSTANT
     if steps == {-1}:
         return MonotoneClass.DECREASING
@@ -250,81 +247,25 @@ class MkProfile:
         return sum(1 for s1, s2 in zip(seq, seq[1:]) if s1 is not s2)
 
 
-class _IntegerTables:
-    """The four shifts s = a+d, b, a, b+d of one case, scaled by the common
-    denominator D of a, b and d to integers S = s D, with their tables up
-    to index M:
-
-    * upper and gamma:  P_n = prod_{i<n} (S + iD) = D^n (s)_n,
-    * lower:  the suffix products R_n = prod_{n<=i<M} (S + iD) = P_M / P_n,
-      so that 1/(s)_n = D^n R_n / P_M, and the scale pair (x, y) = (X, Y) / g,
-      negated when X Y < 0: X = P_M(a) P_M(b+d), Y = P_M(a+d) P_M(b), g = gcd(X, Y).
-
-    ``tables`` holds them in that order, and so does ``row_tables``, but
-    for the lower family with the (a+d) table times x and the a table times
-    y, so that a row entry p_k x - q_k y is a difference of folded products.
-
-    The shifts must suit the family: positive for the gamma family, and no
-    pole (s)_n = 0 with 1 <= n <= M for the lower family."""
-
-    def __init__(self, family: Family, a: Fraction, b: Fraction, delta: Fraction,
-                 M: int):
-        if family is Family.GAMMA_FACTOR and (a <= 0 or b <= 0):
-            raise DomainError("gamma-factor shifts must be positive")
-        self.family = family
-        self.D = D = math.lcm(a.denominator, b.denominator, delta.denominator)
-        self.tables = []
-        for s in (a + delta, b, a, b + delta):
-            S = s.numerator * (D // s.denominator)
-            steps = [S + i * D for i in range(M)]
-            if family is not Family.LOWER_FACTOR:
-                self.tables.append(list(accumulate(steps, operator.mul, initial=1)))
-                continue
-            # (s)_n = 0 for some n <= M exactly when (s)_M = 0
-            if 0 in steps:
-                raise PoleError(f"lower-factor series has a pole at shift "
-                                f"parameter {s}: ({s})_{M} = 0")
-            self.tables.append(list(accumulate(reversed(steps), operator.mul,
-                                               initial=1))[::-1])
-        self.row_tables = self.tables
-        if family is Family.LOWER_FACTOR:
-            # M_k = D^m (p_k / Y - q_k / X) = D^m (p_k x - q_k y) / (g |x y|),
-            # so the row holds p_k x - q_k y, with x, y far smaller than X, Y
-            t1, t2, t3, t4 = self.tables
-            X, Y = t3[0] * t4[0], t1[0] * t2[0]
-            self.g = math.gcd(X, Y)
-            g = self.g if (X < 0) == (Y < 0) else -self.g
-            self.x, self.y = X // g, Y // g
-            self.row_tables = ([v * self.x for v in t1], t2,
-                               [v * self.y for v in t3], t4)
-
-    def row(self, m: int) -> list:
-        """Row m of the pass (see HalfRangePass)."""
-        t1, t2, t3, t4 = self.row_tables
-        upper = self.family is Family.UPPER_FACTOR
-        pairs = self.family is Family.GAMMA_FACTOR
-        row = []
-        for k in range(m // 2 + 1):
-            j = m - k
-            p = t1[k] * t2[j]
-            q = t3[k] * t4[j]
-            if k < j:
-                p += t1[j] * t2[k]
-                q += t3[j] * t4[k]
-            if pairs:
-                row.append((p, q))
-            else:
-                row.append(math.comb(m, k) * (p - q) if upper else p - q)
-        return row
-
-    def exact(self, m: int, r: int, den: int = 1) -> Fraction:
-        """r * scale_m / den as one reduced Fraction (see HalfRangePass)."""
-        Dm = self.D ** m
-        if self.family is Family.UPPER_FACTOR:
-            return Fraction(r, Dm * math.factorial(m) * den)
-        if self.family is Family.LOWER_FACTOR:
-            return Fraction(r * Dm, self.g * abs(self.x * self.y) * den)
-        return Fraction(r, Dm * den)
+def _fold_row(family: Family, tables, m: int) -> list:
+    """Row m of the pass (see HalfRangePass) from its four tables, by sums
+    and products of their entries and, for the upper family, C(m, k)."""
+    t1, t2, t3, t4 = tables
+    upper = family is Family.UPPER_FACTOR
+    pairs = family is Family.GAMMA_FACTOR
+    row = []
+    for k in range(m // 2 + 1):
+        j = m - k
+        p = t1[k] * t2[j]
+        q = t3[k] * t4[j]
+        if k < j:
+            p += t1[j] * t2[k]
+            q += t3[j] * t4[k]
+        if pairs:
+            row.append((p, q))
+        else:
+            row.append(math.comb(m, k) * (p - q) if upper else p - q)
+    return row
 
 
 def _weight_numerators(num: list[int], den: list[int]) -> tuple[list[int], int]:
@@ -345,6 +286,15 @@ class HalfRangePass:
     F(a+d,x)F(b,x) - F(b+d,x)F(a,x), made by :func:`half_range_pass` in
     integer arithmetic.
 
+    The four shifts s = a+d, b, a, b+d are scaled by the common denominator
+    D of a, b and d to integers S = s D, with tables up to index M:
+
+    * upper and gamma:  P_n = prod_{i<n} (S + iD) = D^n (s)_n,
+    * lower:  the suffix products R_n = prod_{n<=i<M} (S + iD) = P_M / P_n,
+      so that 1/(s)_n = D^n R_n / P_M, folded with the (a+d) table times x
+      and the a table times y: (x, y) = (X, Y) / g, X = P_M(a) P_M(b+d),
+      Y = P_M(a+d) P_M(b), g = gcd(X, Y), negated when X Y < 0.
+
     ``rows[m]`` holds, for k = 0..m//2, the k-th and (m-k)-th terms of the
     coefficient's convolution folded together (one term when 2k = m), with
     the weights w_k w_{m-k} left out, as integers r_k with M_k = r_k scale_m
@@ -353,8 +303,8 @@ class HalfRangePass:
     * upper:  M_k = [(a+d)_k (b)_{m-k} - (a)_k (b+d)_{m-k}] / (k! (m-k)!),
       r_k = C(m,k) D^m k! (m-k)! M_k, scale_m = 1 / (D^m m!),
     * lower:  M_k = 1/[(a+d)_k (b)_{m-k}] - 1/[(a)_k (b+d)_{m-k}],
-      r_k = p_k x - q_k y (p_k, q_k the folded suffix-table products) and
-      scale_m = D^m / (g |x y|), with x, y and g of :class:`_IntegerTables`,
+      r_k = p_k x - q_k y (p_k, q_k the folded unscaled suffix-table
+      products) and scale_m = D^m / lower_scale, lower_scale = g |x y|,
     * gamma:  the pairs (p_k, q_k) = ((a+d)_k (b)_{m-k}, (a)_k (b+d)_{m-k})
       as integer pairs with scale_m = 1 / D^m.
 
@@ -368,11 +318,21 @@ class HalfRangePass:
     a: Fraction
     b: Fraction
     delta: Fraction
-    tables: _IntegerTables
+    D: int
+    lower_scale: int  # g |x y| for the lower family, else 1
     weight_class: MonotoneClass  # weight_ratio_class of the spec
     weights: list  # W_0..W_M
     L: int
     rows: list
+
+    def exact(self, m: int, r: int, den: int = 1) -> Fraction:
+        """r * scale_m / den as one reduced Fraction."""
+        Dm = self.D ** m
+        if self.family is Family.UPPER_FACTOR:
+            return Fraction(r, Dm * math.factorial(m) * den)
+        if self.family is Family.LOWER_FACTOR:
+            return Fraction(r * Dm, self.lower_scale * den)
+        return Fraction(r, Dm * den)
 
     def _weighted(self, m: int, values) -> int:
         w = self.weights
@@ -390,7 +350,7 @@ class HalfRangePass:
     def coefficients(self) -> list[Fraction]:
         """phi_m (upper family) or lambda_m (lower family) for m = 0..M."""
         L2 = self.L * self.L
-        return [self.tables.exact(m, s, L2) for m, s in enumerate(self.sums())]
+        return [self.exact(m, s, L2) for m, s in enumerate(self.sums())]
 
     def quotient(self) -> CertifiedInterval:
         """The Gamma quotient Q of a gamma-family pass, enclosed at the
@@ -413,8 +373,8 @@ class HalfRangePass:
         the Gamma quotient enclosed at the precision in force."""
         sign = self.sign_test()
         L2 = self.L * self.L
-        return [PsiCoefficient(m, self.tables.exact(m, s1, L2),
-                               self.tables.exact(m, s2, L2), sign((s1, s2)))
+        return [PsiCoefficient(m, self.exact(m, s1, L2),
+                               self.exact(m, s2, L2), sign((s1, s2)))
                 for m, (s1, s2) in enumerate(self.sums())]
 
 
@@ -422,17 +382,42 @@ def half_range_pass(family: Family, spec: HypSeriesSpec, a, b, delta) -> HalfRan
     """The one exact pass over the coefficients m = 0..spec.order of the
     cross-product difference, from which every coefficient and profile is
     read.  ``family`` is the family the caller works with; a spec of
-    another family is refused."""
+    another family is refused, and so are nonpositive gamma-family shifts
+    and a lower-family pole (s)_n = 0, 1 <= n <= M."""
     if spec.family is not family:
         raise DomainError(f"expected the {family.value}-factor family, "
                           f"got {spec.family.value}")
     a, b, delta = Fraction(a), Fraction(b), Fraction(delta)
+    if family is Family.GAMMA_FACTOR and (a <= 0 or b <= 0):
+        raise DomainError("gamma-factor shifts must be positive")
     M = spec.order
-    tables = _IntegerTables(family, a, b, delta, M)
+    D = math.lcm(a.denominator, b.denominator, delta.denominator)
+    lower = family is Family.LOWER_FACTOR
+    tables = []
+    for s in (a + delta, b, a, b + delta):
+        S = s.numerator * (D // s.denominator)
+        steps = [S + i * D for i in range(M)]
+        if not lower:
+            tables.append(list(accumulate(steps, operator.mul, initial=1)))
+        elif 0 in steps:  # (s)_n = 0 for some n <= M exactly when (s)_M = 0
+            raise PoleError(f"lower-factor series has a pole at shift "
+                            f"parameter {s}: ({s})_{M} = 0")
+        else:
+            tables.append(list(accumulate(reversed(steps), operator.mul,
+                                          initial=1))[::-1])
+    lower_scale = 1
+    if lower:
+        # rows of p_k x - q_k y rather than p_k X - q_k Y: x, y are far smaller
+        t1, t2, t3, t4 = tables
+        X, Y = t3[0] * t4[0], t1[0] * t2[0]
+        g = math.gcd(X, Y) * (1 if (X < 0) == (Y < 0) else -1)
+        x, y = X // g, Y // g
+        lower_scale = g * x * y
+        tables = ([v * x for v in t1], t2, [v * y for v in t3], t4)
     num, den = spec.weights._ratio_parts(M)
-    return HalfRangePass(family, a, b, delta, tables, _monotone_class(num, den),
-                         *_weight_numerators(num, den),
-                         [tables.row(m) for m in range(M + 1)])
+    return HalfRangePass(family, a, b, delta, D, lower_scale,
+                         _monotone_class(num, den), *_weight_numerators(num, den),
+                         [_fold_row(family, tables, m) for m in range(M + 1)])
 
 
 def phi_coefficients(spec: HypSeriesSpec, a, b, delta):
@@ -454,19 +439,17 @@ def psi_coefficients(spec: HypSeriesSpec, a, b, delta):
 
 
 def mk_profile(spec: HypSeriesSpec, a, b, delta, m: int) -> MkProfile:
-    """The M_k values for coefficient index m >= 2 (weights play no role:
-    the profile depends only on the shift parameters and the family).
-    Gamma-family values are the enclosures
-    Gamma(a+d)Gamma(b) p_k - Gamma(a)Gamma(b+d) q_k."""
+    """The M_k values for coefficient index m >= 2, read from row m of the
+    pass to order m (weights play no role: the profile depends only on the
+    shift parameters and the family).  Gamma-family values are the
+    enclosures Gamma(a+d)Gamma(b) p_k - Gamma(a)Gamma(b+d) q_k."""
     if m < 2:
         raise DomainError(f"profile needs m >= 2, got {m}")
-    a, b, delta = Fraction(a), Fraction(b), Fraction(delta)
-    tables = _IntegerTables(spec.family, a, b, delta, m)
-    row = tables.row(m)
+    hr = half_range_pass(spec.family, replace(spec, order=m), a, b, delta)
     if spec.family is Family.GAMMA_FACTOR:
-        g1 = ci_exp(log_gamma(a + delta) + log_gamma(b))
-        g2 = ci_exp(log_gamma(a) + log_gamma(b + delta))
-        values = [g1 * tables.exact(m, p) - g2 * tables.exact(m, q) for p, q in row]
+        g1 = ci_exp(log_gamma(hr.a + hr.delta) + log_gamma(hr.b))
+        g2 = ci_exp(log_gamma(hr.a) + log_gamma(hr.b + hr.delta))
+        values = [g1 * hr.exact(m, p) - g2 * hr.exact(m, q) for p, q in hr.rows[m]]
     else:
-        values = [tables.exact(m, r) for r in row]
+        values = [hr.exact(m, r) for r in hr.rows[m]]
     return MkProfile(m, spec.family, values)

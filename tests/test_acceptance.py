@@ -178,8 +178,15 @@ def test_chain_condition_wronskian_positivity_and_necessity():
 
 
 def test_conjecture_scan_archived(tmp_path):
-    REPORTS.mkdir(exist_ok=True)
-    out_csv = REPORTS / "conjecture_scan.csv"
+    """The 64-point scan matches its archive byte for byte.  After a
+    deliberate change to explore's output, regenerate the archive from the
+    repository root with
+
+        PYTHONPATH=src python -m turankit.cli explore --points 64 --x-max 50 \\
+            --out-csv reports/conjecture_scan.csv > /dev/null
+    """
+    archive = REPORTS / "conjecture_scan.csv"
+    out_csv = tmp_path / "conjecture_scan.csv"
     out_json = tmp_path / "scan.json"
     code = main(["explore", "--points", "64", "--x-max", "50",
                  "--out-json", str(out_json), "--out-csv", str(out_csv)])
@@ -193,6 +200,7 @@ def test_conjecture_scan_archived(tmp_path):
     undecided = steps.count("undecided")
     assert "up" not in steps
     assert undecided <= len(steps) // 20
+    assert out_csv.read_bytes() == archive.read_bytes()
     _announce(f"conjectured ratio monotone on 64-point scan: 0 certified "
               f"violations, {undecided}/{len(steps) + 1} undecided; "
-              f"archived to {out_csv.relative_to(REPORTS.parent)}")
+              f"matches {archive.relative_to(REPORTS.parent)}")

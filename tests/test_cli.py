@@ -420,6 +420,23 @@ class TestInputCaps:
         assert seen == [cli_mod.MAX_PRECISION] * 2
 
 
+class TestTolerance:
+    @pytest.mark.parametrize("tol", ["0", "-1/2"])
+    @pytest.mark.parametrize("argv", [
+        SINGLE, ["verify", "--theorem", "all", "--grid", "default"], ["explore"]])
+    def test_nonpositive_tol_exits_2_before_any_work(self, argv, tol, tmp_path,
+                                                     monkeypatch, capsys):
+        import turankit.cli as cli_mod
+
+        for name in ("_run_case", "explore_conjecture"):
+            monkeypatch.setattr(cli_mod, name, _no_work)
+        out = tmp_path / "r.json"
+        assert main(argv + [f"--tol={tol}", "--out-json", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: --tol must be positive, got {tol}\n"
+        assert not out.exists()
+
+
 class TestExitCodes:
     def test_violated_maps_to_1(self, tmp_path, monkeypatch):
         import turankit.cli as cli_mod

@@ -374,7 +374,7 @@ def test_upper_and_lower_kernels_match_oracles(abde, M):
         # the sign checks read the pass's integer rows: the same values up
         # to scale_m > 0, so the same signs, and (thm1) a zero row sum
         row = hr_upper.rows[m]
-        assert [hr_upper.tables.exact(m, r) for r in row] == want
+        assert [hr_upper.exact(m, r) for r in row] == want
         assert [sign_of(r) for r in row] == prof.signs()
         assert sum(row) == 0
 
@@ -388,7 +388,7 @@ def test_upper_and_lower_kernels_match_oracles(abde, M):
         assert prof.signs() == [sign_of(v) for v in want]
         if hr_lower is not None:
             row = hr_lower.rows[m]
-            assert [hr_lower.tables.exact(m, r) for r in row] == want
+            assert [hr_lower.exact(m, r) for r in row] == want
             assert [sign_of(r) for r in row] == prof.signs()
 
 
@@ -411,7 +411,7 @@ def test_gamma_kernel_matches_oracles(abd, equal, M):
         prof = mk_profile(spec, a, b, d, m)
         want = _profile_oracle(Family.GAMMA_FACTOR, a, b, d, m)
         for (p, q), (P, Q), value in zip(want, hr.rows[m], prof.values, strict=True):
-            assert (hr.tables.exact(m, P), hr.tables.exact(m, Q)) == (p, q)
+            assert (hr.exact(m, P), hr.exact(m, Q)) == (p, q)
             ref = _gamma_profile_numeric(a, b, d, p, q)
             assert value.lo - F(1, 10**40) <= ref <= value.hi + F(1, 10**40)
             if a == b:
@@ -424,16 +424,31 @@ def test_gamma_kernel_matches_oracles(abd, equal, M):
             assert sign_of(value) in (ref_sign, Sign.INCONCLUSIVE)
 
 
+def _lower_scale_pair(M, a, b, d):
+    """The unscaled suffix tables R_n = prod_{n<=i<M} D (s + i) of the
+    shifts s = a+d, b, a, b+d, and the scale pair (x, y) = (X, Y) / g with
+    X = R_0(a) R_0(b+d), Y = R_0(a+d) R_0(b) and g = gcd(X, Y), negated
+    when X Y < 0."""
+    D = math.lcm(a.denominator, b.denominator, d.denominator)
+    tables = []
+    for s in (a + d, b, a, b + d):
+        R = [1]  # R_M, R_{M-1}, ..., R_0
+        for i in reversed(range(M)):
+            R.append(R[-1] * int(D * (s + i)))
+        tables.append(R[::-1])
+    X, Y = tables[2][0] * tables[3][0], tables[0][0] * tables[1][0]
+    g = math.gcd(X, Y) if X * Y > 0 else -math.gcd(X, Y)
+    return tables, g, X // g, Y // g
+
+
 def test_lower_scale_pair_is_reduced_on_the_default_grid():
     # (x, y) = (X, Y) / gcd(X, Y): coprime, and positive where all shifts are
     for case in default_cases("thm3"):
-        p = case.params
-        tables = half_range_pass(Family.LOWER_FACTOR, case.spec(), p["a"], p["b"],
-                                 p["delta"]).tables
-        t1, t2, t3, t4 = tables.tables
-        assert math.gcd(tables.x, tables.y) == 1 and tables.x * tables.y > 0
-        assert (tables.g * tables.x, tables.g * tables.y) == \
-            (t3[0] * t4[0], t1[0] * t2[0])
+        spec, p = case.spec(), case.params
+        _, g, x, y = _lower_scale_pair(spec.order, p["a"], p["b"], p["delta"])
+        assert math.gcd(x, y) == 1 and x * y > 0
+        hr = half_range_pass(Family.LOWER_FACTOR, spec, p["a"], p["b"], p["delta"])
+        assert hr.lower_scale == g * abs(x * y)
 
 
 def test_lower_rows_from_the_folded_tables():
@@ -445,8 +460,8 @@ def test_lower_rows_from_the_folded_tables():
     cases.append((kummer_lower(F(1, 2)), F(-1, 3), F(2), F(1, 2)))
     for spec, a, b, d in cases:
         hr = half_range_pass(Family.LOWER_FACTOR, spec, a, b, d)
-        t1, t2, t3, t4 = hr.tables.tables
-        x, y = hr.tables.x, hr.tables.y
+        (t1, t2, t3, t4), g, x, y = _lower_scale_pair(spec.order, a, b, d)
+        assert hr.lower_scale == abs(g * x * y)
         assert len(hr.rows) == spec.order + 1
         for m, row in enumerate(hr.rows):
             want = []
@@ -458,6 +473,21 @@ def test_lower_rows_from_the_folded_tables():
                 want.append(p * x - q * y)
             assert row == want
     assert x * y < 0  # the last case
+
+
+def test_profile_makes_the_pass_to_its_own_order():
+    # row m of the pass to order m, whatever the spec's order: above it,
+    # and below a lower-family pole ((-5)_6 = 0) that the pass to the
+    # spec's order meets
+    a, b, d = F(-5), F(2), F(1, 2)
+    for spec in (kummer_upper(F(2), 3), kummer_lower(F(1), 3)):
+        assert mk_profile(spec, a, b, d, 5).values == \
+            _profile_oracle(spec.family, a, b, d, 5)
+    spec = kummer_lower(F(1), 8)
+    with pytest.raises(PoleError):
+        half_range_pass(Family.LOWER_FACTOR, spec, a, b, d)
+    assert mk_profile(spec, a, b, d, 5).values == \
+        _profile_oracle(Family.LOWER_FACTOR, a, b, d, 5)
 
 
 class TestSignTest:
