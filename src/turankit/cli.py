@@ -31,8 +31,8 @@ from itertools import repeat
 from .errors import DomainError, TermCapError
 from .evalf import default_log_grid, explore_conjecture
 from .intervals import get_precision, working_precision
-from .verify import (FAMILIES, THEOREM_FAMILIES, Case, SignReport, Verdict,
-                     case_params, default_cases, run_case)
+from .verify import (DEFAULT_M, FAMILIES, THEOREM_FAMILIES, Case, SignReport,
+                     Verdict, case_params, default_cases, run_case)
 
 THEOREMS = (*THEOREM_FAMILIES, "all")
 # flags that describe one explicit case
@@ -117,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated x values for bound checks")
     v.add_argument("--grid", choices=("default",),
                    help="run the default parameter grids")
-    v.add_argument("--tol", type=_rational, help="evaluation tolerance")
+    v.add_argument("--tol", type=_rational,
+                   help="evaluation tolerance of the corollary and turan checks")
     v.add_argument("--precision", type=int, help="working decimal digits")
     v.add_argument("--jobs", type=int, default=1,
                    help="worker processes, at most one per core and case")
@@ -248,6 +249,8 @@ def cmd_verify(args) -> int:
             raise DomainError(f"--M {args.M} is above the cap of {MAX_M}")
         _check_x_grid(args.x_grid)
         cases = _cases(args)
+        if args.tol is not None and all(c.theorem in DEFAULT_M for c in cases):
+            raise DomainError(f"--tol is not used for {args.theorem}")
         _check_outputs(args)
         workers = min(args.jobs, os.cpu_count() or 1, len(cases))
         if workers > 1:

@@ -28,6 +28,16 @@ All coefficients and their half-range profiles come from one exact pass
 per parameter tuple (:func:`half_range_pass`), made on integer Pochhammer
 tables over one common denominator, so that every sign a check needs is
 the sign of an integer (or, for psi, an integer cross-multiplication).
+A pass joins two halves, as the coefficient sum_k w_k w_{m-k} M_k does:
+the rows of M_k, which depend only on the family, the shifts (a, b, d)
+and the order M, and the pair weights w_k w_{m-k}, which depend only on
+the weight rule and M.  A memo shares the rows of a shift point across
+the weight rules that ask for it (:class:`_RowMemo`).  It stores them on
+their second request, so a run that never repeats a shift point stores
+none, and evicts the least recently used.  It is bounded in entries and
+in the bits of the integers it holds, and never stores a row set larger
+than the bit bound.  The pair weights of the last weight rule are kept,
+because consecutive cases share it.
 
 Everything is formal: truncation order is fixed up front and no statement
 about convergence is made or needed.
@@ -38,9 +48,12 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass, replace
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from functools import lru_cache, partial
+from itertools import accumulate, chain
 
 from .errors import DomainError, PoleError
 from .exact import ratio_steps
@@ -280,11 +293,37 @@ def _weight_numerators(num: list[int], den: list[int]) -> tuple[list[int], int]:
     return [x // g for x in W], L // g
 
 
+@lru_cache(maxsize=1)
+def _weight_half(weights: WeightRule, M: int) -> tuple[MonotoneClass, int, tuple]:
+    """The weight half of a pass to order M: the monotone class of the
+    weight ratios, L, and the pair weights W_k W_{m-k}, k = 0..m//2, of each
+    m = 0..M.  Only the last weight rule's half is kept: consecutive cases
+    share it."""
+    num, den = weights._ratio_parts(M)
+    W, L = _weight_numerators(num, den)
+    pairs = tuple(tuple(map(operator.mul, W[:m // 2 + 1], W[m::-1]))
+                  for m in range(M + 1))
+    return _monotone_class(num, den), L, pairs
+
+
+def _scaled(family: Family, D: int, lower_scale: int, m: int, r: int,
+            den: int = 1) -> Fraction:
+    """r * scale_m / den as one reduced Fraction (see HalfRangePass)."""
+    Dm = D ** m
+    if family is Family.UPPER_FACTOR:
+        return Fraction(r, Dm * math.factorial(m) * den)
+    if family is Family.LOWER_FACTOR:
+        return Fraction(r * Dm, lower_scale * den)
+    return Fraction(r, Dm * den)
+
+
 @dataclass
 class HalfRangePass:
     """The folded half-range values of the coefficients m = 0..M of
     F(a+d,x)F(b,x) - F(b+d,x)F(a,x), made by :func:`half_range_pass` in
-    integer arithmetic.
+    integer arithmetic from two halves: D, ``lower_scale`` and ``rows``
+    depend only on the family and the shifts, the weight fields only on
+    the weight rule.
 
     The four shifts s = a+d, b, a, b+d are scaled by the common denominator
     D of a, b and d to integers S = s D, with tables up to index M:
@@ -310,9 +349,16 @@ class HalfRangePass:
 
     So an upper or lower profile value has the sign of an integer, and a
     gamma one is read from cross-products of its pair (:func:`quotient_sign`).
-    With the integer weights W_n = w_n L, phi_m and lambda_m are
+    With the integer weights W_n = w_n L and the pair weights
+    ``pair_weights[m][k]`` = W_k W_{m-k}, phi_m and lambda_m are
     sum_k W_k W_{m-k} r_k scale_m / L^2, and psi_m's factors S1_m, S2_m are
-    the same weighted sums of p_k and q_k (:meth:`sums`)."""
+    the same weighted sums of p_k and q_k (:meth:`sums`).
+
+    The rows are the pass's own lists, built or copied from the memo that
+    shares them across weight rules (:class:`_RowMemo`: stored on a shift
+    point's second request, at most ``_ROW_MEMO_ENTRIES`` row sets of at
+    most ``_ROW_MEMO_BITS`` bits in all); the pair weights are shared
+    tuples."""
 
     family: Family
     a: Fraction
@@ -321,22 +367,16 @@ class HalfRangePass:
     D: int
     lower_scale: int  # g |x y| for the lower family, else 1
     weight_class: MonotoneClass  # weight_ratio_class of the spec
-    weights: list  # W_0..W_M
     L: int
+    pair_weights: tuple  # pair_weights[m][k] = W_k W_{m-k}, k = 0..m//2
     rows: list
 
     def exact(self, m: int, r: int, den: int = 1) -> Fraction:
         """r * scale_m / den as one reduced Fraction."""
-        Dm = self.D ** m
-        if self.family is Family.UPPER_FACTOR:
-            return Fraction(r, Dm * math.factorial(m) * den)
-        if self.family is Family.LOWER_FACTOR:
-            return Fraction(r * Dm, self.lower_scale * den)
-        return Fraction(r, Dm * den)
+        return _scaled(self.family, self.D, self.lower_scale, m, r, den)
 
     def _weighted(self, m: int, values) -> int:
-        w = self.weights
-        return sum(map(operator.mul, map(operator.mul, w, w[m::-1]), values))
+        return sum(map(operator.mul, self.pair_weights[m], values))
 
     def sums(self) -> list:
         """sum_k W_k W_{m-k} r_k for m = 0..M, which has the sign of phi_m
@@ -378,19 +418,13 @@ class HalfRangePass:
                 for m, (s1, s2) in enumerate(self.sums())]
 
 
-def half_range_pass(family: Family, spec: HypSeriesSpec, a, b, delta) -> HalfRangePass:
-    """The one exact pass over the coefficients m = 0..spec.order of the
-    cross-product difference, from which every coefficient and profile is
-    read.  ``family`` is the family the caller works with; a spec of
-    another family is refused, and so are nonpositive gamma-family shifts
-    and a lower-family pole (s)_n = 0, 1 <= n <= M."""
-    if spec.family is not family:
-        raise DomainError(f"expected the {family.value}-factor family, "
-                          f"got {spec.family.value}")
-    a, b, delta = Fraction(a), Fraction(b), Fraction(delta)
+def _tables(family: Family, a: Fraction, b: Fraction, delta: Fraction,
+            M: int) -> tuple[int, int, list]:
+    """D, lower_scale and the four integer tables of the shifts a+d, b, a,
+    b+d to index M (see HalfRangePass).  Nonpositive gamma-family shifts
+    and a lower-family pole (s)_n = 0, 1 <= n <= M, are refused."""
     if family is Family.GAMMA_FACTOR and (a <= 0 or b <= 0):
         raise DomainError("gamma-factor shifts must be positive")
-    M = spec.order
     D = math.lcm(a.denominator, b.denominator, delta.denominator)
     lower = family is Family.LOWER_FACTOR
     tables = []
@@ -413,11 +447,115 @@ def half_range_pass(family: Family, spec: HypSeriesSpec, a, b, delta) -> HalfRan
         g = math.gcd(X, Y) * (1 if (X < 0) == (Y < 0) else -1)
         x, y = X // g, Y // g
         lower_scale = g * x * y
-        tables = ([v * x for v in t1], t2, [v * y for v in t3], t4)
-    num, den = spec.weights._ratio_parts(M)
+        tables = [[v * x for v in t1], t2, [v * y for v in t3], t4]
+    return D, lower_scale, tables
+
+
+def _row_half(family: Family, a: Fraction, b: Fraction, delta: Fraction,
+              M: int) -> tuple[int, int, list]:
+    """The weight-free half of a pass to order M: D, lower_scale and the
+    rows m = 0..M."""
+    D, lower_scale, tables = _tables(family, a, b, delta, M)
+    return D, lower_scale, [_fold_row(family, tables, m) for m in range(M + 1)]
+
+
+# Bounds of the row memo.  One weight rule of the default grid sweeps 30
+# shift points before the next rule of its family asks for them again, so
+# 32 row sets keep a whole sweep.
+_ROW_MEMO_ENTRIES = 32
+# The bits of the integers held.  At M = 40 the 32 row sets of the entry
+# bound take at most 4.4 Mbit on the default grid (lower families), while
+# at M = 200, the command line's cap, one row set of a default-grid shift
+# point takes 7.9 Mbit or more (upper; gamma 14.0, lower 18.7-29.4).  With
+# the entry bound alone an order-200 run could hold 32 of them; with this
+# one it holds none, and a default-grid sweep still fits.
+_ROW_MEMO_BITS = 6_000_000
+
+
+class _RowMemo:
+    """The weight-free halves of passes by (family, a, b, d, M), stored on
+    their second request and evicted least recently used: the "doorkeeper"
+    admission of Einziger, Friedman & Manes, "TinyLFU: A Highly Efficient
+    Cache Admission Policy", ACM TOS 2017.  So a run that never repeats a
+    shift point stores nothing.  It remembers at most ``entries`` keys
+    requested once, and holds at most ``entries`` row sets of at most
+    ``bits`` bits of integers in all; a larger row set is never stored.
+
+    The memo is module state, as the log-Gamma cache of ``intervals`` is:
+    the public per-case calls, such as ``verify_theorem1(spec, a, b, delta,
+    M)``, have nowhere to pass one.  A lock guards its bookkeeping, not the
+    build.  Rows are exact integers, so a stored row set is the one a build
+    gives.  The memo keeps tuples and every pass gets lists of its own, so
+    a caller that changes its rows changes no other pass.  A build that
+    raises stores nothing, so it raises on every request."""
+
+    def __init__(self):
+        self.entries, self.bits = _ROW_MEMO_ENTRIES, _ROW_MEMO_BITS
+        self.held_bits = 0
+        # key -> (D, lower_scale, rows, bits), least recently used first
+        self.stored = OrderedDict()
+        self._seen = OrderedDict()  # keys requested once, oldest first
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple, build) -> tuple[int, int, list]:
+        """(D, lower_scale, rows) for ``key``: copied from the memo if held,
+        else from ``build()``, whose lists are handed on as they are."""
+        with self._lock:
+            hit = self.stored.get(key)
+            second = hit is None and key in self._seen
+            if hit is not None:
+                self.stored.move_to_end(key)
+            elif second:
+                del self._seen[key]
+            else:
+                self._seen[key] = None
+                if len(self._seen) > self.entries:
+                    self._seen.popitem(last=False)
+        if hit is not None:
+            D, lower_scale, rows, _ = hit
+            return D, lower_scale, [list(row) for row in rows]
+        D, lower_scale, rows = build()
+        if second:
+            self._admit(key, D, lower_scale, rows)
+        return D, lower_scale, rows
+
+    def _admit(self, key: tuple, D: int, lower_scale: int, rows: list) -> None:
+        values = chain.from_iterable(rows)
+        if key[0] is Family.GAMMA_FACTOR:
+            values = chain.from_iterable(values)
+        bits = (D.bit_length() + lower_scale.bit_length()
+                + sum(map(int.bit_length, values)))
+        if bits > self.bits:
+            return
+        entry = (D, lower_scale, tuple(map(tuple, rows)), bits)
+        with self._lock:
+            if key in self.stored:
+                return
+            self.stored[key] = entry
+            self.held_bits += bits
+            while len(self.stored) > self.entries or self.held_bits > self.bits:
+                self.held_bits -= self.stored.popitem(last=False)[1][3]
+
+
+_ROW_MEMO = _RowMemo()
+
+
+def half_range_pass(family: Family, spec: HypSeriesSpec, a, b, delta) -> HalfRangePass:
+    """The one exact pass over the coefficients m = 0..spec.order of the
+    cross-product difference, from which every coefficient and profile is
+    read.  ``family`` is the family the caller works with; a spec of
+    another family is refused, and so are nonpositive gamma-family shifts
+    and a lower-family pole (s)_n = 0, 1 <= n <= M.  The rows come from the
+    row memo when another weight rule has asked for them twice."""
+    if spec.family is not family:
+        raise DomainError(f"expected the {family.value}-factor family, "
+                          f"got {spec.family.value}")
+    a, b, delta = Fraction(a), Fraction(b), Fraction(delta)
+    M = spec.order
+    D, lower_scale, rows = _ROW_MEMO.get(
+        (family, a, b, delta, M), partial(_row_half, family, a, b, delta, M))
     return HalfRangePass(family, a, b, delta, D, lower_scale,
-                         _monotone_class(num, den), *_weight_numerators(num, den),
-                         [_fold_row(family, tables, m) for m in range(M + 1)])
+                         *_weight_half(spec.weights, M), rows)
 
 
 def phi_coefficients(spec: HypSeriesSpec, a, b, delta):
@@ -439,17 +577,20 @@ def psi_coefficients(spec: HypSeriesSpec, a, b, delta):
 
 
 def mk_profile(spec: HypSeriesSpec, a, b, delta, m: int) -> MkProfile:
-    """The M_k values for coefficient index m >= 2, read from row m of the
-    pass to order m (weights play no role: the profile depends only on the
-    shift parameters and the family).  Gamma-family values are the
+    """The M_k values for coefficient index m >= 2, from row m folded on the
+    tables to order m (weights play no role: the profile depends only on
+    the shift parameters and the family).  Gamma-family values are the
     enclosures Gamma(a+d)Gamma(b) p_k - Gamma(a)Gamma(b+d) q_k."""
     if m < 2:
         raise DomainError(f"profile needs m >= 2, got {m}")
-    hr = half_range_pass(spec.family, replace(spec, order=m), a, b, delta)
+    a, b, delta = Fraction(a), Fraction(b), Fraction(delta)
+    D, lower_scale, tables = _tables(spec.family, a, b, delta, m)
+    row = _fold_row(spec.family, tables, m)
+    exact = partial(_scaled, spec.family, D, lower_scale, m)
     if spec.family is Family.GAMMA_FACTOR:
-        g1 = ci_exp(log_gamma(hr.a + hr.delta) + log_gamma(hr.b))
-        g2 = ci_exp(log_gamma(hr.a) + log_gamma(hr.b + hr.delta))
-        values = [g1 * hr.exact(m, p) - g2 * hr.exact(m, q) for p, q in hr.rows[m]]
+        g1 = ci_exp(log_gamma(a + delta) + log_gamma(b))
+        g2 = ci_exp(log_gamma(a) + log_gamma(b + delta))
+        values = [g1 * exact(p) - g2 * exact(q) for p, q in row]
     else:
-        values = [hr.exact(m, r) for r in hr.rows[m]]
+        values = list(map(exact, row))
     return MkProfile(m, spec.family, values)

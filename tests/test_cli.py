@@ -436,6 +436,45 @@ class TestTolerance:
             f"error: --tol must be positive, got {tol}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        SINGLE,
+        ["verify", "--theorem", "binomial", "--family", "binomial",
+         "--a", "1", "--b", "2", "--delta", "1"],
+        ["verify", "--theorem", "thm2", "--grid", "default"],
+        ["verify", "--theorem", "thm3"],
+    ])
+    def test_tol_on_sign_checks_only_exits_2_before_any_work(
+            self, argv, tmp_path, monkeypatch, capsys):
+        # no sign check reads --tol, so a run of only sign checks refuses it
+        import turankit.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "_run_case", _no_work)
+        out = tmp_path / "r.json"
+        assert main(argv + ["--tol", "1/1000", "--out-json", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: --tol is not used for {argv[2]}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("theorem", ["all", "corollary", "turan"])
+    def test_tol_reaches_the_bound_checks(self, theorem, tmp_path, monkeypatch):
+        import turankit.cli as cli_mod
+
+        seen = []
+
+        def fake(case, precision, tol):
+            seen.append((case.theorem, tol))
+            return {"theorem": case.theorem, "params": {},
+                    "verdict": "verified", "first_violation": None,
+                    "details": {}, "csv_rows": []}
+
+        monkeypatch.setattr(cli_mod, "_run_case", fake)
+        code, rep, _ = run_cli(["verify", "--theorem", theorem,
+                                "--tol", "1/1000"], tmp_path)
+        assert code == 0
+        assert rep["config_echo"]["tol"] == "1/1000"
+        assert {tol for _, tol in seen} == {Fraction(1, 1000)}
+        assert {"corollary", "turan"} & {t for t, _ in seen}
+
 
 class TestExitCodes:
     def test_violated_maps_to_1(self, tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ convolutions over Pochhammer symbols for the exact coefficients, and
 """
 
 import math
+import operator
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -488,6 +489,129 @@ def test_profile_makes_the_pass_to_its_own_order():
         half_range_pass(Family.LOWER_FACTOR, spec, a, b, d)
     assert mk_profile(spec, a, b, d, 5).values == \
         _profile_oracle(Family.LOWER_FACTOR, a, b, d, 5)
+
+
+# ------------------------------------------------------------ the row memo
+
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty row memo with the module's bounds, in place of the shared
+    one."""
+    fresh = series_module._RowMemo()
+    monkeypatch.setattr(series_module, "_ROW_MEMO", fresh)
+    return fresh
+
+
+def _built(family, spec, a, b, d):
+    """The pass a build with an empty memo gives."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series_module, "_ROW_MEMO", series_module._RowMemo())
+        return half_range_pass(family, spec, a, b, d)
+
+
+def _held_bits(memo):
+    """The bits of the integers the memo holds, counted afresh."""
+    total = 0
+    for (family, *_), (D, scale, rows, _) in memo.stored.items():
+        values = [v for row in rows for v in row]
+        if family is Family.GAMMA_FACTOR:
+            values = [v for pair in values for v in pair]
+        total += sum(v.bit_length() for v in [D, scale, *values])
+    return total
+
+
+def _sign_grid_passes():
+    """(spec, a, b, d) of the 420 default-grid sign cases, in grid order."""
+    for case in default_cases("all"):
+        if case.theorem not in ("corollary", "turan"):
+            p = case.params
+            yield case.spec(), p["a"], p["b"], p["delta"]
+
+
+class TestRowMemo:
+    @pytest.mark.parametrize("spec", [gauss_upper(F(3, 2), F(5, 2), 8),
+                                      kummer_gamma(F(5, 2), 8),
+                                      gauss_lower(F(1, 2), F(2), 8)])
+    def test_changed_rows_reach_no_later_pass(self, spec, memo):
+        # requests 1-2 build (the second stores), 3-4 copy from the memo
+        a, b, d = F(1, 2), F(3), F(3, 4)
+        want = _built(spec.family, spec, a, b, d)
+        for _ in range(4):
+            hr = half_range_pass(spec.family, spec, a, b, d)
+            assert (hr.D, hr.lower_scale, hr.rows) == \
+                (want.D, want.lower_scale, want.rows)
+            assert hr.sums() == want.sums()
+            hr.rows[2][0] = None
+            hr.rows[3] = []
+        assert len(memo.stored) == 1
+
+    def test_a_key_requested_once_stores_nothing(self, memo):
+        key = (Family.UPPER_FACTOR, F(1), F(2), F(1), 10)
+        half_range_pass(Family.UPPER_FACTOR, kummer_upper(F(2), 10), 1, 2, 1)
+        half_range_pass(Family.UPPER_FACTOR, kummer_upper(F(2), 11), 1, 2, 1)
+        half_range_pass(Family.LOWER_FACTOR, kummer_lower(F(2), 10), 1, 2, 1)
+        assert not memo.stored and memo.held_bits == 0
+        # the same shift point for another weight rule
+        half_range_pass(Family.UPPER_FACTOR, kummer_upper(F(3), 10), 1, 2, 1)
+        assert list(memo.stored) == [key]
+
+    def test_a_refused_pass_raises_on_every_request(self, memo):
+        spec = kummer_lower(F(1), 8)
+        for _ in range(3):
+            with pytest.raises(PoleError):
+                half_range_pass(Family.LOWER_FACTOR, spec, F(-5), F(2), F(1, 2))
+            with pytest.raises(DomainError):
+                half_range_pass(Family.GAMMA_FACTOR, kummer_gamma(F(1), 4), 0, 1, 1)
+        assert not memo.stored
+
+    @pytest.mark.parametrize("bits", [series_module._ROW_MEMO_BITS, 300_000])
+    def test_bounds_hold_over_the_default_grid(self, bits, monkeypatch):
+        # the second bound binds only when tighter than the default grid needs
+        memo = series_module._RowMemo()
+        memo.bits = bits
+        monkeypatch.setattr(series_module, "_ROW_MEMO", memo)
+        builds = []
+        real = series_module._row_half
+        monkeypatch.setattr(series_module, "_row_half",
+                            lambda *key: builds.append(key) or real(*key))
+        for spec, a, b, d in _sign_grid_passes():
+            half_range_pass(spec.family, spec, a, b, d)
+            assert len(memo.stored) <= memo.entries
+            assert len(memo._seen) <= memo.entries
+            assert memo.held_bits == _held_bits(memo) <= memo.bits
+        if bits == series_module._ROW_MEMO_BITS:
+            # every shift point is built once per family and order, a
+            # second time for the weight rule that stores it, and never again
+            assert len(builds) == 210
+
+    def test_an_order_200_lower_row_set_is_never_stored(self, memo):
+        # nor does it evict what the memo holds
+        for a0 in (F(1), F(2)):
+            half_range_pass(Family.LOWER_FACTOR, kummer_lower(a0, 10), 1, 2, 1)
+        held = dict(memo.stored)
+        assert len(held) == 1
+        spec = gauss_lower(F(1, 2), F(2), 200)
+        for _ in range(2):
+            half_range_pass(Family.LOWER_FACTOR, spec, F(1, 2), F(1), F(1, 2))
+            assert memo.stored == held
+
+    def test_pair_weight_sums_match_the_weight_products(self):
+        # sum_k W_k W_{m-k} r_k, multiplied out afresh for every m
+        for spec, a, b, d in _sign_grid_passes():
+            hr = half_range_pass(spec.family, spec, a, b, d)
+            w, L = series_module._weight_numerators(
+                *spec.weights._ratio_parts(spec.order))
+
+            def weighted(m, values):
+                return sum(map(operator.mul, map(operator.mul, w, w[m::-1]),
+                               values))
+
+            if spec.family is Family.GAMMA_FACTOR:
+                want = [tuple(weighted(m, v) for v in zip(*row))
+                        for m, row in enumerate(hr.rows)]
+            else:
+                want = [weighted(m, row) for m, row in enumerate(hr.rows)]
+            assert hr.L == L and hr.sums() == want
 
 
 class TestSignTest:
