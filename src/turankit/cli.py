@@ -12,6 +12,12 @@ warning but still exit 0), 1 at least one certified violation, 2 bad
 configuration.  Identical configuration produces a byte-identical JSON
 report; worker-pool parallelism never reorders the output because reports
 are assembled in input order.
+
+``verify`` runs its sign cases grouped by shift point (family, a, b, delta
+and order), the key of the series module's row memo, so the weight rules
+of one point run one after another and build its half-range rows once.
+The groups are cut into chunks of whole groups, run in a process pool or
+in this process, and the records are put back in case order.
 """
 
 from __future__ import annotations
@@ -23,10 +29,9 @@ import json
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 
 from .errors import DomainError, TermCapError
 from .evalf import default_log_grid, explore_conjecture
@@ -187,6 +192,41 @@ def _run_case(case: Case, precision: int, tol) -> dict:
     return record
 
 
+def _run_chunk(cases: list[Case], precision: int, tol) -> list[dict]:
+    """Worker entry: the records of a chunk of cases, in its order."""
+    return [_run_case(case, precision, tol) for case in cases]
+
+
+def _chunks(cases: list[Case], size: int) -> list[list[int]]:
+    """The case indices grouped by shift point, groups in the order they
+    first appear and cases in theirs, cut into chunks of at least ``size``
+    cases (the last may be smaller) whose edges fall on group edges.  Each
+    bound check is a group of its own."""
+    groups = {}
+    for i, case in enumerate(cases):
+        key = i
+        if case.theorem in DEFAULT_M:
+            spec, p = case.spec(), case.params
+            key = (spec.family, p["a"], p["b"], p["delta"], spec.order)
+        groups.setdefault(key, []).append(i)
+    chunks = [[]]
+    for group in groups.values():
+        if len(chunks[-1]) >= size:
+            chunks.append([])
+        chunks[-1] += group
+    return chunks
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on, which under an affinity mask or
+    a container's cpuset are fewer than the machine's."""
+    if hasattr(os, "process_cpu_count"):  # Python 3.13+
+        return os.process_cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _explicit_case(args) -> Case:
     """The one case the flags describe; every flag given must be used."""
     if args.family is None:
@@ -252,15 +292,25 @@ def cmd_verify(args) -> int:
         if args.tol is not None and all(c.theorem in DEFAULT_M for c in cases):
             raise DomainError(f"--tol is not used for {args.theorem}")
         _check_outputs(args)
-        workers = min(args.jobs, os.cpu_count() or 1, len(cases))
+        workers = min(args.jobs, _usable_cores(), len(cases))
+        # about four chunks a worker: fewer round trips to the parent
+        chunks = _chunks(cases, -(-len(cases) // (4 * workers)))
+        chunk_cases = ([cases[i] for i in chunk] for chunk in chunks)
         if workers > 1:
-            # about four chunks a worker: fewer round trips to the parent
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                records = list(pool.map(_run_case, cases, repeat(precision),
-                                        repeat(args.tol),
-                                        chunksize=-(-len(cases) // (4 * workers))))
+            # imported here: the pool machinery is a sizeable share of the
+            # start-up of a run that never uses it
+            from concurrent.futures import ProcessPoolExecutor
+            pool = ProcessPoolExecutor(max_workers=workers)
+            run = pool.map
         else:
-            records = [_run_case(c, precision, args.tol) for c in cases]
+            pool, run = nullcontext(), map
+        records = [None] * len(cases)
+        with pool:
+            done = run(_run_chunk, chunk_cases, repeat(precision),
+                       repeat(args.tol))
+            for i, record in zip(chain.from_iterable(chunks),
+                                 chain.from_iterable(done)):
+                records[i] = record
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -34,10 +34,13 @@ and the order M, and the pair weights w_k w_{m-k}, which depend only on
 the weight rule and M.  A memo shares the rows of a shift point across
 the weight rules that ask for it (:class:`_RowMemo`).  It stores them on
 their second request, so a run that never repeats a shift point stores
-none, and evicts the least recently used.  It is bounded in entries and
-in the bits of the integers it holds, and never stores a row set larger
-than the bit bound.  The pair weights of the last weight rule are kept,
-because consecutive cases share it.
+none, and evicts the least recently used.  The last row set built on a
+first request waits in a one-entry window, so a second request that
+follows at once, as within the command line's shift-point groups, is
+served without a rebuild.  The memo is bounded in entries and in the bits
+of the integers it holds, and never stores a row set larger than the bit
+bound.  The pair weights of the last few weight rules are kept, because
+the cases of one shift point alternate between them.
 
 Everything is formal: truncation order is fixed up front and no statement
 about convergence is made or needed.
@@ -293,12 +296,15 @@ def _weight_numerators(num: list[int], den: list[int]) -> tuple[list[int], int]:
     return [x // g for x in W], L // g
 
 
-@lru_cache(maxsize=1)
+# The default grid asks for at most 6 weight rules on one shift point (3
+# 1f1-upper, 2 2f1-upper and the binomial rule), and the command line runs
+# a point's cases one after another.
+@lru_cache(maxsize=8)
 def _weight_half(weights: WeightRule, M: int) -> tuple[MonotoneClass, int, tuple]:
     """The weight half of a pass to order M: the monotone class of the
     weight ratios, L, and the pair weights W_k W_{m-k}, k = 0..m//2, of each
-    m = 0..M.  Only the last weight rule's half is kept: consecutive cases
-    share it."""
+    m = 0..M.  The halves of the last 8 weight rules are kept, so the cases
+    of one shift point share them."""
     num, den = weights._ratio_parts(M)
     W, L = _weight_numerators(num, den)
     pairs = tuple(tuple(map(operator.mul, W[:m // 2 + 1], W[m::-1]))
@@ -357,8 +363,8 @@ class HalfRangePass:
     The rows are the pass's own lists, built or copied from the memo that
     shares them across weight rules (:class:`_RowMemo`: stored on a shift
     point's second request, at most ``_ROW_MEMO_ENTRIES`` row sets of at
-    most ``_ROW_MEMO_BITS`` bits in all); the pair weights are shared
-    tuples."""
+    most ``_ROW_MEMO_BITS`` bits in all, behind a one-entry window that
+    holds the last row set built); the pair weights are shared tuples."""
 
     family: Family
     a: Fraction
@@ -481,13 +487,21 @@ class _RowMemo:
     requested once, and holds at most ``entries`` row sets of at most
     ``bits`` bits of integers in all; a larger row set is never stored.
 
+    In front of the doorkeeper sits W-TinyLFU's admission window, here of
+    one entry: the row set of the last miss that was a first request.  A
+    request for the window's key admits that row set, within the same
+    bounds, without a rebuild.  So cases that ask for one shift point one
+    after another, as the command line runs them, build it once; the
+    doorkeeper serves callers whose repeats come further apart.
+
     The memo is module state, as the log-Gamma cache of ``intervals`` is:
     the public per-case calls, such as ``verify_theorem1(spec, a, b, delta,
     M)``, have nowhere to pass one.  A lock guards its bookkeeping, not the
     build.  Rows are exact integers, so a stored row set is the one a build
-    gives.  The memo keeps tuples and every pass gets lists of its own, so
-    a caller that changes its rows changes no other pass.  A build that
-    raises stores nothing, so it raises on every request."""
+    gives.  The memo and the window keep tuples and every pass gets lists
+    of its own, so a caller that changes its rows changes no other pass.  A
+    build that raises stores nothing and leaves the window as it was, so it
+    raises on every request."""
 
     def __init__(self):
         self.entries, self.bits = _ROW_MEMO_ENTRIES, _ROW_MEMO_BITS
@@ -495,31 +509,44 @@ class _RowMemo:
         # key -> (D, lower_scale, rows, bits), least recently used first
         self.stored = OrderedDict()
         self._seen = OrderedDict()  # keys requested once, oldest first
+        self.window = None  # (key, D, lower_scale, rows) of the last first miss
         self._lock = threading.Lock()
 
     def get(self, key: tuple, build) -> tuple[int, int, list]:
-        """(D, lower_scale, rows) for ``key``: copied from the memo if held,
-        else from ``build()``, whose lists are handed on as they are."""
+        """(D, lower_scale, rows) for ``key``: copied from the memo or the
+        window if held there, else from ``build()``, whose lists are handed
+        on as they are."""
         with self._lock:
-            hit = self.stored.get(key)
-            second = hit is None and key in self._seen
-            if hit is not None:
+            held = self.stored.get(key)
+            if held is not None:
                 self.stored.move_to_end(key)
-            elif second:
-                del self._seen[key]
+                held, admit = held[:3], False
+            elif self.window is not None and self.window[0] == key:
+                held, admit = self.window[1:], True
+                self._seen.pop(key, None)
             else:
-                self._seen[key] = None
-                if len(self._seen) > self.entries:
-                    self._seen.popitem(last=False)
-        if hit is not None:
-            D, lower_scale, rows, _ = hit
+                admit = key in self._seen
+                if admit:
+                    del self._seen[key]
+                else:
+                    self._seen[key] = None
+                    if len(self._seen) > self.entries:
+                        self._seen.popitem(last=False)
+        if held is not None:
+            D, lower_scale, rows = held
+            if admit:
+                self._admit(key, D, lower_scale, rows)
             return D, lower_scale, [list(row) for row in rows]
         D, lower_scale, rows = build()
-        if second:
+        if admit:
             self._admit(key, D, lower_scale, rows)
+        else:
+            window = (key, D, lower_scale, tuple(map(tuple, rows)))
+            with self._lock:
+                self.window = window
         return D, lower_scale, rows
 
-    def _admit(self, key: tuple, D: int, lower_scale: int, rows: list) -> None:
+    def _admit(self, key: tuple, D: int, lower_scale: int, rows) -> None:
         values = chain.from_iterable(rows)
         if key[0] is Family.GAMMA_FACTOR:
             values = chain.from_iterable(values)
@@ -546,7 +573,7 @@ def half_range_pass(family: Family, spec: HypSeriesSpec, a, b, delta) -> HalfRan
     read.  ``family`` is the family the caller works with; a spec of
     another family is refused, and so are nonpositive gamma-family shifts
     and a lower-family pole (s)_n = 0, 1 <= n <= M.  The rows come from the
-    row memo when another weight rule has asked for them twice."""
+    row memo when another weight rule has asked for them before."""
     if spec.family is not family:
         raise DomainError(f"expected the {family.value}-factor family, "
                           f"got {spec.family.value}")

@@ -1,20 +1,26 @@
 """CLI contract: flag parsing, JSON/CSV shapes, determinism across reruns
 and worker counts, and the exit-code mapping."""
 
+import concurrent.futures
 import csv
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import turankit.cli as cli_mod
+from turankit import series as series_module
 from turankit.cli import build_parser, main
 from turankit.errors import TermCapError
 from turankit.intervals import get_precision
+from turankit.verify import DEFAULT_M, default_cases
 
 
 def run_cli(argv, tmp_path, name="out"):
@@ -25,6 +31,38 @@ def run_cli(argv, tmp_path, name="out"):
 
 SINGLE = ["verify", "--theorem", "thm1", "--family", "1f1-upper",
           "--c", "3", "--a", "1", "--b", "2", "--delta", "1/2", "--M", "40"]
+ALL_GRID = ["verify", "--theorem", "all", "--grid", "default"]
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """The process pool replaced by one that records its size and the
+    chunks of cases it is sent, and runs them inline."""
+    seen = SimpleNamespace(sizes=[], chunks=[])
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            calls = list(zip(*iterables))
+            seen.chunks += [call[0] for call in calls]
+            return [fn(*call) for call in calls]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return seen
+
+
+def _shift_point(case):
+    """The row memo's key of a sign case."""
+    spec, p = case.spec(), case.params
+    return spec.family, p["a"], p["b"], p["delta"], spec.order
 
 
 class TestParsing:
@@ -143,42 +181,113 @@ class TestJobs:
         assert main(SINGLE + ["--jobs", jobs]) == 2
         assert "--jobs" in capsys.readouterr().err
 
-    def test_pool_size_clamped_to_cores_and_cases(self, tmp_path,
-                                                  monkeypatch):
-        import turankit.cli as cli_mod
-
-        sizes, chunks = [], []
-
-        class RecordingPool:
-            """Stands in for the process pool; runs the cases inline."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                chunks.append(chunksize)
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 4)
+    def test_pool_size_clamped_to_cores_and_cases(self, tmp_path, monkeypatch,
+                                                  recording_pool):
+        monkeypatch.setattr(cli_mod, "_usable_cores", lambda: 4)
         grid = ["verify", "--theorem", "binomial", "--grid", "default",
                 "--M", "6", "--jobs", "1000000"]
         code, rep, _ = run_cli(grid, tmp_path, "grid")
         assert code == 0
-        assert sizes == [4]
-        # 30 binomial cases in about four chunks a worker
-        assert chunks == [2]
+        assert recording_pool.sizes == [4]
+        # 30 binomial cases, each on a shift point of its own, in about
+        # four chunks a worker
+        assert [len(chunk) for chunk in recording_pool.chunks] == [2] * 15
         assert rep["config_echo"]["jobs"] == 1000000
         # one case: no pool at all
         code, _, _ = run_cli(SINGLE + ["--jobs", "1000000"], tmp_path, "one")
         assert code == 0
-        assert sizes == [4]
+        assert recording_pool.sizes == [4]
+        # one usable core: no pool either
+        monkeypatch.setattr(cli_mod, "_usable_cores", lambda: 1)
+        code, _, _ = run_cli(grid, tmp_path, "core")
+        assert code == 0
+        assert recording_pool.sizes == [4]
+
+    def test_cores_are_those_the_process_may_use(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "process_cpu_count", lambda: 3, raising=False)
+        assert cli_mod._usable_cores() == 3
+        monkeypatch.delattr(os, "process_cpu_count")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5},
+                            raising=False)
+        assert cli_mod._usable_cores() == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert cli_mod._usable_cores() == 64
+
+    def test_no_pool_machinery_imported_at_one_job(self):
+        code = ("import sys, turankit.cli as c; "
+                "c.main(['verify', '--theorem', 'binomial', '--grid', 'default', "
+                "'--M', '4', '--jobs', '1', '--out-json', '/dev/null']); "
+                "print(sorted(m for m in sys.modules if m.startswith("
+                "('concurrent', 'multiprocessing'))))")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "[]\n"
+
+
+class TestPointMajor:
+    def test_default_grid_builds_each_shift_point_once(self, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.setattr(series_module, "_ROW_MEMO", series_module._RowMemo())
+        builds = []
+        real = series_module._row_half
+        monkeypatch.setattr(series_module, "_row_half",
+                            lambda *key: builds.append(key) or real(*key))
+        code, _, _ = run_cli(ALL_GRID + ["--jobs", "1"], tmp_path)
+        assert code == 0
+        assert len(builds) == len(set(builds)) == 90
+
+    def test_chunks_hold_whole_shift_points(self, tmp_path, monkeypatch,
+                                            recording_pool):
+        monkeypatch.setattr(cli_mod, "_usable_cores", lambda: 2)
+        code, rep, _ = run_cli(ALL_GRID + ["--jobs", "2"], tmp_path)
+        assert code == 0
+        cases = default_cases("all")
+        chunks = recording_pool.chunks
+        # shift points in the order they first appear, each bound check a
+        # point of its own, and the cases of a point in case order
+        keys = [_shift_point(c) if c.theorem in DEFAULT_M else i
+                for i, c in enumerate(cases)]
+        want = sorted(range(len(cases)), key=lambda i: (keys.index(keys[i]), i))
+        assert [cases.index(c) for chunk in chunks for c in chunk] == want
+        chunk_of = {}
+        for n, chunk in enumerate(chunks):
+            for case in chunk:
+                chunk_of.setdefault(keys[cases.index(case)], set()).add(n)
+        assert len(chunk_of) == 90 + 3
+        assert all(len(held) == 1 for held in chunk_of.values())
+        # about four chunks a worker: ceil(423 / 8) = 53 cases or more,
+        # the last excepted
+        assert len(chunks) <= 8
+        assert all(len(chunk) >= 53 for chunk in chunks[:-1])
+        # the records come back in case order
+        assert [(r["theorem"], r["params"]) for r in rep["per_case"]] == [
+            (c.theorem, {k: str(v) for k, v in c.params.items()}) for c in cases]
+
+    @pytest.mark.parametrize("start", [None, "spawn"])
+    def test_pool_gives_the_inline_reports(self, start, tmp_path, monkeypatch):
+        # under spawn, the start method of macOS and (as forkserver) of
+        # Python 3.14 on Linux, the chunks and their cases must pickle
+        real, made = concurrent.futures.ProcessPoolExecutor, []
+
+        def pool(max_workers):
+            made.append(max_workers)
+            context = start and multiprocessing.get_context(start)
+            return real(max_workers=max_workers, mp_context=context)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(cli_mod, "_usable_cores", lambda: 2)
+        reports = []
+        for jobs in ("1", "2"):
+            out_csv = tmp_path / f"jobs{jobs}.csv"
+            code, rep, _ = run_cli(ALL_GRID + ["--jobs", jobs,
+                                               "--out-csv", str(out_csv)],
+                                   tmp_path, f"jobs{jobs}")
+            assert code == 0
+            reports.append((rep["per_case"], rep["summary"], out_csv.read_bytes()))
+        assert made == [2]
+        assert reports[0] == reports[1]
 
 
 class TestPrecisionScope:

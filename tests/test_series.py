@@ -7,6 +7,8 @@ convolutions over Pochhammer symbols for the exact coefficients, and
 
 import math
 import operator
+import sys
+import threading
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -520,6 +522,15 @@ def _held_bits(memo):
     return total
 
 
+def _count_builds(monkeypatch) -> list:
+    """The keys of the row sets built from now on, one entry a build."""
+    builds = []
+    real = series_module._row_half
+    monkeypatch.setattr(series_module, "_row_half",
+                        lambda *key: builds.append(key) or real(*key))
+    return builds
+
+
 def _sign_grid_passes():
     """(spec, a, b, d) of the 420 default-grid sign cases, in grid order."""
     for case in default_cases("all"):
@@ -533,7 +544,8 @@ class TestRowMemo:
                                       kummer_gamma(F(5, 2), 8),
                                       gauss_lower(F(1, 2), F(2), 8)])
     def test_changed_rows_reach_no_later_pass(self, spec, memo):
-        # requests 1-2 build (the second stores), 3-4 copy from the memo
+        # request 1 builds and keeps the rows in the window, request 2
+        # copies them from the window and stores them, 3-4 copy from the memo
         a, b, d = F(1, 2), F(3), F(3, 4)
         want = _built(spec.family, spec, a, b, d)
         for _ in range(4):
@@ -570,10 +582,7 @@ class TestRowMemo:
         memo = series_module._RowMemo()
         memo.bits = bits
         monkeypatch.setattr(series_module, "_ROW_MEMO", memo)
-        builds = []
-        real = series_module._row_half
-        monkeypatch.setattr(series_module, "_row_half",
-                            lambda *key: builds.append(key) or real(*key))
+        builds = _count_builds(monkeypatch)
         for spec, a, b, d in _sign_grid_passes():
             half_range_pass(spec.family, spec, a, b, d)
             assert len(memo.stored) <= memo.entries
@@ -581,8 +590,92 @@ class TestRowMemo:
             assert memo.held_bits == _held_bits(memo) <= memo.bits
         if bits == series_module._ROW_MEMO_BITS:
             # every shift point is built once per family and order, a
-            # second time for the weight rule that stores it, and never again
-            assert len(builds) == 210
+            # second time for the weight rule that stores it, and never
+            # again; but the last point of each of the three first sweeps
+            # (upper, gamma, lower) is still in the window when the second
+            # weight rule reaches it, so it is stored without a rebuild
+            assert len(builds) == 210 - 3
+
+    def test_a_repeated_key_builds_nothing(self, memo, monkeypatch):
+        builds = _count_builds(monkeypatch)
+        spec, key = kummer_upper(F(2), 10), (Family.UPPER_FACTOR, F(1), F(2), F(1), 10)
+        first = half_range_pass(Family.UPPER_FACTOR, spec, 1, 2, 1)
+        assert len(builds) == 1 and not memo.stored
+        for c in (F(3), F(4)):
+            hr = half_range_pass(Family.UPPER_FACTOR, kummer_upper(c, 10), 1, 2, 1)
+            assert hr.rows == first.rows and hr.rows is not first.rows
+        # the window's row set is stored on its second request
+        assert len(builds) == 1 and list(memo.stored) == [key]
+
+    @pytest.mark.parametrize("spec", [gauss_upper(F(3, 2), F(5, 2), 8),
+                                      kummer_gamma(F(5, 2), 8),
+                                      gauss_lower(F(1, 2), F(2), 8)])
+    def test_changed_rows_reach_neither_the_window_nor_the_memo(self, spec,
+                                                                memo):
+        a, b, d = F(1, 2), F(3), F(3, 4)
+        want = _built(spec.family, spec, a, b, d)
+        stored = tuple(map(tuple, want.rows))
+        key = (spec.family, a, b, d, spec.order)
+        hr = half_range_pass(spec.family, spec, a, b, d)
+        hr.rows[2][0] = None
+        hr.rows[3] = []
+        assert memo.window == (key, want.D, want.lower_scale, stored)
+        hr = half_range_pass(spec.family, spec, a, b, d)
+        assert hr.rows == want.rows
+        hr.rows[2][0] = None
+        hr.rows[3] = []
+        assert memo.window == (key, want.D, want.lower_scale, stored)
+        assert memo.stored[key][:3] == (want.D, want.lower_scale, stored)
+
+    def test_a_failed_build_leaves_the_window(self, memo, monkeypatch):
+        builds = _count_builds(monkeypatch)
+        half_range_pass(Family.LOWER_FACTOR, kummer_lower(F(1), 8), 1, 2, 1)
+        window = memo.window
+        for _ in range(2):
+            with pytest.raises(PoleError):
+                half_range_pass(Family.LOWER_FACTOR, kummer_lower(F(1), 8),
+                                F(-5), F(2), F(1, 2))
+            assert memo.window is window
+        half_range_pass(Family.LOWER_FACTOR, kummer_lower(F(2), 8), 1, 2, 1)
+        assert len(builds) == 3 and list(memo.stored) == [window[0]]
+
+    def test_threads_share_the_memo_and_the_window(self, memo):
+        # four threads ask for each shift point at once, for three weight
+        # rules each, so builds, window hits and admissions race
+        specs = [kummer_upper(c, 8) for c in (F(1), F(2), F(3))]
+        points = [(a, a + t, F(1, 2)) for a in (F(1, 2), F(1), F(3, 2), F(2))
+                  for t in (F(1, 3), F(1, 2), F(1), F(2), F(3))]
+        want = {pt: _built(Family.UPPER_FACTOR, specs[0], *pt).rows
+                for pt in points}
+        meet = threading.Barrier(4, timeout=30)
+        failures = []
+
+        def run():
+            try:
+                for pt in points:
+                    meet.wait()
+                    for spec in specs:
+                        hr = half_range_pass(Family.UPPER_FACTOR, spec, *pt)
+                        if hr.rows != want[pt]:
+                            failures.append(pt)
+                        hr.rows[2][0] = None
+            except Exception as exc:  # reported by the assertion below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+        assert memo.held_bits == _held_bits(memo)
+        assert len(memo.stored) == len(points)
 
     def test_an_order_200_lower_row_set_is_never_stored(self, memo):
         # nor does it evict what the memo holds
