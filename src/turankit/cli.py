@@ -13,11 +13,10 @@ configuration.  Identical configuration produces a byte-identical JSON
 report; worker-pool parallelism never reorders the output because reports
 are assembled in input order.
 
-``verify`` runs its sign cases grouped by shift point (family, a, b, delta
-and order), the key of the series module's row memo, so the weight rules
-of one point run one after another and build its half-range rows once.
-The groups are cut into chunks of whole groups, run in a process pool or
-in this process, and the records are put back in case order.
+``verify`` runs its sign cases grouped by ``series.shift_point``, the key
+of the row memo, so the weight rules of one point run one after another
+and build its half-range rows once.  Chunks of whole groups run in a
+process pool or in this process, and the records return in case order.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ from itertools import chain, repeat
 from .errors import DomainError, TermCapError
 from .evalf import default_log_grid, explore_conjecture
 from .intervals import get_precision, working_precision
+from .series import shift_point
 from .verify import (DEFAULT_M, FAMILIES, THEOREM_FAMILIES, Case, SignReport,
                      Verdict, case_params, default_cases, run_case)
 
@@ -83,8 +83,12 @@ def _precision(args) -> int:
 
 
 def _check_outputs(args) -> None:
-    """Refuse an unwritable --out-json or --out-csv path before any work."""
-    for path in filter(None, (args.out_json, args.out_csv)):
+    """Refuse an unwritable --out-json or --out-csv path, or one file for
+    both, before any work."""
+    paths = list(filter(None, (args.out_json, args.out_csv)))
+    if len(paths) == 2 and len(set(map(os.path.realpath, paths))) == 1:
+        raise DomainError(f"--out-json and --out-csv are one file: {paths[1]}")
+    for path in paths:
         existed = os.path.lexists(path)
         try:
             open(path, "a").close()
@@ -204,10 +208,9 @@ def _chunks(cases: list[Case], size: int) -> list[list[int]]:
     bound check is a group of its own."""
     groups = {}
     for i, case in enumerate(cases):
-        key = i
-        if case.theorem in DEFAULT_M:
-            spec, p = case.spec(), case.params
-            key = (spec.family, p["a"], p["b"], p["delta"], spec.order)
+        p = case.params
+        key = (shift_point(case.spec(), p["a"], p["b"], p["delta"])
+               if case.theorem in DEFAULT_M else i)
         groups.setdefault(key, []).append(i)
     chunks = [[]]
     for group in groups.values():

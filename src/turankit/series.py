@@ -29,18 +29,12 @@ per parameter tuple (:func:`half_range_pass`), made on integer Pochhammer
 tables over one common denominator, so that every sign a check needs is
 the sign of an integer (or, for psi, an integer cross-multiplication).
 A pass joins two halves, as the coefficient sum_k w_k w_{m-k} M_k does:
-the rows of M_k, which depend only on the family, the shifts (a, b, d)
-and the order M, and the pair weights w_k w_{m-k}, which depend only on
-the weight rule and M.  A memo shares the rows of a shift point across
-the weight rules that ask for it (:class:`_RowMemo`).  It stores them on
-their second request, so a run that never repeats a shift point stores
-none, and evicts the least recently used.  The last row set built on a
-first request waits in a one-entry window, so a second request that
-follows at once, as within the command line's shift-point groups, is
-served without a rebuild.  The memo is bounded in entries and in the bits
-of the integers it holds, and never stores a row set larger than the bit
-bound.  The pair weights of the last few weight rules are kept, because
-the cases of one shift point alternate between them.
+the rows of M_k, which depend only on the shift point (the family, the
+shifts a, b, d and the order M), and the pair weights w_k w_{m-k}, which
+depend only on the weight rule and M.  A memo stores every row set built
+and evicts the least recently used past a bound in entries and in bits,
+but never the newest (:class:`_RowMemo`); the last few pair weights are
+cached too.
 
 Everything is formal: truncation order is fixed up front and no statement
 about convergence is made or needed.
@@ -263,7 +257,7 @@ class MkProfile:
         return sum(1 for s1, s2 in zip(seq, seq[1:]) if s1 is not s2)
 
 
-def _fold_row(family: Family, tables, m: int) -> list:
+def _fold_row(family: Family, tables, m: int) -> tuple:
     """Row m of the pass (see HalfRangePass) from its four tables, by sums
     and products of their entries and, for the upper family, C(m, k)."""
     t1, t2, t3, t4 = tables
@@ -281,7 +275,7 @@ def _fold_row(family: Family, tables, m: int) -> list:
             row.append((p, q))
         else:
             row.append(math.comb(m, k) * (p - q) if upper else p - q)
-    return row
+    return tuple(row)
 
 
 def _weight_numerators(num: list[int], den: list[int]) -> tuple[list[int], int]:
@@ -296,15 +290,12 @@ def _weight_numerators(num: list[int], den: list[int]) -> tuple[list[int], int]:
     return [x // g for x in W], L // g
 
 
-# The default grid asks for at most 6 weight rules on one shift point (3
-# 1f1-upper, 2 2f1-upper and the binomial rule), and the command line runs
-# a point's cases one after another.
 @lru_cache(maxsize=8)
 def _weight_half(weights: WeightRule, M: int) -> tuple[MonotoneClass, int, tuple]:
     """The weight half of a pass to order M: the monotone class of the
     weight ratios, L, and the pair weights W_k W_{m-k}, k = 0..m//2, of each
-    m = 0..M.  The halves of the last 8 weight rules are kept, so the cases
-    of one shift point share them."""
+    m = 0..M.  The halves of the last 8 weight rules are kept: the default
+    grid asks for at most 6 on one shift point, one after another."""
     num, den = weights._ratio_parts(M)
     W, L = _weight_numerators(num, den)
     pairs = tuple(tuple(map(operator.mul, W[:m // 2 + 1], W[m::-1]))
@@ -358,13 +349,8 @@ class HalfRangePass:
     With the integer weights W_n = w_n L and the pair weights
     ``pair_weights[m][k]`` = W_k W_{m-k}, phi_m and lambda_m are
     sum_k W_k W_{m-k} r_k scale_m / L^2, and psi_m's factors S1_m, S2_m are
-    the same weighted sums of p_k and q_k (:meth:`sums`).
-
-    The rows are the pass's own lists, built or copied from the memo that
-    shares them across weight rules (:class:`_RowMemo`: stored on a shift
-    point's second request, at most ``_ROW_MEMO_ENTRIES`` row sets of at
-    most ``_ROW_MEMO_BITS`` bits in all, behind a one-entry window that
-    holds the last row set built); the pair weights are shared tuples."""
+    the same weighted sums of p_k and q_k (:meth:`sums`).  The rows are
+    tuples shared by the passes of a shift point (:class:`_RowMemo`)."""
 
     family: Family
     a: Fraction
@@ -375,7 +361,7 @@ class HalfRangePass:
     weight_class: MonotoneClass  # weight_ratio_class of the spec
     L: int
     pair_weights: tuple  # pair_weights[m][k] = W_k W_{m-k}, k = 0..m//2
-    rows: list
+    rows: tuple  # rows[m][k], k = 0..m//2
 
     def exact(self, m: int, r: int, den: int = 1) -> Fraction:
         """r * scale_m / den as one reduced Fraction."""
@@ -458,110 +444,68 @@ def _tables(family: Family, a: Fraction, b: Fraction, delta: Fraction,
 
 
 def _row_half(family: Family, a: Fraction, b: Fraction, delta: Fraction,
-              M: int) -> tuple[int, int, list]:
+              M: int) -> tuple[int, int, tuple]:
     """The weight-free half of a pass to order M: D, lower_scale and the
     rows m = 0..M."""
     D, lower_scale, tables = _tables(family, a, b, delta, M)
-    return D, lower_scale, [_fold_row(family, tables, m) for m in range(M + 1)]
+    return D, lower_scale, tuple(_fold_row(family, tables, m)
+                                 for m in range(M + 1))
 
 
-# Bounds of the row memo.  One weight rule of the default grid sweeps 30
-# shift points before the next rule of its family asks for them again, so
-# 32 row sets keep a whole sweep.
+def shift_point(spec: HypSeriesSpec, a, b, delta) -> tuple:
+    """The row memo's key (family, a, b, d, M): all a pass's rows need."""
+    return spec.family, Fraction(a), Fraction(b), Fraction(delta), spec.order
+
+
+# Bounds of the row memo.  A default-grid weight rule sweeps 30 shift
+# points before the next rule of its family asks for them again, and 32
+# row sets at M = 40 take at most 4.4 Mbit; one at M = 200, the command
+# line's cap, takes 7.9-29.4 Mbit, so then only the newest is held.
 _ROW_MEMO_ENTRIES = 32
-# The bits of the integers held.  At M = 40 the 32 row sets of the entry
-# bound take at most 4.4 Mbit on the default grid (lower families), while
-# at M = 200, the command line's cap, one row set of a default-grid shift
-# point takes 7.9 Mbit or more (upper; gamma 14.0, lower 18.7-29.4).  With
-# the entry bound alone an order-200 run could hold 32 of them; with this
-# one it holds none, and a default-grid sweep still fits.
 _ROW_MEMO_BITS = 6_000_000
 
 
 class _RowMemo:
-    """The weight-free halves of passes by (family, a, b, d, M), stored on
-    their second request and evicted least recently used: the "doorkeeper"
-    admission of Einziger, Friedman & Manes, "TinyLFU: A Highly Efficient
-    Cache Admission Policy", ACM TOS 2017.  So a run that never repeats a
-    shift point stores nothing.  It remembers at most ``entries`` keys
-    requested once, and holds at most ``entries`` row sets of at most
-    ``bits`` bits of integers in all; a larger row set is never stored.
-
-    In front of the doorkeeper sits W-TinyLFU's admission window, here of
-    one entry: the row set of the last miss that was a first request.  A
-    request for the window's key admits that row set, within the same
-    bounds, without a rebuild.  So cases that ask for one shift point one
-    after another, as the command line runs them, build it once; the
-    doorkeeper serves callers whose repeats come further apart.
+    """The weight-free halves of passes by shift point.  Every row set
+    built is stored, and the least recently used are evicted while more
+    than ``entries`` row sets or ``bits`` bits of integers are held, but
+    never the one just stored: it holds at most max(``bits``, one row set).
 
     The memo is module state, as the log-Gamma cache of ``intervals`` is:
     the public per-case calls, such as ``verify_theorem1(spec, a, b, delta,
     M)``, have nowhere to pass one.  A lock guards its bookkeeping, not the
-    build.  Rows are exact integers, so a stored row set is the one a build
-    gives.  The memo and the window keep tuples and every pass gets lists
-    of its own, so a caller that changes its rows changes no other pass.  A
-    build that raises stores nothing and leaves the window as it was, so it
-    raises on every request."""
+    build.  The rows are tuples of exact integers, so every pass of a shift
+    point is handed the row set its build gives and none can change it.  A
+    build that raises stores nothing, so it raises on every request."""
 
     def __init__(self):
         self.entries, self.bits = _ROW_MEMO_ENTRIES, _ROW_MEMO_BITS
         self.held_bits = 0
         # key -> (D, lower_scale, rows, bits), least recently used first
         self.stored = OrderedDict()
-        self._seen = OrderedDict()  # keys requested once, oldest first
-        self.window = None  # (key, D, lower_scale, rows) of the last first miss
         self._lock = threading.Lock()
 
-    def get(self, key: tuple, build) -> tuple[int, int, list]:
-        """(D, lower_scale, rows) for ``key``: copied from the memo or the
-        window if held there, else from ``build()``, whose lists are handed
-        on as they are."""
+    def get(self, key: tuple) -> tuple[int, int, tuple]:
+        """(D, lower_scale, rows) of the shift point ``key``, held or built."""
         with self._lock:
             held = self.stored.get(key)
             if held is not None:
                 self.stored.move_to_end(key)
-                held, admit = held[:3], False
-            elif self.window is not None and self.window[0] == key:
-                held, admit = self.window[1:], True
-                self._seen.pop(key, None)
-            else:
-                admit = key in self._seen
-                if admit:
-                    del self._seen[key]
-                else:
-                    self._seen[key] = None
-                    if len(self._seen) > self.entries:
-                        self._seen.popitem(last=False)
-        if held is not None:
-            D, lower_scale, rows = held
-            if admit:
-                self._admit(key, D, lower_scale, rows)
-            return D, lower_scale, [list(row) for row in rows]
-        D, lower_scale, rows = build()
-        if admit:
-            self._admit(key, D, lower_scale, rows)
-        else:
-            window = (key, D, lower_scale, tuple(map(tuple, rows)))
-            with self._lock:
-                self.window = window
-        return D, lower_scale, rows
-
-    def _admit(self, key: tuple, D: int, lower_scale: int, rows) -> None:
+                return held[:3]
+        D, lower_scale, rows = built = _row_half(*key)
         values = chain.from_iterable(rows)
         if key[0] is Family.GAMMA_FACTOR:
             values = chain.from_iterable(values)
         bits = (D.bit_length() + lower_scale.bit_length()
                 + sum(map(int.bit_length, values)))
-        if bits > self.bits:
-            return
-        entry = (D, lower_scale, tuple(map(tuple, rows)), bits)
         with self._lock:
-            if key in self.stored:
-                return
-            self.stored[key] = entry
-            self.held_bits += bits
-            while len(self.stored) > self.entries or self.held_bits > self.bits:
-                self.held_bits -= self.stored.popitem(last=False)[1][3]
+            if key not in self.stored:
+                self.stored[key] = (*built, bits)
+                self.held_bits += bits
+                while len(self.stored) > 1 and (len(self.stored) > self.entries
+                                                or self.held_bits > self.bits):
+                    self.held_bits -= self.stored.popitem(last=False)[1][3]
+        return built
 
 
 _ROW_MEMO = _RowMemo()
@@ -573,16 +517,14 @@ def half_range_pass(family: Family, spec: HypSeriesSpec, a, b, delta) -> HalfRan
     read.  ``family`` is the family the caller works with; a spec of
     another family is refused, and so are nonpositive gamma-family shifts
     and a lower-family pole (s)_n = 0, 1 <= n <= M.  The rows come from the
-    row memo when another weight rule has asked for them before."""
+    row memo when it holds the shift point."""
     if spec.family is not family:
         raise DomainError(f"expected the {family.value}-factor family, "
                           f"got {spec.family.value}")
-    a, b, delta = Fraction(a), Fraction(b), Fraction(delta)
-    M = spec.order
-    D, lower_scale, rows = _ROW_MEMO.get(
-        (family, a, b, delta, M), partial(_row_half, family, a, b, delta, M))
-    return HalfRangePass(family, a, b, delta, D, lower_scale,
-                         *_weight_half(spec.weights, M), rows)
+    key = shift_point(spec, a, b, delta)
+    D, lower_scale, rows = _ROW_MEMO.get(key)
+    return HalfRangePass(*key[:4], D, lower_scale,
+                         *_weight_half(spec.weights, spec.order), rows)
 
 
 def phi_coefficients(spec: HypSeriesSpec, a, b, delta):

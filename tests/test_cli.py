@@ -61,8 +61,8 @@ def recording_pool(monkeypatch):
 
 def _shift_point(case):
     """The row memo's key of a sign case."""
-    spec, p = case.spec(), case.params
-    return spec.family, p["a"], p["b"], p["delta"], spec.order
+    p = case.params
+    return series_module.shift_point(case.spec(), p["a"], p["b"], p["delta"])
 
 
 class TestParsing:
@@ -736,6 +736,24 @@ class TestUnwritableOutput:
         path = tmp_path / "missing" / "r.json"
         assert main(["explore", "--points", "4", "--out-json", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["verify", "explore"])
+    @pytest.mark.parametrize("csv_name", ["r.txt", "./r.txt"])
+    def test_one_file_for_both_reports_refused(self, command, csv_name,
+                                               tmp_path, monkeypatch, capsys):
+        # else the CSV would overwrite the JSON report
+        def no_run(*args):
+            raise AssertionError("a case ran before the outputs were checked")
+
+        monkeypatch.setattr(cli_mod, "run_case", no_run)
+        monkeypatch.setattr(cli_mod, "explore_conjecture", no_run)
+        monkeypatch.chdir(tmp_path)
+        argv = ENTRY_ARGS if command == "verify" else ["explore", "--points", "4"]
+        assert main(argv + ["--out-json", "r.txt", "--out-csv", csv_name]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and csv_name in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "r.txt").exists()
 
     def test_writable_paths_written_only_after_the_run(self, tmp_path,
                                                        monkeypatch):

@@ -474,7 +474,7 @@ def test_lower_rows_from_the_folded_tables():
                 if k < j:
                     p, q = p + t1[j] * t2[k], q + t3[j] * t4[k]
                 want.append(p * x - q * y)
-            assert row == want
+            assert row == tuple(want)
     assert x * y < 0  # the last case
 
 
@@ -544,28 +544,22 @@ class TestRowMemo:
                                       kummer_gamma(F(5, 2), 8),
                                       gauss_lower(F(1, 2), F(2), 8)])
     def test_changed_rows_reach_no_later_pass(self, spec, memo):
-        # request 1 builds and keeps the rows in the window, request 2
-        # copies them from the window and stores them, 3-4 copy from the memo
+        # the rows are tuples of tuples, so no pass can change the row set
+        # that every pass of the shift point is given
         a, b, d = F(1, 2), F(3), F(3, 4)
         want = _built(spec.family, spec, a, b, d)
-        for _ in range(4):
+        for _ in range(3):
             hr = half_range_pass(spec.family, spec, a, b, d)
             assert (hr.D, hr.lower_scale, hr.rows) == \
                 (want.D, want.lower_scale, want.rows)
             assert hr.sums() == want.sums()
-            hr.rows[2][0] = None
-            hr.rows[3] = []
+            assert type(hr.rows) is tuple
+            assert all(type(row) is tuple for row in hr.rows)
+            with pytest.raises(TypeError):
+                hr.rows[2][0] = None
+            with pytest.raises(TypeError):
+                hr.rows[3] = ()
         assert len(memo.stored) == 1
-
-    def test_a_key_requested_once_stores_nothing(self, memo):
-        key = (Family.UPPER_FACTOR, F(1), F(2), F(1), 10)
-        half_range_pass(Family.UPPER_FACTOR, kummer_upper(F(2), 10), 1, 2, 1)
-        half_range_pass(Family.UPPER_FACTOR, kummer_upper(F(2), 11), 1, 2, 1)
-        half_range_pass(Family.LOWER_FACTOR, kummer_lower(F(2), 10), 1, 2, 1)
-        assert not memo.stored and memo.held_bits == 0
-        # the same shift point for another weight rule
-        half_range_pass(Family.UPPER_FACTOR, kummer_upper(F(3), 10), 1, 2, 1)
-        assert list(memo.stored) == [key]
 
     def test_a_refused_pass_raises_on_every_request(self, memo):
         spec = kummer_lower(F(1), 8)
@@ -586,62 +580,36 @@ class TestRowMemo:
         for spec, a, b, d in _sign_grid_passes():
             half_range_pass(spec.family, spec, a, b, d)
             assert len(memo.stored) <= memo.entries
-            assert len(memo._seen) <= memo.entries
             assert memo.held_bits == _held_bits(memo) <= memo.bits
         if bits == series_module._ROW_MEMO_BITS:
-            # every shift point is built once per family and order, a
-            # second time for the weight rule that stores it, and never
-            # again; but the last point of each of the three first sweeps
-            # (upper, gamma, lower) is still in the window when the second
-            # weight rule reaches it, so it is stored without a rebuild
-            assert len(builds) == 210 - 3
+            # each of the 90 shift points is built by the first weight rule
+            # of its family and held for the others; only the binomial
+            # sweep, after the gamma and lower sweeps, builds its 30 upper
+            # points again
+            assert len(builds) == 90 + 30
 
     def test_a_repeated_key_builds_nothing(self, memo, monkeypatch):
         builds = _count_builds(monkeypatch)
         spec, key = kummer_upper(F(2), 10), (Family.UPPER_FACTOR, F(1), F(2), F(1), 10)
         first = half_range_pass(Family.UPPER_FACTOR, spec, 1, 2, 1)
-        assert len(builds) == 1 and not memo.stored
-        for c in (F(3), F(4)):
-            hr = half_range_pass(Family.UPPER_FACTOR, kummer_upper(c, 10), 1, 2, 1)
-            assert hr.rows == first.rows and hr.rows is not first.rows
-        # the window's row set is stored on its second request
         assert len(builds) == 1 and list(memo.stored) == [key]
+        for c in (F(2), F(3), F(4)):
+            hr = half_range_pass(Family.UPPER_FACTOR, kummer_upper(c, 10), 1, 2, 1)
+            # the memo hands out the row set it holds
+            assert hr.rows is first.rows is memo.stored[key][2]
+        assert len(builds) == 1
 
-    @pytest.mark.parametrize("spec", [gauss_upper(F(3, 2), F(5, 2), 8),
-                                      kummer_gamma(F(5, 2), 8),
-                                      gauss_lower(F(1, 2), F(2), 8)])
-    def test_changed_rows_reach_neither_the_window_nor_the_memo(self, spec,
-                                                                memo):
-        a, b, d = F(1, 2), F(3), F(3, 4)
-        want = _built(spec.family, spec, a, b, d)
-        stored = tuple(map(tuple, want.rows))
-        key = (spec.family, a, b, d, spec.order)
-        hr = half_range_pass(spec.family, spec, a, b, d)
-        hr.rows[2][0] = None
-        hr.rows[3] = []
-        assert memo.window == (key, want.D, want.lower_scale, stored)
-        hr = half_range_pass(spec.family, spec, a, b, d)
-        assert hr.rows == want.rows
-        hr.rows[2][0] = None
-        hr.rows[3] = []
-        assert memo.window == (key, want.D, want.lower_scale, stored)
-        assert memo.stored[key][:3] == (want.D, want.lower_scale, stored)
+    def test_the_least_recently_used_is_evicted(self, memo):
+        memo.entries = 2
+        keys = [series_module.shift_point(kummer_upper(F(2), 6), 1, b, 1)
+                for b in (F(2), F(3), F(4))]
+        for b in (F(2), F(3), F(2), F(4)):
+            half_range_pass(Family.UPPER_FACTOR, kummer_upper(F(2), 6), 1, b, 1)
+        assert list(memo.stored) == [keys[0], keys[2]]
 
-    def test_a_failed_build_leaves_the_window(self, memo, monkeypatch):
-        builds = _count_builds(monkeypatch)
-        half_range_pass(Family.LOWER_FACTOR, kummer_lower(F(1), 8), 1, 2, 1)
-        window = memo.window
-        for _ in range(2):
-            with pytest.raises(PoleError):
-                half_range_pass(Family.LOWER_FACTOR, kummer_lower(F(1), 8),
-                                F(-5), F(2), F(1, 2))
-            assert memo.window is window
-        half_range_pass(Family.LOWER_FACTOR, kummer_lower(F(2), 8), 1, 2, 1)
-        assert len(builds) == 3 and list(memo.stored) == [window[0]]
-
-    def test_threads_share_the_memo_and_the_window(self, memo):
+    def test_threads_share_the_memo(self, memo):
         # four threads ask for each shift point at once, for three weight
-        # rules each, so builds, window hits and admissions race
+        # rules each, so builds, hits and stores race
         specs = [kummer_upper(c, 8) for c in (F(1), F(2), F(3))]
         points = [(a, a + t, F(1, 2)) for a in (F(1, 2), F(1), F(3, 2), F(2))
                   for t in (F(1, 3), F(1, 2), F(1), F(2), F(3))]
@@ -658,7 +626,6 @@ class TestRowMemo:
                         hr = half_range_pass(Family.UPPER_FACTOR, spec, *pt)
                         if hr.rows != want[pt]:
                             failures.append(pt)
-                        hr.rows[2][0] = None
             except Exception as exc:  # reported by the assertion below
                 failures.append(exc)
 
@@ -677,16 +644,21 @@ class TestRowMemo:
         assert memo.held_bits == _held_bits(memo)
         assert len(memo.stored) == len(points)
 
-    def test_an_order_200_lower_row_set_is_never_stored(self, memo):
-        # nor does it evict what the memo holds
-        for a0 in (F(1), F(2)):
-            half_range_pass(Family.LOWER_FACTOR, kummer_lower(a0, 10), 1, 2, 1)
-        held = dict(memo.stored)
-        assert len(held) == 1
+    def test_an_order_200_lower_row_set_is_held_alone(self, memo, monkeypatch):
+        # over the bit bound, it is built once and held as the newest entry
+        # with nothing older, until the next row set built evicts it
+        small = (Family.LOWER_FACTOR, F(1), F(2), F(1), 10)
+        half_range_pass(Family.LOWER_FACTOR, kummer_lower(F(1), 10), 1, 2, 1)
+        builds = _count_builds(monkeypatch)
         spec = gauss_lower(F(1, 2), F(2), 200)
-        for _ in range(2):
+        for _ in range(3):
             half_range_pass(Family.LOWER_FACTOR, spec, F(1, 2), F(1), F(1, 2))
-            assert memo.stored == held
+            assert list(memo.stored) == [
+                (Family.LOWER_FACTOR, F(1, 2), F(1), F(1, 2), 200)]
+            assert memo.held_bits == _held_bits(memo) > memo.bits
+        assert len(builds) == 1
+        half_range_pass(Family.LOWER_FACTOR, kummer_lower(F(2), 10), 1, 2, 1)
+        assert list(memo.stored) == [small]
 
     def test_pair_weight_sums_match_the_weight_products(self):
         # sum_k W_k W_{m-k} r_k, multiplied out afresh for every m

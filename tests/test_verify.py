@@ -135,15 +135,18 @@ class TestTheorem3:
 
 
 def _tamper(monkeypatch, change, keep_sums=False):
-    """Pass every half-range pass of the sign checks through change(rows).
-    With keep_sums the coefficients are still read from the true rows, so
-    only the profiles are tampered with."""
+    """Hand change() list copies of the rows of every half-range pass of
+    the sign checks, and give the pass the changed rows.  With keep_sums
+    the coefficients are still read from the true rows, so only the
+    profiles are tampered with."""
     real = verify_module.half_range_pass
 
     def tampered(*args, **kwargs):
         hr = real(*args, **kwargs)
         sums = hr.sums()
-        change(hr.rows)
+        rows = [list(row) for row in hr.rows]
+        change(rows)
+        hr.rows = rows
         if keep_sums:
             hr.sums = lambda: sums
         return hr
