@@ -71,11 +71,13 @@ def _check_x_grid(x_grid) -> None:
 
 def _precision(args) -> int:
     """The run's working precision, from --precision or else the
-    environment, checked against MAX_PRECISION."""
+    environment, checked against 5 digits and MAX_PRECISION."""
     if args.precision is not None:
         source, precision = "--precision", args.precision
     else:
         source, precision = "TURANKIT_PRECISION", get_precision()
+    if precision < 5:
+        raise DomainError(f"working precision too small: {precision}")
     if precision > MAX_PRECISION:
         raise DomainError(f"{source} {precision} is above the cap of "
                           f"{MAX_PRECISION}")
@@ -140,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--delta", type=_rational, default=Fraction(1))
     e.add_argument("--c", type=_rational, default=Fraction(3))
     e.add_argument("--branch", choices=("positive", "negative"),
-                   default="positive")
+                   help="half-line of the default grid (default: positive)")
     e.add_argument("--points", type=int, default=64)
     e.add_argument("--x-max", type=_rational, default=Fraction(50))
     e.add_argument("--x-grid", type=_rational_list,
@@ -350,6 +352,10 @@ def cmd_explore(args) -> int:
         with working_precision(precision):
             if args.x_grid is not None:
                 xs = sorted(args.x_grid)
+                other_side = {"positive": xs[-1] < 0, "negative": xs[0] > 0}
+                if other_side.get(args.branch):
+                    raise DomainError(f"--branch {args.branch} names the other "
+                                      "half-line than the --x-grid points")
             else:
                 xs = default_log_grid(args.points, args.x_max,
                                       negative=args.branch == "negative")

@@ -32,9 +32,8 @@ A pass joins two halves, as the coefficient sum_k w_k w_{m-k} M_k does:
 the rows of M_k, which depend only on the shift point (the family, the
 shifts a, b, d and the order M), and the pair weights w_k w_{m-k}, which
 depend only on the weight rule and M.  A memo stores every row set built
-and evicts the least recently used past a bound in entries and in bits,
-but never the newest (:class:`_RowMemo`); the last few pair weights are
-cached too.
+and evicts the least recently used past a bound in bytes, but never the
+newest (:class:`_RowMemo`); the last few pair weights are cached too.
 
 Everything is formal: truncation order is fixed up front and no statement
 about convergence is made or needed.
@@ -214,28 +213,25 @@ class PsiCoefficient:
     sign: Sign
 
 
-def quotient_sign(quotient: CertifiedInterval):
-    """The test (p, q) -> sign of p - Q q, for q > 0 and the Gamma quotient
-    Q enclosed by ``quotient``, decided by integer cross-multiplication.
+def cross_products(pairs, end: Fraction) -> list[int]:
+    """The integers p d - n q, each with the sign of p/q - n/d, of the
+    pairs (p, q), q > 0, against one end n/d of an enclosure."""
+    n, d = end.numerator, end.denominator
+    ps, qs = (map(operator.itemgetter(i), pairs) for i in (0, 1))
+    return list(map(operator.sub, map(d.__mul__, ps), map(n.__mul__, qs)))
+
+
+def pair_signs(pairs, quotient: CertifiedInterval) -> list[Sign]:
+    """The signs of p - Q q for the pairs (p, q), q > 0, and the Gamma
+    quotient Q enclosed by ``quotient``, read from :func:`cross_products`.
 
     With (p, q) = (S1_m, S2_m) it gives the sign of psi_m.  A tie is ZERO
     when Q is exact and INCONCLUSIVE when p/q lies inside the enclosure."""
     if quotient.exact is not None:
-        lo = hi = quotient.exact
-        tie = Sign.ZERO
-    else:
-        lo, hi, tie = quotient.lo, quotient.hi, Sign.INCONCLUSIVE
-    lo_num, lo_den = lo.numerator, lo.denominator
-    hi_num, hi_den = hi.numerator, hi.denominator
-
-    def sign(p, q) -> Sign:
-        if p * lo_den < lo_num * q:
-            return Sign.NEGATIVE
-        if p * hi_den > hi_num * q:
-            return Sign.POSITIVE
-        return tie
-
-    return sign
+        return list(map(sign_of, cross_products(pairs, quotient.exact)))
+    below, above = (cross_products(pairs, end) for end in (quotient.lo, quotient.hi))
+    return [Sign.NEGATIVE if lo < 0 else Sign.POSITIVE if hi > 0 else Sign.INCONCLUSIVE
+            for lo, hi in zip(below, above)]
 
 
 @dataclass
@@ -345,7 +341,8 @@ class HalfRangePass:
       as integer pairs with scale_m = 1 / D^m.
 
     So an upper or lower profile value has the sign of an integer, and a
-    gamma one is read from cross-products of its pair (:func:`quotient_sign`).
+    gamma one, p_k - Q q_k for the Gamma quotient Q (:meth:`quotient`), is
+    read from its pair's cross-products with Q's ends (:func:`pair_signs`).
     With the integer weights W_n = w_n L and the pair weights
     ``pair_weights[m][k]`` = W_k W_{m-k}, phi_m and lambda_m are
     sum_k W_k W_{m-k} r_k scale_m / L^2, and psi_m's factors S1_m, S2_m are
@@ -391,23 +388,14 @@ class HalfRangePass:
             return CertifiedInterval.from_fraction(1)
         return gamma_quotient(self.a, self.b, self.delta)
 
-    def sign_test(self, quotient: CertifiedInterval | None = None):
-        """The sign of one value of the pass: an integer, or for the gamma
-        family a pair (p, q) read as p - Q q, with Q enclosed by
-        ``quotient`` (by default :meth:`quotient`)."""
-        if self.family is not Family.GAMMA_FACTOR:
-            return lambda v: _SIGNS[(v > 0) - (v < 0)]
-        sign = quotient_sign(self.quotient() if quotient is None else quotient)
-        return lambda pair: sign(*pair)
-
     def psi(self) -> list[PsiCoefficient]:
         """Factored psi_m with certified signs for m = 0..M (gamma family),
         the Gamma quotient enclosed at the precision in force."""
-        sign = self.sign_test()
+        sums = self.sums()
+        signs = pair_signs(sums, self.quotient())
         L2 = self.L * self.L
-        return [PsiCoefficient(m, self.exact(m, s1, L2),
-                               self.exact(m, s2, L2), sign((s1, s2)))
-                for m, (s1, s2) in enumerate(self.sums())]
+        return [PsiCoefficient(m, self.exact(m, s1, L2), self.exact(m, s2, L2), sign)
+                for m, ((s1, s2), sign) in enumerate(zip(sums, signs))]
 
 
 def _tables(family: Family, a: Fraction, b: Fraction, delta: Fraction,
@@ -457,19 +445,19 @@ def shift_point(spec: HypSeriesSpec, a, b, delta) -> tuple:
     return spec.family, Fraction(a), Fraction(b), Fraction(delta), spec.order
 
 
-# Bounds of the row memo.  A default-grid weight rule sweeps 30 shift
-# points before the next rule of its family asks for them again, and 32
-# row sets at M = 40 take at most 4.4 Mbit; one at M = 200, the command
-# line's cap, takes 7.9-29.4 Mbit, so then only the newest is held.
-_ROW_MEMO_ENTRIES = 32
-_ROW_MEMO_BITS = 6_000_000
+# Bound of the row memo in bytes: the __sizeof__ of its row tuples and ints
+# (sys.getsizeof, which adds a tuple's GC header, is four times as slow).
+# A default-grid weight rule sweeps 30 shift points, 0.70-1.07 MB of row
+# sets, before the next rule of its family asks for them again; one set at
+# M = 200, the command line's cap, takes 1.41 MB or more: it is held alone.
+_ROW_MEMO_BYTES = 1_250_000
 
 
 class _RowMemo:
     """The weight-free halves of passes by shift point.  Every row set
-    built is stored, and the least recently used are evicted while more
-    than ``entries`` row sets or ``bits`` bits of integers are held, but
-    never the one just stored: it holds at most max(``bits``, one row set).
+    built is stored, and the least recently used are evicted while the row
+    tuples and ints held take more than ``bytes`` by their ``__sizeof__``,
+    but never the one just stored: it holds at most max(``bytes``, one row set).
 
     The memo is module state, as the log-Gamma cache of ``intervals`` is:
     the public per-case calls, such as ``verify_theorem1(spec, a, b, delta,
@@ -479,9 +467,9 @@ class _RowMemo:
     build that raises stores nothing, so it raises on every request."""
 
     def __init__(self):
-        self.entries, self.bits = _ROW_MEMO_ENTRIES, _ROW_MEMO_BITS
-        self.held_bits = 0
-        # key -> (D, lower_scale, rows, bits), least recently used first
+        self.bytes = _ROW_MEMO_BYTES
+        self.held_bytes = 0
+        # key -> (D, lower_scale, rows, bytes), least recently used first
         self.stored = OrderedDict()
         self._lock = threading.Lock()
 
@@ -492,19 +480,18 @@ class _RowMemo:
             if held is not None:
                 self.stored.move_to_end(key)
                 return held[:3]
-        D, lower_scale, rows = built = _row_half(*key)
-        values = chain.from_iterable(rows)
-        if key[0] is Family.GAMMA_FACTOR:
-            values = chain.from_iterable(values)
-        bits = (D.bit_length() + lower_scale.bit_length()
-                + sum(map(int.bit_length, values)))
+        *_, rows = built = _row_half(*key)
+        tuples, ints = [rows, *rows], list(chain.from_iterable(rows))
+        if key[0] is Family.GAMMA_FACTOR:  # rows of pairs of ints
+            tuples += ints
+            ints = chain.from_iterable(ints)
+        size = sum(map(tuple.__sizeof__, tuples)) + sum(map(int.__sizeof__, ints))
         with self._lock:
             if key not in self.stored:
-                self.stored[key] = (*built, bits)
-                self.held_bits += bits
-                while len(self.stored) > 1 and (len(self.stored) > self.entries
-                                                or self.held_bits > self.bits):
-                    self.held_bits -= self.stored.popitem(last=False)[1][3]
+                self.stored[key] = (*built, size)
+                self.held_bytes += size
+                while len(self.stored) > 1 and self.held_bytes > self.bytes:
+                    self.held_bytes -= self.stored.popitem(last=False)[1][3]
         return built
 
 

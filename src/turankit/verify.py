@@ -19,8 +19,8 @@ zero) and that each half-range profile keeps an invariant.  One checker,
 
 Profiles are decided on the pass's integer rows by C-level reductions
 (``max``/``min``, ``sum``, ``dropwhile``), never one value at a time; a
-gamma pair (p, q) is read through its cross-products with the ends of the
-Gamma-quotient enclosure, the integers ``quotient_sign`` compares.
+gamma pair (p, q), as a coefficient's, is read through its cross-products
+with the ends of the Gamma-quotient enclosure (``series.cross_products``).
 
 Orientation is antisymmetric: swapping a and b negates every coefficient,
 so the checker accepts either order and flips the claimed sign; a = b
@@ -38,7 +38,6 @@ runs one.  The command line goes through these.
 from __future__ import annotations
 
 import enum
-import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -49,9 +48,10 @@ from .errors import DomainError
 from .evalf import cross_ratio
 from .intervals import CertifiedInterval, get_precision, working_precision
 from .series import (DEFAULT_ORDER, Family, HalfRangePass, HypSeriesSpec,
-                     MonotoneClass, Sign, binomial_upper, gamma_quotient,
-                     gauss_lower, gauss_upper, half_range_pass, kummer_gamma,
-                     kummer_lower, kummer_upper, weight_ratio_class)
+                     MonotoneClass, Sign, binomial_upper, cross_products,
+                     gamma_quotient, gauss_lower, gauss_upper, half_range_pass,
+                     kummer_gamma, kummer_lower, kummer_upper, pair_signs,
+                     sign_of, weight_ratio_class)
 
 
 class Verdict(enum.Enum):
@@ -85,10 +85,9 @@ def _weight_claim(hr: HalfRangePass) -> Sign | None:
             MonotoneClass.CONSTANT: Sign.ZERO}.get(hr.weight_class)
 
 
-def _worst(rows, lead: int) -> int:
-    """The value of the integer rows least of the sign ``lead`` (-1 or 1),
-    or ``lead`` if there is none: all have the sign when it has."""
-    values = chain.from_iterable(rows)
+def _worst(values, lead: int) -> int:
+    """The integer value least of the sign ``lead`` (-1 or 1), or ``lead``
+    if there is none: all have the sign when it has."""
     return max(values, default=lead) if lead < 0 else min(values, default=lead)
 
 
@@ -108,32 +107,25 @@ def _sum_zero_one_change(rows, lead, quotients):
     return one_change, None, None if one_change else "profile sign pattern broken"
 
 
-def _cross(rows, end: Fraction) -> list[list[int]]:
-    """p d - n q, the sign of p/q - n/d, for the pairs (p, q) of the rows."""
-    n, d = end.numerator, end.denominator
-    return [list(map(operator.sub, map(d.__mul__, ps), map(n.__mul__, qs)))
-            for ps, qs in (zip(*row) for row in rows)]
-
-
 def _one_signed(rows, lead, quotients):
     """Theorems 2 and 3: every profile value has the sign ``lead``.  A gamma
     pair (p, q) stands for p - Q q: each enclosure of the Gamma quotient Q
-    in ``quotients`` reads the pairs still undecided by the cross-products
-    of quotient_sign, and a pair none of them decides leaves the claim open."""
+    in ``quotients`` reads the pairs still undecided by their cross-products
+    with its ends, and a pair none of them decides leaves the claim open."""
     off_sign = None, False, "profile value off-sign"
+    values = list(chain.from_iterable(rows))  # (p, q) pairs for the gamma family
     if not quotients:
-        return (None, True, None) if _worst(rows, lead) * lead > 0 else off_sign
+        return (None, True, None) if _worst(values, lead) * lead > 0 else off_sign
     for quotient in quotients:
         exact = quotient.exact
         lo, hi = (exact, exact) if exact is not None else (quotient.lo, quotient.hi)
         near, far = (lo, hi) if lead < 0 else (hi, lo)
-        values = _cross(rows, near)
-        if _worst(values, lead) * lead > 0:
+        cross = cross_products(values, near)
+        if _worst(cross, lead) * lead > 0:
             return None, True, None
-        if exact is not None or _worst(_cross(rows, far), lead) * lead < 0:
+        if exact is not None or _worst(cross_products(values, far), lead) * lead < 0:
             return off_sign
-        rows = [[pair for row, vrow in zip(rows, values)
-                 for pair, v in zip(row, vrow) if v * lead <= 0]]
+        values = [pair for pair, v in zip(values, cross) if v * lead <= 0]
     return None, None, None
 
 
@@ -181,7 +173,7 @@ def check_signs(rule: SignRule, spec: HypSeriesSpec, a, b, delta,
     hr = half_range_pass(rule.family, spec, a, b, delta)
     sums = hr.sums()
     quotients = [hr.quotient()] if rule.family is Family.GAMMA_FACTOR else []
-    signs = list(map(hr.sign_test(*quotients), sums))
+    signs = pair_signs(sums, *quotients) if quotients else list(map(sign_of, sums))
     report = partial(SignReport, rule.theorem_id, {"a": a, "b": b, "delta": delta},
                      spec.order, signs)
 
@@ -196,9 +188,9 @@ def check_signs(rule: SignRule, spec: HypSeriesSpec, a, b, delta,
     if pending:
         with working_precision(2 * get_precision()):
             quotients.append(hr.quotient())
-        retry = hr.sign_test(quotients[-1])
-        for m in pending:
-            signs[m] = retry(sums[m])
+        retry = pair_signs([sums[m] for m in pending], quotients[-1])
+        for m, sign in zip(pending, retry):
+            signs[m] = sign
     still_open = [m for m in pending if signs[m] is Sign.INCONCLUSIVE]
     first = next((m for m, s in enumerate(signs) if s is not Sign.INCONCLUSIVE
                   and s is not (claim if m >= rule.first_signed else Sign.ZERO)),

@@ -59,6 +59,20 @@ def recording_pool(monkeypatch):
     return seen
 
 
+def _no_work(*args):
+    raise AssertionError("a refused input must exit before any work")
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """The CLI with case expansion, case runs and the explore scan made to
+    fail, so that a check that passes shows nothing ran."""
+    for name in ("_cases", "_run_case", "default_log_grid",
+                 "explore_conjecture"):
+        monkeypatch.setattr(cli_mod, name, _no_work)
+    return cli_mod
+
+
 def _shift_point(case):
     """The row memo's key of a sign case."""
     p = case.params
@@ -305,10 +319,13 @@ class TestPrecisionScope:
 
 class TestBadPrecision:
     @pytest.mark.parametrize("precision", ["0", "3"])
-    @pytest.mark.parametrize("argv", [SINGLE, ["explore", "--points", "4"]])
-    def test_too_small_exits_2(self, argv, precision, capsys):
+    @pytest.mark.parametrize("argv", [SINGLE, ["explore", "--points", "4"],
+                                      ALL_GRID + ["--jobs", "2"]])
+    def test_too_small_exits_2(self, argv, precision, no_work, capsys):
+        # refused before the cases are built or a pool is started
         assert main(argv + ["--precision", precision]) == 2
-        assert "error: working precision too small" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            f"error: working precision too small: {precision}\n"
 
     def test_import_survives_bad_environment_precision(self):
         env = dict(os.environ, TURANKIT_PRECISION="abc")
@@ -395,10 +412,6 @@ class TestBadConfiguration:
         assert "--b" in capsys.readouterr().err
 
 
-def _no_work(*args):
-    raise AssertionError("a capped input must exit before any work")
-
-
 class TestInputCaps:
     def test_order_zero_runs_at_order_zero(self, tmp_path):
         code, rep, _ = run_cli(SINGLE[:-1] + ["0"], tmp_path)
@@ -471,15 +484,6 @@ class TestInputCaps:
                              tmp_path)
         assert code == 0
         assert counts == [cli_mod.MAX_POINTS]
-
-    @pytest.fixture
-    def no_work(self, monkeypatch):
-        import turankit.cli as cli_mod
-
-        for name in ("_cases", "_run_case", "default_log_grid",
-                     "explore_conjecture"):
-            monkeypatch.setattr(cli_mod, name, _no_work)
-        return cli_mod
 
     @pytest.mark.parametrize("argv", [SINGLE, ["explore"]])
     def test_precision_past_cap_exits_2(self, argv, no_work, capsys):
@@ -649,6 +653,25 @@ class TestExplore:
             rows = list(csv.reader(fh))
         assert rows[0][3] == "bound_B"
         assert rows[2][4] == "up"
+
+    @pytest.mark.parametrize("argv", [
+        ["--branch", "negative", "--x-grid", "1,2,3"],
+        ["--branch", "positive", "--c", "4", "--x-grid=-4,-2,-1"]])
+    def test_branch_against_the_grid_exits_2(self, argv, no_work, capsys):
+        assert main(["explore", *argv]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --branch {argv[1]} names the other half-line than the "
+            "--x-grid points\n")
+
+    @pytest.mark.parametrize("argv, branch", [
+        (["--x-grid", "1,2,3"], "positive"),
+        (["--branch", "positive", "--x-grid", "1,2,3"], "positive"),
+        (["--c", "4", "--x-grid=-4,-2,-1"], "negative")])
+    def test_branch_follows_the_grid(self, argv, branch, tmp_path):
+        code, rep, _ = run_cli(["explore", *argv], tmp_path)
+        assert code == 0
+        assert rep["config_echo"]["branch"] == branch
+        assert rep["per_case"][0]["details"]["branch"] == branch
 
     def test_negative_branch_bad_params_exits_2(self, capsys):
         # default c=3 leaves no room for a < b < c - delta

@@ -26,10 +26,10 @@ from turankit.series import (DEFAULT_ORDER, Family, HypSeriesSpec, MonotoneClass
                              gauss_lower, gauss_upper, half_range_pass,
                              kummer_gamma, kummer_lower, kummer_upper,
                              lambda_coefficients, mk_profile,
-                             phi_coefficients, psi_coefficients,
-                             quotient_sign, sign_of, weight_ratio_class)
+                             pair_signs, phi_coefficients, psi_coefficients,
+                             sign_of, weight_ratio_class)
 from turankit.exact import pochhammer
-from turankit.verify import default_cases
+from turankit.verify import default_cases, verify_theorem1, verify_theorem3
 
 
 # ---------------------------------------------------------------- oracles
@@ -311,10 +311,9 @@ class TestPsi:
 
     def test_signs_follow_the_gamma_quotient(self):
         spec = kummer_gamma(F(2), 6)
-        sign = quotient_sign(gamma_quotient(F(1), F(2), F(1, 2)))
         hr = half_range_pass(Family.GAMMA_FACTOR, spec, 1, 2, F(1, 2))
         assert [p.sign for p in psi_coefficients(spec, 1, 2, F(1, 2))] == \
-            [sign(s1, s2) for s1, s2 in hr.sums()]
+            pair_signs(hr.sums(), gamma_quotient(F(1), F(2), F(1, 2)))
 
     def test_positive_shift_guard(self):
         with pytest.raises(DomainError):
@@ -407,23 +406,24 @@ def test_gamma_kernel_matches_oracles(abd, equal, M):
     assert [p.s1 for p in psis] == s1 and [p.s2 for p in psis] == s2
     hr = half_range_pass(Family.GAMMA_FACTOR, spec, a, b, d)
     quotient = gamma_quotient(a, b, d)
-    sign = quotient_sign(quotient)
     # with a = b each pair ties with the quotient 1: exact for integer d
     tie = Sign.ZERO if quotient.exact is not None else Sign.INCONCLUSIVE
     for m in range(2, M + 1):
         prof = mk_profile(spec, a, b, d, m)
         want = _profile_oracle(Family.GAMMA_FACTOR, a, b, d, m)
-        for (p, q), (P, Q), value in zip(want, hr.rows[m], prof.values, strict=True):
+        signs = pair_signs(hr.rows[m], quotient)
+        for (p, q), (P, Q), value, sign in zip(want, hr.rows[m], prof.values,
+                                               signs, strict=True):
             assert (hr.exact(m, P), hr.exact(m, Q)) == (p, q)
             ref = _gamma_profile_numeric(a, b, d, p, q)
             assert value.lo - F(1, 10**40) <= ref <= value.hi + F(1, 10**40)
             if a == b:
-                assert ref == 0 and sign(P, Q) is tie
+                assert ref == 0 and sign is tie
                 continue
             # the sign check decides each profile sign from the pair and the
             # Gamma quotient; the enclosure may only be less decisive
             ref_sign = Sign.NEGATIVE if ref < 0 else Sign.POSITIVE
-            assert sign(P, Q) is ref_sign
+            assert sign is ref_sign
             assert sign_of(value) in (ref_sign, Sign.INCONCLUSIVE)
 
 
@@ -511,15 +511,15 @@ def _built(family, spec, a, b, d):
         return half_range_pass(family, spec, a, b, d)
 
 
-def _held_bits(memo):
-    """The bits of the integers the memo holds, counted afresh."""
-    total = 0
-    for (family, *_), (D, scale, rows, _) in memo.stored.items():
-        values = [v for row in rows for v in row]
-        if family is Family.GAMMA_FACTOR:
-            values = [v for pair in values for v in pair]
-        total += sum(v.bit_length() for v in [D, scale, *values])
-    return total
+def _held_bytes(memo):
+    """The bytes of the row tuples and ints the memo holds, by their
+    __sizeof__, counted afresh."""
+    def size(value):
+        if type(value) is tuple:
+            return value.__sizeof__() + sum(map(size, value))
+        return value.__sizeof__()
+
+    return sum(size(rows) for _, _, rows, _ in memo.stored.values())
 
 
 def _count_builds(monkeypatch) -> list:
@@ -570,23 +570,23 @@ class TestRowMemo:
                 half_range_pass(Family.GAMMA_FACTOR, kummer_gamma(F(1), 4), 0, 1, 1)
         assert not memo.stored
 
-    @pytest.mark.parametrize("bits", [series_module._ROW_MEMO_BITS, 300_000])
-    def test_bounds_hold_over_the_default_grid(self, bits, monkeypatch):
-        # the second bound binds only when tighter than the default grid needs
+    @pytest.mark.parametrize("size", [series_module._ROW_MEMO_BYTES, 200_000])
+    def test_bound_holds_over_the_default_grid(self, size, monkeypatch):
         memo = series_module._RowMemo()
-        memo.bits = bits
+        memo.bytes = size
         monkeypatch.setattr(series_module, "_ROW_MEMO", memo)
         builds = _count_builds(monkeypatch)
         for spec, a, b, d in _sign_grid_passes():
             half_range_pass(spec.family, spec, a, b, d)
-            assert len(memo.stored) <= memo.entries
-            assert memo.held_bits == _held_bits(memo) <= memo.bits
-        if bits == series_module._ROW_MEMO_BITS:
+            assert memo.held_bytes == _held_bytes(memo) <= memo.bytes
+        if size == series_module._ROW_MEMO_BYTES:
             # each of the 90 shift points is built by the first weight rule
             # of its family and held for the others; only the binomial
             # sweep, after the gamma and lower sweeps, builds its 30 upper
             # points again
             assert len(builds) == 90 + 30
+        else:  # too small for a family's 30 row sets, so the bound binds
+            assert len(builds) > 90 + 30
 
     def test_a_repeated_key_builds_nothing(self, memo, monkeypatch):
         builds = _count_builds(monkeypatch)
@@ -600,9 +600,12 @@ class TestRowMemo:
         assert len(builds) == 1
 
     def test_the_least_recently_used_is_evicted(self, memo):
-        memo.entries = 2
         keys = [series_module.shift_point(kummer_upper(F(2), 6), 1, b, 1)
                 for b in (F(2), F(3), F(4))]
+        sizes = series_module._RowMemo()
+        for key in keys:
+            sizes.get(key)
+        memo.bytes = sizes.held_bytes - 1  # room for any two of the three
         for b in (F(2), F(3), F(2), F(4)):
             half_range_pass(Family.UPPER_FACTOR, kummer_upper(F(2), 6), 1, b, 1)
         assert list(memo.stored) == [keys[0], keys[2]]
@@ -641,11 +644,11 @@ class TestRowMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert failures == []
-        assert memo.held_bits == _held_bits(memo)
+        assert memo.held_bytes == _held_bytes(memo)
         assert len(memo.stored) == len(points)
 
     def test_an_order_200_lower_row_set_is_held_alone(self, memo, monkeypatch):
-        # over the bit bound, it is built once and held as the newest entry
+        # over the byte bound, it is built once and held as the newest entry
         # with nothing older, until the next row set built evicts it
         small = (Family.LOWER_FACTOR, F(1), F(2), F(1), 10)
         half_range_pass(Family.LOWER_FACTOR, kummer_lower(F(1), 10), 1, 2, 1)
@@ -655,7 +658,7 @@ class TestRowMemo:
             half_range_pass(Family.LOWER_FACTOR, spec, F(1, 2), F(1), F(1, 2))
             assert list(memo.stored) == [
                 (Family.LOWER_FACTOR, F(1, 2), F(1), F(1, 2), 200)]
-            assert memo.held_bits == _held_bits(memo) > memo.bits
+            assert memo.held_bytes == _held_bytes(memo) > memo.bytes
         assert len(builds) == 1
         half_range_pass(Family.LOWER_FACTOR, kummer_lower(F(2), 10), 1, 2, 1)
         assert list(memo.stored) == [small]
@@ -681,14 +684,25 @@ class TestRowMemo:
 
 class TestSignTest:
     def test_integer_families_read_the_integer_sign(self):
-        for family, spec in ((Family.LOWER_FACTOR, kummer_lower(F(1), 6)),
-                             (Family.UPPER_FACTOR, kummer_upper(F(2), 6))):
-            hr = half_range_pass(family, spec, 1, 2, 1)
-            sign = hr.sign_test()
-            assert [sign(v) for v in (-7, 0, 5, -3 ** 90, 2 ** 100)] == [
-                Sign.NEGATIVE, Sign.ZERO, Sign.POSITIVE, Sign.NEGATIVE, Sign.POSITIVE]
-            values = hr.sums() + [v for row in hr.rows for v in row]
-            assert [sign(v) for v in values] == [sign_of(v) for v in values]
+        # the checks read an upper or lower coefficient by its integer sign,
+        # and the pair reader an exact Q = 0 the same way
+        for check, spec in ((verify_theorem3, kummer_lower(F(1), 6)),
+                            (verify_theorem1, kummer_upper(F(2), 6))):
+            hr = half_range_pass(spec.family, spec, 1, 2, 1)
+            assert check(spec, 1, 2, 1).per_index_sign == \
+                [sign_of(v) for v in hr.sums()]
+        values = [-7, 0, 5, -3 ** 90, 2 ** 100]
+        zero = CertifiedInterval.from_fraction(0)
+        assert pair_signs([(v, 1) for v in values], zero) == [
+            Sign.NEGATIVE, Sign.ZERO, Sign.POSITIVE, Sign.NEGATIVE, Sign.POSITIVE]
+        assert [sign_of(v) for v in values] == pair_signs(
+            [(v, 3) for v in values], zero)
+
+    def test_cross_products_of_pairs(self):
+        pairs = [(3, 2), (-5, 7), (2 ** 80, 3), (0, 1)]
+        assert series_module.cross_products(pairs, F(-4, 9)) == \
+            [p * 9 + 4 * q for p, q in pairs]
+        assert series_module.cross_products([], F(1, 2)) == []
 
     def test_enclosure_made_at_the_precision_in_force(self, monkeypatch):
         # never kept on the pass, so the doubled-precision retry gets its own
@@ -703,18 +717,19 @@ class TestSignTest:
         hr = half_range_pass(Family.GAMMA_FACTOR, kummer_gamma(F(3), 6), 1, 2,
                              F(1, 2))
         base = get_precision()
-        hr.sign_test()
+        hr.psi()
         with working_precision(2 * base):
-            hr.sign_test()
-        hr.sign_test()
-        assert seen == [base, 2 * base, base]
+            hr.quotient()
+            hr.psi()
+        hr.quotient()
+        assert seen == [base, 2 * base, 2 * base, base]
 
     def test_wide_enclosure_is_inconclusive(self, monkeypatch):
         wide = CertifiedInterval.from_fraction_bounds(0, 10 ** 6)
         monkeypatch.setattr(series_module, "gamma_quotient", lambda *args: wide)
         hr = half_range_pass(Family.GAMMA_FACTOR, kummer_gamma(F(3), 6), 1, 2,
                              F(1, 2))
-        assert {hr.sign_test()(v) for v in hr.sums()} == {Sign.INCONCLUSIVE}
+        assert set(pair_signs(hr.sums(), hr.quotient())) == {Sign.INCONCLUSIVE}
         assert {p.sign for p in hr.psi()} == {Sign.INCONCLUSIVE}
 
     @pytest.mark.parametrize("quotient", [
@@ -730,8 +745,8 @@ class TestSignTest:
         a, d = F(3, 2), F(1, 2)
         with working_precision(60):
             hr = half_range_pass(Family.GAMMA_FACTOR, spec, a, a, d)
-            sign = hr.sign_test()
-            assert [sign(v) for v in hr.sums()] == [Sign.ZERO] * 9
+            assert hr.quotient().exact == 1
+            assert pair_signs(hr.sums(), hr.quotient()) == [Sign.ZERO] * 9
             assert [p.sign for p in psi_coefficients(spec, a, a, d)] == \
                 [Sign.ZERO] * 9
 

@@ -15,7 +15,7 @@ from turankit.intervals import CertifiedInterval, get_precision
 from turankit.series import (Family, HypSeriesSpec, MkProfile, Sign,
                              WeightRule, binomial_upper, gauss_lower,
                              gauss_upper, kummer_gamma, kummer_lower,
-                             kummer_upper, quotient_sign, sign_of)
+                             kummer_upper, sign_of)
 from turankit.verify import (Case, Verdict, default_cases, run_case,
                              verify_corollary_twosided, verify_theorem1,
                              verify_theorem2, verify_theorem3, verify_turan)
@@ -300,13 +300,23 @@ def _ref_one_signed(signs, lead):
     return None, None if undecided else True, None
 
 
+def _ref_pair_sign(p, q, quotient):
+    """The sign of p - Q q from the Fraction p/q against the enclosure of Q:
+    an exact Q decides every pair, an interval only those outside it."""
+    ratio = F(p, q)
+    if quotient.exact is not None:
+        return sign_of(ratio - quotient.exact)
+    if ratio < quotient.lo:
+        return Sign.NEGATIVE
+    return Sign.POSITIVE if ratio > quotient.hi else Sign.INCONCLUSIVE
+
+
 def _ref_pair_signs(rows, quotients):
-    """Each gamma pair's sign by quotient_sign, an undecided one read again
-    with the second enclosure if there is one."""
-    signs = [[quotient_sign(quotients[0])(p, q) for p, q in row] for row in rows]
+    """Each gamma pair's sign against the first enclosure, an undecided one
+    read again against the second if there is one."""
+    signs = [[_ref_pair_sign(p, q, quotients[0]) for p, q in row] for row in rows]
     for quotient in quotients[1:]:
-        retry = quotient_sign(quotient)
-        signs = [[retry(p, q) if s is Sign.INCONCLUSIVE else s
+        signs = [[_ref_pair_sign(p, q, quotient) if s is Sign.INCONCLUSIVE else s
                   for (p, q), s in zip(row, srow)]
                  for row, srow in zip(rows, signs)]
     return signs
