@@ -7,19 +7,37 @@ The result is an interval that provably contains the true sum.
 
 The sum runs on plain integers.  Every parameter is scaled to one common
 denominator D, so each term ratio t_{n+1}/t_n is a quotient A_n/B_n of
-two integers.  The last term is tn/T and the partial sum sn/T over one
-shared, never reduced denominator T, updated per term as
-``tn *= A_n; sn = sn*B_n + tn; T *= B_n``: a few multiplications by small
-integers and no gcd.  The ratio bound r = rn/rd is an integer pair too,
-from parameter pairs sorted once per call, and the tail test
-|tn| rn / (T (rd - rn)) <= tol/2 is settled by the bit lengths of its two
-sides; only within about two bits of a tie are they multiplied out.  The
-returned enclosure is rounded outward from the unreduced pairs sn/T and
-bn/bd = |tn| rn / (T (rd - rn)), with one division each: the quotient of
-sn/T gives its floor and its ceiling, the ceiling c of bn/bd gives the
-radius [-c, c], and the two are added with outward rounding.  The bound
-is reduced to a Fraction only when ``EvalResult.truncation_bound`` is
-first read.
+two integers.  The state at index n is the last term tn/T and the
+partial sum sn/T over one shared, never reduced denominator T.  The
+terms n1 .. n2-1 take it to (tn P, sn Q + tn S, T Q), and (P, Q, S) comes
+from a product tree: a range splits in halves, which compose as
+(P1 P2, Q1 Q2, S1 Q2 + P1 S2) (binary splitting; Haible and
+Papanikolaou, ANTS-III 1998).  The state at any index is thus a few
+balanced products away, and it holds the very integers that a loop of
+``tn *= A_n; sn = sn*B_n + tn; T *= B_n`` would make.
+
+The ratio bound r_n = rn/rd is an integer pair, valid from n_min on,
+where every shifted parameter is positive, and it does not increase with
+n.  The tail test |tn| rn / (T (rd - rn)) <= tol/2 is tried from
+n = max(n_min, 1) on.  Let n0 be the first such n with r_n < 1, found by
+galloping and bisecting on r.  From n0 on the test is monotone: since
+|t_{n+1}| <= r_n |t_n| and r_{n+1} <= r_n, its left side falls by a
+factor r_n or more per term, so once passed it stays passed.  The sum
+stops at the first index N that passes.  Unless that is n0, N is
+guessed, and then confirmed exactly: the test fails at N - 1 and passes
+at N, on states from the tree.  The guess comes from floats, by Newton's
+method on log |t_n| (from log-Gamma) plus log(r_n / (1 - r_n)).  It is
+only a hint: when it misses, or floats cannot make it, the exact search
+walks or bisects, which costs time and changes nothing else.  Predicting
+the stop in floats and certifying it exactly follows Johansson,
+"Computing hypergeometric functions rigorously", ACM TOMS 2019.  Each
+exact test compares bit lengths first and multiplies its two sides out
+only within two bits of a tie.  The returned enclosure is rounded
+outward from the unreduced pairs sn/T and bn/bd = |tn| rn / (T (rd - rn)),
+with one division each: the quotient of sn/T gives its floor and its
+ceiling, the ceiling c of bn/bd gives the radius [-c, c], and the two
+are added with outward rounding.  The bound is reduced to a Fraction
+only when ``EvalResult.truncation_bound`` is first read.
 
 A series stops after term m when -m is its largest nonpositive-integer
 upper parameter, and is summed exactly.  A lower parameter -n is then no
@@ -38,8 +56,7 @@ import enum
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
-from math import lcm
+from math import ceil, expm1, lcm, lgamma, log
 
 from .errors import DomainError, PoleError, TermCapError
 from .exact import is_nonpositive_integer, parse_rational
@@ -120,34 +137,177 @@ class EvalResult:
         return Fraction(*self.bound_pair)
 
 
-def _tail_pairs(ups: list[int], dens: list[int]):
-    """The factors of a bound on |t_{k+1}/t_k| for every k >= n, valid
-    once all shifted parameters are positive at n.  Uppers are paired with
-    the largest denominators (the lower parameters and the 1 of n!), and a
-    pair counts only if its upper is the larger; unpaired denominators
-    contribute their own decay factor.  Takes the parameters scaled to
-    integers and returns the pairs and the unpaired denominators."""
-    dens = sorted(dens, reverse=True)
-    pairs = [(u, d) for u, d in zip(sorted(ups, reverse=True), dens) if u > d]
-    return pairs, dens[len(ups):]
+# Terms per leaf of the product tree: up to this many, one loop over the
+# terms beats splitting further
+_LEAF = 32
 
 
-def _term_ratios(ups: list[int], lows: list[int], a_scale: int, b_scale: int,
-                 D: int):
-    """Yield (A_n, B_n), B_n > 0, for n = 0, 1, ...: A_n = a_scale
-    prod(U + nD) and B_n = b_scale (n+1) prod(L + nD), with the sign moved
-    into A_n."""
-    n1 = 1
-    nD = 0
+class _Terms:
+    """The term ratios of pFq(upper; lower; x) as integers, and the bound
+    on them.  With every parameter scaled to one common denominator D,
+    U = uD and L = lD, t_{n+1}/t_n = A_n/B_n for
+    A_n = x_num D^(q-p) prod(U + nD) and B_n = x_den (n+1) prod(L + nD),
+    the power of D going to B_n when p > q, and the sign to A_n."""
+
+    __slots__ = ("D", "ups", "lows", "a_scale", "b_scale", "x_den",
+                 "rn_scale", "pairs", "unpaired", "n_min")
+
+    def __init__(self, spec: PFQSpec, x: Fraction):
+        D = self.D = lcm(*(v.denominator for v in spec.upper + spec.lower))
+        ups = self.ups = [u.numerator * (D // u.denominator) for u in spec.upper]
+        lows = self.lows = [l.numerator * (D // l.denominator) for l in spec.lower]
+        x_num = x.numerator
+        x_den = self.x_den = x.denominator
+        self.a_scale = x_num * D ** max(spec.q - spec.p, 0)
+        self.b_scale = x_den * D ** max(spec.p - spec.q, 0)
+        # The bound holds once every shifted parameter is positive, at
+        # n >= n_min.  Uppers are paired with the largest denominators
+        # (the lower parameters and the 1 of n!), and a pair counts only
+        # if its upper is the larger; unpaired denominators contribute
+        # their own decay factor.
+        self.n_min = max([1 + -v // D for v in ups + lows if v <= 0], default=0)
+        dens = sorted(lows + [D], reverse=True)
+        self.pairs = [(u, d) for u, d in zip(sorted(ups, reverse=True), dens)
+                      if u > d]
+        self.unpaired = dens[len(ups):]
+        self.rn_scale = abs(x_num) * D ** len(self.unpaired)
+
+    def steps(self, n1: int, n2: int) -> tuple[int, int, int]:
+        """(P, Q, S) of the terms n1 .. n2-1, which take the state at n1,
+        the last term tn/T and the partial sum sn/T, to the state at n2:
+        (tn, sn, T) -> (tn P, sn Q + tn S, T Q).  One term gives
+        (A_n, B_n, A_n), and adjacent ranges compose as
+        (P1 P2, Q1 Q2, S1 Q2 + P1 S2), so a range is split in halves down
+        to leaves of at most _LEAF terms."""
+        if n2 - n1 > _LEAF:
+            m = (n1 + n2) // 2
+            P1, Q1, S1 = self.steps(n1, m)
+            P2, Q2, S2 = self.steps(m, n2)
+            return P1 * P2, Q1 * Q2, S1 * Q2 + P1 * S2
+        D, ups, lows, a_scale, b_scale = (self.D, self.ups, self.lows,
+                                          self.a_scale, self.b_scale)
+        P, Q, S = 1, 1, 0
+        for n in range(n1, n2):
+            nD = n * D
+            a, b = a_scale, b_scale * (n + 1)
+            for u in ups:
+                a *= u + nD
+            for l in lows:
+                b *= l + nD
+            if b < 0:
+                a, b = -a, -b
+            P *= a
+            S = S * b + P
+            Q *= b
+        return P, Q, S
+
+    def bound(self, n: int) -> tuple[int, int]:
+        """The bound rn/rd on |t_{k+1}/t_k| for every k >= n >= n_min; it
+        does not increase with n."""
+        nD = n * self.D
+        rn, rd = self.rn_scale, self.x_den
+        for u, d in self.pairs:
+            rn *= u + nD
+            rd *= d + nD
+        for d in self.unpaired:
+            rd *= d + nD
+        return rn, rd
+
+    def below_one(self, n: int) -> bool:
+        rn, rd = self.bound(n)
+        return rn < rd
+
+
+def _first_pass(test, lo: int, hi: int, hints=()) -> int:
+    """The least n in (lo, hi] at which ``test`` passes, for a test that
+    fails at lo, passes at hi and, once it passes, passes at every later
+    index; hi itself is never tried.  The hints are tried first, in order,
+    each that still falls strictly between lo and hi; then the search
+    gallops up from lo and bisects."""
+    for m in hints:
+        if lo < m < hi:
+            if test(m):
+                hi = m
+            else:
+                lo = m
+    step = 1
+    while hi - lo > 1:
+        if lo + step < hi:
+            m = lo + step
+            step *= 2
+        else:
+            m = (lo + hi) // 2
+        if test(m):
+            hi = m
+        else:
+            lo = m
+    return hi
+
+
+def _guess_stop(terms: _Terms, n0: int, cap: int, log_tol: float) -> int:
+    """A float estimate of the least n in [n0, cap] that passes the tail
+    test, or cap + 1 for none.  log |t_n| comes from log-Gamma, as
+    |t_n| = |x|^n prod |(u)_n| / prod |(l)_n| with the 1 of n! among the
+    l, and the test is log |t_n| + log(r_n / (1 - r_n)) <= log_tol.
+    Newton's method finds the root of the difference on the integers,
+    kept inside a bracket, with log |t_{n+1}/t_n| + r_n' / (1 - r_n) as
+    the slope.  Only a hint: the caller confirms the index exactly, and
+    searches without it when floats fail here (ArithmeticError or
+    ValueError)."""
+    D = terms.D
+    us = [u / D for u in terms.ups]
+    ls = [l / D for l in terms.lows] + [1.0]
+    pairs = [(u / D, d / D) for u, d in terms.pairs]
+    unpaired = [d / D for d in terms.unpaired]
+    log_x = log(terms.rn_scale) - log(terms.x_den) - len(unpaired) * log(D)
+    base = sum(map(lgamma, ls)) - sum(map(lgamma, us)) - log_tol
+
+    def excess(n):
+        """The test's excess at n in logs, and the two parts of its slope."""
+        v, t = base + n * log_x, 1.0
+        for u in us:
+            z = u + n
+            v += lgamma(z)
+            t *= z
+        for l in ls:
+            z = l + n
+            v -= lgamma(z)
+            t /= z
+        r, dr = 1.0, 0.0
+        for u, d in pairs:
+            zu, zd = u + n, d + n
+            r *= zu / zd
+            dr += 1 / zu - 1 / zd
+        for d in unpaired:
+            z = d + n
+            r /= z
+            dr -= 1 / z
+        log_r = log_x + log(r)
+        one_minus_r = max(-expm1(log_r), 1e-300)
+        return (v + log_r - log(one_minus_r), log_x + log(t),
+                dr / one_minus_r)
+
+    # the test fails at lo and passes at hi, both only nominally at first
+    lo, hi = n0 - 1, cap + 1
+    n = n0
     while True:
-        a, b = a_scale, b_scale * n1
-        for u in ups:
-            a *= u + nD
-        for l in lows:
-            b *= l + nD
-        yield (-a, -b) if b < 0 else (a, b)
-        n1 += 1
-        nD += D
+        v, dt, dr = excess(n)
+        if v > 0:
+            lo = n
+        else:
+            hi = n
+        if hi - lo <= 1:
+            return hi
+        if dt + dr >= 0:
+            n = (lo + hi) // 2
+            continue
+        step = -v / (dt + dr)
+        guess = min(max(ceil(n + step), lo + 1), hi)
+        # a step under one index settles the guess, unless the slope is
+        # that of r near 1, which flattens out within a few indices
+        if abs(step) < 1 and dr > dt:
+            return guess
+        n = min(guess, hi - 1)
 
 
 def eval_pfq(spec: PFQSpec, x, tol=None, term_cap: int = TERM_CAP) -> EvalResult:
@@ -173,69 +333,74 @@ def eval_pfq(spec: PFQSpec, x, tol=None, term_cap: int = TERM_CAP) -> EvalResult
     if stop is None and spec.p == spec.q + 1 and abs(x) >= 1:
         raise DomainError(
             f"series with p = q + 1 diverges at |x| = {abs(x)} >= 1")
-
-    # With U = uD and L = lD, t_{n+1}/t_n = A_n/B_n for
-    # A_n = x_num D^(q-p) prod(U + nD) and B_n = x_den (n+1) prod(L + nD),
-    # the power of D going to B_n when p > q.
-    D = lcm(*(v.denominator for v in spec.upper + spec.lower))
-    ups = [u.numerator * (D // u.denominator) for u in spec.upper]
-    lows = [l.numerator * (D // l.denominator) for l in spec.lower]
-    x_num, x_den = x.numerator, x.denominator
-    ratios = _term_ratios(ups, lows, x_num * D ** max(spec.q - spec.p, 0),
-                          x_den * D ** max(spec.p - spec.q, 0), D)
-    # The ratio bound holds once every shifted parameter is positive, at
-    # n >= n_min.  The tail test is tried from n = max(n_min, 1) on, and
-    # never on a terminating sum; the terms before it are summed untested.
-    n_min = max([1 + -v // D for v in ups + lows if v <= 0], default=0)
-    first = max(n_min, 1)
-    n = stop if stop is not None else min(first, term_cap)
-    # The last term is tn/T and the partial sum sn/T.
-    tn = sn = T = 1
-    for a, b in islice(ratios, n):
-        tn *= a
-        sn = sn * b + tn
-        T *= b
+    terms = _Terms(spec, x)
     if stop is not None:
-        return EvalResult(CertifiedInterval.from_fraction(Fraction(sn, T)),
+        P, Q, S = terms.steps(0, stop)
+        return EvalResult(CertifiedInterval.from_fraction(Fraction(Q + S, Q)),
                           stop + 1, (0, 1))
-    # The bound at n is r = rn/rd, and the tail after tn/T is at most
-    # bn/bd = |tn| rn / (T (rd - rn)), accepted once that is <= tol/2, that
-    # is once |tn| rn 2 tol_den <= T (rd - rn) tol_num.
-    pairs, unpaired = _tail_pairs(ups, lows + [D])
-    rn_scale = abs(x_num) * D ** len(unpaired)
-    tol_lhs, tol_rhs = 2 * tol_den, tol_num
-    for a, b in ratios:
-        nD = n * D
-        rn, rd = rn_scale, x_den
-        for u, d in pairs:
-            rn *= u + nD
-            rd *= d + nD
-        for d in unpaired:
-            rd *= d + nD
-        if rn < rd and n >= first:
-            lhs, rhs = rn * tol_lhs, (rd - rn) * tol_rhs
-            # A product of integers of i and j bits has i + j - 1 or i + j
-            # bits, so the bit lengths decide the test outside a band of
-            # three; only inside it are the two sides multiplied out.
-            gap = (tn.bit_length() + lhs.bit_length()
-                   - T.bit_length() - rhs.bit_length())
-            if gap < -1 or gap <= 1 and abs(tn) * lhs <= T * rhs:
-                bn, bd = abs(tn) * rn, T * (rd - rn)
-                return EvalResult(CertifiedInterval.around(sn, T, bn, bd),
-                                  n + 1, (bn, bd))
-        if n == term_cap:
-            break
-        tn *= a
-        sn = sn * b + tn
-        T *= b
-        n += 1
-    # n is below first only when the cap is; below n_min r bounds nothing
-    if n < n_min or rn >= rd:
+    # The tail after tn/T is at most bn/bd = |tn| rn / (T (rd - rn)) once
+    # r = rn/rd < 1, and the sum stops at the first n >= max(n_min, 1)
+    # where bn/bd <= tol/2, that is |tn| rn 2 tol_den <= T (rd - rn) tol_num.
+    # From the first such n with r < 1, n0, on, |t_{n+1}| <= r_n |t_n| and
+    # r does not increase, so the left side falls by a factor r_n or more
+    # per term: the test fails before some index and passes from it on.
+    first = max(terms.n_min, 1)
+    if term_cap >= first and terms.below_one(first):
+        n0 = first  # and r_cap <= r_first < 1
+    elif term_cap < terms.n_min or not terms.below_one(term_cap):
         raise TermCapError(
             f"no certifiable tail bound within {term_cap} terms")
+    else:
+        n0 = (first if first > term_cap
+              else _first_pass(terms.below_one, first, term_cap))
+    tol_lhs, tol_rhs = 2 * tol_den, tol_num
+    # the state (tn, sn, T) at index `at`: 0 at first, then the last index
+    # where the test failed; `hit` is the state where it last passed, with
+    # the bound there
+    at, state, hit = 0, (1, 1, 1), None
+
+    def passes(m):
+        nonlocal at, state, hit
+        P, Q, S = terms.steps(at, m)
+        tn, sn, T = state
+        tn, sn, T = tn * P, sn * Q + tn * S, T * Q
+        rn, rd = terms.bound(m)
+        lhs, rhs = rn * tol_lhs, (rd - rn) * tol_rhs
+        # A product of integers of i and j bits has i + j - 1 or i + j
+        # bits, so the bit lengths decide the test outside a band of
+        # three; only inside it are the two sides multiplied out.
+        gap = (tn.bit_length() + lhs.bit_length()
+               - T.bit_length() - rhs.bit_length())
+        if gap < -1 or gap <= 1 and abs(tn) * lhs <= T * rhs:
+            hit = tn, sn, T, rn, rd
+            return True
+        at, state = m, (tn, sn, T)
+        return False
+
+    # The test at n0 settles the sums that stop there.  Otherwise it is
+    # tried at the float guess and the index before it, then walked or
+    # bisected from there, so a wrong guess costs only time.
+    n = n0
+    if n0 <= term_cap and not passes(n0):
+        try:
+            guess = _guess_stop(terms, n0, term_cap,
+                                log(tol_num) - log(2 * tol_den))
+            hints = (guess - 1, guess, guess - 2)
+        except (ArithmeticError, ValueError):
+            # a parameter or a log-Gamma value that floats cannot hold,
+            # such as lgamma at a parameter rounded to -5.0: no hint
+            hints = ()
+        n = _first_pass(passes, n0, term_cap + 1, hints)
+    conclusive = n <= term_cap
+    if conclusive:
+        tn, sn, T, rn, rd = hit
+    else:
+        # the test failed at the cap, where r < 1 still bounds the tail
+        n, (tn, sn, T) = term_cap, state
+        rn, rd = terms.bound(n)
     bn, bd = abs(tn) * rn, T * (rd - rn)
     return EvalResult(CertifiedInterval.around(sn, T, bn, bd), n + 1,
-                      (bn, bd), conclusive=False)
+                      (bn, bd), conclusive=conclusive)
 
 
 def eval_1f1(a, c, x, tol=None, use_transform: bool | None = None) -> EvalResult:

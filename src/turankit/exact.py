@@ -9,10 +9,6 @@ rounding happens before a sign is decided.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
-
-import mpmath
-
 from .errors import DomainError
 
 
@@ -49,13 +45,41 @@ def pochhammer(a, n: int) -> Fraction:
     return prod
 
 
-@cache
+def _even_bernoulli(count: int) -> list[Fraction]:
+    """B_0, B_2, ..., B_2(count-1) in one pass.  B_2k is
+    (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) for the tangent numbers T_k, which
+    the integer recurrence of Brent and Harvey ("Fast computation of
+    Bernoulli, tangent and secant numbers", 2013) yields all at once in
+    O(count^2) multiplications by small integers."""
+    t = [1] * (count - 1)  # t[k - 1] = T_k
+    for k in range(1, count - 1):
+        t[k] = k * t[k - 1]
+    for k in range(1, count - 1):
+        for j in range(k, count - 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    out = [Fraction(1)]
+    for k, tk in enumerate(t, 1):
+        four_k = 4 ** k
+        out.append(Fraction((-1) ** (k - 1) * 2 * k * tk, four_k * (four_k - 1)))
+    return out
+
+
+# B_0, B_2, ... as far as asked for yet.  A ln(Gamma) plan at d digits
+# reads about d/2 of them in order, and a pass over count of them costs
+# about count^3 bit operations, so the table grows by half at a time.
+_EVEN_BERNOULLI = [Fraction(1)]
+
+
 def bernoulli(n: int) -> Fraction:
-    """Exact Bernoulli number B_n (B_1 = -1/2 convention).  A ln(Gamma) plan
-    at d digits reads about d/2 of them in order, which a bounded LRU cache
-    smaller than that would miss every time."""
-    p, q = mpmath.bernfrac(n)
-    return Fraction(int(p), int(q))
+    """Exact Bernoulli number B_n (B_1 = -1/2 convention)."""
+    if n < 0:
+        raise DomainError(f"bernoulli needs n >= 0, got {n}")
+    if n % 2:
+        return Fraction(-1, 2) if n == 1 else Fraction(0)
+    table = _EVEN_BERNOULLI
+    if n // 2 >= len(table):
+        table[:] = _even_bernoulli(max(n // 2 + 1, 3 * len(table) // 2, 32))
+    return table[n // 2]
 
 
 def ratio_steps(nums, dens) -> list[int]:

@@ -8,6 +8,7 @@ rationals, so containment assertions are meaningful at any width."""
 from dataclasses import dataclass
 from fractions import Fraction as F
 from math import lcm
+from unittest.mock import patch
 
 import mpmath
 import pytest
@@ -651,3 +652,108 @@ class TestAgainstReferenceLoop:
         res = eval_pfq(spec, x, term_cap=11)
         assert not res.conclusive
         assert res.value.lo <= ref <= res.value.hi
+
+
+@st.composite
+def long_pfq_cases(draw):
+    """1F1 with x in [-200, 200] and 2F1 with |x| <= 15/16, at tolerances
+    down to 10^-350, so that sums run to hundreds or thousands of terms
+    and the product tree is many levels deep; some term caps fall below
+    the stopping index."""
+    if draw(st.booleans()):
+        spec = PFQSpec((draw(small),), (draw(diff_lower),))
+        x = draw(st.fractions(min_value=-200, max_value=200, max_denominator=16))
+    else:
+        spec = PFQSpec((draw(small), draw(small)), (draw(diff_lower),))
+        x = draw(st.fractions(min_value=F(-15, 16), max_value=F(15, 16),
+                              max_denominator=16))
+    kwargs = {"tol": F(1, 10 ** draw(st.integers(min_value=0, max_value=350)))}
+    if draw(st.booleans()):
+        try:
+            full = eval_pfq(spec, x, **kwargs)
+        except (DomainError, TermCapError):
+            full = None
+        if full is not None and full.terms_used > 1:
+            kwargs["term_cap"] = draw(st.integers(min_value=0,
+                                                  max_value=full.terms_used - 2))
+    return spec, x, kwargs
+
+
+class TestProductTree:
+    """Long sums against the reference loop, and the float guess at the
+    stopping index confirmed exactly whatever it says."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(long_pfq_cases())
+    @example((PFQSpec((F(1),), (F(3),)), F(3000), {}))
+    def test_long_sums_match_reference(self, case):
+        spec, x, kwargs = case
+        _assert_matches_reference(spec, x, **kwargs)
+
+    @pytest.mark.parametrize("x, tol", [(F(1, 10 ** 400), F(1, 10 ** 1000)),
+                                        (F(-1, 10 ** 400), F(1, 10 ** 1000)),
+                                        (F(1000), None), (F(-1000), None)])
+    def test_x_past_float_range_or_large(self, x, tol):
+        # 10^-400 underflows a float; at tol 10^-1000 the test fails at n0,
+        # so the guess runs, and works in logs
+        guess = patch.object(evalf_mod, "_guess_stop",
+                             wraps=evalf_mod._guess_stop)
+        with guess as spy:
+            _assert_matches_reference(PFQSpec((F(1, 3),), (F(7, 2),)), x,
+                                      tol=tol)
+        assert spy.called
+
+    @pytest.mark.parametrize("upper, lower", [
+        (F(-5) + F(1, 10 ** 20), F(1)),    # rounds to -5.0, a pole of lgamma
+        (F(10 ** 400), F(10 ** 400 + 1)),  # past the float range
+    ], ids=["near_pole_of_lgamma", "past_float_range"])
+    def test_guess_that_floats_cannot_make(self, upper, lower):
+        # the guess raises, and the exact search runs without a hint
+        real, raised = evalf_mod._guess_stop, []
+
+        def guess(*args):
+            try:
+                return real(*args)
+            except (ArithmeticError, ValueError) as exc:
+                raised.append(exc)
+                raise
+
+        with patch.object(evalf_mod, "_guess_stop", guess):
+            _assert_matches_reference(PFQSpec((upper,), (lower,)), F(50))
+        assert raised
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(pfq_cases(), long_pfq_cases()))
+    def test_wrong_guess_changes_nothing(self, case):
+        spec, x, kwargs = case
+        _assert_matches_reference(spec, x, **kwargs)
+        want = _outcome(eval_pfq, spec, x, **kwargs)
+        guesses = [lambda terms, n0, cap, log_tol: n0 + 1,
+                   lambda terms, n0, cap, log_tol: cap]
+        if isinstance(want, tuple) and want[2] and _stop(spec.upper) is None:
+            stop = want[0] - 1  # the index the tail test first passes at
+            guesses += [lambda *args: stop - 3, lambda *args: stop + 3]
+        for guess in guesses:
+            with patch.object(evalf_mod, "_guess_stop", guess):
+                assert _outcome(eval_pfq, spec, x, **kwargs) == want
+
+    def test_guess_is_exact_on_typical_sums(self):
+        # the float guess hits the stopping index of these sums, each of
+        # which needs one, so the exact search tries no third index
+        cases = [(PFQSpec((F(1),), (F(3),)), F(3000)),
+                 (PFQSpec((F(1, 2), F(3)), (F(3, 2),)), F(-3, 4)),
+                 (PFQSpec((F(2),), (F(3),)), F(50)),
+                 (PFQSpec((F(1),), (F(2),)), F(1, 4))]
+        for spec, x in cases:
+            tried = []
+            passes = evalf_mod._first_pass
+
+            def record(test, lo, hi, hints=()):
+                if hints:  # the exact search, not the one for n0
+                    test = lambda m, test=test: tried.append(m) or test(m)
+                return passes(test, lo, hi, hints)
+
+            with patch.object(evalf_mod, "_first_pass", record):
+                res = eval_pfq(spec, x)
+            stop = res.terms_used - 1
+            assert tried == [stop - 1, stop]

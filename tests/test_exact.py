@@ -92,3 +92,16 @@ class TestBernoulli:
 
         total = sum(comb(n + 1, k) * bernoulli(k) for k in range(n + 1))
         assert total == 0
+
+    def test_matches_mpmath_across_table_growth(self):
+        # the table of even ones is rebuilt at 32, 48, 72, ... entries, and
+        # a 700-digit ln(Gamma) plan reads up to B_662
+        import mpmath
+
+        for n in list(range(0, 80)) + [94, 95, 96, 142, 144, 146, 662, 664]:
+            p, q = mpmath.bernfrac(n)
+            assert bernoulli(n) == F(int(p), int(q))
+
+    def test_negative_index_refused(self):
+        with pytest.raises(DomainError):
+            bernoulli(-2)
