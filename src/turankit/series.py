@@ -33,7 +33,9 @@ the rows of M_k, which depend only on the shift point (the family, the
 shifts a, b, d and the order M), and the pair weights w_k w_{m-k}, which
 depend only on the weight rule and M.  A memo stores every row set built
 and evicts the least recently used past a bound in bytes, but never the
-newest (:class:`_RowMemo`); the last few pair weights are cached too.
+newest (:class:`_RowMemo`).  The pair weights are built when a pass first
+weighs a row, and the last few weight rules' are cached: a check that reads
+every coefficient's sign off its rows builds none.
 
 Everything is formal: truncation order is fixed up front and no statement
 about convergence is made or needed.
@@ -48,7 +50,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import accumulate, chain
 
 from .errors import DomainError, PoleError
@@ -347,7 +349,10 @@ class HalfRangePass:
     ``pair_weights[m][k]`` = W_k W_{m-k}, phi_m and lambda_m are
     sum_k W_k W_{m-k} r_k scale_m / L^2, and psi_m's factors S1_m, S2_m are
     the same weighted sums of p_k and q_k (:meth:`sums`).  The rows are
-    tuples shared by the passes of a shift point (:class:`_RowMemo`)."""
+    tuples shared by the passes of a shift point (:class:`_RowMemo`).  The
+    weight half, ``weight_class``, ``L`` and ``pair_weights``, is built from
+    ``weights`` on first use (:func:`_weight_half`), so a pass whose rows
+    are read but never weighed builds no pair weights."""
 
     family: Family
     a: Fraction
@@ -355,26 +360,35 @@ class HalfRangePass:
     delta: Fraction
     D: int
     lower_scale: int  # g |x y| for the lower family, else 1
-    weight_class: MonotoneClass  # weight_ratio_class of the spec
-    L: int
-    pair_weights: tuple  # pair_weights[m][k] = W_k W_{m-k}, k = 0..m//2
+    weights: WeightRule
     rows: tuple  # rows[m][k], k = 0..m//2
+
+    @cached_property
+    def _weight_fields(self) -> tuple[MonotoneClass, int, tuple]:
+        return _weight_half(self.weights, len(self.rows) - 1)
+
+    # weight_ratio_class of the spec, L, and pair_weights[m][k] = W_k W_{m-k}
+    weight_class = property(lambda self: self._weight_fields[0])
+    L = property(lambda self: self._weight_fields[1])
+    pair_weights = property(lambda self: self._weight_fields[2])
 
     def exact(self, m: int, r: int, den: int = 1) -> Fraction:
         """r * scale_m / den as one reduced Fraction."""
         return _scaled(self.family, self.D, self.lower_scale, m, r, den)
 
-    def _weighted(self, m: int, values) -> int:
-        return sum(map(operator.mul, self.pair_weights[m], values))
-
-    def sums(self) -> list:
-        """sum_k W_k W_{m-k} r_k for m = 0..M, which has the sign of phi_m
-        or lambda_m; for the gamma family the pairs of integers with the
-        ratio S1_m / S2_m."""
+    def sums(self, ms=None) -> list:
+        """sum_k W_k W_{m-k} r_k for m in ``ms`` (default m = 0..M), which
+        has the sign of phi_m or lambda_m; for the gamma family the pairs
+        of integers with the ratio S1_m / S2_m.  No m, no pair weights built."""
+        rows = self.rows
+        ms = range(len(rows)) if ms is None else ms
+        if not ms:
+            return []
+        weights = self.pair_weights
         if self.family is Family.GAMMA_FACTOR:
-            return [tuple(self._weighted(m, v) for v in zip(*row))
-                    for m, row in enumerate(self.rows)]
-        return [self._weighted(m, row) for m, row in enumerate(self.rows)]
+            return [tuple(sum(map(operator.mul, weights[m], v)) for v in zip(*rows[m]))
+                    for m in ms]
+        return [sum(map(operator.mul, weights[m], rows[m])) for m in ms]
 
     def coefficients(self) -> list[Fraction]:
         """phi_m (upper family) or lambda_m (lower family) for m = 0..M."""
@@ -510,8 +524,7 @@ def half_range_pass(family: Family, spec: HypSeriesSpec, a, b, delta) -> HalfRan
                           f"got {spec.family.value}")
     key = shift_point(spec, a, b, delta)
     D, lower_scale, rows = _ROW_MEMO.get(key)
-    return HalfRangePass(*key[:4], D, lower_scale,
-                         *_weight_half(spec.weights, spec.order), rows)
+    return HalfRangePass(*key[:4], D, lower_scale, spec.weights, rows)
 
 
 def phi_coefficients(spec: HypSeriesSpec, a, b, delta):

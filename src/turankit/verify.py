@@ -22,6 +22,14 @@ Profiles are decided on the pass's integer rows by C-level reductions
 gamma pair (p, q), as a coefficient's, is read through its cross-products
 with the ends of the Gamma-quotient enclosure (``series.cross_products``).
 
+Coefficient m is sum_k w_k w_{m-k} M_k with every weight w_n > 0, so a
+sum of values of one sign has that sign.  thm2 and thm3, whose profiles
+claim one sign, therefore read each row first: a row whose values share one
+sign, or are all zero, gives its coefficient that sign exactly, and only a
+row that changes sign is weighed (``_row_signs``).  On their default grids
+no row is weighed and no pair weight is built.  thm1's rows change sign, so
+all of them are weighed.
+
 Orientation is antisymmetric: swapping a and b negates every coefficient,
 so the checker accepts either order and flips the claimed sign; a = b
 claims zero everywhere.
@@ -42,7 +50,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
-from itertools import chain, dropwhile
+from itertools import accumulate, chain, dropwhile
 
 from .errors import DomainError
 from .evalf import cross_ratio
@@ -91,7 +99,7 @@ def _worst(values, lead: int) -> int:
     return max(values, default=lead) if lead < 0 else min(values, default=lead)
 
 
-def _sum_zero_one_change(rows, lead, quotients):
+def _sum_zero_one_change(rows, lead):
     """Theorem 1's profiles: the M_k of each m sum to zero and change sign
     once, starting with the sign ``lead`` of M_0.  A row holds its M_k times
     one positive scale, so it sums to zero exactly when they do.  Gives
@@ -107,23 +115,67 @@ def _sum_zero_one_change(rows, lead, quotients):
     return one_change, None, None if one_change else "profile sign pattern broken"
 
 
-def _one_signed(rows, lead, quotients):
+def _ends(quotient: CertifiedInterval, lead: int) -> tuple[Fraction, Fraction]:
+    """The ends of an enclosure of the Gamma quotient Q nearest to and
+    farthest from the sign ``lead``: p - Q q has the sign -1 when p/q is
+    below the lower end, 1 when it is above the upper end."""
+    exact = quotient.exact
+    if exact is not None:
+        return exact, exact
+    return (quotient.lo, quotient.hi) if lead < 0 else (quotient.hi, quotient.lo)
+
+
+def _row_signs(rows, lead, quotients):
+    """Theorems 2 and 3 read each row before weighting it.  A positive-
+    weighted sum of integers that are all >= 0, or all <= 0, has the sign
+    of any nonzero one, or is zero: so row m's values give coefficient m its
+    sign exactly when they share one, and only the other rows are weighed.
+
+    A gamma row's values are its pairs' cross-products with the end of the
+    first enclosure of Q nearest to ``lead`` (:func:`_ends`).  An exact Q
+    reads any row of one sign; an interval only a row of the sign
+    ``lead``: the weighted pair's cross-product with that end then has it,
+    which is how ``pair_signs`` reads the weighted pair.  Gives the values
+    read, row by row, and each coefficient's sign or None if it must be
+    weighed."""
+    near = rows
+    if quotients:  # one cross_products call over all rows, cut row by row
+        cross = cross_products(list(chain.from_iterable(rows)),
+                               _ends(quotients[0], lead)[0])
+        ends = list(accumulate(map(len, rows), initial=0))
+        near = [cross[i:j] for i, j in zip(ends, ends[1:])]
+    wanted = sign_of(lead) if quotients and quotients[0].exact is None else None
+    signs = []
+    for values in near:
+        if min(values) >= 0:
+            sign = sign_of(max(values))
+        elif max(values) <= 0:
+            sign = Sign.NEGATIVE
+        else:
+            sign = None
+        signs.append(sign if wanted in (None, sign) else None)
+    return near, signs
+
+
+def _one_signed(rows, lead, quotients, near=None):
     """Theorems 2 and 3: every profile value has the sign ``lead``.  A gamma
     pair (p, q) stands for p - Q q: each enclosure of the Gamma quotient Q
     in ``quotients`` reads the pairs still undecided by their cross-products
-    with its ends, and a pair none of them decides leaves the claim open."""
+    with its ends, and a pair none of them decides leaves the claim open.
+    ``near``, if given, holds the rows' values as :func:`_row_signs` read
+    them, which are the cross-products the first enclosure needs."""
     off_sign = None, False, "profile value off-sign"
     values = list(chain.from_iterable(rows))  # (p, q) pairs for the gamma family
     if not quotients:
         return (None, True, None) if _worst(values, lead) * lead > 0 else off_sign
-    for quotient in quotients:
-        exact = quotient.exact
-        lo, hi = (exact, exact) if exact is not None else (quotient.lo, quotient.hi)
-        near, far = (lo, hi) if lead < 0 else (hi, lo)
-        cross = cross_products(values, near)
+    for i, quotient in enumerate(quotients):
+        near_end, far_end = _ends(quotient, lead)
+        cross = (list(chain.from_iterable(near)) if i == 0 and near is not None
+                 else cross_products(values, near_end))
         if _worst(cross, lead) * lead > 0:
             return None, True, None
-        if exact is not None or _worst(cross_products(values, far), lead) * lead < 0:
+        if quotient.exact is not None or \
+                _worst(cross_products(values, far_end), lead) * lead < 0:
             return off_sign
         values = [pair for pair, v in zip(values, cross) if v * lead <= 0]
     return None, None, None
@@ -138,18 +190,18 @@ class SignRule:
     positive_shifts: bool  # else a = 0 and b = 0 are allowed
     first_signed: int      # coefficients below this index must be zero
     claim: Callable        # pass -> claimed sign from first_signed on, or None
-    # (rows m >= 2, lead sign -1 or 1, Gamma-quotient enclosures) -> flags
-    # and reason, decided by reductions over the rows' integers
-    profiles: Callable
+    # the profiles claim one sign (_one_signed), so each row is read before
+    # it is weighed (_row_signs); else they sum to zero and change sign once
+    # (_sum_zero_one_change), and every row is weighed
+    one_signed: bool
 
 
 SIGN_RULES = {
-    "thm1": SignRule("thm1", Family.UPPER_FACTOR, False, 2, _weight_claim,
-                     _sum_zero_one_change),
+    "thm1": SignRule("thm1", Family.UPPER_FACTOR, False, 2, _weight_claim, False),
     "thm2": SignRule("thm2", Family.GAMMA_FACTOR, True, 0,
-                     lambda hr: Sign.NEGATIVE, _one_signed),
+                     lambda hr: Sign.NEGATIVE, True),
     "thm3": SignRule("thm3", Family.LOWER_FACTOR, True, 1,
-                     lambda hr: Sign.NEGATIVE, _one_signed),
+                     lambda hr: Sign.NEGATIVE, True),
 }
 
 _FLIP = {Sign.POSITIVE: Sign.NEGATIVE, Sign.NEGATIVE: Sign.POSITIVE,
@@ -163,7 +215,12 @@ def check_signs(rule: SignRule, spec: HypSeriesSpec, a, b, delta,
     on, and every profile m >= 2 keeps the rule's invariant.  a = b claims
     zero everywhere; a > b flips every sign.  Values the Gamma-quotient
     enclosure leaves undecided get one retry at doubled precision; once a
-    coefficient needs it, undecided profile values get it too."""
+    coefficient needs it, undecided profile values get it too.
+
+    Coefficient m is sum_k w_k w_{m-k} M_k with every w_n > 0.  For a rule
+    whose profiles claim one sign, row m is read first (:func:`_row_signs`):
+    values that share one sign, or are all zero, give the weighted sum
+    that sign, so only the rows that change sign are weighed."""
     a, b, delta = Fraction(a), Fraction(b), Fraction(delta)
     if delta <= 0 or min(a, b) < 0 or (rule.positive_shifts and min(a, b) == 0):
         shifts = "positive" if rule.positive_shifts else "nonnegative"
@@ -171,9 +228,16 @@ def check_signs(rule: SignRule, spec: HypSeriesSpec, a, b, delta,
     if M is not None and M != spec.order:
         spec = replace(spec, order=M)
     hr = half_range_pass(rule.family, spec, a, b, delta)
-    sums = hr.sums()
+    lead = -1 if b > a else 1
     quotients = [hr.quotient()] if rule.family is Family.GAMMA_FACTOR else []
-    signs = pair_signs(sums, *quotients) if quotients else list(map(sign_of, sums))
+    near, signs = (_row_signs(hr.rows, lead, quotients) if rule.one_signed
+                   else (None, [None] * len(hr.rows)))
+    weigh = [m for m, s in enumerate(signs) if s is None]
+    sums = dict(zip(weigh, hr.sums(weigh)))
+    weighed = (pair_signs(sums.values(), *quotients) if quotients
+               else map(sign_of, sums.values()))
+    for m, sign in zip(weigh, weighed):
+        signs[m] = sign
     report = partial(SignReport, rule.theorem_id, {"a": a, "b": b, "delta": delta},
                      spec.order, signs)
 
@@ -200,8 +264,11 @@ def check_signs(rule: SignRule, spec: HypSeriesSpec, a, b, delta,
                       if first is None else Verdict.VIOLATED,
                       reason="degenerate equal shifts")
 
-    one_change, all_negative, broken = rule.profiles(
-        hr.rows[2:], -1 if b > a else 1, quotients)
+    if rule.one_signed:
+        one_change, all_negative, broken = _one_signed(hr.rows[2:], lead,
+                                                       quotients, near[2:])
+    else:
+        one_change, all_negative, broken = _sum_zero_one_change(hr.rows[2:], lead)
     if first is not None or broken:
         verdict = Verdict.VIOLATED
     else:

@@ -2,7 +2,9 @@
 handling, violations on tampered passes, escalation bookkeeping, the
 profile predicates on integers, and the two-sided function bounds."""
 
+from dataclasses import replace
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +17,7 @@ from turankit.intervals import CertifiedInterval, get_precision
 from turankit.series import (Family, HypSeriesSpec, MkProfile, Sign,
                              WeightRule, binomial_upper, gauss_lower,
                              gauss_upper, kummer_gamma, kummer_lower,
-                             kummer_upper, sign_of)
+                             kummer_upper, pair_signs, sign_of)
 from turankit.verify import (Case, Verdict, default_cases, run_case,
                              verify_corollary_twosided, verify_theorem1,
                              verify_theorem2, verify_theorem3, verify_turan)
@@ -137,18 +139,26 @@ class TestTheorem3:
 def _tamper(monkeypatch, change, keep_sums=False):
     """Hand change() list copies of the rows of every half-range pass of
     the sign checks, and give the pass the changed rows.  With keep_sums
-    the coefficients are still read from the true rows, so only the
-    profiles are tampered with."""
+    the pass keeps its true rows, so its coefficients are read and weighed
+    from them, and only the profile predicates are handed the changed rows
+    (and no values read from the true ones)."""
+    def changed(rows):
+        rows = [list(row) for row in rows]
+        change(rows)
+        return rows
+
+    if keep_sums:
+        for name in ("_sum_zero_one_change", "_one_signed"):
+            def profiles(rows, lead, *enclosures, _real=getattr(verify_module, name)):
+                return _real(changed([(), (), *rows])[2:], lead, *enclosures[:1])
+
+            monkeypatch.setattr(verify_module, name, profiles)
+        return
     real = verify_module.half_range_pass
 
     def tampered(*args, **kwargs):
         hr = real(*args, **kwargs)
-        sums = hr.sums()
-        rows = [list(row) for row in hr.rows]
-        change(rows)
-        hr.rows = rows
-        if keep_sums:
-            hr.sums = lambda: sums
+        hr.rows = changed(hr.rows)
         return hr
 
     monkeypatch.setattr(verify_module, "half_range_pass", tampered)
@@ -209,12 +219,17 @@ class TestViolations:
     ], ids=["thm1-coefficient", "thm1-sum", "thm1-pattern", "thm2-coefficient",
             "thm2-profile", "thm3-coefficient", "thm3-profile"])
     def test_tampered_pass(self, monkeypatch, check, change, keep_sums, expected):
-        _tamper(monkeypatch, change, keep_sums)
         fn, spec, args = check
+        true_signs = fn(spec, *args).per_index_sign
+        _tamper(monkeypatch, change, keep_sums)
         rep = fn(spec, *args)
         assert (rep.verdict, rep.first_violation, rep.mk_single_sign_change,
                 rep.mk_all_negative, rep.reason) == expected
         assert not rep.escalated and rep.inconclusive_indices == []
+        # with keep_sums every coefficient is the true one, else only the
+        # tampered coefficient 5 may differ
+        assert [s for m, s in enumerate(rep.per_index_sign) if keep_sums or m != 5] \
+            == [s for m, s in enumerate(true_signs) if keep_sums or m != 5]
 
     def test_binomial_nonzero(self, monkeypatch):
         # constant weights: Theorem 1 claims every coefficient zero
@@ -237,6 +252,75 @@ class TestViolations:
         assert (rep.verdict, rep.first_violation, rep.reason) == (
             Verdict.VIOLATED, 5, "degenerate equal shifts")
         assert rep.mk_single_sign_change is None and rep.mk_all_negative is None
+
+
+def _count_weight_builds(monkeypatch) -> list:
+    """The weight rules whose pair weights are built from now on, one entry
+    a build, behind an empty cache of the module's size."""
+    builds = []
+    real = series_module._weight_half
+
+    def build(weights, M):
+        builds.append(weights)
+        return real.__wrapped__(weights, M)
+
+    monkeypatch.setattr(series_module, "_weight_half",
+                        lru_cache(maxsize=real.cache_info().maxsize)(build))
+    return builds
+
+
+def _record_weighed(monkeypatch) -> list:
+    """The coefficient indices each pass weighs from now on, one list a
+    call of HalfRangePass.sums."""
+    weighed = []
+    real = series_module.HalfRangePass.sums
+
+    def sums(self, ms=None):
+        weighed.append(list(range(len(self.rows)) if ms is None else ms))
+        return real(self, ms)
+
+    monkeypatch.setattr(series_module.HalfRangePass, "sums", sums)
+    return weighed
+
+
+class TestRowRead:
+    """Theorems 2 and 3 read a row whose values share one sign instead of
+    weighing it; Theorem 1, whose rows change sign, weighs every row."""
+
+    @pytest.mark.parametrize("theorem, rules", [
+        ("thm1", 5), ("thm2", 0), ("thm3", 0), ("binomial", 1)])
+    def test_default_grid_weight_builds(self, monkeypatch, theorem, rules):
+        builds = _count_weight_builds(monkeypatch)
+        weighed = _record_weighed(monkeypatch)
+        cases = default_cases(theorem)
+        reports = [run_case(case) for case in cases]
+        assert all(r.verdict is Verdict.VERIFIED for r in reports)
+        assert len(builds) == len(set(builds)) == rules
+        if rules:  # every row of every case is weighed
+            assert weighed == [list(range(c.spec().order + 1)) for c in cases]
+        else:
+            assert weighed == [[]] * len(cases)
+
+    @pytest.mark.parametrize("check, change", [
+        (THM1, _zigzag_row5), (THM2, _wrong_pair_row5),
+        (THM3, _zigzag_row5), (THM3, _one_in_row5)],
+        ids=["thm1-zigzag", "thm2-wrong-pair", "thm3-zigzag", "thm3-one"])
+    def test_a_mixed_row_is_weighed(self, monkeypatch, check, change):
+        fn, spec, (a, b, d, M) = check
+        weighed = _record_weighed(monkeypatch)
+        _tamper(monkeypatch, change)
+        rep = fn(spec, a, b, d, M)
+        assert weighed == [list(range(M + 1)) if fn is verify_theorem1 else [5]]
+        # its sign is that of the weighted sum of the tampered row
+        hr = series_module.half_range_pass(spec.family, replace(spec, order=M),
+                                           a, b, d)
+        rows = [list(row) for row in hr.rows]
+        change(rows)
+        hr.rows = rows
+        (s5,) = hr.sums([5])
+        want = (pair_signs([s5], hr.quotient())[0]
+                if spec.family is Family.GAMMA_FACTOR else sign_of(s5))
+        assert rep.per_index_sign[5] is want
 
 
 def _straddling_quotient(monkeypatch, also_doubled):
@@ -354,7 +438,7 @@ def enclosures(draw):
 @example([[2, 0, -3, 0, 1]], 1)
 @settings(max_examples=300, deadline=None)
 def test_thm1_profiles_match_the_sign_lists(rows, lead):
-    assert verify_module._sum_zero_one_change(rows, lead, []) == \
+    assert verify_module._sum_zero_one_change(rows, lead) == \
         _ref_sum_zero_one_change(rows, lead)
 
 
@@ -378,6 +462,63 @@ def test_thm3_profiles_match_the_sign_lists(rows, lead):
 def test_thm2_profiles_match_the_sign_lists(rows, lead, quotients):
     assert verify_module._one_signed(rows, lead, quotients) == \
         _ref_one_signed(_ref_pair_signs(rows, quotients), lead)
+
+
+# ----------------------------------------------- the row read of thm2, thm3
+
+pair_weights = st.one_of(st.integers(1, 3), st.integers(1, 2 ** 70))
+
+
+@st.composite
+def weighted(draw, rows):
+    """Rows drawn from ``rows`` with a positive pair weight for each value."""
+    drawn = draw(rows)
+    return drawn, [draw(st.lists(pair_weights, min_size=len(row),
+                                 max_size=len(row))) for row in drawn]
+
+
+def _weigh(weights, row):
+    return sum(w * v for w, v in zip(weights, row))
+
+
+@given(weighted(integer_rows), leads)
+@example(([[0, -1, 0], [0, 0], [2 ** 70, 0]], [[1, 1, 1], [2, 3], [1, 2]]), 1)
+@example(([[-2 ** 70, 0, 1]], [[1, 2 ** 70, 1]]), -1)
+@settings(max_examples=300, deadline=None)
+def test_integer_row_read_gives_the_weighted_sign(drawn, lead):
+    # a row is read exactly when its values share one sign or are all zero
+    rows, weights = drawn
+    near, signs = verify_module._row_signs(rows, lead, [])
+    assert near == rows
+    for row, w, sign in zip(rows, weights, signs):
+        assert (sign is None) == (min(row) < 0 < max(row))
+        assert sign in (None, sign_of(_weigh(w, row)))
+
+
+@given(weighted(pair_rows), leads, st.lists(enclosures(), min_size=1, max_size=2))
+@example(([[(3, 2), (6, 4)]], [[1, 5]]), -1,
+         [CertifiedInterval.from_fraction_bounds(F(3, 2), 2)])  # ties the end
+@example(([[(2, 1), (9, 4)]], [[1, 5]]), 1,
+         [CertifiedInterval.from_fraction_bounds(F(3, 2), 2)])
+@example(([[(3, 2), (1, 1)], [(3, 2)]], [[2, 1], [3]]), -1,
+         [CertifiedInterval.from_fraction(F(3, 2))])
+@settings(max_examples=300, deadline=None)
+def test_gamma_row_read_gives_the_weighted_sign(drawn, lead, quotients):
+    rows, weights = drawn
+    first = quotients[0]
+    near, signs = verify_module._row_signs(rows, lead, quotients)
+    for row, w, sign in zip(rows, weights, signs):
+        pair = tuple(_weigh(w, v) for v in zip(*row))
+        assert sign in (None, pair_signs([pair], first)[0])
+        # a row of pairs each of the sign lead is read, and with an exact
+        # quotient so is any row of one sign
+        own = {_ref_pair_sign(p, q, first) for p, q in row}
+        if own == {LEAD[lead]} or (first.exact is not None and
+                                   len(own - {Sign.ZERO}) <= 1):
+            assert sign is not None
+    # the profiles read the first enclosure's cross-products from the read
+    assert verify_module._one_signed(rows, lead, quotients, near) == \
+        verify_module._one_signed(rows, lead, quotients)
 
 
 @pytest.mark.parametrize("theorem, family, params, check", [
