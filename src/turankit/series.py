@@ -30,12 +30,12 @@ tables over one common denominator, so that every sign a check needs is
 the sign of an integer (or, for psi, an integer cross-multiplication).
 A pass joins two halves, as the coefficient sum_k w_k w_{m-k} M_k does:
 the rows of M_k, which depend only on the shift point (the family, the
-shifts a, b, d and the order M), and the pair weights w_k w_{m-k}, which
-depend only on the weight rule and M.  A memo stores every row set built
-and evicts the least recently used past a bound in bytes, but never the
-newest (:class:`_RowMemo`).  The pair weights are built when a pass first
-weighs a row, and the last few weight rules' are cached: a check that reads
-every coefficient's sign off its rows builds none.
+shifts a, b, d and the order M), and the weights w_n, which depend only on
+the weight rule and M.  A memo stores every row set built and evicts the
+least recently used past a bound in bytes, but never the newest
+(:class:`_RowMemo`).  A pass makes its M + 1 integer weights when it first
+weighs a row and keeps them only while it lives: a check that reads every
+coefficient's sign off its rows makes none.
 
 Everything is formal: truncation order is fixed up front and no statement
 about convergence is made or needed.
@@ -50,7 +50,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from itertools import accumulate, chain
 
 from .errors import DomainError, PoleError
@@ -288,19 +288,6 @@ def _weight_numerators(num: list[int], den: list[int]) -> tuple[list[int], int]:
     return [x // g for x in W], L // g
 
 
-@lru_cache(maxsize=8)
-def _weight_half(weights: WeightRule, M: int) -> tuple[MonotoneClass, int, tuple]:
-    """The weight half of a pass to order M: the monotone class of the
-    weight ratios, L, and the pair weights W_k W_{m-k}, k = 0..m//2, of each
-    m = 0..M.  The halves of the last 8 weight rules are kept: the default
-    grid asks for at most 6 on one shift point, one after another."""
-    num, den = weights._ratio_parts(M)
-    W, L = _weight_numerators(num, den)
-    pairs = tuple(tuple(map(operator.mul, W[:m // 2 + 1], W[m::-1]))
-                  for m in range(M + 1))
-    return _monotone_class(num, den), L, pairs
-
-
 def _scaled(family: Family, D: int, lower_scale: int, m: int, r: int,
             den: int = 1) -> Fraction:
     """r * scale_m / den as one reduced Fraction (see HalfRangePass)."""
@@ -317,8 +304,8 @@ class HalfRangePass:
     """The folded half-range values of the coefficients m = 0..M of
     F(a+d,x)F(b,x) - F(b+d,x)F(a,x), made by :func:`half_range_pass` in
     integer arithmetic from two halves: D, ``lower_scale`` and ``rows``
-    depend only on the family and the shifts, the weight fields only on
-    the weight rule.
+    depend only on the family and the shifts, ``weights`` only on the
+    weight rule.
 
     The four shifts s = a+d, b, a, b+d are scaled by the common denominator
     D of a, b and d to integers S = s D, with tables up to index M:
@@ -345,14 +332,12 @@ class HalfRangePass:
     So an upper or lower profile value has the sign of an integer, and a
     gamma one, p_k - Q q_k for the Gamma quotient Q (:meth:`quotient`), is
     read from its pair's cross-products with Q's ends (:func:`pair_signs`).
-    With the integer weights W_n = w_n L and the pair weights
-    ``pair_weights[m][k]`` = W_k W_{m-k}, phi_m and lambda_m are
+    With the integer weights W_n = w_n L, phi_m and lambda_m are
     sum_k W_k W_{m-k} r_k scale_m / L^2, and psi_m's factors S1_m, S2_m are
     the same weighted sums of p_k and q_k (:meth:`sums`).  The rows are
-    tuples shared by the passes of a shift point (:class:`_RowMemo`).  The
-    weight half, ``weight_class``, ``L`` and ``pair_weights``, is built from
-    ``weights`` on first use (:func:`_weight_half`), so a pass whose rows
-    are read but never weighed builds no pair weights."""
+    tuples shared by the passes of a shift point (:class:`_RowMemo`).  W_n
+    and L are made from ``weights`` when the pass first weighs a row, so a
+    pass whose rows are read but never weighed makes none."""
 
     family: Family
     a: Fraction
@@ -364,13 +349,11 @@ class HalfRangePass:
     rows: tuple  # rows[m][k], k = 0..m//2
 
     @cached_property
-    def _weight_fields(self) -> tuple[MonotoneClass, int, tuple]:
-        return _weight_half(self.weights, len(self.rows) - 1)
+    def _integer_weights(self) -> tuple[list[int], int]:
+        """W_0..W_M and L, w_n = W_n / L."""
+        return _weight_numerators(*self.weights._ratio_parts(len(self.rows) - 1))
 
-    # weight_ratio_class of the spec, L, and pair_weights[m][k] = W_k W_{m-k}
-    weight_class = property(lambda self: self._weight_fields[0])
-    L = property(lambda self: self._weight_fields[1])
-    pair_weights = property(lambda self: self._weight_fields[2])
+    L = property(lambda self: self._integer_weights[1])
 
     def exact(self, m: int, r: int, den: int = 1) -> Fraction:
         """r * scale_m / den as one reduced Fraction."""
@@ -379,16 +362,19 @@ class HalfRangePass:
     def sums(self, ms=None) -> list:
         """sum_k W_k W_{m-k} r_k for m in ``ms`` (default m = 0..M), which
         has the sign of phi_m or lambda_m; for the gamma family the pairs
-        of integers with the ratio S1_m / S2_m.  No m, no pair weights built."""
+        of integers with the ratio S1_m / S2_m.  No m, no weights made."""
         rows = self.rows
         ms = range(len(rows)) if ms is None else ms
         if not ms:
             return []
-        weights = self.pair_weights
-        if self.family is Family.GAMMA_FACTOR:
-            return [tuple(sum(map(operator.mul, weights[m], v)) for v in zip(*rows[m]))
-                    for m in ms]
-        return [sum(map(operator.mul, weights[m], rows[m])) for m in ms]
+        W = self._integer_weights[0]
+        gamma = self.family is Family.GAMMA_FACTOR
+        sums = []
+        for m in ms:
+            c = list(map(operator.mul, W[:m // 2 + 1], W[m::-1]))  # W_k W_{m-k}
+            sums.append(tuple(sum(map(operator.mul, c, v)) for v in zip(*rows[m]))
+                        if gamma else sum(map(operator.mul, c, rows[m])))
+        return sums
 
     def coefficients(self) -> list[Fraction]:
         """phi_m (upper family) or lambda_m (lower family) for m = 0..M."""

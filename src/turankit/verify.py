@@ -22,13 +22,12 @@ Profiles are decided on the pass's integer rows by C-level reductions
 gamma pair (p, q), as a coefficient's, is read through its cross-products
 with the ends of the Gamma-quotient enclosure (``series.cross_products``).
 
-Coefficient m is sum_k w_k w_{m-k} M_k with every weight w_n > 0, so a
-sum of values of one sign has that sign.  thm2 and thm3, whose profiles
-claim one sign, therefore read each row first: a row whose values share one
-sign, or are all zero, gives its coefficient that sign exactly, and only a
-row that changes sign is weighed (``_row_signs``).  On their default grids
-no row is weighed and no pair weight is built.  thm1's rows change sign, so
-all of them are weighed.
+Coefficient m is sum_k w_k w_{m-k} M_k with every weight w_n > 0, so
+each row is read before it is weighed (``_row_signs``): values of one sign,
+or all zero, give the coefficient that sign, and a thm1 row that sums to
+zero and changes sign once gives it the claimed sign (Chebyshev's sum
+inequality), by the test that also checks the row's profile.  Only the
+rows left open are weighed: on the default grids none is.
 
 Orientation is antisymmetric: swapping a and b negates every coefficient,
 so the checker accepts either order and flips the claimed sign; a = b
@@ -55,11 +54,11 @@ from itertools import accumulate, chain, dropwhile
 from .errors import DomainError
 from .evalf import cross_ratio
 from .intervals import CertifiedInterval, get_precision, working_precision
-from .series import (DEFAULT_ORDER, Family, HalfRangePass, HypSeriesSpec,
-                     MonotoneClass, Sign, binomial_upper, cross_products,
-                     gamma_quotient, gauss_lower, gauss_upper, half_range_pass,
-                     kummer_gamma, kummer_lower, kummer_upper, pair_signs,
-                     sign_of, weight_ratio_class)
+from .series import (DEFAULT_ORDER, Family, HypSeriesSpec, MonotoneClass, Sign,
+                     binomial_upper, cross_products, gamma_quotient,
+                     gauss_lower, gauss_upper, half_range_pass, kummer_gamma,
+                     kummer_lower, kummer_upper, pair_signs, sign_of,
+                     weight_ratio_class)
 
 
 class Verdict(enum.Enum):
@@ -85,34 +84,22 @@ class SignReport:
     inconclusive_before_escalation: int = 0
 
 
-def _weight_claim(hr: HalfRangePass) -> Sign | None:
+def _weight_claim(weight_class: MonotoneClass) -> Sign | None:
     """Theorem 1's sign for b > a: positive for decreasing weight ratios,
     negative for increasing, zero for constant; no claim otherwise."""
     return {MonotoneClass.DECREASING: Sign.POSITIVE,
             MonotoneClass.INCREASING: Sign.NEGATIVE,
-            MonotoneClass.CONSTANT: Sign.ZERO}.get(hr.weight_class)
+            MonotoneClass.CONSTANT: Sign.ZERO}.get(weight_class)
+
+
+_FLIP = {Sign.POSITIVE: Sign.NEGATIVE, Sign.NEGATIVE: Sign.POSITIVE,
+         Sign.ZERO: Sign.ZERO}
 
 
 def _worst(values, lead: int) -> int:
     """The integer value least of the sign ``lead`` (-1 or 1), or ``lead``
     if there is none: all have the sign when it has."""
     return max(values, default=lead) if lead < 0 else min(values, default=lead)
-
-
-def _sum_zero_one_change(rows, lead):
-    """Theorem 1's profiles: the M_k of each m sum to zero and change sign
-    once, starting with the sign ``lead`` of M_0.  A row holds its M_k times
-    one positive scale, so it sums to zero exactly when they do.  Gives
-    (mk_single_sign_change, mk_all_negative, reason if broken)."""
-    # M_0 has the sign; past the values of that sign or zero, one is left
-    # and none has it
-    skip, most = ((0).__ge__, min) if lead < 0 else ((0).__le__, max)
-    one_change = all(row[0] * lead > 0 and
-                     most(dropwhile(skip, row), default=lead) * lead <= 0
-                     for row in rows)
-    if any(map(sum, rows)):
-        return one_change, None, "profile sum nonzero"
-    return one_change, None, None if one_change else "profile sign pattern broken"
 
 
 def _ends(quotient: CertifiedInterval, lead: int) -> tuple[Fraction, Fraction]:
@@ -125,19 +112,32 @@ def _ends(quotient: CertifiedInterval, lead: int) -> tuple[Fraction, Fraction]:
     return (quotient.lo, quotient.hi) if lead < 0 else (quotient.hi, quotient.lo)
 
 
-def _row_signs(rows, lead, quotients):
-    """Theorems 2 and 3 read each row before weighting it.  A positive-
-    weighted sum of integers that are all >= 0, or all <= 0, has the sign
-    of any nonzero one, or is zero: so row m's values give coefficient m its
-    sign exactly when they share one, and only the other rows are weighed.
+def _row_signs(rows, lead, quotients, claim=None):
+    """The one reader of the rows of all three rules, before any is
+    weighed.  Coefficient m is sum_k c_k r_k over row m with c_k =
+    W_k W_{m-k} > 0, so a row of values all >= 0, or all <= 0, gives it the
+    sign of any nonzero one, or ZERO.
+
+    With ``claim``, Theorem 1's sign for b > a (:func:`_weight_claim`) when
+    the weight ratios are strictly monotone or constant, a row that starts
+    with the sign ``lead``, sums to zero and changes sign once gives its
+    coefficient the claim, flipped for lead 1.  For k < m//2, c_{k+1}/c_k =
+    ratio(k+1)/ratio(m-k) is > 1, < 1 or 1 as the ratios strictly fall,
+    strictly rise or stay; so with j the row's first index of the other
+    sign, sum_k (c_k - c_j) r_k has no term of the wrong sign and a nonzero
+    k = 0 term, or is 0 (Chebyshev's sum inequality in Abel's form: Hardy,
+    Littlewood and Polya, Inequalities, ch. II).  On rows m >= 2 the test
+    is also Theorem 1's profile check.
 
     A gamma row's values are its pairs' cross-products with the end of the
     first enclosure of Q nearest to ``lead`` (:func:`_ends`).  An exact Q
     reads any row of one sign; an interval only a row of the sign
     ``lead``: the weighted pair's cross-product with that end then has it,
-    which is how ``pair_signs`` reads the weighted pair.  Gives the values
-    read, row by row, and each coefficient's sign or None if it must be
-    weighed."""
+    which is how ``pair_signs`` reads the weighted pair.
+
+    Gives the values read, row by row, each coefficient's sign or None if
+    it must be weighed, and with a claim the profile verdict (as
+    :func:`_one_signed` gives it)."""
     near = rows
     if quotients:  # one cross_products call over all rows, cut row by row
         cross = cross_products(list(chain.from_iterable(rows)),
@@ -145,16 +145,32 @@ def _row_signs(rows, lead, quotients):
         ends = list(accumulate(map(len, rows), initial=0))
         near = [cross[i:j] for i, j in zip(ends, ends[1:])]
     wanted = sign_of(lead) if quotients and quotients[0].exact is None else None
-    signs = []
-    for values in near:
-        if min(values) >= 0:
+    skip, most = ((0).__ge__, min) if lead < 0 else ((0).__le__, max)
+    if claim is not None and lead > 0:
+        claim = _FLIP[claim]
+    signs, one_change, zero_sums = [], True, True
+    for m, values in enumerate(near):
+        change = False
+        if claim is not None:
+            # M_0 has the sign lead; past the values of that sign or zero,
+            # one is left and none has it
+            change = values[0] * lead > 0 and \
+                most(dropwhile(skip, values), default=lead) * lead <= 0
+            zero_sum = not sum(values)
+            if m >= 2:
+                one_change, zero_sums = one_change and change, zero_sums and zero_sum
+        if change:  # of both signs
+            sign = claim if zero_sum else None
+        elif min(values) >= 0:
             sign = sign_of(max(values))
         elif max(values) <= 0:
             sign = Sign.NEGATIVE
         else:
             sign = None
         signs.append(sign if wanted in (None, sign) else None)
-    return near, signs
+    broken = ("profile sum nonzero" if not zero_sums else
+              None if one_change else "profile sign pattern broken")
+    return near, signs, None if claim is None else (one_change, None, broken)
 
 
 def _one_signed(rows, lead, quotients, near=None):
@@ -189,23 +205,21 @@ class SignRule:
     family: Family
     positive_shifts: bool  # else a = 0 and b = 0 are allowed
     first_signed: int      # coefficients below this index must be zero
-    claim: Callable        # pass -> claimed sign from first_signed on, or None
-    # the profiles claim one sign (_one_signed), so each row is read before
-    # it is weighed (_row_signs); else they sum to zero and change sign once
-    # (_sum_zero_one_change), and every row is weighed
+    claim: Callable        # spec -> claimed sign from first_signed on, or None
+    # the profiles claim one sign (_one_signed); else they sum to zero and
+    # change sign once, and _row_signs, told the claim, reads such a row
+    # as having it and checks the profiles in the same pass
     one_signed: bool
 
 
 SIGN_RULES = {
-    "thm1": SignRule("thm1", Family.UPPER_FACTOR, False, 2, _weight_claim, False),
+    "thm1": SignRule("thm1", Family.UPPER_FACTOR, False, 2,
+                     lambda spec: _weight_claim(weight_ratio_class(spec)), False),
     "thm2": SignRule("thm2", Family.GAMMA_FACTOR, True, 0,
-                     lambda hr: Sign.NEGATIVE, True),
+                     lambda spec: Sign.NEGATIVE, True),
     "thm3": SignRule("thm3", Family.LOWER_FACTOR, True, 1,
-                     lambda hr: Sign.NEGATIVE, True),
+                     lambda spec: Sign.NEGATIVE, True),
 }
-
-_FLIP = {Sign.POSITIVE: Sign.NEGATIVE, Sign.NEGATIVE: Sign.POSITIVE,
-         Sign.ZERO: Sign.ZERO}
 
 
 def check_signs(rule: SignRule, spec: HypSeriesSpec, a, b, delta,
@@ -217,10 +231,8 @@ def check_signs(rule: SignRule, spec: HypSeriesSpec, a, b, delta,
     enclosure leaves undecided get one retry at doubled precision; once a
     coefficient needs it, undecided profile values get it too.
 
-    Coefficient m is sum_k w_k w_{m-k} M_k with every w_n > 0.  For a rule
-    whose profiles claim one sign, row m is read first (:func:`_row_signs`):
-    values that share one sign, or are all zero, give the weighted sum
-    that sign, so only the rows that change sign are weighed."""
+    Coefficient m is sum_k w_k w_{m-k} M_k with every w_n > 0: row m is read
+    first (:func:`_row_signs`), and only a row it leaves open is weighed."""
     a, b, delta = Fraction(a), Fraction(b), Fraction(delta)
     if delta <= 0 or min(a, b) < 0 or (rule.positive_shifts and min(a, b) == 0):
         shifts = "positive" if rule.positive_shifts else "nonnegative"
@@ -230,8 +242,9 @@ def check_signs(rule: SignRule, spec: HypSeriesSpec, a, b, delta,
     hr = half_range_pass(rule.family, spec, a, b, delta)
     lead = -1 if b > a else 1
     quotients = [hr.quotient()] if rule.family is Family.GAMMA_FACTOR else []
-    near, signs = (_row_signs(hr.rows, lead, quotients) if rule.one_signed
-                   else (None, [None] * len(hr.rows)))
+    claim = rule.claim(spec)
+    near, signs, profile = _row_signs(hr.rows, lead, quotients,
+                                      None if rule.one_signed else claim)
     weigh = [m for m, s in enumerate(signs) if s is None]
     sums = dict(zip(weigh, hr.sums(weigh)))
     weighed = (pair_signs(sums.values(), *quotients) if quotients
@@ -241,7 +254,8 @@ def check_signs(rule: SignRule, spec: HypSeriesSpec, a, b, delta,
     report = partial(SignReport, rule.theorem_id, {"a": a, "b": b, "delta": delta},
                      spec.order, signs)
 
-    claim = Sign.ZERO if a == b else rule.claim(hr)
+    if a == b:
+        claim = Sign.ZERO
     if claim is None:
         return report(None, None, None, Verdict.INCONCLUSIVE,
                       reason="weight ratio sequence is not monotone; "
@@ -265,10 +279,8 @@ def check_signs(rule: SignRule, spec: HypSeriesSpec, a, b, delta,
                       reason="degenerate equal shifts")
 
     if rule.one_signed:
-        one_change, all_negative, broken = _one_signed(hr.rows[2:], lead,
-                                                       quotients, near[2:])
-    else:
-        one_change, all_negative, broken = _sum_zero_one_change(hr.rows[2:], lead)
+        profile = _one_signed(hr.rows[2:], lead, quotients, near[2:])
+    one_change, all_negative, broken = profile
     if first is not None or broken:
         verdict = Verdict.VIOLATED
     else:

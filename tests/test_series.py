@@ -685,9 +685,14 @@ class TestRowMemo:
 class TestSignTest:
     def test_integer_families_read_the_integer_sign(self):
         # the checks read an upper or lower coefficient by its integer sign,
-        # and the pair reader an exact Q = 0 the same way
+        # also for weight ratios that rise and then fall, where Theorem 1
+        # claims no sign; and the pair reader an exact Q = 0 the same way
+        nonmonotone = HypSeriesSpec(Family.UPPER_FACTOR, WeightRule(
+            upper=(F(1, 4), F(8)), lower=(F(2), F(2))), 6)
+        assert weight_ratio_class(nonmonotone) is MonotoneClass.NEITHER
         for check, spec in ((verify_theorem3, kummer_lower(F(1), 6)),
-                            (verify_theorem1, kummer_upper(F(2), 6))):
+                            (verify_theorem1, kummer_upper(F(2), 6)),
+                            (verify_theorem1, nonmonotone)):
             hr = half_range_pass(spec.family, spec, 1, 2, 1)
             assert check(spec, 1, 2, 1).per_index_sign == \
                 [sign_of(v) for v in hr.sums()]

@@ -2,9 +2,9 @@
 handling, violations on tampered passes, escalation bookkeeping, the
 profile predicates on integers, and the two-sided function bounds."""
 
+import math
 from dataclasses import replace
 from fractions import Fraction as F
-from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -140,19 +140,18 @@ def _tamper(monkeypatch, change, keep_sums=False):
     """Hand change() list copies of the rows of every half-range pass of
     the sign checks, and give the pass the changed rows.  With keep_sums
     the pass keeps its true rows, so its coefficients are read and weighed
-    from them, and only the profile predicates are handed the changed rows
-    (and no values read from the true ones)."""
+    from them, and only the profile predicate of Theorems 2 and 3 is handed
+    the changed rows (and no values read from the true ones)."""
     def changed(rows):
         rows = [list(row) for row in rows]
         change(rows)
         return rows
 
     if keep_sums:
-        for name in ("_sum_zero_one_change", "_one_signed"):
-            def profiles(rows, lead, *enclosures, _real=getattr(verify_module, name)):
-                return _real(changed([(), (), *rows])[2:], lead, *enclosures[:1])
+        def profiles(rows, lead, quotients, near=None, _real=verify_module._one_signed):
+            return _real(changed([(), (), *rows])[2:], lead, quotients)
 
-            monkeypatch.setattr(verify_module, name, profiles)
+        monkeypatch.setattr(verify_module, "_one_signed", profiles)
         return
     real = verify_module.half_range_pass
 
@@ -199,14 +198,18 @@ class TestViolations:
     invariant.  Expected: verdict, first_violation, mk_single_sign_change,
     mk_all_negative, reason.  first_violation indexes per_index_sign, so a
     broken profile alone leaves it None, and the profiles are checked
-    whether or not a coefficient is off-sign."""
+    whether or not a coefficient is off-sign.  Theorem 1's profile test is
+    the test that reads its rows, so its tampered rows are read and
+    weighed too: coefficient 5 keeps its sign, the bumped row's weighted sum
+    being the true one plus W_0 W_5 and the zigzag's -W_0 W_5 + 2 W_1 W_4 -
+    W_2 W_3 > 0."""
 
     @pytest.mark.parametrize("check, change, keep_sums, expected", [
         (THM1, _negate_row5, False,
          (Verdict.VIOLATED, 5, False, None, "profile sign pattern broken")),
-        (THM1, _bump_row5, True,
+        (THM1, _bump_row5, False,
          (Verdict.VIOLATED, None, True, None, "profile sum nonzero")),
-        (THM1, _zigzag_row5, True,
+        (THM1, _zigzag_row5, False,
          (Verdict.VIOLATED, None, False, None, "profile sign pattern broken")),
         (THM2, _double_p_row5, False,
          (Verdict.VIOLATED, 5, None, False, "profile value off-sign")),
@@ -255,17 +258,16 @@ class TestViolations:
 
 
 def _count_weight_builds(monkeypatch) -> list:
-    """The weight rules whose pair weights are built from now on, one entry
-    a build, behind an empty cache of the module's size."""
+    """The orders M of the integer weights W_0..W_M made from now on, one
+    entry a build."""
     builds = []
-    real = series_module._weight_half
+    real = series_module._weight_numerators
 
-    def build(weights, M):
-        builds.append(weights)
-        return real.__wrapped__(weights, M)
+    def build(num, den):
+        builds.append(len(num))
+        return real(num, den)
 
-    monkeypatch.setattr(series_module, "_weight_half",
-                        lru_cache(maxsize=real.cache_info().maxsize)(build))
+    monkeypatch.setattr(series_module, "_weight_numerators", build)
     return builds
 
 
@@ -284,22 +286,19 @@ def _record_weighed(monkeypatch) -> list:
 
 
 class TestRowRead:
-    """Theorems 2 and 3 read a row whose values share one sign instead of
-    weighing it; Theorem 1, whose rows change sign, weighs every row."""
+    """Every rule reads a row whose values share one sign instead of
+    weighing it, and Theorem 1 a row that sums to zero and changes sign
+    once: on the default grids no row is weighed and no weight made."""
 
-    @pytest.mark.parametrize("theorem, rules", [
-        ("thm1", 5), ("thm2", 0), ("thm3", 0), ("binomial", 1)])
-    def test_default_grid_weight_builds(self, monkeypatch, theorem, rules):
+    @pytest.mark.parametrize("theorem", ["thm1", "thm2", "thm3", "binomial"])
+    def test_default_grid_weight_builds(self, monkeypatch, theorem):
         builds = _count_weight_builds(monkeypatch)
         weighed = _record_weighed(monkeypatch)
         cases = default_cases(theorem)
         reports = [run_case(case) for case in cases]
         assert all(r.verdict is Verdict.VERIFIED for r in reports)
-        assert len(builds) == len(set(builds)) == rules
-        if rules:  # every row of every case is weighed
-            assert weighed == [list(range(c.spec().order + 1)) for c in cases]
-        else:
-            assert weighed == [[]] * len(cases)
+        assert builds == []
+        assert weighed == [[]] * len(cases)
 
     @pytest.mark.parametrize("check, change", [
         (THM1, _zigzag_row5), (THM2, _wrong_pair_row5),
@@ -310,7 +309,7 @@ class TestRowRead:
         weighed = _record_weighed(monkeypatch)
         _tamper(monkeypatch, change)
         rep = fn(spec, a, b, d, M)
-        assert weighed == [list(range(M + 1)) if fn is verify_theorem1 else [5]]
+        assert weighed == [[5]]
         # its sign is that of the weighted sum of the tampered row
         hr = series_module.half_range_pass(spec.family, replace(spec, order=M),
                                            a, b, d)
@@ -436,10 +435,13 @@ def enclosures(draw):
 @example([[3, 0, -3, 0]], 1)  # zeros on both sides of the sign change
 @example([[-3, 0, 3, 0]], -1)
 @example([[2, 0, -3, 0, 1]], 1)
+@example([[0, 1, -1]], 1)  # M_0 = 0, then one sign change
 @settings(max_examples=300, deadline=None)
 def test_thm1_profiles_match_the_sign_lists(rows, lead):
-    assert verify_module._sum_zero_one_change(rows, lead) == \
-        _ref_sum_zero_one_change(rows, lead)
+    # the reader checks the profiles m >= 2 with any claim
+    for claim in (Sign.POSITIVE, Sign.ZERO):
+        assert verify_module._row_signs([[0], [0], *rows], lead, [], claim)[2] == \
+            _ref_sum_zero_one_change(rows, lead)
 
 
 @given(integer_rows, leads)
@@ -464,7 +466,7 @@ def test_thm2_profiles_match_the_sign_lists(rows, lead, quotients):
         _ref_one_signed(_ref_pair_signs(rows, quotients), lead)
 
 
-# ----------------------------------------------- the row read of thm2, thm3
+# ------------------------------------------------------------ the row read
 
 pair_weights = st.one_of(st.integers(1, 3), st.integers(1, 2 ** 70))
 
@@ -488,7 +490,7 @@ def _weigh(weights, row):
 def test_integer_row_read_gives_the_weighted_sign(drawn, lead):
     # a row is read exactly when its values share one sign or are all zero
     rows, weights = drawn
-    near, signs = verify_module._row_signs(rows, lead, [])
+    near, signs, _ = verify_module._row_signs(rows, lead, [])
     assert near == rows
     for row, w, sign in zip(rows, weights, signs):
         assert (sign is None) == (min(row) < 0 < max(row))
@@ -506,7 +508,7 @@ def test_integer_row_read_gives_the_weighted_sign(drawn, lead):
 def test_gamma_row_read_gives_the_weighted_sign(drawn, lead, quotients):
     rows, weights = drawn
     first = quotients[0]
-    near, signs = verify_module._row_signs(rows, lead, quotients)
+    near, signs, _ = verify_module._row_signs(rows, lead, quotients)
     for row, w, sign in zip(rows, weights, signs):
         pair = tuple(_weigh(w, v) for v in zip(*row))
         assert sign in (None, pair_signs([pair], first)[0])
@@ -519,6 +521,63 @@ def test_gamma_row_read_gives_the_weighted_sign(drawn, lead, quotients):
     # the profiles read the first enclosure's cross-products from the read
     assert verify_module._one_signed(rows, lead, quotients, near) == \
         verify_module._one_signed(rows, lead, quotients)
+
+
+# weight ratios: a few values, so that sorted draws tie, or many
+few_ratios = st.sampled_from([F(1, 3), F(1, 2), F(1), F(2), F(5)])
+many_ratios = st.builds(F, st.integers(1, 60), st.integers(1, 12))
+
+
+@st.composite
+def upper_rows_and_weights(draw):
+    """The lead and rows of the upper-family kernel at a random point, a and
+    b in either order, some rows replaced by small integers that sum to
+    zero; and positive integers W_0..W_M whose ratios W_n/W_{n-1} are drawn
+    sorted up or down, ties allowed: strictly monotone when none ties."""
+    eighths = st.integers(0, 48).map(lambda n: F(n, 8))
+    a, b, delta = draw(eighths), draw(eighths), draw(eighths.filter(bool))
+    M = draw(st.integers(0, 14))
+    rows = list(series_module._row_half(Family.UPPER_FACTOR, a, b, delta, M)[2])
+    for m in draw(st.sets(st.integers(0, M))):
+        rows[m] = draw(st.lists(st.integers(-3, 3), min_size=m // 2,
+                                max_size=m // 2).map(lambda r: r + [-sum(r)]))
+    ratio = draw(st.sampled_from([few_ratios, many_ratios, st.just(F(3, 2))]))
+    W = [F(draw(st.integers(1, 9)))]
+    for r in sorted(draw(st.lists(ratio, min_size=M, max_size=M)),
+                    reverse=draw(st.booleans())):
+        W.append(W[-1] * r)
+    L = math.lcm(*(w.denominator for w in W))
+    return -1 if b > a else 1, rows, [w.numerator * (L // w.denominator) for w in W]
+
+
+def _one_change(row, lead):
+    """Theorem 1's test of one row, read value by value as a Sign list."""
+    return sign_of(row[0]) is LEAD[lead] and sum(row) == 0 and \
+        MkProfile(2, Family.UPPER_FACTOR, row).sign_change_count() == 1
+
+
+@given(upper_rows_and_weights())
+# M_0 = 0 before one sign change; two sign changes; weights constant on the
+# first m, whose ratios are not strictly monotone
+@example((-1, [[0], [0], [-1, 1], [-2, 2], [0, -1, 1]], [1, 3, 6, 10, 12]))
+@example((-1, [[0], [0], [0, 0], [0, 0], [-1, 2, -1]], [2, 20, 180, 180, 90]))
+@example((-1, [[0], [0], [-1, 1], [0, 0], [0, 0, 0]], [2, 2, 2, 2, 1]))
+@settings(max_examples=300, deadline=None)
+def test_thm1_row_read_gives_the_weighted_sign(drawn):
+    # Chebyshev's sum inequality: a row read with the claim of its weights'
+    # ratio class has the sign of its weighted sum sum_k W_k W_{m-k} r_k
+    lead, rows, W = drawn
+    claim = verify_module._weight_claim(series_module._monotone_class(W[1:], W[:-1]))
+    _, signs, profile = verify_module._row_signs(rows, lead, [], claim)
+    for m, (row, sign) in enumerate(zip(rows, signs)):
+        if sign is not None:
+            assert sign is sign_of(sum(W[k] * W[m - k] * r for k, r in enumerate(row)))
+        # a row of one sign is read, and with a claim one that passes the test
+        if min(row) >= 0 or max(row) <= 0 or (claim is not None and
+                                              _one_change(row, lead)):
+            assert sign is not None
+    if claim is not None:
+        assert profile == _ref_sum_zero_one_change(rows[2:], lead)
 
 
 @pytest.mark.parametrize("theorem, family, params, check", [
