@@ -25,6 +25,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -54,6 +55,12 @@ CASE_FLAGS = ("family", "a", "b", "delta", "c", "a0", "b0", "x_grid")
 MAX_M = 200
 MAX_POINTS = 1024
 MAX_PRECISION = 350
+# The kernel's integers also grow with the shifts a, b, delta: with D their
+# common denominator, its tables hold about M^2 times the bit length of the
+# largest of D, aD, bD and delta D, and that product is capped.  At the cap
+# the slowest case, a thm3 2f1-lower one, takes 3.4 s at M = 200 (26 bits)
+# and 2.0 s at M = 40 (655 bits) on 2 vCPUs; 89 bits at M = 200 took 10.7 s.
+MAX_KERNEL_BITS = 2 ** 20
 
 
 def _rational(text: str) -> Fraction:
@@ -67,6 +74,21 @@ def _check_x_grid(x_grid) -> None:
     if x_grid is not None and len(x_grid) > MAX_POINTS:
         raise DomainError(f"--x-grid has {len(x_grid)} values, above the cap "
                           f"of {MAX_POINTS}")
+
+
+def _check_shift_size(args) -> None:
+    """Refuse an explicit sign case whose shifts would make the kernel's
+    tables larger than MAX_KERNEL_BITS."""
+    shifts = [s for s in (args.a, args.b, args.delta) if s is not None]
+    if args.theorem not in DEFAULT_M or not shifts:
+        return
+    M = DEFAULT_M[args.theorem] if args.M is None else args.M
+    D = math.lcm(*(s.denominator for s in shifts))
+    bits = max(D, *(abs(s.numerator) * (D // s.denominator) for s in shifts)).bit_length()
+    if M * M * bits > MAX_KERNEL_BITS:
+        raise DomainError(f"--a, --b and --delta take {bits} bits over their common "
+                          f"denominator, above the cap of {MAX_KERNEL_BITS // (M * M)} "
+                          f"at --M {M}")
 
 
 def _precision(args) -> int:
@@ -292,6 +314,7 @@ def cmd_verify(args) -> int:
             raise DomainError("--jobs must be at least 1")
         if args.M is not None and args.M > MAX_M:
             raise DomainError(f"--M {args.M} is above the cap of {MAX_M}")
+        _check_shift_size(args)
         _check_x_grid(args.x_grid)
         cases = _cases(args)
         if args.tol is not None and all(c.theorem in DEFAULT_M for c in cases):

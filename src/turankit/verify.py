@@ -17,17 +17,17 @@ zero) and that each half-range profile keeps an invariant.  One checker,
 * thm3: lower-factor coefficients lambda_m, m >= 1, are exactly negative
   for b > a > 0, profile values all negative.
 
-Profiles are decided on the pass's integer rows by C-level reductions
-(``max``/``min``, ``sum``, ``dropwhile``), never one value at a time; a
-gamma pair (p, q), as a coefficient's, is read through its cross-products
-with the ends of the Gamma-quotient enclosure (``series.cross_products``).
-
 Coefficient m is sum_k w_k w_{m-k} M_k with every weight w_n > 0, so
-each row is read before it is weighed (``_row_signs``): values of one sign,
-or all zero, give the coefficient that sign, and a thm1 row that sums to
-zero and changes sign once gives it the claimed sign (Chebyshev's sum
-inequality), by the test that also checks the row's profile.  Only the
-rows left open are weighed: on the default grids none is.
+each row is read before it is weighed, and one scan of the rows
+(``_row_signs``) gives both the coefficient signs and the profile verdict:
+values of one sign, or all zero, give the coefficient that sign, a thm1
+row that sums to zero and changes sign once gives it the claimed sign
+(Chebyshev's sum inequality), and either test is the row's profile check.
+Rows are scanned by C-level reductions (``max``/``min``, ``sum``,
+``dropwhile``), never one value at a time; a gamma pair (p, q), as a
+coefficient's, is read through its cross-products with the ends of the
+Gamma-quotient enclosure (``series.cross_products``).  Only the rows left
+open are weighed: on the default grids none is.
 
 Orientation is antisymmetric: swapping a and b negates every coefficient,
 so the checker accepts either order and flips the claimed sign; a = b
@@ -96,25 +96,22 @@ _FLIP = {Sign.POSITIVE: Sign.NEGATIVE, Sign.NEGATIVE: Sign.POSITIVE,
          Sign.ZERO: Sign.ZERO}
 
 
-def _worst(values, lead: int) -> int:
-    """The integer value least of the sign ``lead`` (-1 or 1), or ``lead``
-    if there is none: all have the sign when it has."""
-    return max(values, default=lead) if lead < 0 else min(values, default=lead)
+def _near(quotient: CertifiedInterval, lead: int) -> Fraction:
+    """The end of an enclosure of the Gamma quotient Q nearest to the sign
+    ``lead`` (-1 or 1): p - Q q has the sign -1 when p/q is below the lower
+    end, 1 when it is above the upper end."""
+    if quotient.exact is not None:
+        return quotient.exact
+    return quotient.lo if lead < 0 else quotient.hi
 
 
-def _ends(quotient: CertifiedInterval, lead: int) -> tuple[Fraction, Fraction]:
-    """The ends of an enclosure of the Gamma quotient Q nearest to and
-    farthest from the sign ``lead``: p - Q q has the sign -1 when p/q is
-    below the lower end, 1 when it is above the upper end."""
-    exact = quotient.exact
-    if exact is not None:
-        return exact, exact
-    return (quotient.lo, quotient.hi) if lead < 0 else (quotient.hi, quotient.lo)
+_OFF_SIGN = None, False, "profile value off-sign"
 
 
 def _row_signs(rows, lead, quotients, claim=None):
     """The one reader of the rows of all three rules, before any is
-    weighed.  Coefficient m is sum_k c_k r_k over row m with c_k =
+    weighed: one scan gives each coefficient's sign and the profile
+    verdict.  Coefficient m is sum_k c_k r_k over row m with c_k =
     W_k W_{m-k} > 0, so a row of values all >= 0, or all <= 0, gives it the
     sign of any nonzero one, or ZERO.
 
@@ -127,28 +124,33 @@ def _row_signs(rows, lead, quotients, claim=None):
     sign, sum_k (c_k - c_j) r_k has no term of the wrong sign and a nonzero
     k = 0 term, or is 0 (Chebyshev's sum inequality in Abel's form: Hardy,
     Littlewood and Polya, Inequalities, ch. II).  On rows m >= 2 the test
-    is also Theorem 1's profile check.
+    is also Theorem 1's profile check.  Without a claim (Theorems 2 and 3)
+    the profiles m >= 2 claim every value has the sign ``lead``: a row keeps
+    it when its max (lead -1) or min (lead 1) has that sign.
 
     A gamma row's values are its pairs' cross-products with the end of the
-    first enclosure of Q nearest to ``lead`` (:func:`_ends`).  An exact Q
+    first enclosure of Q nearest to ``lead`` (:func:`_near`).  An exact Q
     reads any row of one sign; an interval only a row of the sign
     ``lead``: the weighted pair's cross-product with that end then has it,
     which is how ``pair_signs`` reads the weighted pair.
 
-    Gives the values read, row by row, each coefficient's sign or None if
-    it must be weighed, and with a claim the profile verdict (as
-    :func:`_one_signed` gives it)."""
+    Gives each coefficient's sign, or None if it must be weighed, and the
+    profile verdict (mk_single_sign_change, mk_all_negative, reason); for
+    gamma rows read against an interval, in the verdict's place, the pairs
+    of rows m >= 2 whose cross-product lacks the sign ``lead``, which
+    :func:`check_signs` reads against each enclosure."""
     near = rows
     if quotients:  # one cross_products call over all rows, cut row by row
         cross = cross_products(list(chain.from_iterable(rows)),
-                               _ends(quotients[0], lead)[0])
+                               _near(quotients[0], lead))
         ends = list(accumulate(map(len, rows), initial=0))
         near = [cross[i:j] for i, j in zip(ends, ends[1:])]
-    wanted = sign_of(lead) if quotients and quotients[0].exact is None else None
+    interval = bool(quotients) and quotients[0].exact is None
+    wanted = sign_of(lead) if interval else None
     skip, most = ((0).__ge__, min) if lead < 0 else ((0).__le__, max)
     if claim is not None and lead > 0:
         claim = _FLIP[claim]
-    signs, one_change, zero_sums = [], True, True
+    signs, one_change, zero_sums, off = [], True, True, []
     for m, values in enumerate(near):
         change = False
         if claim is not None:
@@ -161,40 +163,20 @@ def _row_signs(rows, lead, quotients, claim=None):
                 one_change, zero_sums = one_change and change, zero_sums and zero_sum
         if change:  # of both signs
             sign = claim if zero_sum else None
-        elif min(values) >= 0:
-            sign = sign_of(max(values))
-        elif max(values) <= 0:
-            sign = Sign.NEGATIVE
         else:
-            sign = None
+            lo, hi = min(values), max(values)
+            sign = sign_of(hi) if lo >= 0 else Sign.NEGATIVE if hi <= 0 else None
+            if claim is None and m >= 2 and (hi if lead < 0 else lo) * lead <= 0:
+                # a profile value not shown to have the sign lead
+                off += [pair for pair, v in zip(rows[m], values) if v * lead <= 0]
         signs.append(sign if wanted in (None, sign) else None)
-    broken = ("profile sum nonzero" if not zero_sums else
-              None if one_change else "profile sign pattern broken")
-    return near, signs, None if claim is None else (one_change, None, broken)
-
-
-def _one_signed(rows, lead, quotients, near=None):
-    """Theorems 2 and 3: every profile value has the sign ``lead``.  A gamma
-    pair (p, q) stands for p - Q q: each enclosure of the Gamma quotient Q
-    in ``quotients`` reads the pairs still undecided by their cross-products
-    with its ends, and a pair none of them decides leaves the claim open.
-    ``near``, if given, holds the rows' values as :func:`_row_signs` read
-    them, which are the cross-products the first enclosure needs."""
-    off_sign = None, False, "profile value off-sign"
-    values = list(chain.from_iterable(rows))  # (p, q) pairs for the gamma family
-    if not quotients:
-        return (None, True, None) if _worst(values, lead) * lead > 0 else off_sign
-    for i, quotient in enumerate(quotients):
-        near_end, far_end = _ends(quotient, lead)
-        cross = (list(chain.from_iterable(near)) if i == 0 and near is not None
-                 else cross_products(values, near_end))
-        if _worst(cross, lead) * lead > 0:
-            return None, True, None
-        if quotient.exact is not None or \
-                _worst(cross_products(values, far_end), lead) * lead < 0:
-            return off_sign
-        values = [pair for pair, v in zip(values, cross) if v * lead <= 0]
-    return None, None, None
+    if claim is not None:
+        broken = ("profile sum nonzero" if not zero_sums else
+                  None if one_change else "profile sign pattern broken")
+        return signs, (one_change, None, broken)
+    if interval:
+        return signs, off
+    return signs, _OFF_SIGN if off else (None, True, None)
 
 
 @dataclass(frozen=True)
@@ -206,9 +188,9 @@ class SignRule:
     positive_shifts: bool  # else a = 0 and b = 0 are allowed
     first_signed: int      # coefficients below this index must be zero
     claim: Callable        # spec -> claimed sign from first_signed on, or None
-    # the profiles claim one sign (_one_signed); else they sum to zero and
-    # change sign once, and _row_signs, told the claim, reads such a row
-    # as having it and checks the profiles in the same pass
+    # the profiles claim one sign; else they sum to zero and change sign
+    # once, and _row_signs, told the claim, reads such a row as having it;
+    # either way it checks the profiles in the scan that reads the rows
     one_signed: bool
 
 
@@ -232,7 +214,11 @@ def check_signs(rule: SignRule, spec: HypSeriesSpec, a, b, delta,
     coefficient needs it, undecided profile values get it too.
 
     Coefficient m is sum_k w_k w_{m-k} M_k with every w_n > 0: row m is read
-    first (:func:`_row_signs`), and only a row it leaves open is weighed."""
+    first (:func:`_row_signs`), and only a row it leaves open is weighed.
+    The same read gives the profile verdict, except for the gamma pairs an
+    interval enclosure leaves open: those are read here with ``pair_signs``
+    against each enclosure in turn, and a pair none decides leaves the
+    profile claim open."""
     a, b, delta = Fraction(a), Fraction(b), Fraction(delta)
     if delta <= 0 or min(a, b) < 0 or (rule.positive_shifts and min(a, b) == 0):
         shifts = "positive" if rule.positive_shifts else "nonnegative"
@@ -243,8 +229,8 @@ def check_signs(rule: SignRule, spec: HypSeriesSpec, a, b, delta,
     lead = -1 if b > a else 1
     quotients = [hr.quotient()] if rule.family is Family.GAMMA_FACTOR else []
     claim = rule.claim(spec)
-    near, signs, profile = _row_signs(hr.rows, lead, quotients,
-                                      None if rule.one_signed else claim)
+    signs, profile = _row_signs(hr.rows, lead, quotients,
+                                None if rule.one_signed else claim)
     weigh = [m for m, s in enumerate(signs) if s is None]
     sums = dict(zip(weigh, hr.sums(weigh)))
     weighed = (pair_signs(sums.values(), *quotients) if quotients
@@ -278,8 +264,17 @@ def check_signs(rule: SignRule, spec: HypSeriesSpec, a, b, delta,
                       if first is None else Verdict.VIOLATED,
                       reason="degenerate equal shifts")
 
-    if rule.one_signed:
-        profile = _one_signed(hr.rows[2:], lead, quotients, near[2:])
+    if quotients and quotients[0].exact is None:
+        # the profile pairs the first enclosure's near end left undecided:
+        # one of another sign, ZERO from an exact retry too, is off-sign
+        for quotient in quotients:
+            read = pair_signs(profile, quotient)
+            if set(read) - {sign_of(lead), Sign.INCONCLUSIVE}:
+                profile = _OFF_SIGN
+                break
+            profile = [pair for pair, s in zip(profile, read) if s is Sign.INCONCLUSIVE]
+        else:
+            profile = (None, None if profile else True, None)
     one_change, all_negative, broken = profile
     if first is not None or broken:
         verdict = Verdict.VIOLATED

@@ -159,6 +159,22 @@ class TestVerifySingleCase:
         assert code == 2
         assert "--b0" in capsys.readouterr().err
 
+    def test_near_tie_escalates(self, tmp_path):
+        # b - a = 2 10^-17 at 5 digits: every coefficient is undecided until
+        # the retry at 10 digits decides it, and the profile stays open
+        code, rep, _ = run_cli(
+            ["verify", "--theorem", "thm2", "--family", "1f1-gamma", "--c", "3",
+             "--a", "1", "--b", "50000000000000001/50000000000000000",
+             "--delta", "1/2", "--M", "12", "--precision", "5"], tmp_path)
+        assert code == 0
+        [case] = rep["per_case"]
+        assert (case["verdict"], case["first_violation"]) == ("verified", None)
+        assert case["details"] == {
+            "escalated": True, "family": "1f1-gamma",
+            "inconclusive_before_escalation": 13, "mk_all_negative": None,
+            "mk_single_sign_change": None, "reason": None,
+            "sign_counts": {"-": 13}, "truncation_order": 12}
+
     def test_invalid_shift_increment_exits_2(self, capsys):
         code = main(["verify", "--theorem", "thm1", "--family", "1f1-upper",
                      "--c", "3", "--a", "1", "--b", "2", "--delta", "0",
@@ -446,6 +462,41 @@ class TestInputCaps:
         code, _, _ = run_cli(SINGLE[:-1] + [str(cli_mod.MAX_M)], tmp_path)
         assert code == 0
         assert orders == [cli_mod.MAX_M]
+
+    # shifts whose bits over their common denominator sit at the cap at the
+    # order given, or at the default order of thm2 (30), and one bit past it
+    @staticmethod
+    def _shift_argv(M, bits, over):
+        big = 2 ** bits - 1 + over
+        theorem = ["--theorem", "thm3", "--family", "1f1-lower", "--a0", "1",
+                   "--M", str(M)] if M else \
+            ["--theorem", "thm2", "--family", "1f1-gamma", "--c", "1"]
+        return [["verify", *theorem, "--a", "1", "--b", str(big), "--delta", "1"],
+                ["verify", *theorem, "--a", f"1/{big}", "--b", f"2/{big}",
+                 "--delta", f"1/{big}"]]
+
+    @pytest.mark.parametrize("M", [128, 200, None])
+    def test_shift_size_at_cap_reaches_the_cases(self, M, no_work):
+        bits = no_work.MAX_KERNEL_BITS // (M or 30) ** 2
+        for argv in self._shift_argv(M, bits, 0):
+            with pytest.raises(AssertionError, match="before any work"):
+                main(argv)
+
+    @pytest.mark.parametrize("M", [128, 200, None])
+    def test_shift_size_past_cap_exits_2(self, M, no_work, capsys):
+        bits = no_work.MAX_KERNEL_BITS // (M or 30) ** 2
+        for argv in self._shift_argv(M, bits, 1):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                f"error: --a, --b and --delta take {bits + 1} bits over their "
+                f"common denominator, above the cap of {bits} at --M {M or 30}\n")
+
+    def test_fresh_params_sized_shifts_accepted_at_order_cap(self, no_work):
+        # denominators up to 12 and values up to 4: D = 990, 12 bits
+        with pytest.raises(AssertionError, match="before any work"):
+            main(["verify", "--theorem", "thm3", "--family", "2f1-lower",
+                  "--a0", "1/2", "--b0", "2", "--a", "43/11", "--b", "35/9",
+                  "--delta", "29/10", "--M", str(no_work.MAX_M)])
 
     def test_points_past_cap_exits_2(self, monkeypatch, capsys):
         import turankit.cli as cli_mod

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from turankit import series as series_module
 from turankit import verify as verify_module
 from turankit.errors import DomainError
-from turankit.intervals import CertifiedInterval, get_precision
+from turankit.intervals import CertifiedInterval, get_precision, working_precision
 from turankit.series import (Family, HypSeriesSpec, MkProfile, Sign,
                              WeightRule, binomial_upper, gauss_lower,
                              gauss_upper, kummer_gamma, kummer_lower,
@@ -140,18 +140,18 @@ def _tamper(monkeypatch, change, keep_sums=False):
     """Hand change() list copies of the rows of every half-range pass of
     the sign checks, and give the pass the changed rows.  With keep_sums
     the pass keeps its true rows, so its coefficients are read and weighed
-    from them, and only the profile predicate of Theorems 2 and 3 is handed
-    the changed rows (and no values read from the true ones)."""
+    from them, and only the profile verdict is read from the changed
+    rows."""
     def changed(rows):
         rows = [list(row) for row in rows]
         change(rows)
         return rows
 
     if keep_sums:
-        def profiles(rows, lead, quotients, near=None, _real=verify_module._one_signed):
-            return _real(changed([(), (), *rows])[2:], lead, quotients)
+        def read(rows, *args, _real=verify_module._row_signs):
+            return _real(rows, *args)[0], _real(changed(rows), *args)[1]
 
-        monkeypatch.setattr(verify_module, "_one_signed", profiles)
+        monkeypatch.setattr(verify_module, "_row_signs", read)
         return
     real = verify_module.half_range_pass
 
@@ -359,6 +359,28 @@ class TestEscalation:
         assert rep.first_violation is None
         assert rep.reason == "undecided indices remain after escalation"
 
+    # real near ties, no patched quotient: at 5 digits every coefficient is
+    # undecided, at the 10 digits of the retry some stay so from b - a =
+    # 10^-17 on, and at 2 10^-17 the profile stays open though every
+    # coefficient is decided
+    @pytest.mark.parametrize("gap, verdict, still_open, all_negative", [
+        (F(1, 10 ** 15), Verdict.VERIFIED, [], True),
+        (F(2, 10 ** 17), Verdict.VERIFIED, [], None),
+        (F(1, 10 ** 17), Verdict.INCONCLUSIVE, [10, 11, 12], None),
+        (F(1, 10 ** 18), Verdict.INCONCLUSIVE, list(range(13)), None),
+    ])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_near_ties(self, gap, verdict, still_open, all_negative, swap):
+        a, b = (1 + gap, 1) if swap else (1, 1 + gap)
+        with working_precision(5):
+            rep = verify_theorem2(kummer_gamma(F(3)), a, b, F(1, 2), 12)
+        assert (rep.verdict, rep.escalated, rep.inconclusive_before_escalation,
+                rep.inconclusive_indices, rep.mk_all_negative, rep.first_violation) \
+            == (verdict, True, 13, still_open, all_negative, None)
+        decided = Sign.POSITIVE if swap else Sign.NEGATIVE
+        assert [m for m, s in enumerate(rep.per_index_sign) if s is not decided] \
+            == still_open
+
 
 # ------------------------------------------- profile predicates on integers
 
@@ -440,7 +462,7 @@ def enclosures(draw):
 def test_thm1_profiles_match_the_sign_lists(rows, lead):
     # the reader checks the profiles m >= 2 with any claim
     for claim in (Sign.POSITIVE, Sign.ZERO):
-        assert verify_module._row_signs([[0], [0], *rows], lead, [], claim)[2] == \
+        assert verify_module._row_signs([[0], [0], *rows], lead, [], claim)[1] == \
             _ref_sum_zero_one_change(rows, lead)
 
 
@@ -450,8 +472,24 @@ def test_thm1_profiles_match_the_sign_lists(rows, lead):
 @example([[1], [0, 2]], 1)
 @settings(max_examples=300, deadline=None)
 def test_thm3_profiles_match_the_sign_lists(rows, lead):
-    assert verify_module._one_signed(rows, lead, []) == \
+    # the reader checks the profiles m >= 2 without a claim
+    assert verify_module._row_signs([[0], [0], *rows], lead, [])[1] == \
         _ref_one_signed([[sign_of(v) for v in row] for row in rows], lead)
+
+
+class _GammaPass:
+    """A stand-in gamma-family pass with the given rows: quotient() gives
+    the next enclosure (the last again once they run out), and a row is
+    weighed with unit weights."""
+
+    def __init__(self, rows, quotients):
+        self.rows, self._quotients = rows, list(quotients)
+
+    def quotient(self):
+        return self._quotients.pop(0) if len(self._quotients) > 1 else self._quotients[0]
+
+    def sums(self, ms):
+        return [tuple(map(sum, zip(*self.rows[m]))) for m in ms]
 
 
 @given(pair_rows, leads, st.lists(enclosures(), min_size=1, max_size=2))
@@ -460,9 +498,25 @@ def test_thm3_profiles_match_the_sign_lists(rows, lead):
     F(3, 2), 2)])
 @example([[(4, 2), (5, 1)]], 1, [CertifiedInterval.from_fraction_bounds(1, 2),
                                  CertifiedInterval.from_fraction(F(3, 2))])
+# a tie undecided by an interval and ZERO by an exact retry is off-sign
+@example([[(0, 1)]], -1, [CertifiedInterval.from_fraction_bounds(0, 0),
+                          CertifiedInterval.from_fraction(0)])
 @settings(max_examples=300, deadline=None)
 def test_thm2_profiles_match_the_sign_lists(rows, lead, quotients):
-    assert verify_module._one_signed(rows, lead, quotients) == \
+    # the profiles m >= 2 of a whole check: coefficients 0 and 1 are a pair
+    # on the first enclosure's lower end, which an interval leaves undecided,
+    # so the check escalates and the second enclosure reads the profiles too
+    first = quotients[0].lo
+    tie = [(first.numerator, first.denominator)]
+    hr = _GammaPass([tie, tie, *rows], quotients)
+    a, b = (1, 2) if lead < 0 else (2, 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify_module, "half_range_pass", lambda *args: hr)
+        rep = verify_module.check_signs(verify_module.SIGN_RULES["thm2"],
+                                        kummer_gamma(F(1)), a, b, 1, len(rows) + 1)
+    reason = None if rep.reason == "undecided indices remain after escalation" \
+        else rep.reason
+    assert (rep.mk_single_sign_change, rep.mk_all_negative, reason) == \
         _ref_one_signed(_ref_pair_signs(rows, quotients), lead)
 
 
@@ -490,8 +544,7 @@ def _weigh(weights, row):
 def test_integer_row_read_gives_the_weighted_sign(drawn, lead):
     # a row is read exactly when its values share one sign or are all zero
     rows, weights = drawn
-    near, signs, _ = verify_module._row_signs(rows, lead, [])
-    assert near == rows
+    signs, _ = verify_module._row_signs(rows, lead, [])
     for row, w, sign in zip(rows, weights, signs):
         assert (sign is None) == (min(row) < 0 < max(row))
         assert sign in (None, sign_of(_weigh(w, row)))
@@ -508,7 +561,7 @@ def test_integer_row_read_gives_the_weighted_sign(drawn, lead):
 def test_gamma_row_read_gives_the_weighted_sign(drawn, lead, quotients):
     rows, weights = drawn
     first = quotients[0]
-    near, signs, _ = verify_module._row_signs(rows, lead, quotients)
+    signs, _ = verify_module._row_signs(rows, lead, quotients)
     for row, w, sign in zip(rows, weights, signs):
         pair = tuple(_weigh(w, v) for v in zip(*row))
         assert sign in (None, pair_signs([pair], first)[0])
@@ -518,9 +571,6 @@ def test_gamma_row_read_gives_the_weighted_sign(drawn, lead, quotients):
         if own == {LEAD[lead]} or (first.exact is not None and
                                    len(own - {Sign.ZERO}) <= 1):
             assert sign is not None
-    # the profiles read the first enclosure's cross-products from the read
-    assert verify_module._one_signed(rows, lead, quotients, near) == \
-        verify_module._one_signed(rows, lead, quotients)
 
 
 # weight ratios: a few values, so that sorted draws tie, or many
@@ -568,7 +618,7 @@ def test_thm1_row_read_gives_the_weighted_sign(drawn):
     # ratio class has the sign of its weighted sum sum_k W_k W_{m-k} r_k
     lead, rows, W = drawn
     claim = verify_module._weight_claim(series_module._monotone_class(W[1:], W[:-1]))
-    _, signs, profile = verify_module._row_signs(rows, lead, [], claim)
+    signs, profile = verify_module._row_signs(rows, lead, [], claim)
     for m, (row, sign) in enumerate(zip(rows, signs)):
         if sign is not None:
             assert sign is sign_of(sum(W[k] * W[m - k] * r for k, r in enumerate(row)))
