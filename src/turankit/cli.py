@@ -13,9 +13,9 @@ configuration.  Identical configuration produces a byte-identical JSON
 report; worker-pool parallelism never reorders the output because reports
 are assembled in input order.
 
-``verify`` runs its sign cases grouped by ``series.shift_point``, the key
-of the row memo, so the weight rules of one point run one after another
-and build its half-range rows once.  Chunks of whole groups run in a
+``verify`` runs its sign cases grouped by ``series.shift_point``, so the
+weight rules of one point run one after another and share one read of its
+half-range rows.  Chunks of whole groups run in a
 process pool or in this process, and the records return in case order.
 """
 
@@ -64,10 +64,18 @@ MAX_KERNEL_BITS = 2 ** 20
 
 
 def _rational(text: str) -> Fraction:
+    """An exact rational flag value.  The reports print every value, so a
+    numerator or denominator of more digits than the interpreter converts
+    to a string (0: no limit) is refused."""
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
+    digits = getattr(sys, "get_int_max_str_digits", int)()
+    if digits and max(abs(value.numerator), value.denominator) >= 10 ** digits:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} has a numerator or denominator of more than {digits} digits")
+    return value
 
 
 def _check_x_grid(x_grid) -> None:

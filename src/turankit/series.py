@@ -31,11 +31,11 @@ the sign of an integer (or, for psi, an integer cross-multiplication).
 A pass joins two halves, as the coefficient sum_k w_k w_{m-k} M_k does:
 the rows of M_k, which depend only on the shift point (the family, the
 shifts a, b, d and the order M), and the weights w_n, which depend only on
-the weight rule and M.  A memo stores every row set built and evicts the
-least recently used past a bound in bytes, but never the newest
-(:class:`_RowMemo`).  A pass makes its M + 1 integer weights when it first
-weighs a row and keeps them only while it lives: a check that reads every
-coefficient's sign off its rows makes none.
+the weight rule and M.  Every weight is positive, so the sign checks of
+``verify`` read a shift point's rows once, before any weight, and cache
+that read rather than the rows; a pass is built, its rows afresh, only
+where a row must be weighed.  A pass makes its M + 1 integer weights when
+it first weighs a row and keeps them only while it lives.
 
 Everything is formal: truncation order is fixed up front and no statement
 about convergence is made or needed.
@@ -46,12 +46,10 @@ from __future__ import annotations
 import enum
 import math
 import operator
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import accumulate, chain
+from itertools import accumulate
 
 from .errors import DomainError, PoleError
 from .exact import ratio_steps
@@ -205,6 +203,15 @@ def gamma_quotient(a, b, delta) -> CertifiedInterval:
     return gamma_ratio(b, delta) / gamma_ratio(a, delta)
 
 
+def pair_quotient(a, b, delta) -> CertifiedInterval:
+    """The Gamma quotient Q against which the gamma family's pairs (S1_m,
+    S2_m) and (p_k, q_k) are read, enclosed at the precision in force:
+    :func:`gamma_quotient`, but exactly 1 at a = b, where S1 = S2."""
+    if a == b:
+        return CertifiedInterval.from_fraction(1)
+    return gamma_quotient(a, b, delta)
+
+
 @dataclass
 class PsiCoefficient:
     """psi_m in factored form plus its certified sign."""
@@ -334,10 +341,9 @@ class HalfRangePass:
     read from its pair's cross-products with Q's ends (:func:`pair_signs`).
     With the integer weights W_n = w_n L, phi_m and lambda_m are
     sum_k W_k W_{m-k} r_k scale_m / L^2, and psi_m's factors S1_m, S2_m are
-    the same weighted sums of p_k and q_k (:meth:`sums`).  The rows are
-    tuples shared by the passes of a shift point (:class:`_RowMemo`).  W_n
-    and L are made from ``weights`` when the pass first weighs a row, so a
-    pass whose rows are read but never weighed makes none."""
+    the same weighted sums of p_k and q_k (:meth:`sums`).  Each pass builds
+    its own rows (:func:`half_range_pass`); W_n and L are made from
+    ``weights`` when the pass first weighs a row."""
 
     family: Family
     a: Fraction
@@ -382,11 +388,8 @@ class HalfRangePass:
         return [self.exact(m, s, L2) for m, s in enumerate(self.sums())]
 
     def quotient(self) -> CertifiedInterval:
-        """The Gamma quotient Q of a gamma-family pass, enclosed at the
-        precision in force; exactly 1 at a = b, where S1 = S2."""
-        if self.a == self.b:
-            return CertifiedInterval.from_fraction(1)
-        return gamma_quotient(self.a, self.b, self.delta)
+        """The Gamma quotient Q of a gamma-family pass (:func:`pair_quotient`)."""
+        return pair_quotient(self.a, self.b, self.delta)
 
     def psi(self) -> list[PsiCoefficient]:
         """Factored psi_m with certified signs for m = 0..M (gamma family),
@@ -441,75 +444,27 @@ def _row_half(family: Family, a: Fraction, b: Fraction, delta: Fraction,
 
 
 def shift_point(spec: HypSeriesSpec, a, b, delta) -> tuple:
-    """The row memo's key (family, a, b, d, M): all a pass's rows need."""
+    """(family, a, b, d, M): all a pass's rows depend on."""
     return spec.family, Fraction(a), Fraction(b), Fraction(delta), spec.order
 
 
-# Bound of the row memo in bytes: the __sizeof__ of its row tuples and ints
-# (sys.getsizeof, which adds a tuple's GC header, is four times as slow).
-# A default-grid weight rule sweeps 30 shift points, 0.70-1.07 MB of row
-# sets, before the next rule of its family asks for them again; one set at
-# M = 200, the command line's cap, takes 1.41 MB or more: it is held alone.
-_ROW_MEMO_BYTES = 1_250_000
-
-
-class _RowMemo:
-    """The weight-free halves of passes by shift point.  Every row set
-    built is stored, and the least recently used are evicted while the row
-    tuples and ints held take more than ``bytes`` by their ``__sizeof__``,
-    but never the one just stored: it holds at most max(``bytes``, one row set).
-
-    The memo is module state, as the log-Gamma cache of ``intervals`` is:
-    the public per-case calls, such as ``verify_theorem1(spec, a, b, delta,
-    M)``, have nowhere to pass one.  A lock guards its bookkeeping, not the
-    build.  The rows are tuples of exact integers, so every pass of a shift
-    point is handed the row set its build gives and none can change it.  A
-    build that raises stores nothing, so it raises on every request."""
-
-    def __init__(self):
-        self.bytes = _ROW_MEMO_BYTES
-        self.held_bytes = 0
-        # key -> (D, lower_scale, rows, bytes), least recently used first
-        self.stored = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key: tuple) -> tuple[int, int, tuple]:
-        """(D, lower_scale, rows) of the shift point ``key``, held or built."""
-        with self._lock:
-            held = self.stored.get(key)
-            if held is not None:
-                self.stored.move_to_end(key)
-                return held[:3]
-        *_, rows = built = _row_half(*key)
-        tuples, ints = [rows, *rows], list(chain.from_iterable(rows))
-        if key[0] is Family.GAMMA_FACTOR:  # rows of pairs of ints
-            tuples += ints
-            ints = chain.from_iterable(ints)
-        size = sum(map(tuple.__sizeof__, tuples)) + sum(map(int.__sizeof__, ints))
-        with self._lock:
-            if key not in self.stored:
-                self.stored[key] = (*built, size)
-                self.held_bytes += size
-                while len(self.stored) > 1 and self.held_bytes > self.bytes:
-                    self.held_bytes -= self.stored.popitem(last=False)[1][3]
-        return built
-
-
-_ROW_MEMO = _RowMemo()
+def check_family(family: Family, spec: HypSeriesSpec) -> None:
+    """Refuse a spec of another family than the one the caller works with."""
+    if spec.family is not family:
+        raise DomainError(f"expected the {family.value}-factor family, "
+                          f"got {spec.family.value}")
 
 
 def half_range_pass(family: Family, spec: HypSeriesSpec, a, b, delta) -> HalfRangePass:
     """The one exact pass over the coefficients m = 0..spec.order of the
     cross-product difference, from which every coefficient and profile is
     read.  ``family`` is the family the caller works with; a spec of
-    another family is refused, and so are nonpositive gamma-family shifts
-    and a lower-family pole (s)_n = 0, 1 <= n <= M.  The rows come from the
-    row memo when it holds the shift point."""
-    if spec.family is not family:
-        raise DomainError(f"expected the {family.value}-factor family, "
-                          f"got {spec.family.value}")
+    another family is refused (:func:`check_family`), and so are
+    nonpositive gamma-family shifts and a lower-family pole (s)_n = 0,
+    1 <= n <= M.  Its rows are built on each call."""
+    check_family(family, spec)
     key = shift_point(spec, a, b, delta)
-    D, lower_scale, rows = _ROW_MEMO.get(key)
+    D, lower_scale, rows = _row_half(*key)
     return HalfRangePass(*key[:4], D, lower_scale, spec.weights, rows)
 
 

@@ -3,7 +3,7 @@
 Each sign theorem claims that the coefficients of f(a+d,x)f(b,x) -
 f(b+d,x)f(a,x) carry one sign from a first index on (those below are
 zero) and that each half-range profile keeps an invariant.  One checker,
-``check_signs``, tests this on the family's integer half-range pass; a
+``check_signs``, tests this on the family's integer half-range rows; a
 ``SIGN_RULES`` row holds what differs:
 
 * thm1: upper-factor coefficients phi_m, m >= 2, are exactly one-signed
@@ -18,16 +18,20 @@ zero) and that each half-range profile keeps an invariant.  One checker,
   for b > a > 0, profile values all negative.
 
 Coefficient m is sum_k w_k w_{m-k} M_k with every weight w_n > 0, so
-each row is read before it is weighed, and one scan of the rows
-(``_row_signs``) gives both the coefficient signs and the profile verdict:
-values of one sign, or all zero, give the coefficient that sign, a thm1
-row that sums to zero and changes sign once gives it the claimed sign
-(Chebyshev's sum inequality), and either test is the row's profile check.
-Rows are scanned by C-level reductions (``max``/``min``, ``sum``,
-``dropwhile``), never one value at a time; a gamma pair (p, q), as a
-coefficient's, is read through its cross-products with the ends of the
-Gamma-quotient enclosure (``series.cross_products``).  Only the rows left
-open are weighed: on the default grids none is.
+each row is read before it is weighed, and one scan of a shift point's
+rows (``_row_signs``) gives the coefficient signs, the rows that take the
+claim and the profile verdict: values of one sign, or all zero, give the
+coefficient that sign, an upper-family row that sums to zero and changes
+sign once has Theorem 1's claimed sign (Chebyshev's sum inequality), and
+either test is the row's profile check.  The read depends on neither the
+weights nor the claim, so it is cached by shift point (and, for the gamma
+family, the end of the Gamma-quotient enclosure it reads against):
+``_read_point``, a small ``lru_cache``, keeps reads, not rows.  Rows are
+scanned by C-level reductions (``max``/``min``, ``sum``, ``dropwhile``),
+a gamma pair (p, q) through its cross-products with an enclosure end
+(``series.cross_products``).  ``check_signs`` applies the claim, and
+builds the pass to weigh a row only if one is left open: on the default
+grids none is.
 
 Orientation is antisymmetric: swapping a and b negates every coefficient,
 so the checker accepts either order and flips the claimed sign; a = b
@@ -48,17 +52,18 @@ import enum
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import accumulate, chain, dropwhile
 
+from . import series
 from .errors import DomainError
 from .evalf import cross_ratio
 from .intervals import CertifiedInterval, get_precision, working_precision
 from .series import (DEFAULT_ORDER, Family, HypSeriesSpec, MonotoneClass, Sign,
-                     binomial_upper, cross_products, gamma_quotient,
-                     gauss_lower, gauss_upper, half_range_pass, kummer_gamma,
-                     kummer_lower, kummer_upper, pair_signs, sign_of,
-                     weight_ratio_class)
+                     binomial_upper, check_family, cross_products,
+                     gamma_quotient, gauss_lower, gauss_upper, half_range_pass,
+                     kummer_gamma, kummer_lower, kummer_upper, pair_quotient,
+                     pair_signs, shift_point, sign_of, weight_ratio_class)
 
 
 class Verdict(enum.Enum):
@@ -108,52 +113,50 @@ def _near(quotient: CertifiedInterval, lead: int) -> Fraction:
 _OFF_SIGN = None, False, "profile value off-sign"
 
 
-def _row_signs(rows, lead, quotients, claim=None):
-    """The one reader of the rows of all three rules, before any is
-    weighed: one scan gives each coefficient's sign and the profile
-    verdict.  Coefficient m is sum_k c_k r_k over row m with c_k =
-    W_k W_{m-k} > 0, so a row of values all >= 0, or all <= 0, gives it the
-    sign of any nonzero one, or ZERO.
+def _row_signs(rows, lead, end, interval, chebyshev):
+    """The one reader of the rows of all three rules, before any is weighed
+    and without the claim.  ``lead`` is -1 when b > a, else 1.  Coefficient
+    m is sum_k c_k r_k over row m with c_k = W_k W_{m-k} > 0, so a row of
+    values all >= 0, or all <= 0, gives it the sign of any nonzero one, or
+    ZERO.
 
-    With ``claim``, Theorem 1's sign for b > a (:func:`_weight_claim`) when
-    the weight ratios are strictly monotone or constant, a row that starts
-    with the sign ``lead``, sums to zero and changes sign once gives its
-    coefficient the claim, flipped for lead 1.  For k < m//2, c_{k+1}/c_k =
-    ratio(k+1)/ratio(m-k) is > 1, < 1 or 1 as the ratios strictly fall,
-    strictly rise or stay; so with j the row's first index of the other
-    sign, sum_k (c_k - c_j) r_k has no term of the wrong sign and a nonzero
-    k = 0 term, or is 0 (Chebyshev's sum inequality in Abel's form: Hardy,
-    Littlewood and Polya, Inequalities, ch. II).  On rows m >= 2 the test
-    is also Theorem 1's profile check.  Without a claim (Theorems 2 and 3)
-    the profiles m >= 2 claim every value has the sign ``lead``: a row keeps
-    it when its max (lead -1) or min (lead 1) has that sign.
+    With ``chebyshev`` (the upper family), a row that starts with the sign
+    ``lead``, sums to zero and changes sign once is claimed: it has
+    Theorem 1's sign for strictly monotone or constant weight ratios
+    (:func:`_weight_claim`), flipped for lead 1 (:func:`_apply_claim`).
+    For k < m//2, c_{k+1}/c_k = ratio(k+1)/ratio(m-k) is > 1, < 1 or 1 as
+    the ratios strictly fall, strictly rise or stay; so with j the row's
+    first index of the other sign, sum_k (c_k - c_j) r_k has no term of the
+    wrong sign and a nonzero k = 0 term, or is 0 (Chebyshev's sum
+    inequality in Abel's form: Hardy, Littlewood and Polya, Inequalities,
+    ch. II).  On rows m >= 2 the test is also Theorem 1's profile check.
+    Otherwise (Theorems 2 and 3) the profiles m >= 2 claim every value has
+    the sign ``lead``: a row keeps it when its max (lead -1) or min (lead 1)
+    has that sign.
 
-    A gamma row's values are its pairs' cross-products with the end of the
-    first enclosure of Q nearest to ``lead`` (:func:`_near`).  An exact Q
-    reads any row of one sign; an interval only a row of the sign
-    ``lead``: the weighted pair's cross-product with that end then has it,
-    which is how ``pair_signs`` reads the weighted pair.
+    A gamma row's values are its pairs' cross-products with ``end``: the
+    exact Gamma quotient Q or, with ``interval``, the end of its first
+    enclosure nearest to ``lead`` (:func:`_near`).  An exact Q reads any
+    row of one sign; an interval only a row of the sign ``lead``: the
+    weighted pair's cross-product with that end then has it, which is how
+    ``pair_signs`` reads the weighted pair.
 
-    Gives each coefficient's sign, or None if it must be weighed, and the
-    profile verdict (mk_single_sign_change, mk_all_negative, reason); for
-    gamma rows read against an interval, in the verdict's place, the pairs
-    of rows m >= 2 whose cross-product lacks the sign ``lead``, which
-    :func:`check_signs` reads against each enclosure."""
+    Gives tuples: each coefficient's sign (None if it must be weighed or is
+    claimed), the claimed rows, and the profile verdict
+    (mk_single_sign_change, mk_all_negative, reason) or, for an interval,
+    the pairs of rows m >= 2 whose cross-product lacks the sign ``lead``,
+    which :func:`check_signs` reads against each enclosure in turn."""
     near = rows
-    if quotients:  # one cross_products call over all rows, cut row by row
-        cross = cross_products(list(chain.from_iterable(rows)),
-                               _near(quotients[0], lead))
+    if end is not None:  # one cross_products call over all rows, cut row by row
+        cross = cross_products(list(chain.from_iterable(rows)), end)
         ends = list(accumulate(map(len, rows), initial=0))
         near = [cross[i:j] for i, j in zip(ends, ends[1:])]
-    interval = bool(quotients) and quotients[0].exact is None
     wanted = sign_of(lead) if interval else None
     skip, most = ((0).__ge__, min) if lead < 0 else ((0).__le__, max)
-    if claim is not None and lead > 0:
-        claim = _FLIP[claim]
-    signs, one_change, zero_sums, off = [], True, True, []
+    signs, claimed, one_change, zero_sums, off = [], [], True, True, []
     for m, values in enumerate(near):
         change = False
-        if claim is not None:
+        if chebyshev:
             # M_0 has the sign lead; past the values of that sign or zero,
             # one is left and none has it
             change = values[0] * lead > 0 and \
@@ -161,46 +164,73 @@ def _row_signs(rows, lead, quotients, claim=None):
             zero_sum = not sum(values)
             if m >= 2:
                 one_change, zero_sums = one_change and change, zero_sums and zero_sum
-        if change:  # of both signs
-            sign = claim if zero_sum else None
+        if change:  # of both signs: claimed, or weighed
+            sign = None
+            if zero_sum:
+                claimed.append(m)
         else:
             lo, hi = min(values), max(values)
             sign = sign_of(hi) if lo >= 0 else Sign.NEGATIVE if hi <= 0 else None
-            if claim is None and m >= 2 and (hi if lead < 0 else lo) * lead <= 0:
+            if not chebyshev and m >= 2 and (hi if lead < 0 else lo) * lead <= 0:
                 # a profile value not shown to have the sign lead
                 off += [pair for pair, v in zip(rows[m], values) if v * lead <= 0]
         signs.append(sign if wanted in (None, sign) else None)
-    if claim is not None:
-        broken = ("profile sum nonzero" if not zero_sums else
-                  None if one_change else "profile sign pattern broken")
-        return signs, (one_change, None, broken)
-    if interval:
-        return signs, off
-    return signs, _OFF_SIGN if off else (None, True, None)
+    if chebyshev:
+        profile = (one_change, None, "profile sum nonzero" if not zero_sums else
+                   None if one_change else "profile sign pattern broken")
+    else:
+        profile = tuple(off) if interval else _OFF_SIGN if off else (None, True, None)
+    return tuple(signs), tuple(claimed), profile
+
+
+# The reads _read_point holds.  A default-grid weight rule sweeps 30 shift
+# points before the next rule of its family reads them again, and one pass
+# of the default sign grids reads 90, so the cache never holds a whole pass.
+# It is module state, as the log-Gamma cache of ``intervals`` is: the public
+# per-case checks, such as verify_theorem1, have nowhere to pass a cache.
+_READS = 32
+
+
+@lru_cache(maxsize=_READS)
+def _read_point(family: Family, a: Fraction, b: Fraction, delta: Fraction,
+                M: int, end: Fraction | None, interval: bool) -> tuple:
+    """:func:`_row_signs` of a shift point's rows (``series._row_half``), the
+    same for every weight rule and claim.  Tuples, so no caller can change
+    a cached read; a refused point (a lower-family pole, a nonpositive
+    gamma shift) raises on every request and is not cached."""
+    rows = series._row_half(family, a, b, delta, M)[2]
+    return _row_signs(rows, -1 if b > a else 1, end, interval,
+                      family is Family.UPPER_FACTOR)
+
+
+def _apply_claim(signs, claimed, claim, lead) -> list[Sign | None]:
+    """A read's signs as a new list, its ``claimed`` rows given the claim
+    for b > a, flipped for lead 1; with no claim they stay None."""
+    signs = list(signs)
+    for m in claimed if claim is not None else ():
+        signs[m] = claim if lead < 0 else _FLIP[claim]
+    return signs
 
 
 @dataclass(frozen=True)
 class SignRule:
     """What one sign theorem claims about the coefficients of
-    f(a+d,x)f(b,x) - f(b+d,x)f(a,x), stated for b > a."""
+    f(a+d,x)f(b,x) - f(b+d,x)f(a,x), stated for b > a; the family sets the
+    profile invariant (:func:`_row_signs`)."""
     theorem_id: str
     family: Family
     positive_shifts: bool  # else a = 0 and b = 0 are allowed
     first_signed: int      # coefficients below this index must be zero
     claim: Callable        # spec -> claimed sign from first_signed on, or None
-    # the profiles claim one sign; else they sum to zero and change sign
-    # once, and _row_signs, told the claim, reads such a row as having it;
-    # either way it checks the profiles in the scan that reads the rows
-    one_signed: bool
 
 
 SIGN_RULES = {
     "thm1": SignRule("thm1", Family.UPPER_FACTOR, False, 2,
-                     lambda spec: _weight_claim(weight_ratio_class(spec)), False),
+                     lambda spec: _weight_claim(weight_ratio_class(spec))),
     "thm2": SignRule("thm2", Family.GAMMA_FACTOR, True, 0,
-                     lambda spec: Sign.NEGATIVE, True),
+                     lambda spec: Sign.NEGATIVE),
     "thm3": SignRule("thm3", Family.LOWER_FACTOR, True, 1,
-                     lambda spec: Sign.NEGATIVE, True),
+                     lambda spec: Sign.NEGATIVE),
 }
 
 
@@ -209,30 +239,37 @@ def check_signs(rule: SignRule, spec: HypSeriesSpec, a, b, delta,
     """Check one sign theorem at one point: for 0 <= m <= M, coefficient m
     is zero below ``rule.first_signed`` and has the claimed sign from there
     on, and every profile m >= 2 keeps the rule's invariant.  a = b claims
-    zero everywhere; a > b flips every sign.  Values the Gamma-quotient
-    enclosure leaves undecided get one retry at doubled precision; once a
-    coefficient needs it, undecided profile values get it too.
+    zero everywhere; a > b flips every sign.  A spec of another family than
+    the rule's is refused.  Values the Gamma-quotient enclosure leaves
+    undecided get one retry at doubled precision; once a coefficient needs
+    it, undecided profile values get it too.
 
-    Coefficient m is sum_k w_k w_{m-k} M_k with every w_n > 0: row m is read
-    first (:func:`_row_signs`), and only a row it leaves open is weighed.
-    The same read gives the profile verdict, except for the gamma pairs an
-    interval enclosure leaves open: those are read here with ``pair_signs``
-    against each enclosure in turn, and a pair none decides leaves the
-    profile claim open."""
+    Every weight is positive, so the rows are read first: the shift
+    point's cached read (:func:`_read_point`) gives the coefficient signs
+    it can, the rows that take the claim (:func:`_apply_claim`) and the
+    profile verdict.  Only when a row is left open is a pass built and that
+    row weighed.  The gamma pairs an interval enclosure leaves open in the
+    profile are read here with ``pair_signs`` against each enclosure in
+    turn: one of another sign (ZERO from an exact retry too) breaks the
+    profile claim, and one no enclosure decides leaves it open."""
     a, b, delta = Fraction(a), Fraction(b), Fraction(delta)
     if delta <= 0 or min(a, b) < 0 or (rule.positive_shifts and min(a, b) == 0):
         shifts = "positive" if rule.positive_shifts else "nonnegative"
         raise DomainError(f"need delta > 0 and {shifts} shifts")
     if M is not None and M != spec.order:
         spec = replace(spec, order=M)
-    hr = half_range_pass(rule.family, spec, a, b, delta)
+    check_family(rule.family, spec)
     lead = -1 if b > a else 1
-    quotients = [hr.quotient()] if rule.family is Family.GAMMA_FACTOR else []
+    quotients = [pair_quotient(a, b, delta)] if rule.family is Family.GAMMA_FACTOR else []
+    end = _near(quotients[0], lead) if quotients else None
+    interval = end is not None and quotients[0].exact is None
+    known, claimed, profile = _read_point(*shift_point(spec, a, b, delta), end,
+                                          interval)
     claim = rule.claim(spec)
-    signs, profile = _row_signs(hr.rows, lead, quotients,
-                                None if rule.one_signed else claim)
-    weigh = [m for m, s in enumerate(signs) if s is None]
-    sums = dict(zip(weigh, hr.sums(weigh)))
+    signs = _apply_claim(known, claimed, claim, lead)
+    weigh = [m for m, s in enumerate(signs) if s is None]  # the rows left open
+    sums = dict(zip(weigh, half_range_pass(rule.family, spec, a, b, delta).sums(weigh)
+                    if weigh else ()))
     weighed = (pair_signs(sums.values(), *quotients) if quotients
                else map(sign_of, sums.values()))
     for m, sign in zip(weigh, weighed):
@@ -251,7 +288,7 @@ def check_signs(rule: SignRule, spec: HypSeriesSpec, a, b, delta,
     pending = [m for m, s in enumerate(signs) if s is Sign.INCONCLUSIVE]
     if pending:
         with working_precision(2 * get_precision()):
-            quotients.append(hr.quotient())
+            quotients.append(pair_quotient(a, b, delta))
         retry = pair_signs([sums[m] for m in pending], quotients[-1])
         for m, sign in zip(pending, retry):
             signs[m] = sign
@@ -264,7 +301,7 @@ def check_signs(rule: SignRule, spec: HypSeriesSpec, a, b, delta,
                       if first is None else Verdict.VIOLATED,
                       reason="degenerate equal shifts")
 
-    if quotients and quotients[0].exact is None:
+    if interval:
         # the profile pairs the first enclosure's near end left undecided:
         # one of another sign, ZERO from an exact retry too, is off-sign
         for quotient in quotients:
@@ -284,7 +321,6 @@ def check_signs(rule: SignRule, spec: HypSeriesSpec, a, b, delta,
                   broken or ("undecided indices remain after escalation"
                              if still_open else None),
                   still_open, bool(pending), len(pending))
-
 
 def verify_theorem1(spec: HypSeriesSpec, a, b, delta, M: int | None = None) -> SignReport:
     """Exact sign check of the upper-factor coefficients phi_m for

@@ -17,9 +17,11 @@ import pytest
 
 import turankit.cli as cli_mod
 from turankit import series as series_module
+from turankit import verify as verify_module
 from turankit.cli import build_parser, main
 from turankit.errors import TermCapError
 from turankit.intervals import get_precision
+from turankit.series import Family
 from turankit.verify import DEFAULT_M, default_cases
 
 
@@ -59,7 +61,7 @@ def recording_pool(monkeypatch):
     return seen
 
 
-def _no_work(*args):
+def _no_work(*args, **kwargs):
     raise AssertionError("a refused input must exit before any work")
 
 
@@ -74,7 +76,7 @@ def no_work(monkeypatch):
 
 
 def _shift_point(case):
-    """The row memo's key of a sign case."""
+    """The shift point of a sign case, by which the CLI groups it."""
     p = case.params
     return series_module.shift_point(case.spec(), p["a"], p["b"], p["delta"])
 
@@ -259,7 +261,7 @@ class TestJobs:
 class TestPointMajor:
     def test_default_grid_builds_each_shift_point_once(self, tmp_path,
                                                        monkeypatch):
-        monkeypatch.setattr(series_module, "_ROW_MEMO", series_module._RowMemo())
+        verify_module._read_point.cache_clear()
         builds = []
         real = series_module._row_half
         monkeypatch.setattr(series_module, "_row_half",
@@ -267,6 +269,29 @@ class TestPointMajor:
         code, _, _ = run_cli(ALL_GRID + ["--jobs", "1"], tmp_path)
         assert code == 0
         assert len(builds) == len(set(builds)) == 90
+
+    def test_an_order_200_point_is_built_once_per_group(self, monkeypatch):
+        # the cases of two shift points at the cap on M, interleaved, run
+        # as the CLI groups them
+        builds = []
+        real = series_module._row_half
+        monkeypatch.setattr(series_module, "_row_half",
+                            lambda *key: builds.append(key) or real(*key))
+        points = [(Fraction(1, 2), Fraction(3), Fraction(1)),
+                  (Fraction(1), Fraction(2), Fraction(1))]
+        by_point = [[c for c in default_cases("all", cli_mod.MAX_M)
+                     if c.theorem in ("thm1", "binomial") and
+                     (c.params["a"], c.params["b"], c.params["delta"]) == point]
+                    for point in points]
+        cases = [c for pair in zip(*by_point) for c in pair]
+        assert len(cases) == 2 * 6
+        chunks = cli_mod._chunks(cases, 1)
+        assert len(chunks) == 2
+        for chunk in chunks:
+            records = cli_mod._run_chunk([cases[i] for i in chunk], get_precision(), None)
+            assert {r["verdict"] for r in records} == {"verified"}
+        assert builds == [(Family.UPPER_FACTOR, *point, cli_mod.MAX_M)
+                          for point in points]
 
     def test_chunks_hold_whole_shift_points(self, tmp_path, monkeypatch,
                                             recording_pool):
@@ -582,6 +607,44 @@ class TestInputCaps:
             assert code == 0
             assert rep["config_echo"]["precision"] == cli_mod.MAX_PRECISION
         assert seen == [cli_mod.MAX_PRECISION] * 2
+
+    # every flag that takes a rational, with "{}" for a value whose
+    # numerator (1e...) or denominator (1e-...) has the digits under test
+    RATIONAL_FLAGS = [
+        ["verify", "--theorem", "turan", "--family", "1f1-upper", "--c", "3",
+         "--a", "1e{}", "--delta", "1"],
+        ["verify", "--theorem", "thm1", "--family", "1f1-upper", "--c", "3",
+         "--a", "1", "--b", "1e{}", "--delta", "1", "--M", "0"],
+        ["verify", "--theorem", "turan", "--family", "1f1-upper", "--c", "3",
+         "--a", "1", "--delta", "1e-{}", "--x-grid", "1,1e{}"],
+        ["verify", "--theorem", "turan", "--family", "1f1-upper", "--c", "3",
+         "--a", "1", "--delta", "1", "--tol", "1e-{}"],
+        ["explore", "--a", "1e-{}", "--x-max", "1e{}"],
+    ]
+    DIGITS = getattr(sys, "get_int_max_str_digits", int)()
+
+    @pytest.mark.skipif(not DIGITS, reason="ints of any size print")
+    @pytest.mark.parametrize("argv", RATIONAL_FLAGS)
+    def test_rational_at_the_digit_limit_reaches_the_work(self, argv, no_work):
+        with pytest.raises(AssertionError, match="before any work"):
+            main([a.format(self.DIGITS - 1) for a in argv])
+
+    @pytest.mark.skipif(not DIGITS, reason="ints of any size print")
+    @pytest.mark.parametrize("argv", RATIONAL_FLAGS)
+    def test_rational_past_the_digit_limit_exits_2(self, argv, no_work, capsys):
+        # the reports could not print it: refused while parsing
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(self.DIGITS) for a in argv])
+        assert exc.value.code == 2
+        assert f"or denominator of more than {self.DIGITS} digits" in \
+            capsys.readouterr().err
+
+    @pytest.mark.skipif(not DIGITS, reason="ints of any size print")
+    def test_rational_at_the_digit_limit_is_reported(self, tmp_path):
+        argv = [a.format(self.DIGITS - 1) for a in self.RATIONAL_FLAGS[1]]
+        code, rep, _ = run_cli(argv, tmp_path)
+        assert code == 0
+        assert rep["per_case"][0]["params"]["b"] == "1" + "0" * (self.DIGITS - 1)
 
 
 class TestTolerance:

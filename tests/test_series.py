@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from turankit import series as series_module
+from turankit import verify as verify_module
 from turankit.errors import DomainError, PoleError
 from turankit.intervals import (CertifiedInterval, get_precision,
                                 working_precision)
@@ -29,7 +30,8 @@ from turankit.series import (DEFAULT_ORDER, Family, HypSeriesSpec, MonotoneClass
                              pair_signs, phi_coefficients, psi_coefficients,
                              sign_of, weight_ratio_class)
 from turankit.exact import pochhammer
-from turankit.verify import default_cases, verify_theorem1, verify_theorem3
+from turankit.verify import (Verdict, default_cases, verify_theorem1,
+                             verify_theorem2, verify_theorem3)
 
 
 # ---------------------------------------------------------------- oracles
@@ -493,34 +495,7 @@ def test_profile_makes_the_pass_to_its_own_order():
         _profile_oracle(Family.LOWER_FACTOR, a, b, d, 5)
 
 
-# ------------------------------------------------------------ the row memo
-
-@pytest.fixture
-def memo(monkeypatch):
-    """An empty row memo with the module's bounds, in place of the shared
-    one."""
-    fresh = series_module._RowMemo()
-    monkeypatch.setattr(series_module, "_ROW_MEMO", fresh)
-    return fresh
-
-
-def _built(family, spec, a, b, d):
-    """The pass a build with an empty memo gives."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(series_module, "_ROW_MEMO", series_module._RowMemo())
-        return half_range_pass(family, spec, a, b, d)
-
-
-def _held_bytes(memo):
-    """The bytes of the row tuples and ints the memo holds, by their
-    __sizeof__, counted afresh."""
-    def size(value):
-        if type(value) is tuple:
-            return value.__sizeof__() + sum(map(size, value))
-        return value.__sizeof__()
-
-    return sum(size(rows) for _, _, rows, _ in memo.stored.values())
-
+# ------------------------------------------------------ the row-read memo
 
 def _count_builds(monkeypatch) -> list:
     """The keys of the row sets built from now on, one entry a build."""
@@ -539,85 +514,119 @@ def _sign_grid_passes():
             yield case.spec(), p["a"], p["b"], p["delta"]
 
 
+_CHECKS = {Family.UPPER_FACTOR: verify_theorem1, Family.GAMMA_FACTOR: verify_theorem2,
+           Family.LOWER_FACTOR: verify_theorem3}
+
+
+def _cached_reads(monkeypatch) -> list:
+    """The reads _read_point makes from now on, as it caches them."""
+    reads = []
+    real = verify_module._row_signs
+    monkeypatch.setattr(verify_module, "_row_signs",
+                        lambda *args: reads.append(real(*args)) or reads[-1])
+    return reads
+
+
+def _tuples_only(value) -> bool:
+    """Whether value is a tuple of tuples, ints, strs, Signs and None, all
+    the way down."""
+    return type(value) is tuple and all(
+        _tuples_only(v) if isinstance(v, (tuple, list)) else
+        v is None or isinstance(v, (int, str, Sign)) for v in value)
+
+
 class TestRowMemo:
+    """The sign checks cache each shift point's read of its rows
+    (verify._read_point), not the rows: an lru_cache of _READS reads, which
+    the autouse fixture of conftest.py empties around every test."""
+
     @pytest.mark.parametrize("spec", [gauss_upper(F(3, 2), F(5, 2), 8),
                                       kummer_gamma(F(5, 2), 8),
                                       gauss_lower(F(1, 2), F(2), 8)])
-    def test_changed_rows_reach_no_later_pass(self, spec, memo):
-        # the rows are tuples of tuples, so no pass can change the row set
-        # that every pass of the shift point is given
+    def test_changed_rows_reach_no_later_pass(self, spec, monkeypatch):
+        # the read is tuples, so a caller that edits its report changes
+        # neither the cached read nor the later reports of the point
+        reads = _cached_reads(monkeypatch)
         a, b, d = F(1, 2), F(3), F(3, 4)
-        want = _built(spec.family, spec, a, b, d)
+        want = _CHECKS[spec.family](spec, a, b, d)
         for _ in range(3):
-            hr = half_range_pass(spec.family, spec, a, b, d)
-            assert (hr.D, hr.lower_scale, hr.rows) == \
-                (want.D, want.lower_scale, want.rows)
-            assert hr.sums() == want.sums()
-            assert type(hr.rows) is tuple
-            assert all(type(row) is tuple for row in hr.rows)
-            with pytest.raises(TypeError):
-                hr.rows[2][0] = None
-            with pytest.raises(TypeError):
-                hr.rows[3] = ()
-        assert len(memo.stored) == 1
+            rep = _CHECKS[spec.family](spec, a, b, d)
+            assert rep == want and rep.per_index_sign is not want.per_index_sign
+            rep.per_index_sign[:] = [Sign.INCONCLUSIVE] * len(rep.per_index_sign)
+            rep.per_index_sign.append(Sign.ZERO)
+        [read] = reads
+        assert _tuples_only(read)
+        with pytest.raises(TypeError):
+            read[0][2] = None
+        assert verify_module._read_point.cache_info().currsize == 1
 
-    def test_a_refused_pass_raises_on_every_request(self, memo):
-        spec = kummer_lower(F(1), 8)
+    def test_a_refused_pass_raises_on_every_request(self):
+        # lru_cache stores no exception, so a refused point is built, and
+        # refused, on every request
+        read = verify_module._read_point
         for _ in range(3):
             with pytest.raises(PoleError):
-                half_range_pass(Family.LOWER_FACTOR, spec, F(-5), F(2), F(1, 2))
+                half_range_pass(Family.LOWER_FACTOR, kummer_lower(F(1), 8),
+                                F(-5), F(2), F(1, 2))
+            with pytest.raises(PoleError):
+                read(Family.LOWER_FACTOR, F(-5), F(2), F(1, 2), 8, None, False)
             with pytest.raises(DomainError):
                 half_range_pass(Family.GAMMA_FACTOR, kummer_gamma(F(1), 4), 0, 1, 1)
-        assert not memo.stored
+            with pytest.raises(DomainError):
+                read(Family.GAMMA_FACTOR, F(0), F(1), F(1), 4, F(1), False)
+        assert read.cache_info().currsize == 0
 
-    @pytest.mark.parametrize("size", [series_module._ROW_MEMO_BYTES, 200_000])
-    def test_bound_holds_over_the_default_grid(self, size, monkeypatch):
-        memo = series_module._RowMemo()
-        memo.bytes = size
-        monkeypatch.setattr(series_module, "_ROW_MEMO", memo)
+    def test_default_grid_builds_and_hits(self, monkeypatch):
         builds = _count_builds(monkeypatch)
+        info = verify_module._read_point.cache_info
+        assert info().maxsize == verify_module._READS < 90
         for spec, a, b, d in _sign_grid_passes():
-            half_range_pass(spec.family, spec, a, b, d)
-            assert memo.held_bytes == _held_bytes(memo) <= memo.bytes
-        if size == series_module._ROW_MEMO_BYTES:
-            # each of the 90 shift points is built by the first weight rule
-            # of its family and held for the others; only the binomial
-            # sweep, after the gamma and lower sweeps, builds its 30 upper
-            # points again
-            assert len(builds) == 90 + 30
-        else:  # too small for a family's 30 row sets, so the bound binds
-            assert len(builds) > 90 + 30
+            rep = _CHECKS[spec.family](spec, a, b, d)
+            assert rep.verdict is Verdict.VERIFIED
+            assert info().currsize <= info().maxsize
+        # each of the 90 shift points is built by the first weight rule of
+        # its family and read by the others; only the binomial sweep, after
+        # the gamma and lower sweeps, builds its 30 upper points again
+        assert len(builds) == info().misses == 90 + 30
+        assert info().hits == 420 - 120
 
-    def test_a_repeated_key_builds_nothing(self, memo, monkeypatch):
+    def test_a_repeated_key_builds_nothing(self, monkeypatch):
         builds = _count_builds(monkeypatch)
-        spec, key = kummer_upper(F(2), 10), (Family.UPPER_FACTOR, F(1), F(2), F(1), 10)
-        first = half_range_pass(Family.UPPER_FACTOR, spec, 1, 2, 1)
-        assert len(builds) == 1 and list(memo.stored) == [key]
-        for c in (F(2), F(3), F(4)):
-            hr = half_range_pass(Family.UPPER_FACTOR, kummer_upper(c, 10), 1, 2, 1)
-            # the memo hands out the row set it holds
-            assert hr.rows is first.rows is memo.stored[key][2]
+        for c in (F(2), F(3), F(4), F(1, 2)):
+            assert verify_theorem1(kummer_upper(c, 10), 1, 2, 1).verdict \
+                is Verdict.VERIFIED
+        assert builds == [(Family.UPPER_FACTOR, F(1), F(2), F(1), 10)]
+        # a gamma read is keyed by the enclosure end it reads against too,
+        # which the precision sets
+        for digits in (30, 30, 60, 60):
+            with working_precision(digits):
+                verify_theorem2(kummer_gamma(F(3), 10), 1, 2, F(1, 2))
+        assert len(builds) == 3
+        info = verify_module._read_point.cache_info()
+        assert (info.hits, info.misses) == (5, 3)
+
+    def test_the_least_recently_used_is_evicted(self, monkeypatch):
+        spec, size = kummer_upper(F(2), 6), verify_module._READS
+        points = [(1, 1 + F(1, n), 1) for n in range(1, size + 2)]
+        for point in points[:size]:
+            verify_theorem1(spec, *point)
+        builds = _count_builds(monkeypatch)
+        verify_theorem1(spec, *points[0])  # the oldest becomes the newest
+        verify_theorem1(spec, *points[-1])  # and so the second oldest goes
+        verify_theorem1(spec, *points[0])
         assert len(builds) == 1
+        verify_theorem1(spec, *points[1])
+        assert [key[2] for key in builds] == [points[-1][1], points[1][1]]
 
-    def test_the_least_recently_used_is_evicted(self, memo):
-        keys = [series_module.shift_point(kummer_upper(F(2), 6), 1, b, 1)
-                for b in (F(2), F(3), F(4))]
-        sizes = series_module._RowMemo()
-        for key in keys:
-            sizes.get(key)
-        memo.bytes = sizes.held_bytes - 1  # room for any two of the three
-        for b in (F(2), F(3), F(2), F(4)):
-            half_range_pass(Family.UPPER_FACTOR, kummer_upper(F(2), 6), 1, b, 1)
-        assert list(memo.stored) == [keys[0], keys[2]]
-
-    def test_threads_share_the_memo(self, memo):
+    def test_threads_share_the_memo(self):
         # four threads ask for each shift point at once, for three weight
         # rules each, so builds, hits and stores race
         specs = [kummer_upper(c, 8) for c in (F(1), F(2), F(3))]
         points = [(a, a + t, F(1, 2)) for a in (F(1, 2), F(1), F(3, 2), F(2))
                   for t in (F(1, 3), F(1, 2), F(1), F(2), F(3))]
-        want = {pt: _built(Family.UPPER_FACTOR, specs[0], *pt).rows
-                for pt in points}
+        want = {(pt, spec): verify_theorem1(spec, *pt)
+                for pt in points for spec in specs}
+        verify_module._read_point.cache_clear()
         meet = threading.Barrier(4, timeout=30)
         failures = []
 
@@ -626,8 +635,7 @@ class TestRowMemo:
                 for pt in points:
                     meet.wait()
                     for spec in specs:
-                        hr = half_range_pass(Family.UPPER_FACTOR, spec, *pt)
-                        if hr.rows != want[pt]:
+                        if verify_theorem1(spec, *pt) != want[pt, spec]:
                             failures.append(pt)
             except Exception as exc:  # reported by the assertion below
                 failures.append(exc)
@@ -644,24 +652,7 @@ class TestRowMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert failures == []
-        assert memo.held_bytes == _held_bytes(memo)
-        assert len(memo.stored) == len(points)
-
-    def test_an_order_200_lower_row_set_is_held_alone(self, memo, monkeypatch):
-        # over the byte bound, it is built once and held as the newest entry
-        # with nothing older, until the next row set built evicts it
-        small = (Family.LOWER_FACTOR, F(1), F(2), F(1), 10)
-        half_range_pass(Family.LOWER_FACTOR, kummer_lower(F(1), 10), 1, 2, 1)
-        builds = _count_builds(monkeypatch)
-        spec = gauss_lower(F(1, 2), F(2), 200)
-        for _ in range(3):
-            half_range_pass(Family.LOWER_FACTOR, spec, F(1, 2), F(1), F(1, 2))
-            assert list(memo.stored) == [
-                (Family.LOWER_FACTOR, F(1, 2), F(1), F(1, 2), 200)]
-            assert memo.held_bytes == _held_bytes(memo) > memo.bytes
-        assert len(builds) == 1
-        half_range_pass(Family.LOWER_FACTOR, kummer_lower(F(2), 10), 1, 2, 1)
-        assert list(memo.stored) == [small]
+        assert verify_module._read_point.cache_info().currsize == len(points)
 
     def test_pair_weight_sums_match_the_weight_products(self):
         # sum_k W_k W_{m-k} r_k, multiplied out afresh for every m

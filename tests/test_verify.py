@@ -137,30 +137,28 @@ class TestTheorem3:
 
 
 def _tamper(monkeypatch, change, keep_sums=False):
-    """Hand change() list copies of the rows of every half-range pass of
-    the sign checks, and give the pass the changed rows.  With keep_sums
-    the pass keeps its true rows, so its coefficients are read and weighed
-    from them, and only the profile verdict is read from the changed
-    rows."""
-    def changed(rows):
+    """Hand change() list copies of the rows of every shift point built from
+    now on, the reads made before dropped: the sign checks read the changed
+    rows, and a pass they build weighs them too, but with keep_sums a pass
+    weighs the true rows, so that its coefficients are the true ones and
+    only the read, with the profile verdict, sees the change."""
+    real = series_module._row_half
+
+    def tampered(*key):
+        D, lower_scale, rows = real(*key)
         rows = [list(row) for row in rows]
         change(rows)
-        return rows
+        return D, lower_scale, rows
 
+    monkeypatch.setattr(series_module, "_row_half", tampered)
+    verify_module._read_point.cache_clear()
     if keep_sums:
-        def read(rows, *args, _real=verify_module._row_signs):
-            return _real(rows, *args)[0], _real(changed(rows), *args)[1]
+        def true_pass(*args, _real=verify_module.half_range_pass):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(series_module, "_row_half", real)
+                return _real(*args)
 
-        monkeypatch.setattr(verify_module, "_row_signs", read)
-        return
-    real = verify_module.half_range_pass
-
-    def tampered(*args, **kwargs):
-        hr = real(*args, **kwargs)
-        hr.rows = changed(hr.rows)
-        return hr
-
-    monkeypatch.setattr(verify_module, "half_range_pass", tampered)
+        monkeypatch.setattr(verify_module, "half_range_pass", true_pass)
 
 
 def _negate_row5(rows):
@@ -293,12 +291,13 @@ class TestRowRead:
     @pytest.mark.parametrize("theorem", ["thm1", "thm2", "thm3", "binomial"])
     def test_default_grid_weight_builds(self, monkeypatch, theorem):
         builds = _count_weight_builds(monkeypatch)
-        weighed = _record_weighed(monkeypatch)
-        cases = default_cases(theorem)
-        reports = [run_case(case) for case in cases]
+        passes = []
+        real = verify_module.half_range_pass
+        monkeypatch.setattr(verify_module, "half_range_pass",
+                            lambda *args: passes.append(args) or real(*args))
+        reports = [run_case(case) for case in default_cases(theorem)]
         assert all(r.verdict is Verdict.VERIFIED for r in reports)
-        assert builds == []
-        assert weighed == [[]] * len(cases)
+        assert builds == [] and passes == []
 
     @pytest.mark.parametrize("check, change", [
         (THM1, _zigzag_row5), (THM2, _wrong_pair_row5),
@@ -313,9 +312,6 @@ class TestRowRead:
         # its sign is that of the weighted sum of the tampered row
         hr = series_module.half_range_pass(spec.family, replace(spec, order=M),
                                            a, b, d)
-        rows = [list(row) for row in hr.rows]
-        change(rows)
-        hr.rows = rows
         (s5,) = hr.sums([5])
         want = (pair_signs([s5], hr.quotient())[0]
                 if spec.family is Family.GAMMA_FACTOR else sign_of(s5))
@@ -460,10 +456,9 @@ def enclosures(draw):
 @example([[0, 1, -1]], 1)  # M_0 = 0, then one sign change
 @settings(max_examples=300, deadline=None)
 def test_thm1_profiles_match_the_sign_lists(rows, lead):
-    # the reader checks the profiles m >= 2 with any claim
-    for claim in (Sign.POSITIVE, Sign.ZERO):
-        assert verify_module._row_signs([[0], [0], *rows], lead, [], claim)[1] == \
-            _ref_sum_zero_one_change(rows, lead)
+    # the reader checks the profiles m >= 2 without the claim
+    assert verify_module._row_signs([[0], [0], *rows], lead, None, False, True)[2] \
+        == _ref_sum_zero_one_change(rows, lead)
 
 
 @given(integer_rows, leads)
@@ -472,24 +467,9 @@ def test_thm1_profiles_match_the_sign_lists(rows, lead):
 @example([[1], [0, 2]], 1)
 @settings(max_examples=300, deadline=None)
 def test_thm3_profiles_match_the_sign_lists(rows, lead):
-    # the reader checks the profiles m >= 2 without a claim
-    assert verify_module._row_signs([[0], [0], *rows], lead, [])[1] == \
-        _ref_one_signed([[sign_of(v) for v in row] for row in rows], lead)
-
-
-class _GammaPass:
-    """A stand-in gamma-family pass with the given rows: quotient() gives
-    the next enclosure (the last again once they run out), and a row is
-    weighed with unit weights."""
-
-    def __init__(self, rows, quotients):
-        self.rows, self._quotients = rows, list(quotients)
-
-    def quotient(self):
-        return self._quotients.pop(0) if len(self._quotients) > 1 else self._quotients[0]
-
-    def sums(self, ms):
-        return [tuple(map(sum, zip(*self.rows[m]))) for m in ms]
+    # the reader checks the profiles m >= 2 as one-signed
+    assert verify_module._row_signs([[0], [0], *rows], lead, None, False, False)[2] \
+        == _ref_one_signed([[sign_of(v) for v in row] for row in rows], lead)
 
 
 @given(pair_rows, leads, st.lists(enclosures(), min_size=1, max_size=2))
@@ -506,12 +486,17 @@ def test_thm2_profiles_match_the_sign_lists(rows, lead, quotients):
     # the profiles m >= 2 of a whole check: coefficients 0 and 1 are a pair
     # on the first enclosure's lower end, which an interval leaves undecided,
     # so the check escalates and the second enclosure reads the profiles too
+    # the drawn rows stand in for a point's, and the drawn enclosures, the
+    # last again once they run out, for its Gamma quotient's
     first = quotients[0].lo
     tie = [(first.numerator, first.denominator)]
-    hr = _GammaPass([tie, tie, *rows], quotients)
+    enclosure = iter(quotients)
     a, b = (1, 2) if lead < 0 else (2, 1)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(verify_module, "half_range_pass", lambda *args: hr)
+        patch.setattr(series_module, "_row_half", lambda *key: (1, 1, [tie, tie, *rows]))
+        patch.setattr(series_module, "gamma_quotient",
+                      lambda *args: next(enclosure, quotients[-1]))
+        verify_module._read_point.cache_clear()  # the point of another example
         rep = verify_module.check_signs(verify_module.SIGN_RULES["thm2"],
                                         kummer_gamma(F(1)), a, b, 1, len(rows) + 1)
     reason = None if rep.reason == "undecided indices remain after escalation" \
@@ -544,7 +529,7 @@ def _weigh(weights, row):
 def test_integer_row_read_gives_the_weighted_sign(drawn, lead):
     # a row is read exactly when its values share one sign or are all zero
     rows, weights = drawn
-    signs, _ = verify_module._row_signs(rows, lead, [])
+    signs = verify_module._row_signs(rows, lead, None, False, False)[0]
     for row, w, sign in zip(rows, weights, signs):
         assert (sign is None) == (min(row) < 0 < max(row))
         assert sign in (None, sign_of(_weigh(w, row)))
@@ -561,7 +546,8 @@ def test_integer_row_read_gives_the_weighted_sign(drawn, lead):
 def test_gamma_row_read_gives_the_weighted_sign(drawn, lead, quotients):
     rows, weights = drawn
     first = quotients[0]
-    signs, _ = verify_module._row_signs(rows, lead, quotients)
+    signs = verify_module._row_signs(rows, lead, verify_module._near(first, lead),
+                                     first.exact is None, False)[0]
     for row, w, sign in zip(rows, weights, signs):
         pair = tuple(_weigh(w, v) for v in zip(*row))
         assert sign in (None, pair_signs([pair], first)[0])
@@ -618,7 +604,8 @@ def test_thm1_row_read_gives_the_weighted_sign(drawn):
     # ratio class has the sign of its weighted sum sum_k W_k W_{m-k} r_k
     lead, rows, W = drawn
     claim = verify_module._weight_claim(series_module._monotone_class(W[1:], W[:-1]))
-    signs, profile = verify_module._row_signs(rows, lead, [], claim)
+    signs, claimed, profile = verify_module._row_signs(rows, lead, None, False, True)
+    signs = verify_module._apply_claim(signs, claimed, claim, lead)
     for m, (row, sign) in enumerate(zip(rows, signs)):
         if sign is not None:
             assert sign is sign_of(sum(W[k] * W[m - k] * r for k, r in enumerate(row)))
@@ -626,8 +613,7 @@ def test_thm1_row_read_gives_the_weighted_sign(drawn):
         if min(row) >= 0 or max(row) <= 0 or (claim is not None and
                                               _one_change(row, lead)):
             assert sign is not None
-    if claim is not None:
-        assert profile == _ref_sum_zero_one_change(rows[2:], lead)
+    assert profile == _ref_sum_zero_one_change(rows[2:], lead)
 
 
 @pytest.mark.parametrize("theorem, family, params, check", [
