@@ -527,6 +527,17 @@ def _cached_reads(monkeypatch) -> list:
     return reads
 
 
+def _deep_bytes(value, seen: set) -> int:
+    """sys.getsizeof of value and of every tuple item and Fraction part it
+    holds, each object not in seen counted once."""
+    if id(value) in seen:
+        return 0
+    seen.add(id(value))
+    parts = value if isinstance(value, tuple) else \
+        (value.numerator, value.denominator) if isinstance(value, F) else ()
+    return sys.getsizeof(value) + sum(_deep_bytes(v, seen) for v in parts)
+
+
 def _tuples_only(value) -> bool:
     """Whether value is a tuple of tuples, ints, strs, Signs and None, all
     the way down."""
@@ -589,6 +600,29 @@ class TestRowMemo:
         # the gamma and lower sweeps, builds its 30 upper points again
         assert len(builds) == info().misses == 90 + 30
         assert info().hits == 420 - 120
+
+    @pytest.mark.parametrize("size", [1_250_000, 200_000])
+    def test_bound_holds_over_the_default_grid(self, size, monkeypatch):
+        # the cache holds at most maxsize entries, each a key, its read and
+        # the cache's link (a list of four); with the largest entry of the
+        # grid counted in full for each, that stays within the row memo's
+        # old byte bound, and within 200,000 bytes, which the rows of
+        # maxsize shift points overrun
+        read, entries = verify_module._read_point, []
+        monkeypatch.setattr(
+            verify_module, "_read_point",
+            lambda *key: entries.append((key, read(*key))) or entries[-1][1])
+        for spec, a, b, d in _sign_grid_passes():
+            _CHECKS[spec.family](spec, a, b, d)
+            assert read.cache_info().currsize <= read.cache_info().maxsize
+        assert len(entries) == 420
+        entry = max(_deep_bytes(e, set()) for e in entries) + \
+            sys.getsizeof([None] * 4)
+        assert read.cache_info().maxsize * entry <= size
+        if size == 200_000:
+            rows = sorted(_deep_bytes(series_module._row_half(*key)[2], set())
+                          for key in {key[:5] for key, _ in entries})
+            assert sum(rows[-read.cache_info().maxsize:]) > size
 
     def test_a_repeated_key_builds_nothing(self, monkeypatch):
         builds = _count_builds(monkeypatch)
