@@ -27,6 +27,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from collections import Counter
 from contextlib import nullcontext
@@ -63,15 +64,30 @@ MAX_PRECISION = 350
 MAX_KERNEL_BITS = 2 ** 20
 
 
+# a decimal exponent, which Fraction() expands to a power of ten
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
+
+
 def _rational(text: str) -> Fraction:
     """An exact rational flag value.  The reports print every value, so a
     numerator or denominator of more digits than the interpreter converts
-    to a string (0: no limit) is refused."""
+    to a string (0: no limit) is refused.  So is, before Fraction() spends
+    time on 10**exponent, a decimal exponent above that limit plus the
+    length of the text in magnitude: the value's numerator or denominator
+    would be past the limit, unless it is 0, so 0e10000000 is refused too."""
+    digits = getattr(sys, "get_int_max_str_digits", int)()
+    exponent = _EXPONENT.search(text)
+    if digits and exponent:
+        bound = digits + len(text)
+        magnitude = exponent[1].lstrip("+-").replace("_", "").lstrip("0")
+        if len(magnitude) > len(str(bound)) or int(magnitude or 0) > bound:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} has the decimal exponent {exponent[1]}, above {bound} "
+                "in magnitude")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
-    digits = getattr(sys, "get_int_max_str_digits", int)()
     if digits and max(abs(value.numerator), value.denominator) >= 10 ** digits:
         raise argparse.ArgumentTypeError(
             f"{text!r} has a numerator or denominator of more than {digits} digits")

@@ -33,9 +33,11 @@ a gamma pair (p, q) through its cross-products with an enclosure end
 builds the pass to weigh a row only if one is left open: on the default
 grids none is.
 
-Orientation is antisymmetric: swapping a and b negates every coefficient,
-so the checker accepts either order and flips the claimed sign; a = b
-claims zero everywhere.
+The theorems are stated for b > a, and the rows are read only so: swapping
+a and b negates every coefficient and every half-range value, so
+``check_signs`` checks an a > b case at its mirror point (b, a), with the
+mirror's read, and swaps POSITIVE and NEGATIVE in the report; the claim is
+never flipped.  a = b claims zero everywhere.
 
 The bound checks (corollary/turan) test the function-level two-sided
 bound Gamma-quotient < f(b+d,x)f(a,x)/[f(a+d,x)f(b,x)] < 1 pointwise on
@@ -97,70 +99,54 @@ def _weight_claim(weight_class: MonotoneClass) -> Sign | None:
             MonotoneClass.CONSTANT: Sign.ZERO}.get(weight_class)
 
 
-_FLIP = {Sign.POSITIVE: Sign.NEGATIVE, Sign.NEGATIVE: Sign.POSITIVE,
-         Sign.ZERO: Sign.ZERO}
-
-
-def _near(quotient: CertifiedInterval, lead: int) -> Fraction:
-    """The end of an enclosure of the Gamma quotient Q nearest to the sign
-    ``lead`` (-1 or 1): p - Q q has the sign -1 when p/q is below the lower
-    end, 1 when it is above the upper end."""
-    if quotient.exact is not None:
-        return quotient.exact
-    return quotient.lo if lead < 0 else quotient.hi
+# a > b signs from the mirror's; ZERO and INCONCLUSIVE are their own mirror
+_FLIP = {Sign.POSITIVE: Sign.NEGATIVE, Sign.NEGATIVE: Sign.POSITIVE}
 
 
 _OFF_SIGN = None, False, "profile value off-sign"
 
 
-def _row_signs(rows, lead, end, interval, chebyshev):
-    """The one reader of the rows of all three rules, before any is weighed
-    and without the claim.  ``lead`` is -1 when b > a, else 1.  Coefficient
-    m is sum_k c_k r_k over row m with c_k = W_k W_{m-k} > 0, so a row of
-    values all >= 0, or all <= 0, gives it the sign of any nonzero one, or
-    ZERO.
+def _row_signs(rows, end, interval, chebyshev):
+    """The one reader of the rows of all three rules, for b >= a, before any
+    is weighed and without the claim.  Coefficient m is sum_k c_k r_k over
+    row m with c_k = W_k W_{m-k} > 0, so a row of values all >= 0, or all
+    <= 0, gives it the sign of any nonzero one, or ZERO.
 
-    With ``chebyshev`` (the upper family), a row that starts with the sign
-    ``lead``, sums to zero and changes sign once is claimed: it has
-    Theorem 1's sign for strictly monotone or constant weight ratios
-    (:func:`_weight_claim`), flipped for lead 1 (:func:`_apply_claim`).
+    With ``chebyshev`` (the upper family), a row that starts negative, sums
+    to zero and changes sign once is claimed: it has Theorem 1's sign for
+    strictly monotone or constant weight ratios (:func:`_weight_claim`).
     For k < m//2, c_{k+1}/c_k = ratio(k+1)/ratio(m-k) is > 1, < 1 or 1 as
     the ratios strictly fall, strictly rise or stay; so with j the row's
-    first index of the other sign, sum_k (c_k - c_j) r_k has no term of the
+    first index of a value > 0, sum_k (c_k - c_j) r_k has no term of the
     wrong sign and a nonzero k = 0 term, or is 0 (Chebyshev's sum
     inequality in Abel's form: Hardy, Littlewood and Polya, Inequalities,
     ch. II).  On rows m >= 2 the test is also Theorem 1's profile check.
-    Otherwise (Theorems 2 and 3) the profiles m >= 2 claim every value has
-    the sign ``lead``: a row keeps it when its max (lead -1) or min (lead 1)
-    has that sign.
+    Otherwise (Theorems 2 and 3) the profiles m >= 2 claim every value
+    negative: a row keeps it when its max is negative.
 
     A gamma row's values are its pairs' cross-products with ``end``: the
-    exact Gamma quotient Q or, with ``interval``, the end of its first
-    enclosure nearest to ``lead`` (:func:`_near`).  An exact Q reads any
-    row of one sign; an interval only a row of the sign ``lead``: the
-    weighted pair's cross-product with that end then has it, which is how
-    ``pair_signs`` reads the weighted pair.
+    exact Gamma quotient Q or, with ``interval``, the lower end of its
+    first enclosure.  An exact Q reads any row of one sign; an interval
+    only a negative row: the weighted pair's cross-product with the lower
+    end is then negative, which is how ``pair_signs`` reads the weighted
+    pair.
 
     Gives tuples: each coefficient's sign (None if it must be weighed or is
     claimed), the claimed rows, and the profile verdict
     (mk_single_sign_change, mk_all_negative, reason) or, for an interval,
-    the pairs of rows m >= 2 whose cross-product lacks the sign ``lead``,
-    which :func:`check_signs` reads against each enclosure in turn."""
+    the pairs of rows m >= 2 whose cross-product is >= 0, which
+    :func:`check_signs` reads against each enclosure in turn."""
     near = rows
     if end is not None:  # one cross_products call over all rows, cut row by row
         cross = cross_products(list(chain.from_iterable(rows)), end)
         ends = list(accumulate(map(len, rows), initial=0))
         near = [cross[i:j] for i, j in zip(ends, ends[1:])]
-    wanted = sign_of(lead) if interval else None
-    skip, most = ((0).__ge__, min) if lead < 0 else ((0).__le__, max)
     signs, claimed, one_change, zero_sums, off = [], [], True, True, []
     for m, values in enumerate(near):
         change = False
         if chebyshev:
-            # M_0 has the sign lead; past the values of that sign or zero,
-            # one is left and none has it
-            change = values[0] * lead > 0 and \
-                most(dropwhile(skip, values), default=lead) * lead <= 0
+            # M_0 < 0; past the values <= 0, one is left and none is < 0
+            change = values[0] < 0 and min(dropwhile((0).__ge__, values), default=-1) >= 0
             zero_sum = not sum(values)
             if m >= 2:
                 one_change, zero_sums = one_change and change, zero_sums and zero_sum
@@ -171,10 +157,10 @@ def _row_signs(rows, lead, end, interval, chebyshev):
         else:
             lo, hi = min(values), max(values)
             sign = sign_of(hi) if lo >= 0 else Sign.NEGATIVE if hi <= 0 else None
-            if not chebyshev and m >= 2 and (hi if lead < 0 else lo) * lead <= 0:
-                # a profile value not shown to have the sign lead
-                off += [pair for pair, v in zip(rows[m], values) if v * lead <= 0]
-        signs.append(sign if wanted in (None, sign) else None)
+            if not chebyshev and m >= 2 and hi >= 0:
+                # a profile value not shown negative
+                off += [pair for pair, v in zip(rows[m], values) if v >= 0]
+        signs.append(None if interval and sign is not Sign.NEGATIVE else sign)
     if chebyshev:
         profile = (one_change, None, "profile sum nonzero" if not zero_sums else
                    None if one_change else "profile sign pattern broken")
@@ -194,22 +180,12 @@ _READS = 32
 @lru_cache(maxsize=_READS)
 def _read_point(family: Family, a: Fraction, b: Fraction, delta: Fraction,
                 M: int, end: Fraction | None, interval: bool) -> tuple:
-    """:func:`_row_signs` of a shift point's rows (``series._row_half``), the
-    same for every weight rule and claim.  Tuples, so no caller can change
-    a cached read; a refused point (a lower-family pole, a nonpositive
-    gamma shift) raises on every request and is not cached."""
+    """:func:`_row_signs` of a shift point's rows (``series._row_half``),
+    b >= a, the same for every weight rule and claim.  Tuples, so no caller
+    can change a cached read; a refused point (a lower-family pole, a
+    nonpositive gamma shift) raises on every request and is not cached."""
     rows = series._row_half(family, a, b, delta, M)[2]
-    return _row_signs(rows, -1 if b > a else 1, end, interval,
-                      family is Family.UPPER_FACTOR)
-
-
-def _apply_claim(signs, claimed, claim, lead) -> list[Sign | None]:
-    """A read's signs as a new list, its ``claimed`` rows given the claim
-    for b > a, flipped for lead 1; with no claim they stay None."""
-    signs = list(signs)
-    for m in claimed if claim is not None else ():
-        signs[m] = claim if lead < 0 else _FLIP[claim]
-    return signs
+    return _row_signs(rows, end, interval, family is Family.UPPER_FACTOR)
 
 
 @dataclass(frozen=True)
@@ -239,19 +215,23 @@ def check_signs(rule: SignRule, spec: HypSeriesSpec, a, b, delta,
     """Check one sign theorem at one point: for 0 <= m <= M, coefficient m
     is zero below ``rule.first_signed`` and has the claimed sign from there
     on, and every profile m >= 2 keeps the rule's invariant.  a = b claims
-    zero everywhere; a > b flips every sign.  A spec of another family than
-    the rule's is refused.  Values the Gamma-quotient enclosure leaves
-    undecided get one retry at doubled precision; once a coefficient needs
-    it, undecided profile values get it too.
+    zero everywhere.  A spec of another family than the rule's is refused.
+    Values the Gamma-quotient enclosure leaves undecided get one retry at
+    doubled precision; once a coefficient needs it, undecided profile
+    values get it too.
 
-    Every weight is positive, so the rows are read first: the shift
-    point's cached read (:func:`_read_point`) gives the coefficient signs
-    it can, the rows that take the claim (:func:`_apply_claim`) and the
-    profile verdict.  Only when a row is left open is a pass built and that
-    row weighed.  The gamma pairs an interval enclosure leaves open in the
-    profile are read here with ``pair_signs`` against each enclosure in
-    turn: one of another sign (ZERO from an exact retry too) breaks the
-    profile claim, and one no enclosure decides leaves it open."""
+    An a > b case is its mirror point (b, a) with every coefficient negated:
+    the mirror's report, with POSITIVE and NEGATIVE swapped in
+    ``per_index_sign`` and ``params`` in the caller's order.
+
+    For b >= a every weight is positive, so the rows are read first: the
+    shift point's cached read (:func:`_read_point`) gives the coefficient
+    signs it can, the rows that take the claim and the profile verdict.
+    Only when a row is left open is a pass built and that row weighed.  The
+    gamma pairs an interval enclosure leaves open in the profile are read
+    here with ``pair_signs`` against each enclosure in turn: one that is
+    not negative (ZERO from an exact retry too) breaks the profile claim,
+    and one no enclosure decides leaves it open."""
     a, b, delta = Fraction(a), Fraction(b), Fraction(delta)
     if delta <= 0 or min(a, b) < 0 or (rule.positive_shifts and min(a, b) == 0):
         shifts = "positive" if rule.positive_shifts else "nonnegative"
@@ -259,14 +239,21 @@ def check_signs(rule: SignRule, spec: HypSeriesSpec, a, b, delta,
     if M is not None and M != spec.order:
         spec = replace(spec, order=M)
     check_family(rule.family, spec)
-    lead = -1 if b > a else 1
+    if a > b:
+        mirror = check_signs(rule, spec, b, a, delta)
+        return replace(mirror, params={"a": a, "b": b, "delta": delta},
+                       per_index_sign=[_FLIP.get(s, s) for s in mirror.per_index_sign])
     quotients = [pair_quotient(a, b, delta)] if rule.family is Family.GAMMA_FACTOR else []
-    end = _near(quotients[0], lead) if quotients else None
-    interval = end is not None and quotients[0].exact is None
+    end, interval = None, False
+    if quotients:  # the exact Gamma quotient, or its first enclosure's lower end
+        interval = quotients[0].exact is None
+        end = quotients[0].lo if interval else quotients[0].exact
     known, claimed, profile = _read_point(*shift_point(spec, a, b, delta), end,
                                           interval)
     claim = rule.claim(spec)
-    signs = _apply_claim(known, claimed, claim, lead)
+    signs = list(known)
+    for m in claimed if claim is not None else ():
+        signs[m] = claim
     weigh = [m for m, s in enumerate(signs) if s is None]  # the rows left open
     sums = dict(zip(weigh, half_range_pass(rule.family, spec, a, b, delta).sums(weigh)
                     if weigh else ()))
@@ -283,8 +270,6 @@ def check_signs(rule: SignRule, spec: HypSeriesSpec, a, b, delta,
         return report(None, None, None, Verdict.INCONCLUSIVE,
                       reason="weight ratio sequence is not monotone; "
                              "no sign is claimed")
-    if a > b:
-        claim = _FLIP[claim]
     pending = [m for m, s in enumerate(signs) if s is Sign.INCONCLUSIVE]
     if pending:
         with working_precision(2 * get_precision()):
@@ -302,11 +287,11 @@ def check_signs(rule: SignRule, spec: HypSeriesSpec, a, b, delta,
                       reason="degenerate equal shifts")
 
     if interval:
-        # the profile pairs the first enclosure's near end left undecided:
-        # one of another sign, ZERO from an exact retry too, is off-sign
+        # the profile pairs the first enclosure's lower end left undecided:
+        # one not negative, ZERO from an exact retry too, is off-sign
         for quotient in quotients:
             read = pair_signs(profile, quotient)
-            if set(read) - {sign_of(lead), Sign.INCONCLUSIVE}:
+            if set(read) - {Sign.NEGATIVE, Sign.INCONCLUSIVE}:
                 profile = _OFF_SIGN
                 break
             profile = [pair for pair, s in zip(profile, read) if s is Sign.INCONCLUSIVE]

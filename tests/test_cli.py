@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -645,6 +646,33 @@ class TestInputCaps:
         code, rep, _ = run_cli(argv, tmp_path)
         assert code == 0
         assert rep["per_case"][0]["params"]["b"] == "1" + "0" * (self.DIGITS - 1)
+
+    TURAN = ["verify", "--theorem", "turan", "--family", "1f1-upper", "--c", "3"]
+
+    # a decimal exponent past the digit limit plus the text's length, which
+    # Fraction() would spend seconds expanding to a power of ten
+    @pytest.mark.skipif(not DIGITS, reason="ints of any size print")
+    @pytest.mark.parametrize("argv, exponent", [
+        (TURAN + ["--a", "1e10000000", "--delta", "1"], "10000000"),
+        (TURAN + ["--a", "1", "--delta", "1", "--tol", "1e-10000000"], "-10000000"),
+        (TURAN + ["--a", "1", "--delta", "1", "--x-grid", "1,1e10000000"], "10000000"),
+        (TURAN + ["--a", "1e10_000_000", "--delta", "1"], "10_000_000"),
+        (TURAN + ["--a", "0e10000000", "--delta", "1"], "10000000"),
+        (["explore", "--c", "1e10000000"], "10000000"),
+    ], ids=["a", "tol", "x-grid", "underscored", "zero", "explore"])
+    def test_a_large_exponent_exits_2_at_once(self, argv, exponent, no_work, capsys):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert time.perf_counter() - start < 0.5
+        assert exc.value.code == 2
+        assert f"has the decimal exponent {exponent}, above" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not DIGITS, reason="ints of any size print")
+    @pytest.mark.parametrize("value", [f"1e{DIGITS - 1}", f"0e{DIGITS}"])
+    def test_an_exponent_within_the_limit_reaches_the_work(self, value, no_work):
+        with pytest.raises(AssertionError, match="before any work"):
+            main(self.TURAN + ["--a", value, "--delta", "1"])
 
 
 class TestTolerance:

@@ -18,7 +18,8 @@ from turankit.series import (Family, HypSeriesSpec, MkProfile, Sign,
                              WeightRule, binomial_upper, gauss_lower,
                              gauss_upper, kummer_gamma, kummer_lower,
                              kummer_upper, pair_signs, sign_of)
-from turankit.verify import (Case, Verdict, default_cases, run_case,
+from turankit.verify import (FAMILIES, THEOREM_FAMILIES, Case, Verdict,
+                             default_cases, run_case,
                              verify_corollary_twosided, verify_theorem1,
                              verify_theorem2, verify_theorem3, verify_turan)
 
@@ -378,6 +379,71 @@ class TestEscalation:
             == still_open
 
 
+# ------------------------------------------------------------ mirror points
+
+def _mirror_case(case):
+    """The case with a and b swapped."""
+    p = case.params
+    return replace(case, params={**p, "a": p["b"], "b": p["a"]})
+
+
+def _assert_mirrored(rep, mirror):
+    """rep is mirror's report with POSITIVE and NEGATIVE swapped in
+    per_index_sign, every other field but params equal."""
+    assert rep.per_index_sign == [NEG.get(s, s) for s in mirror.per_index_sign]
+    assert replace(rep, params=None, per_index_sign=None) == \
+        replace(mirror, params=None, per_index_sign=None)
+
+
+@st.composite
+def sign_cases(draw):
+    """A Theorem 1-3 case on rationals of denominator at most 12, as
+    perfbench's fresh_params draws them: shifts in (0, 4], delta in (0, 3]
+    and weight parameters in (0, 4], at an order M <= 12."""
+    def rational(top):
+        q = draw(st.integers(1, 12))
+        return F(draw(st.integers(1, top * q)), q)
+
+    theorem = draw(st.sampled_from(["thm1", "thm2", "thm3"]))
+    family = draw(st.sampled_from(THEOREM_FAMILIES[theorem]))
+    params = {"a": rational(4), "b": rational(4), "delta": rational(3),
+              **{k: rational(4) for k in FAMILIES[family][1]}}
+    return Case(theorem, family, params, draw(st.integers(0, 12)))
+
+
+class TestMirror:
+    """A case with a and b swapped has every coefficient negated, and is
+    checked at its mirror point: its report is the mirror's with POSITIVE
+    and NEGATIVE swapped, from the mirror's one read of the point."""
+
+    def test_default_grid_cases(self):
+        cases = [c for c in default_cases("all") if c.theorem in verify_module.DEFAULT_M]
+        assert len(cases) == 420
+        for case in cases:
+            _assert_mirrored(run_case(_mirror_case(case)), run_case(case))
+
+    @given(sign_cases())
+    # an interval Gamma quotient, and an exact one
+    @example(Case("thm2", "1f1-gamma",
+                  {"a": F(1, 3), "b": F(7, 4), "delta": F(5, 6), "c": F(3, 2)}, 12))
+    @example(Case("thm2", "1f1-gamma",
+                  {"a": F(11, 4), "b": F(1, 2), "delta": F(2), "c": F(1, 7)}, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_cases(self, case):
+        _assert_mirrored(run_case(_mirror_case(case)), run_case(case))
+
+    @pytest.mark.parametrize("check", [THM1, THM2, THM3], ids=["thm1", "thm2", "thm3"])
+    def test_a_case_and_its_mirror_build_once(self, monkeypatch, check):
+        builds = []
+        real = series_module._row_half
+        monkeypatch.setattr(series_module, "_row_half",
+                            lambda *key: builds.append(key) or real(*key))
+        fn, spec, (a, b, d, M) = check
+        assert fn(spec, b, a, d, M).verdict is fn(spec, a, b, d, M).verdict \
+            is Verdict.VERIFIED
+        assert builds == [(spec.family, F(a), F(b), F(d), M)]
+
+
 # ------------------------------------------- profile predicates on integers
 
 LEAD = {-1: Sign.NEGATIVE, 1: Sign.POSITIVE}
@@ -437,6 +503,17 @@ pair_rows = st.lists(st.lists(st.tuples(st.integers(-2, 24),
                               min_size=1, max_size=6), max_size=5)
 
 
+def _mirror(rows, lead):
+    """The rows as the b > a reader reads them: a case with a > b (lead 1)
+    is read at its mirror point, whose rows are the case's negated."""
+    return rows if lead < 0 else [[-v for v in row] for row in rows]
+
+
+def _flip(signs, lead):
+    """A case's signs from its mirror's: the mirror's swapped for lead 1."""
+    return signs if lead < 0 else [NEG.get(s, s) for s in signs]
+
+
 @st.composite
 def enclosures(draw):
     lo, hi = sorted((draw(dyadic), draw(dyadic)))
@@ -457,8 +534,8 @@ def enclosures(draw):
 @settings(max_examples=300, deadline=None)
 def test_thm1_profiles_match_the_sign_lists(rows, lead):
     # the reader checks the profiles m >= 2 without the claim
-    assert verify_module._row_signs([[0], [0], *rows], lead, None, False, True)[2] \
-        == _ref_sum_zero_one_change(rows, lead)
+    assert verify_module._row_signs([[0], [0], *_mirror(rows, lead)], None, False,
+                                    True)[2] == _ref_sum_zero_one_change(rows, lead)
 
 
 @given(integer_rows, leads)
@@ -468,41 +545,39 @@ def test_thm1_profiles_match_the_sign_lists(rows, lead):
 @settings(max_examples=300, deadline=None)
 def test_thm3_profiles_match_the_sign_lists(rows, lead):
     # the reader checks the profiles m >= 2 as one-signed
-    assert verify_module._row_signs([[0], [0], *rows], lead, None, False, False)[2] \
+    assert verify_module._row_signs([[0], [0], *_mirror(rows, lead)], None, False,
+                                    False)[2] \
         == _ref_one_signed([[sign_of(v) for v in row] for row in rows], lead)
 
 
-@given(pair_rows, leads, st.lists(enclosures(), min_size=1, max_size=2))
-@example([[(3, 2), (1, 1)]], -1, [CertifiedInterval.from_fraction(F(3, 2))])
-@example([[(3, 2), (1, 1)]], -1, [CertifiedInterval.from_fraction_bounds(
-    F(3, 2), 2)])
-@example([[(4, 2), (5, 1)]], 1, [CertifiedInterval.from_fraction_bounds(1, 2),
-                                 CertifiedInterval.from_fraction(F(3, 2))])
+@given(pair_rows, st.lists(enclosures(), min_size=1, max_size=2))
+@example([[(3, 2), (1, 1)]], [CertifiedInterval.from_fraction(F(3, 2))])
+@example([[(3, 2), (1, 1)]], [CertifiedInterval.from_fraction_bounds(F(3, 2), 2)])
 # a tie undecided by an interval and ZERO by an exact retry is off-sign
-@example([[(0, 1)]], -1, [CertifiedInterval.from_fraction_bounds(0, 0),
-                          CertifiedInterval.from_fraction(0)])
+@example([[(0, 1)]], [CertifiedInterval.from_fraction_bounds(0, 0),
+                      CertifiedInterval.from_fraction(0)])
 @settings(max_examples=300, deadline=None)
-def test_thm2_profiles_match_the_sign_lists(rows, lead, quotients):
+def test_thm2_profiles_match_the_sign_lists(rows, quotients):
     # the profiles m >= 2 of a whole check: coefficients 0 and 1 are a pair
     # on the first enclosure's lower end, which an interval leaves undecided,
     # so the check escalates and the second enclosure reads the profiles too
     # the drawn rows stand in for a point's, and the drawn enclosures, the
-    # last again once they run out, for its Gamma quotient's
+    # last again once they run out, for its Gamma quotient's; a > b is
+    # read at the mirror point (TestMirror)
     first = quotients[0].lo
     tie = [(first.numerator, first.denominator)]
     enclosure = iter(quotients)
-    a, b = (1, 2) if lead < 0 else (2, 1)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(series_module, "_row_half", lambda *key: (1, 1, [tie, tie, *rows]))
         patch.setattr(series_module, "gamma_quotient",
                       lambda *args: next(enclosure, quotients[-1]))
         verify_module._read_point.cache_clear()  # the point of another example
         rep = verify_module.check_signs(verify_module.SIGN_RULES["thm2"],
-                                        kummer_gamma(F(1)), a, b, 1, len(rows) + 1)
+                                        kummer_gamma(F(1)), 1, 2, 1, len(rows) + 1)
     reason = None if rep.reason == "undecided indices remain after escalation" \
         else rep.reason
     assert (rep.mk_single_sign_change, rep.mk_all_negative, reason) == \
-        _ref_one_signed(_ref_pair_signs(rows, quotients), lead)
+        _ref_one_signed(_ref_pair_signs(rows, quotients), -1)
 
 
 # ------------------------------------------------------------ the row read
@@ -522,40 +597,39 @@ def _weigh(weights, row):
     return sum(w * v for w, v in zip(weights, row))
 
 
-@given(weighted(integer_rows), leads)
-@example(([[0, -1, 0], [0, 0], [2 ** 70, 0]], [[1, 1, 1], [2, 3], [1, 2]]), 1)
-@example(([[-2 ** 70, 0, 1]], [[1, 2 ** 70, 1]]), -1)
+@given(weighted(integer_rows))
+@example(([[0, -1, 0], [0, 0], [2 ** 70, 0]], [[1, 1, 1], [2, 3], [1, 2]]))
+@example(([[-2 ** 70, 0, 1]], [[1, 2 ** 70, 1]]))
 @settings(max_examples=300, deadline=None)
-def test_integer_row_read_gives_the_weighted_sign(drawn, lead):
+def test_integer_row_read_gives_the_weighted_sign(drawn):
     # a row is read exactly when its values share one sign or are all zero
     rows, weights = drawn
-    signs = verify_module._row_signs(rows, lead, None, False, False)[0]
+    signs = verify_module._row_signs(rows, None, False, False)[0]
     for row, w, sign in zip(rows, weights, signs):
         assert (sign is None) == (min(row) < 0 < max(row))
         assert sign in (None, sign_of(_weigh(w, row)))
 
 
-@given(weighted(pair_rows), leads, st.lists(enclosures(), min_size=1, max_size=2))
-@example(([[(3, 2), (6, 4)]], [[1, 5]]), -1,
+@given(weighted(pair_rows), st.lists(enclosures(), min_size=1, max_size=2))
+@example(([[(3, 2), (6, 4)]], [[1, 5]]),
          [CertifiedInterval.from_fraction_bounds(F(3, 2), 2)])  # ties the end
-@example(([[(2, 1), (9, 4)]], [[1, 5]]), 1,
-         [CertifiedInterval.from_fraction_bounds(F(3, 2), 2)])
-@example(([[(3, 2), (1, 1)], [(3, 2)]], [[2, 1], [3]]), -1,
+@example(([[(3, 2), (1, 1)], [(3, 2)]], [[2, 1], [3]]),
          [CertifiedInterval.from_fraction(F(3, 2))])
 @settings(max_examples=300, deadline=None)
-def test_gamma_row_read_gives_the_weighted_sign(drawn, lead, quotients):
+def test_gamma_row_read_gives_the_weighted_sign(drawn, quotients):
+    # pairs read against the exact quotient or the lower end of an interval
     rows, weights = drawn
     first = quotients[0]
-    signs = verify_module._row_signs(rows, lead, verify_module._near(first, lead),
-                                     first.exact is None, False)[0]
+    interval = first.exact is None
+    signs = verify_module._row_signs(rows, first.lo if interval else first.exact,
+                                     interval, False)[0]
     for row, w, sign in zip(rows, weights, signs):
         pair = tuple(_weigh(w, v) for v in zip(*row))
         assert sign in (None, pair_signs([pair], first)[0])
-        # a row of pairs each of the sign lead is read, and with an exact
-        # quotient so is any row of one sign
+        # a row of negative pairs is read, and with an exact quotient so is
+        # any row of one sign
         own = {_ref_pair_sign(p, q, first) for p, q in row}
-        if own == {LEAD[lead]} or (first.exact is not None and
-                                   len(own - {Sign.ZERO}) <= 1):
+        if own == {Sign.NEGATIVE} or (not interval and len(own - {Sign.ZERO}) <= 1):
             assert sign is not None
 
 
@@ -602,10 +676,13 @@ def _one_change(row, lead):
 def test_thm1_row_read_gives_the_weighted_sign(drawn):
     # Chebyshev's sum inequality: a row read with the claim of its weights'
     # ratio class has the sign of its weighted sum sum_k W_k W_{m-k} r_k
+    # a > b (lead 1) through its mirror: its rows negated, the signs flipped
     lead, rows, W = drawn
     claim = verify_module._weight_claim(series_module._monotone_class(W[1:], W[:-1]))
-    signs, claimed, profile = verify_module._row_signs(rows, lead, None, False, True)
-    signs = verify_module._apply_claim(signs, claimed, claim, lead)
+    signs, claimed, profile = verify_module._row_signs(_mirror(rows, lead), None,
+                                                       False, True)
+    signs = _flip([claim if m in claimed and claim is not None else s
+                   for m, s in enumerate(signs)], lead)
     for m, (row, sign) in enumerate(zip(rows, signs)):
         if sign is not None:
             assert sign is sign_of(sum(W[k] * W[m - k] * r for k, r in enumerate(row)))
