@@ -13,10 +13,11 @@ configuration.  Identical configuration produces a byte-identical JSON
 report; worker-pool parallelism never reorders the output because reports
 are assembled in input order.
 
-``verify`` runs its sign cases grouped by ``series.shift_point``, so the
-weight rules of one point run one after another and share one read of its
-half-range rows.  Chunks of whole groups run in a
-process pool or in this process, and the records return in case order.
+``verify`` runs its sign cases grouped by shift point (``Case.shift_point``,
+which reads ``series.shift_point`` off the case), so the weight rules of
+one point run one after another and share one read of its half-range rows.
+Chunks of whole groups run in a process pool or in this process, and the
+records return in case order.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from itertools import chain, repeat
 from .errors import DomainError, TermCapError
 from .evalf import default_log_grid, explore_conjecture
 from .intervals import get_precision, working_precision
-from .series import shift_point
 from .verify import (DEFAULT_M, FAMILIES, THEOREM_FAMILIES, Case, SignReport,
                      Verdict, case_params, default_cases, run_case)
 
@@ -256,9 +256,7 @@ def _chunks(cases: list[Case], size: int) -> list[list[int]]:
     bound check is a group of its own."""
     groups = {}
     for i, case in enumerate(cases):
-        p = case.params
-        key = (shift_point(case.spec(), p["a"], p["b"], p["delta"])
-               if case.theorem in DEFAULT_M else i)
+        key = case.shift_point() if case.theorem in DEFAULT_M else i
         groups.setdefault(key, []).append(i)
     chunks = [[]]
     for group in groups.values():

@@ -78,8 +78,10 @@ class PFQSpec:
     stop: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        up = tuple(Fraction(u) for u in self.upper)
-        lo = tuple(Fraction(l) for l in self.lower)
+        up = tuple(u if isinstance(u, Fraction) else Fraction(u)
+                   for u in self.upper)
+        lo = tuple(l if isinstance(l, Fraction) else Fraction(l)
+                   for l in self.lower)
         object.__setattr__(self, "upper", up)
         object.__setattr__(self, "lower", lo)
         stop = min((-u.numerator for u in up if is_nonpositive_integer(u)),
@@ -420,11 +422,12 @@ def eval_1f1(a, c, x, tol=None, use_transform: bool | None = None) -> EvalResult
     return replace(inner, value=scale * inner.value)
 
 
-def _midpoint_residual(u: CertifiedInterval, v: CertifiedInterval) -> float:
+def _midpoint_residual(mu: tuple[int, int], mv: tuple[int, int]) -> float:
     """|mu - mv| / max(|mu|, |mv|, 1) for the midpoints mu = n1/d1 and
-    mv = n2/d2.  All four quantities are taken over d1 d2, which cancels,
-    and the one int division is correctly rounded, as float(Fraction) is."""
-    (n1, d1), (n2, d2) = u._midpoint_pair(), v._midpoint_pair()
+    mv = n2/d2, as ``CertifiedInterval._midpoint_pair`` gives them.  All
+    four quantities are taken over d1 d2, which cancels, and the one int
+    division is correctly rounded, as float(Fraction) is."""
+    (n1, d1), (n2, d2) = mu, mv
     return abs(n1 * d2 - n2 * d1) / max(abs(n1) * d2, abs(n2) * d1, d1 * d2)
 
 
@@ -453,7 +456,8 @@ def check_kummer_transform(a, c, x, tol=None) -> TransformReport:
         with working_precision(2 * get_precision()):
             lhs, rhs = sides()
     return TransformReport(lhs, rhs, lhs.overlaps(rhs),
-                           _midpoint_residual(lhs, rhs))
+                           _midpoint_residual(lhs._midpoint_pair(),
+                                              rhs._midpoint_pair()))
 
 
 @dataclass
@@ -472,7 +476,9 @@ def check_euler_pfaff(a, b, c, x, tol=None) -> EulerPfaffReport:
         (1-x)^(-a) 2F1(a,c-b;c;x/(x-1))   (needs |x/(x-1)| < 1)
         (1-x)^(-b) 2F1(c-a,b;c;x/(x-1))
 
-    Branches whose series argument leaves the unit disk are skipped."""
+    Branches whose series argument leaves the unit disk are skipped.
+    Each prefactor (1-x)^e is a shared :func:`rational_power` enclosure,
+    and each branch's midpoint is read once for all its residuals."""
     a, b, c, x = Fraction(a), Fraction(b), Fraction(c), Fraction(x)
     if is_nonpositive_integer(c):
         raise DomainError(f"the Euler and Pfaff transformations fail at c = {c}")
@@ -492,12 +498,13 @@ def check_euler_pfaff(a, b, c, x, tol=None) -> EulerPfaffReport:
     if not values:
         raise DomainError(f"no representation is evaluable at x = {x}")
     names = sorted(values)
+    mids = {n: values[n]._midpoint_pair() for n in names}
     ok = True
     worst = 0.0
     for i, ni in enumerate(names):
         for nj in names[i + 1:]:
             ok = ok and values[ni].overlaps(values[nj])
-            worst = max(worst, _midpoint_residual(values[ni], values[nj]))
+            worst = max(worst, _midpoint_residual(mids[ni], mids[nj]))
     return EulerPfaffReport(values, ok, worst)
 
 

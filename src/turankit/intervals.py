@@ -22,7 +22,10 @@ at higher precision must land inside it (and the test suite checks this).
 Each Stirling term is an integer quotient, rounded outward on its own and
 added to the endpoints with outward rounding.  The shift, term count and
 coefficients are planned once per (floor(x), precision), and the finished
-enclosure is reused for every call with the same (x, precision).
+enclosure is reused for every call with the same (x, precision).  A
+rational power base**expo is reused the same way, per (base, expo,
+precision in bits); its base is checked on every call, before the lookup.
+Shared enclosures are never modified.
 
 The working precision belongs to the current context (:mod:`contextvars`),
 and :func:`working_precision` is the only way to change it.  Elsewhere it is
@@ -342,10 +345,19 @@ def ci_log(x) -> CertifiedInterval:
 
 
 def rational_power(base, expo) -> CertifiedInterval:
-    """Enclosure of base**expo for rational base > 0 and rational expo."""
+    """Enclosure of base**expo for rational base > 0 and rational expo.
+    The result is shared between calls with the same base, exponent and
+    precision."""
     base, expo = Fraction(base), Fraction(expo)
     if base <= 0:
         raise DomainError(f"rational_power needs base > 0, got {base}")
+    return _rational_power(base, expo, _bits())
+
+
+@lru_cache(maxsize=1024)
+def _rational_power(base: Fraction, expo: Fraction, prec: int) -> CertifiedInterval:
+    """base**expo at the current precision, whose bits ``prec`` are: the
+    enclosure depends on the precision only through them, so they key it."""
     if expo.denominator == 1:
         return CertifiedInterval.from_fraction(base ** expo.numerator)
     return ci_exp(CertifiedInterval.from_fraction(expo)

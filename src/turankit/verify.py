@@ -402,14 +402,14 @@ def verify_turan(spec: HypSeriesSpec, a, delta, x_grid, tol=None) -> TwoSidedBou
 # -- case model: the CLI expands and runs cases through it --
 
 # family name -> (spec constructor, names of its weight parameters in the
-# constructor's argument order)
+# constructor's argument order, the Family of the specs it makes)
 FAMILIES = {
-    "1f1-upper": (kummer_upper, ("c",)),
-    "1f1-gamma": (kummer_gamma, ("c",)),
-    "1f1-lower": (kummer_lower, ("a0",)),
-    "2f1-upper": (gauss_upper, ("b0", "c")),
-    "2f1-lower": (gauss_lower, ("a0", "b0")),
-    "binomial": (binomial_upper, ()),
+    "1f1-upper": (kummer_upper, ("c",), Family.UPPER_FACTOR),
+    "1f1-gamma": (kummer_gamma, ("c",), Family.GAMMA_FACTOR),
+    "1f1-lower": (kummer_lower, ("a0",), Family.LOWER_FACTOR),
+    "2f1-upper": (gauss_upper, ("b0", "c"), Family.UPPER_FACTOR),
+    "2f1-lower": (gauss_lower, ("a0", "b0"), Family.LOWER_FACTOR),
+    "binomial": (binomial_upper, (), Family.UPPER_FACTOR),
 }
 # check -> the families it covers; the key order is the order of "all"
 THEOREM_FAMILIES = {
@@ -456,10 +456,21 @@ class Case:
         elif self.x_grid is not None:
             raise DomainError(f"{self.theorem} takes no x grid")
 
+    @property
+    def order(self) -> int:
+        """M, or the check's default order when M is None."""
+        return DEFAULT_M.get(self.theorem, DEFAULT_ORDER) if self.M is None else self.M
+
     def spec(self) -> HypSeriesSpec:
-        make, weights = FAMILIES[self.family]
-        order = DEFAULT_M.get(self.theorem, DEFAULT_ORDER) if self.M is None else self.M
-        return make(*(self.params[k] for k in weights), order)
+        make, weights, _ = FAMILIES[self.family]
+        return make(*(self.params[k] for k in weights), self.order)
+
+    def shift_point(self) -> tuple:
+        """``series.shift_point`` of a sign case's spec, read off the case
+        without building the spec."""
+        p = self.params
+        return (FAMILIES[self.family][2], Fraction(p["a"]), Fraction(p["b"]),
+                Fraction(p["delta"]), self.order)
 
 
 def default_cases(theorem: str, M: int | None = None) -> list[Case]:

@@ -23,7 +23,7 @@ from turankit.cli import build_parser, main
 from turankit.errors import TermCapError
 from turankit.intervals import get_precision
 from turankit.series import Family
-from turankit.verify import DEFAULT_M, default_cases
+from turankit.verify import DEFAULT_M, Case, default_cases
 
 
 def run_cli(argv, tmp_path, name="out"):
@@ -80,6 +80,41 @@ def _shift_point(case):
     """The shift point of a sign case, by which the CLI groups it."""
     p = case.params
     return series_module.shift_point(case.spec(), p["a"], p["b"], p["delta"])
+
+
+def _spec_chunks(cases, size):
+    """The CLI's chunks planned from each sign case's spec: the reference
+    for ``cli._chunks``."""
+    groups = {}
+    for i, case in enumerate(cases):
+        key = _shift_point(case) if case.theorem in DEFAULT_M else i
+        groups.setdefault(key, []).append(i)
+    chunks = [[]]
+    for group in groups.values():
+        if len(chunks[-1]) >= size:
+            chunks.append([])
+        chunks[-1] += group
+    return chunks
+
+
+F = Fraction
+# explicit cases: a > b, int parameters, default and explicit orders, and
+# pairs of cases that share a shift point across theorems or families
+EXPLICIT = [
+    Case("thm1", "1f1-upper", {"a": F(3), "b": F(1, 2), "delta": F(1, 2), "c": F(2)}),
+    Case("binomial", "binomial", {"a": F(3), "b": F(1, 2), "delta": F(1, 2)}),
+    Case("thm1", "2f1-upper", {"a": 1, "b": 2, "delta": 1, "b0": 2, "c": 1}, M=12),
+    Case("binomial", "binomial", {"a": F(1), "b": F(2), "delta": F(1)}, M=12),
+    Case("thm2", "1f1-gamma", {"a": F(1), "b": F(2), "delta": F(1), "c": F(3)}),
+    Case("thm3", "1f1-lower", {"a": F(1), "b": F(2), "delta": F(1), "a0": F(1)},
+         M=30),
+    Case("thm3", "2f1-lower", {"a": F(1), "b": F(2), "delta": F(1),
+                               "a0": F(1, 2), "b0": F(2)}, M=30),
+    Case("corollary", "1f1-upper", {"a": F(1), "b": F(2), "delta": F(1), "c": F(3)}),
+    Case("turan", "1f1-upper", {"a": F(1), "delta": F(1), "c": F(3)}),
+    Case("thm1", "1f1-upper", {"a": F(3), "b": F(1, 2), "delta": F(1, 2), "c": F(1)},
+         M=40),
+]
 
 
 class TestParsing:
@@ -259,6 +294,34 @@ class TestJobs:
         assert out == "[]\n"
 
 
+class TestImports:
+    def test_cli_loads_neither_lemmas_nor_finite_sums(self):
+        code = ("import sys, turankit.cli as c; c.build_parser(); "
+                "print(sorted(m for m in sys.modules "
+                "if m in ('turankit.lemmas', 'turankit.finite_sums')))")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "[]\n"
+
+    def test_every_exported_name_resolves(self):
+        import turankit
+        from turankit import finite_sums, lemmas
+
+        homes = {"lemmas": lemmas, "finite_sums": finite_sums}
+        assert len(turankit._LAZY) == 24
+        for name, home in turankit._LAZY.items():
+            assert getattr(turankit, name) is getattr(homes[home], name)
+            assert name in turankit.__all__ and name in dir(turankit)
+        star = {}
+        exec("from turankit import *", star)
+        assert set(turankit.__all__) <= set(star)
+        assert all(star[name] is getattr(turankit, name) for name in turankit.__all__)
+        assert len(turankit.__all__) == 76
+        with pytest.raises(AttributeError):
+            turankit.no_such_name
+
+
 class TestPointMajor:
     def test_default_grid_builds_each_shift_point_once(self, tmp_path,
                                                        monkeypatch):
@@ -320,6 +383,25 @@ class TestPointMajor:
         # the records come back in case order
         assert [(r["theorem"], r["params"]) for r in rep["per_case"]] == [
             (c.theorem, {k: str(v) for k, v in c.params.items()}) for c in cases]
+
+    @pytest.mark.parametrize("cases", [
+        default_cases("all"), default_cases("all", cli_mod.MAX_M), EXPLICIT],
+        ids=["default", "default-M200", "explicit"])
+    def test_chunks_match_the_spec_grouping(self, cases):
+        for case in cases:
+            if case.theorem in DEFAULT_M:
+                assert case.shift_point() == _shift_point(case)
+        for size in (1, 7, 53, len(cases)):
+            assert cli_mod._chunks(cases, size) == _spec_chunks(cases, size)
+
+    def test_binomial_cases_join_their_thm1_point(self):
+        cases = default_cases("all")
+        thm1 = {c.shift_point() for c in cases if c.theorem == "thm1"}
+        binomial = [c.shift_point() for c in cases if c.theorem == "binomial"]
+        assert len(binomial) == 30 and set(binomial) <= thm1
+        # and at an explicit order both share, as the explicit cases do
+        chunks = cli_mod._chunks(EXPLICIT, 1)
+        assert [0, 1, 9] in chunks and [2, 3] in chunks and [5, 6] in chunks
 
     @pytest.mark.parametrize("start", [None, "spawn"])
     def test_pool_gives_the_inline_reports(self, start, tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 from fractions import Fraction as F
+from itertools import product
 
 import mpmath
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from mpmath.libmp import (finf, fnan, fninf, from_rational, fzero,
                           round_ceiling, round_floor)
 
-from turankit import intervals
+from turankit import evalf, intervals
 from turankit.errors import DomainError
 from turankit.evalf import _midpoint_residual
 from turankit.intervals import (CertifiedInterval, _outward, _raw_to_fraction,
@@ -186,6 +187,81 @@ class TestTranscendental:
     def test_sqrt_squares_back(self):
         ci = rational_power(F(2), F(1, 2)) ** 2
         assert ci.contains(F(2))
+
+
+def _uncached_power(base: F, expo: F) -> CertifiedInterval:
+    """base**expo computed afresh through the public interval operations:
+    the reference for the memo of rational_power."""
+    if expo.denominator == 1:
+        return CertifiedInterval.from_fraction(base ** expo.numerator)
+    return ci_exp(CertifiedInterval.from_fraction(expo)
+                  * ci_log(CertifiedInterval.from_fraction(base)))
+
+
+# the acceptance test's transformation grid
+GRID_PARAMS = (F(1, 2), F(1), F(3, 2), F(2), F(3))
+GRID_X_SIGNED = tuple(F(s, 4) * sgn for s in (1, 2, 3) for sgn in (1, -1))
+
+
+def _acceptance_powers() -> list[tuple[F, F]]:
+    """The distinct (base, exponent) pairs of the Euler/Pfaff prefactors
+    of the acceptance test's transformation grid, by a spy on
+    rational_power as check_euler_pfaff calls it."""
+    seen = {}
+
+    def spy(base, expo):
+        seen[F(base), F(expo)] = None
+        return rational_power(base, expo)
+
+    real, evalf.rational_power = evalf.rational_power, spy
+    try:
+        for i, a in enumerate(GRID_PARAMS):
+            for b in GRID_PARAMS[i:]:
+                for c, x in product(GRID_PARAMS, GRID_X_SIGNED):
+                    evalf.check_euler_pfaff(a, b, c, x)
+    finally:
+        evalf.rational_power = real
+    return list(seen)
+
+
+class TestRationalPowerMemo:
+    """rational_power shares one enclosure per (base, exponent, precision),
+    which must be the enclosure a fresh computation gives."""
+
+    def test_matches_an_uncached_computation(self):
+        intervals._rational_power.cache_clear()
+        pairs = _acceptance_powers()
+        assert len(pairs) == 96
+        assert any(e.denominator == 1 for _, e in pairs)
+        assert any(e.denominator != 1 for _, e in pairs)
+        # 30 digits first, so a memo that ignored the precision would hand
+        # the 30-digit enclosures to the 60-digit calls
+        for dps in (30, 60):
+            with working_precision(dps):
+                for base, expo in pairs:
+                    got, ref = rational_power(base, expo), _uncached_power(base, expo)
+                    assert got._pair == ref._pair and got.exact == ref.exact
+                    assert rational_power(base, expo) is got
+
+    def test_each_precision_has_its_own_entry(self):
+        intervals._rational_power.cache_clear()
+        with working_precision(30):
+            low = rational_power(F(5, 4), F(-1, 2))
+        with working_precision(60):
+            high = rational_power(F(5, 4), F(-1, 2))
+        assert intervals._rational_power.cache_info().currsize == 2
+        assert high.width < low.width
+        with working_precision(30):
+            assert rational_power(F(5, 4), F(-1, 2)) is low
+            assert rational_power(F(10, 8), F(-2, 4)) is low
+
+    @pytest.mark.parametrize("base", [F(0), F(-1, 2), -3])
+    def test_nonpositive_base_raises_on_every_call(self, base):
+        intervals._rational_power.cache_clear()
+        for expo in (F(1, 2), F(1, 2), 2, 2):
+            with pytest.raises(DomainError):
+                rational_power(base, expo)
+        assert intervals._rational_power.cache_info().currsize == 0
 
 
 LOG_GAMMA_GRID = [F(1, 10), F(1, 3), F(1, 2), F(1), F(3, 2), F(5, 2),
@@ -488,7 +564,7 @@ class TestRawPredicates:
             with pytest.raises(DomainError):
                 x.midpoint
             with pytest.raises(DomainError):
-                _midpoint_residual(x, ok)
+                _midpoint_residual(x._midpoint_pair(), ok._midpoint_pair())
         x = CertifiedInterval((bad, bad))
         with pytest.raises(DomainError):
             x.strictly_less(ok)
@@ -505,7 +581,8 @@ class TestRawPredicates:
         u, v = pair
         if same:
             v = u
-        got, ref = _midpoint_residual(u, v), _Reference.residual(u, v)
+        got = _midpoint_residual(u._midpoint_pair(), v._midpoint_pair())
+        ref = _Reference.residual(u, v)
         assert got == ref and repr(got) == repr(ref)
         assert u.midpoint == (u.exact if u.exact is not None
                               else (u.lo + u.hi) / 2)
@@ -521,5 +598,6 @@ class TestRawPredicates:
         v = CertifiedInterval.around(d.numerator, d.denominator, r, 10 ** k)
         w = u + CertifiedInterval.from_fraction(F(1, 10 ** k))
         for p, q in ((u, v), (u, w), (u, u), (u, CertifiedInterval.from_fraction(d))):
-            got, ref = _midpoint_residual(p, q), _Reference.residual(p, q)
+            got = _midpoint_residual(p._midpoint_pair(), q._midpoint_pair())
+            ref = _Reference.residual(p, q)
             assert got == ref and repr(got) == repr(ref)
