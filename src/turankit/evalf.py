@@ -59,7 +59,7 @@ from functools import cached_property
 from math import ceil, expm1, lcm, lgamma, log
 
 from .errors import DomainError, PoleError, TermCapError
-from .exact import is_nonpositive_integer, parse_rational
+from .exact import as_fraction, is_nonpositive_integer, parse_rational
 from .intervals import (CertifiedInterval, ci_exp, get_precision,
                         rational_power, working_precision)
 from .series import Family, HypSeriesSpec, gamma_quotient, kummer_upper
@@ -78,10 +78,8 @@ class PFQSpec:
     stop: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        up = tuple(u if isinstance(u, Fraction) else Fraction(u)
-                   for u in self.upper)
-        lo = tuple(l if isinstance(l, Fraction) else Fraction(l)
-                   for l in self.lower)
+        up = tuple(map(as_fraction, self.upper))
+        lo = tuple(map(as_fraction, self.lower))
         object.__setattr__(self, "upper", up)
         object.__setattr__(self, "lower", lo)
         stop = min((-u.numerator for u in up if is_nonpositive_integer(u)),
@@ -324,7 +322,7 @@ def eval_pfq(spec: PFQSpec, x, tol=None, term_cap: int = TERM_CAP) -> EvalResult
     if tol is None:
         tol_num, tol_den = 1, 10 ** get_precision()
     else:
-        tol = Fraction(tol) if not isinstance(tol, Fraction) else tol
+        tol = as_fraction(tol)
         if tol <= 0:
             raise DomainError("tolerance must be positive")
         tol_num, tol_den = tol.numerator, tol.denominator
@@ -410,7 +408,7 @@ def eval_1f1(a, c, x, tol=None, use_transform: bool | None = None) -> EvalResult
     evaluation is routed through exp(x) * 1F1(c-a; c; -x), whose terms
     are eventually one-signed; set use_transform to force either path.
     The transformation fails where c is a nonpositive integer."""
-    a, c, x = Fraction(a), Fraction(c), Fraction(x)
+    a, c, x = map(as_fraction, (a, c, x))
     if use_transform is None:
         use_transform = x < 0 and c - a >= 0 and not is_nonpositive_integer(c)
     if not use_transform:
@@ -442,7 +440,7 @@ class TransformReport:
 def check_kummer_transform(a, c, x, tol=None) -> TransformReport:
     """Certified check of 1F1(a; c; x) = exp(x) * 1F1(c-a; c; -x): both
     sides evaluated independently, intervals must overlap."""
-    a, c, x = Fraction(a), Fraction(c), Fraction(x)
+    a, c, x = map(as_fraction, (a, c, x))
     if is_nonpositive_integer(c):
         raise DomainError(f"Kummer's transformation fails at c = {c}")
 
@@ -479,7 +477,7 @@ def check_euler_pfaff(a, b, c, x, tol=None) -> EulerPfaffReport:
     Branches whose series argument leaves the unit disk are skipped.
     Each prefactor (1-x)^e is a shared :func:`rational_power` enclosure,
     and each branch's midpoint is read once for all its residuals."""
-    a, b, c, x = Fraction(a), Fraction(b), Fraction(c), Fraction(x)
+    a, b, c, x = map(as_fraction, (a, b, c, x))
     if is_nonpositive_integer(c):
         raise DomainError(f"the Euler and Pfaff transformations fail at c = {c}")
     if x >= 1:
@@ -512,7 +510,7 @@ def cross_ratio(spec: HypSeriesSpec, a, b, delta, x, tol=None) -> CertifiedInter
     """Certified enclosure of f(b+d,x) f(a,x) / [f(a+d,x) f(b,x)] where f
     is the spec's series; the quantity bounded between the Gamma quotient
     and 1 for decreasing-weight-ratio families."""
-    a, b, delta, x = Fraction(a), Fraction(b), Fraction(delta), Fraction(x)
+    a, b, delta, x = map(as_fraction, (a, b, delta, x))
     f = {}
     for s in (b + delta, a, a + delta, b):
         # one sum per distinct shift: a + d and b coincide for Turan ratios
@@ -552,10 +550,10 @@ def explore_conjecture(a, b, delta, c, xs, tol=None) -> ConjectureReport:
     over a monotone grid.  On x > 0 (needs b > a > 0) the ratio is
     expected to fall from 1 toward the Gamma-quotient bound; on x < 0
     (needs a < b < c - d) it is expected to rise toward 1."""
-    a, b, delta, c = Fraction(a), Fraction(b), Fraction(delta), Fraction(c)
+    a, b, delta, c = map(as_fraction, (a, b, delta, c))
     if delta <= 0:
         raise DomainError("need delta > 0")
-    xs = [Fraction(v) for v in xs]
+    xs = list(map(as_fraction, xs))
     if not xs:
         raise DomainError("empty x grid")
     if any(x2 <= x1 for x1, x2 in zip(xs, xs[1:])):

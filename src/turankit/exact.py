@@ -30,6 +30,11 @@ def parse_rational(value) -> Fraction:
         raise DomainError(f"not a rational number: {value!r}") from exc
 
 
+def as_fraction(value) -> Fraction:
+    """``Fraction(value)``, but a Fraction is kept as it is."""
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
 def is_nonpositive_integer(q: Fraction) -> bool:
     return q.denominator == 1 and q.numerator <= 0
 

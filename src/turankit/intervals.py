@@ -23,8 +23,9 @@ Each Stirling term is an integer quotient, rounded outward on its own and
 added to the endpoints with outward rounding.  The shift, term count and
 coefficients are planned once per (floor(x), precision), and the finished
 enclosure is reused for every call with the same (x, precision).  A
-rational power base**expo is reused the same way, per (base, expo,
-precision in bits); its base is checked on every call, before the lookup.
+rational power base**expo and a Gamma ratio Gamma(x+delta)/Gamma(x) are
+reused the same way, per (base, expo) or (x, delta) and precision in
+bits; their arguments are checked on every call, before the lookup.
 Shared enclosures are never modified.
 
 The working precision belongs to the current context (:mod:`contextvars`),
@@ -51,7 +52,7 @@ from mpmath.libmp import (dps_to_prec, ftwo, fzero, mpf_lt, mpf_neg, mpf_pi,
                           round_floor, to_str)
 
 from .errors import DomainError
-from .exact import bernoulli, pochhammer
+from .exact import as_fraction, bernoulli, pochhammer
 
 DEFAULT_DPS = 30
 _GUARD_DPS = 15
@@ -295,7 +296,7 @@ class CertifiedInterval:
         return _sign(self._pair[0]) <= 0 <= _sign(self._pair[1])
 
     def contains(self, value) -> bool:
-        value = Fraction(value) if not isinstance(value, Fraction) else value
+        value = as_fraction(value)
         if self.exact is not None:
             return self.exact == value
         return self.lo <= value <= self.hi
@@ -348,7 +349,7 @@ def rational_power(base, expo) -> CertifiedInterval:
     """Enclosure of base**expo for rational base > 0 and rational expo.
     The result is shared between calls with the same base, exponent and
     precision."""
-    base, expo = Fraction(base), Fraction(expo)
+    base, expo = as_fraction(base), as_fraction(expo)
     if base <= 0:
         raise DomainError(f"rational_power needs base > 0, got {base}")
     return _rational_power(base, expo, _bits())
@@ -402,7 +403,7 @@ def _half_log_two_pi(prec: int):
 def log_gamma(x) -> CertifiedInterval:
     """Certified enclosure of ln(Gamma(x)) for rational x > 0.  The result
     is shared between calls with the same x and precision."""
-    x = Fraction(x)
+    x = as_fraction(x)
     if x <= 0:
         raise DomainError(f"log_gamma needs x > 0, got {x}")
     return _log_gamma(x, get_precision())
@@ -437,12 +438,20 @@ def _log_gamma(x: Fraction, dps: int) -> CertifiedInterval:
 
 def gamma_ratio(x, delta) -> CertifiedInterval:
     """Enclosure of Gamma(x+delta)/Gamma(x); exact Pochhammer value when
-    delta is a nonnegative integer."""
-    x, delta = Fraction(x), Fraction(delta)
+    delta is a nonnegative integer.  The result is shared between calls
+    with the same x, delta and precision."""
+    x, delta = as_fraction(x), as_fraction(delta)
     if x <= 0:
         raise DomainError(f"gamma_ratio needs x > 0, got {x}")
     if delta < 0:
         raise DomainError(f"gamma_ratio needs delta >= 0, got {delta}")
+    return _gamma_ratio(x, delta, _bits())
+
+
+@lru_cache(maxsize=1024)
+def _gamma_ratio(x: Fraction, delta: Fraction, prec: int) -> CertifiedInterval:
+    """Gamma(x+delta)/Gamma(x) at the current precision, whose bits
+    ``prec`` are (see :func:`_rational_power`)."""
     if delta.denominator == 1:
         return CertifiedInterval.from_fraction(pochhammer(x, delta.numerator))
     return ci_exp(log_gamma(x + delta) - log_gamma(x))

@@ -48,11 +48,11 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from itertools import accumulate
 
 from .errors import DomainError, PoleError
-from .exact import ratio_steps
+from .exact import as_fraction, ratio_steps
 from .intervals import CertifiedInterval, ci_exp, gamma_ratio, log_gamma
 
 
@@ -169,8 +169,13 @@ def gauss_lower(a0, b0, order: int = DEFAULT_ORDER) -> HypSeriesSpec:
 def weight_ratio_class(spec: HypSeriesSpec) -> MonotoneClass:
     """Strict monotonicity class of n -> w_n/w_{n-1} over the truncation
     range.  The upper-factor sign theorem assumes this; it is checked,
-    not trusted."""
-    return _monotone_class(*spec.weights._ratio_parts(spec.order))
+    not trusted, once per weight rule and order."""
+    return _weight_class(spec.weights, spec.order)
+
+
+@lru_cache(maxsize=256)
+def _weight_class(weights: WeightRule, M: int) -> MonotoneClass:
+    return _monotone_class(*weights._ratio_parts(M))
 
 
 def _monotone_class(num: list[int], den: list[int]) -> MonotoneClass:
@@ -445,7 +450,7 @@ def _row_half(family: Family, a: Fraction, b: Fraction, delta: Fraction,
 
 def shift_point(spec: HypSeriesSpec, a, b, delta) -> tuple:
     """(family, a, b, d, M): all a pass's rows depend on."""
-    return spec.family, Fraction(a), Fraction(b), Fraction(delta), spec.order
+    return (spec.family, *map(as_fraction, (a, b, delta)), spec.order)
 
 
 def check_family(family: Family, spec: HypSeriesSpec) -> None:

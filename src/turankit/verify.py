@@ -26,9 +26,10 @@ sign once has Theorem 1's claimed sign (Chebyshev's sum inequality), and
 either test is the row's profile check.  The read depends on neither the
 weights nor the claim, so it is cached by shift point (and, for the gamma
 family, the end of the Gamma-quotient enclosure it reads against):
-``_read_point``, a small ``lru_cache``, keeps reads, not rows.  Rows are
-scanned by C-level reductions (``max``/``min``, ``sum``, ``dropwhile``),
-a gamma pair (p, q) through its cross-products with an enclosure end
+``_read_point``, an ``lru_cache`` that holds the 90 shift points of a
+default pass, keeps reads, not rows.  Rows are scanned by C-level
+reductions (``max``/``min``, ``sum``, ``dropwhile``), a gamma pair (p, q)
+through its cross-products with an enclosure end
 (``series.cross_products``).  ``check_signs`` applies the claim, and
 builds the pass to weigh a row only if one is left open: on the default
 grids none is.
@@ -60,6 +61,7 @@ from itertools import accumulate, chain, dropwhile
 from . import series
 from .errors import DomainError
 from .evalf import cross_ratio
+from .exact import as_fraction
 from .intervals import CertifiedInterval, get_precision, working_precision
 from .series import (DEFAULT_ORDER, Family, HypSeriesSpec, MonotoneClass, Sign,
                      binomial_upper, check_family, cross_products,
@@ -105,6 +107,9 @@ _FLIP = {Sign.POSITIVE: Sign.NEGATIVE, Sign.NEGATIVE: Sign.POSITIVE}
 
 _OFF_SIGN = None, False, "profile value off-sign"
 
+# the sign a read gives a row that takes the claim (see _row_signs)
+_CLAIMED = "claimed"
+
 
 def _row_signs(rows, end, interval, chebyshev):
     """The one reader of the rows of all three rules, for b >= a, before any
@@ -131,8 +136,8 @@ def _row_signs(rows, end, interval, chebyshev):
     end is then negative, which is how ``pair_signs`` reads the weighted
     pair.
 
-    Gives tuples: each coefficient's sign (None if it must be weighed or is
-    claimed), the claimed rows, and the profile verdict
+    Gives tuples: each coefficient's sign (``_CLAIMED`` if its row takes the
+    claim, None if it must be weighed), and the profile verdict
     (mk_single_sign_change, mk_all_negative, reason) or, for an interval,
     the pairs of rows m >= 2 whose cross-product is >= 0, which
     :func:`check_signs` reads against each enclosure in turn."""
@@ -141,7 +146,7 @@ def _row_signs(rows, end, interval, chebyshev):
         cross = cross_products(list(chain.from_iterable(rows)), end)
         ends = list(accumulate(map(len, rows), initial=0))
         near = [cross[i:j] for i, j in zip(ends, ends[1:])]
-    signs, claimed, one_change, zero_sums, off = [], [], True, True, []
+    signs, one_change, zero_sums, off = [], True, True, []
     for m, values in enumerate(near):
         change = False
         if chebyshev:
@@ -151,9 +156,7 @@ def _row_signs(rows, end, interval, chebyshev):
             if m >= 2:
                 one_change, zero_sums = one_change and change, zero_sums and zero_sum
         if change:  # of both signs: claimed, or weighed
-            sign = None
-            if zero_sum:
-                claimed.append(m)
+            sign = _CLAIMED if zero_sum else None
         else:
             lo, hi = min(values), max(values)
             sign = sign_of(hi) if lo >= 0 else Sign.NEGATIVE if hi <= 0 else None
@@ -166,15 +169,16 @@ def _row_signs(rows, end, interval, chebyshev):
                    None if one_change else "profile sign pattern broken")
     else:
         profile = tuple(off) if interval else _OFF_SIGN if off else (None, True, None)
-    return tuple(signs), tuple(claimed), profile
+    return tuple(signs), profile
 
 
-# The reads _read_point holds.  A default-grid weight rule sweeps 30 shift
-# points before the next rule of its family reads them again, and one pass
-# of the default sign grids reads 90, so the cache never holds a whole pass.
+# The reads _read_point holds.  One pass of the default sign grids reads 90
+# shift points, and in grid order the binomial sweep reads thm1's 30 upper
+# points again after the 60 gamma and lower points; so the cache holds a
+# whole pass in any order, at most about 1.2 kB a read of a default point.
 # It is module state, as the log-Gamma cache of ``intervals`` is: the public
 # per-case checks, such as verify_theorem1, have nowhere to pass a cache.
-_READS = 32
+_READS = 128
 
 
 @lru_cache(maxsize=_READS)
@@ -232,7 +236,7 @@ def check_signs(rule: SignRule, spec: HypSeriesSpec, a, b, delta,
     here with ``pair_signs`` against each enclosure in turn: one that is
     not negative (ZERO from an exact retry too) breaks the profile claim,
     and one no enclosure decides leaves it open."""
-    a, b, delta = Fraction(a), Fraction(b), Fraction(delta)
+    a, b, delta = map(as_fraction, (a, b, delta))
     if delta <= 0 or min(a, b) < 0 or (rule.positive_shifts and min(a, b) == 0):
         shifts = "positive" if rule.positive_shifts else "nonnegative"
         raise DomainError(f"need delta > 0 and {shifts} shifts")
@@ -248,12 +252,10 @@ def check_signs(rule: SignRule, spec: HypSeriesSpec, a, b, delta,
     if quotients:  # the exact Gamma quotient, or its first enclosure's lower end
         interval = quotients[0].exact is None
         end = quotients[0].lo if interval else quotients[0].exact
-    known, claimed, profile = _read_point(*shift_point(spec, a, b, delta), end,
-                                          interval)
+    known, profile = _read_point(*shift_point(spec, a, b, delta), end, interval)
     claim = rule.claim(spec)
-    signs = list(known)
-    for m in claimed if claim is not None else ():
-        signs[m] = claim
+    # a claimed row without a claim is weighed
+    signs = [claim if s is _CLAIMED else s for s in known]
     weigh = [m for m, s in enumerate(signs) if s is None]  # the rows left open
     sums = dict(zip(weigh, half_range_pass(rule.family, spec, a, b, delta).sums(weigh)
                     if weigh else ()))

@@ -2,13 +2,20 @@
 
 import pytest
 
-from turankit import verify
+from turankit import intervals, series, verify
+
+# the process-wide memos a test can fill, or fill with a patched value
+MEMOS = (verify._read_point, intervals._gamma_ratio, series._weight_class)
 
 
 @pytest.fixture(autouse=True)
-def cold_row_reads():
-    """Each test starts and ends with an empty row-read cache, so that a
-    read made from tampered rows reaches no later test."""
-    verify._read_point.cache_clear()
+def cold_memos():
+    """Each test starts and ends with an empty row-read cache, and empty
+    Gamma-ratio and weight-class memos, so that a read made from tampered
+    rows reaches no later test, and no test passes on what an earlier
+    one computed."""
+    for memo in MEMOS:
+        memo.cache_clear()
     yield
-    verify._read_point.cache_clear()
+    for memo in MEMOS:
+        memo.cache_clear()

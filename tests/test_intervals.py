@@ -353,6 +353,48 @@ class TestGammaRatio:
             gamma_ratio(1, -1)
 
 
+def _ref_gamma_ratio(x: F, delta: F) -> F:
+    return _ref(lambda u, v: mpmath.gamma(u + v) / mpmath.gamma(u), x, delta)
+
+
+class TestGammaRatioMemo:
+    """gamma_ratio shares one enclosure per (x, delta, precision), which
+    must contain the true ratio at that precision."""
+
+    @pytest.mark.parametrize("x, delta", [(F(3, 2), F(1, 3)), (F(1, 2), F(2))])
+    def test_each_precision_has_its_own_entry(self, x, delta):
+        with working_precision(30):
+            low = gamma_ratio(x, delta)
+        # 30 digits first, so a memo that ignored the precision would hand
+        # the 30-digit enclosure to the 60-digit call
+        with working_precision(60):
+            high = gamma_ratio(x, delta)
+        info = intervals._gamma_ratio.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
+        for dps, ci in ((30, low), (60, high)):
+            with working_precision(dps):
+                if delta.denominator == 1:
+                    # exact: a binary mpmath reference would carry rounding error
+                    assert ci.exact == F(3, 4)
+                else:
+                    # _ref works at twice the precision in force
+                    ref = _ref_gamma_ratio(x, delta)
+                    assert ci.lo <= ref <= ci.hi
+                assert gamma_ratio(x, delta) is ci
+                assert gamma_ratio(str(x), str(delta)) is ci
+        if delta.denominator != 1:
+            assert high.width < low.width
+
+    @pytest.mark.parametrize("x, delta", [(F(0), F(1, 2)), (F(-1, 2), F(1)),
+                                          (F(1), F(-1, 2)), (-3, 1), (1, -1)])
+    def test_bad_arguments_raise_on_every_call(self, x, delta):
+        for _ in range(3):
+            with pytest.raises(DomainError):
+                gamma_ratio(x, delta)
+        info = intervals._gamma_ratio.cache_info()
+        assert (info.misses, info.currsize) == (0, 0)
+
+
 class TestPrecisionControl:
     def test_working_precision_restores(self):
         base = get_precision()

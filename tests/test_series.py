@@ -10,6 +10,7 @@ import operator
 import sys
 import threading
 from dataclasses import replace
+from functools import partial
 from fractions import Fraction as F
 
 import mpmath
@@ -186,6 +187,18 @@ class TestWeightRule:
         spec4 = HypSeriesSpec(Family.UPPER_FACTOR,
                               WeightRule(upper=(F(1, 4), F(8)), lower=(F(2), F(2))), 4)
         assert weight_ratio_class(spec4) is MonotoneClass.INCREASING
+
+    def test_class_is_memoized_per_rule_and_order(self):
+        # the two windows of test_class_depends_on_window, asked for in
+        # turn: a memo that ignored the order would give the first class
+        # to both; an equal weight rule built afresh shares the entry
+        rule = partial(WeightRule, upper=(F(1, 4), F(8)), lower=(F(2), F(2)))
+        for order, want in ((4, MonotoneClass.INCREASING), (10, MonotoneClass.NEITHER),
+                            (4, MonotoneClass.INCREASING), (10, MonotoneClass.NEITHER)):
+            spec = HypSeriesSpec(Family.UPPER_FACTOR, rule(), order)
+            assert weight_ratio_class(spec) is want
+        info = series_module._weight_class.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
 
 
 # --------------------------------------------------- phi (upper families)
@@ -590,16 +603,16 @@ class TestRowMemo:
     def test_default_grid_builds_and_hits(self, monkeypatch):
         builds = _count_builds(monkeypatch)
         info = verify_module._read_point.cache_info
-        assert info().maxsize == verify_module._READS < 90
+        assert info().maxsize == verify_module._READS >= 90
         for spec, a, b, d in _sign_grid_passes():
             rep = _CHECKS[spec.family](spec, a, b, d)
             assert rep.verdict is Verdict.VERIFIED
             assert info().currsize <= info().maxsize
         # each of the 90 shift points is built by the first weight rule of
-        # its family and read by the others; only the binomial sweep, after
-        # the gamma and lower sweeps, builds its 30 upper points again
-        assert len(builds) == info().misses == 90 + 30
-        assert info().hits == 420 - 120
+        # its family and read by the others, the binomial sweep too, which
+        # comes after the gamma and lower sweeps
+        assert len(builds) == info().misses == 90
+        assert info().hits == 420 - 90
 
     @pytest.mark.parametrize("size", [1_250_000, 200_000])
     def test_bound_holds_over_the_default_grid(self, size, monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from turankit import intervals as intervals_module
 from turankit import series as series_module
 from turankit import verify as verify_module
 from turankit.errors import DomainError
@@ -356,6 +357,19 @@ class TestEscalation:
         assert rep.first_violation is None
         assert rep.reason == "undecided indices remain after escalation"
 
+    def test_retry_makes_a_fresh_quotient(self):
+        # the Gamma ratios are memoized per precision, so the retry encloses
+        # them afresh at doubled precision: two arguments, two precisions,
+        # and a second run of the case hits all four
+        case = (kummer_gamma(F(3)), 1, 1 + F(1, 10 ** 15), F(1, 2), 12)
+        with working_precision(5):
+            reps = [verify_theorem2(*case) for _ in range(2)]
+        info = intervals_module._gamma_ratio.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (4, 4, 4)
+        assert reps[0] == reps[1]
+        assert reps[0].escalated and reps[0].inconclusive_before_escalation == 13
+        assert reps[0].verdict is Verdict.VERIFIED
+
     # real near ties, no patched quotient: at 5 digits every coefficient is
     # undecided, at the 10 digits of the retry some stay so from b - a =
     # 10^-17 on, and at 2 10^-17 the profile stays open though every
@@ -535,7 +549,7 @@ def enclosures(draw):
 def test_thm1_profiles_match_the_sign_lists(rows, lead):
     # the reader checks the profiles m >= 2 without the claim
     assert verify_module._row_signs([[0], [0], *_mirror(rows, lead)], None, False,
-                                    True)[2] == _ref_sum_zero_one_change(rows, lead)
+                                    True)[1] == _ref_sum_zero_one_change(rows, lead)
 
 
 @given(integer_rows, leads)
@@ -546,7 +560,7 @@ def test_thm1_profiles_match_the_sign_lists(rows, lead):
 def test_thm3_profiles_match_the_sign_lists(rows, lead):
     # the reader checks the profiles m >= 2 as one-signed
     assert verify_module._row_signs([[0], [0], *_mirror(rows, lead)], None, False,
-                                    False)[2] \
+                                    False)[1] \
         == _ref_one_signed([[sign_of(v) for v in row] for row in rows], lead)
 
 
@@ -679,10 +693,9 @@ def test_thm1_row_read_gives_the_weighted_sign(drawn):
     # a > b (lead 1) through its mirror: its rows negated, the signs flipped
     lead, rows, W = drawn
     claim = verify_module._weight_claim(series_module._monotone_class(W[1:], W[:-1]))
-    signs, claimed, profile = verify_module._row_signs(_mirror(rows, lead), None,
-                                                       False, True)
-    signs = _flip([claim if m in claimed and claim is not None else s
-                   for m, s in enumerate(signs)], lead)
+    signs, profile = verify_module._row_signs(_mirror(rows, lead), None, False, True)
+    # a claimed row takes the claim, or is weighed (None) when there is none
+    signs = _flip([claim if s is verify_module._CLAIMED else s for s in signs], lead)
     for m, (row, sign) in enumerate(zip(rows, signs)):
         if sign is not None:
             assert sign is sign_of(sum(W[k] * W[m - k] * r for k, r in enumerate(row)))
