@@ -17,7 +17,9 @@ are assembled in input order.
 which reads ``series.shift_point`` off the case), so the weight rules of
 one point run one after another and share one read of its half-range rows.
 Chunks of whole groups run in a process pool or in this process, and the
-records return in case order.
+records return in case order.  A record carries its CSV values lean: a sign
+case's per-index signs as one string, a bound check's few (x, within)
+pairs.  The parent writes the whole CSV from them in one pass.
 """
 
 from __future__ import annotations
@@ -30,10 +32,11 @@ import math
 import os
 import re
 import sys
-from collections import Counter
 from contextlib import nullcontext
 from fractions import Fraction
 from itertools import chain, repeat
+from operator import attrgetter
+from types import SimpleNamespace
 
 from .errors import DomainError, TermCapError
 from .evalf import default_log_grid, explore_conjecture
@@ -200,13 +203,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# the CSV text of a sign.  Sign.value is an enum property, and a table
+# keyed by Sign calls Enum.__hash__: each is a Python call per index.
+# _value_, the member's documented value attribute, is read without one.
+_sign_text = attrgetter("_value_")
+
+
 def _run_case(case: Case, precision: int, tol) -> dict:
     """Worker entry: run one case and return a JSON-ready record.  Kept
-    at module level so process pools can pickle it."""
+    at module level so process pools can pickle it.  The record's "csv" is
+    popped before the report is written: a sign case's per-index signs as
+    one string (index m is the position in it), a bound check's (x, within)
+    pairs as strings, and "" for a case without rows."""
     params = {k: str(v) for k, v in case.params.items()}
-    pstr = ";".join(f"{k}={params[k]}" for k in sorted(params))
     record = {"theorem": case.theorem, "params": params,
-              "first_violation": None, "csv_rows": []}
+              "first_violation": None, "csv": ""}
     try:
         with working_precision(precision):
             rep = run_case(case, tol)
@@ -215,19 +226,19 @@ def _run_case(case: Case, precision: int, tol) -> dict:
                 "details": {"family": case.family, "reason": str(exc)}}
     record["verdict"] = rep.verdict.value
     if isinstance(rep, SignReport):
+        signs = "".join(map(_sign_text, rep.per_index_sign))
         record["first_violation"] = rep.first_violation
         record["details"] = {
             "family": case.family,
             "truncation_order": rep.truncation_order,
-            "sign_counts": Counter(s.value for s in rep.per_index_sign),
+            "sign_counts": {s: signs.count(s) for s in dict.fromkeys(signs)},
             "mk_single_sign_change": rep.mk_single_sign_change,
             "mk_all_negative": rep.mk_all_negative,
             "escalated": rep.escalated,
             "inconclusive_before_escalation": rep.inconclusive_before_escalation,
             "reason": rep.reason,
         }
-        record["csv_rows"] = [[case.theorem, pstr, str(m), s.value]
-                              for m, s in enumerate(rep.per_index_sign)]
+        record["csv"] = signs
         return record
     within = [w if w is None else bool(w) for w in rep.within]
     record["details"] = {
@@ -239,8 +250,7 @@ def _run_case(case: Case, precision: int, tol) -> dict:
         "approaches_lower": rep.approaches_lower,
         "reason": None,
     }
-    record["csv_rows"] = [[case.theorem, pstr, str(x), json.dumps(w)]
-                          for x, w in zip(rep.x_grid, within)]
+    record["csv"] = [(str(x), json.dumps(w)) for x, w in zip(rep.x_grid, within)]
     return record
 
 
@@ -306,10 +316,32 @@ COUNTED_AS = {v.value: v.value for v in Verdict}
 COUNTED_AS[Verdict.VERIFIED_DEGENERATE.value] = Verdict.VERIFIED.value
 
 
+def _csv_text(records: list, values: list) -> str:
+    """The rows of verify's CSV under its header, each case's "csv" values
+    after its head, in one pass.  csv.writer formats the
+    ``case,theorem,params,`` head once a case, so any quoting is still its
+    own; the ``index,sign`` text follows as it is, since no index (a decimal
+    int or str(Fraction)) and no value (+ - 0 ? or true false null) needs
+    quoting."""
+    heads = []
+    head = csv.writer(SimpleNamespace(write=heads.append), lineterminator=",")
+    lines = []
+    for i, (rec, vals) in enumerate(zip(records, values)):
+        params = rec["params"]
+        head.writerow([i, rec["theorem"],
+                       ";".join(f"{k}={params[k]}" for k in sorted(params))])
+        prefix = "".join(heads)
+        heads.clear()
+        lines += [f"{prefix}{m},{v}\n"
+                  for m, v in (enumerate(vals) if isinstance(vals, str) else vals)]
+    return "".join(lines)
+
+
 def _publish(args, config: dict, records: list, header: list, rows) -> dict | None:
-    """Write the JSON report to --out-json (else stdout) and the CSV rows
-    to --out-csv if given, and return the summary; None, after an error
-    message, when a file cannot be written."""
+    """Write the JSON report to --out-json (else stdout) and the CSV header
+    and rows to --out-csv if given, and return the summary; None, after an
+    error message, when a file cannot be written.  ``rows`` is a list of
+    CSV rows, or text that follows the header as it is."""
     summary = dict.fromkeys(COUNTED_AS.values(), 0)
     for rec in records:
         summary[COUNTED_AS[rec["verdict"]]] += 1
@@ -322,7 +354,12 @@ def _publish(args, config: dict, records: list, header: list, rows) -> dict | No
             fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
         if args.out_csv:
             with open(args.out_csv, "w", newline="") as fh:
-                csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                if isinstance(rows, str):
+                    fh.write(rows)
+                else:
+                    writer.writerows(rows)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
@@ -355,18 +392,18 @@ def cmd_verify(args) -> int:
         else:
             pool, run = nullcontext(), map
         records = [None] * len(cases)
+        values = [None] * len(cases)
         with pool:
             done = run(_run_chunk, chunk_cases, repeat(precision),
                        repeat(args.tol))
             for i, record in zip(chain.from_iterable(chunks),
                                  chain.from_iterable(done)):
+                values[i] = record.pop("csv")
                 records[i] = record
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    rows = [[str(i)] + row for i, rec in enumerate(records)
-            for row in rec.pop("csv_rows")]
     config = {
         "command": "verify", "theorem": args.theorem,
         "family": args.family, "grid": args.grid,
@@ -374,6 +411,7 @@ def cmd_verify(args) -> int:
         "precision": precision, "jobs": args.jobs,
         "cases": len(cases),
     }
+    rows = _csv_text(records, values) if args.out_csv else ""
     summary = _publish(args, config, records,
                        ["case", "theorem", "params", "index", "sign"], rows)
     if summary is None:

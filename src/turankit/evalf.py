@@ -106,7 +106,7 @@ class PFQSpec:
         """The pFq computed by a series-family spec at a given shift
         value.  Weight factorials are folded into standard pFq shape via
         n! = (1)_n."""
-        s = Fraction(shift_param)
+        s = as_fraction(shift_param)
         w = spec.weights
         if spec.family is Family.UPPER_FACTOR:
             upper = (s,) + w.upper

@@ -498,7 +498,7 @@ def mk_profile(spec: HypSeriesSpec, a, b, delta, m: int) -> MkProfile:
     enclosures Gamma(a+d)Gamma(b) p_k - Gamma(a)Gamma(b+d) q_k."""
     if m < 2:
         raise DomainError(f"profile needs m >= 2, got {m}")
-    a, b, delta = Fraction(a), Fraction(b), Fraction(delta)
+    a, b, delta = as_fraction(a), as_fraction(b), as_fraction(delta)
     D, lower_scale, tables = _tables(spec.family, a, b, delta, m)
     row = _fold_row(spec.family, tables, m)
     exact = partial(_scaled, spec.family, D, lower_scale, m)

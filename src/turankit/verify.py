@@ -354,8 +354,8 @@ def verify_corollary_twosided(spec: HypSeriesSpec, a, b, delta, x_grid,
     for decreasing-weight-ratio upper-factor series with b > a > 0; also
     reports whether the largest grid point approaches the lower bound to
     within SHARPNESS_REL."""
-    a, b, delta = Fraction(a), Fraction(b), Fraction(delta)
-    xs = [Fraction(x) for x in x_grid]
+    a, b, delta = as_fraction(a), as_fraction(b), as_fraction(delta)
+    xs = list(map(as_fraction, x_grid))
     if not xs or any(x <= 0 for x in xs):
         raise DomainError("x grid must be nonempty and positive")
     if not b > a > 0 or delta <= 0:
@@ -395,7 +395,7 @@ def verify_turan(spec: HypSeriesSpec, a, delta, x_grid, tol=None) -> TwoSidedBou
     """Direct and reverse Turan-type bounds
     lower < f(a+2d,x) f(a,x) / f(a+d,x)^2 < 1: the b = a + delta
     specialization, whose lower bound for delta = 1 is a/(a+1)."""
-    a, delta = Fraction(a), Fraction(delta)
+    a, delta = as_fraction(a), as_fraction(delta)
     rep = verify_corollary_twosided(spec, a, a + delta, delta, x_grid, tol)
     rep.params = {"a": a, "delta": delta}
     return rep
@@ -471,8 +471,8 @@ class Case:
         """``series.shift_point`` of a sign case's spec, read off the case
         without building the spec."""
         p = self.params
-        return (FAMILIES[self.family][2], Fraction(p["a"]), Fraction(p["b"]),
-                Fraction(p["delta"]), self.order)
+        return (FAMILIES[self.family][2], as_fraction(p["a"]), as_fraction(p["b"]),
+                as_fraction(p["delta"]), self.order)
 
 
 def default_cases(theorem: str, M: int | None = None) -> list[Case]:

@@ -3,13 +3,17 @@ and worker counts, and the exit-code mapping."""
 
 import concurrent.futures
 import csv
+import dataclasses
+import io
 import json
 import multiprocessing
 import os
+import pickle
 import shutil
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -21,9 +25,9 @@ from turankit import series as series_module
 from turankit import verify as verify_module
 from turankit.cli import build_parser, main
 from turankit.errors import TermCapError
-from turankit.intervals import get_precision
+from turankit.intervals import get_precision, working_precision
 from turankit.series import Family
-from turankit.verify import DEFAULT_M, Case, default_cases
+from turankit.verify import DEFAULT_M, Case, default_cases, run_case
 
 
 def run_cli(argv, tmp_path, name="out"):
@@ -428,6 +432,117 @@ class TestPointMajor:
         assert reports[0] == reports[1]
 
 
+def _reference_csv(records, values):
+    """verify's CSV rows under the header, written by csv.writer from lists
+    of strings, one row per index: the reference for ``cli._csv_text``."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    for i, (rec, vals) in enumerate(zip(records, values)):
+        params = rec["params"]
+        pstr = ";".join(f"{k}={params[k]}" for k in sorted(params))
+        pairs = enumerate(vals) if isinstance(vals, str) else vals
+        writer.writerows([str(i), rec["theorem"], pstr, str(m), v]
+                         for m, v in pairs)
+    return out.getvalue()
+
+
+def _split(records):
+    """The records without their "csv" values, and the values."""
+    return ([{k: v for k, v in rec.items() if k != "csv"} for rec in records],
+            [rec["csv"] for rec in records])
+
+
+@pytest.fixture(scope="module")
+def default_records():
+    precision = get_precision()
+    return [cli_mod._run_case(case, precision, None)
+            for case in default_cases("all")]
+
+
+# b - a = 10^-17 at 5 digits: the retry leaves the signs of m = 10..12 open
+OPEN_THM2 = Case("thm2", "1f1-gamma", {"a": F(1), "b": 1 + F(1, 10 ** 17),
+                                       "delta": F(1, 2), "c": F(3)}, M=12)
+
+
+class TestLeanRecords:
+    @pytest.mark.parametrize("case, precision", [
+        (EXPLICIT[0], 30),
+        (Case("thm1", "1f1-upper", {"a": F(2), "b": F(2), "delta": F(1), "c": F(3)},
+              M=12), 30),
+        (OPEN_THM2, 5),
+    ], ids=["a>b", "a=b", "thm2-open"])
+    def test_sign_string_and_counts(self, case, precision):
+        record = cli_mod._run_case(case, precision, None)
+        with working_precision(precision):
+            rep = run_case(case)
+        signs = [s.value for s in rep.per_index_sign]
+        assert record["csv"] == "".join(signs)
+        counts = record["details"]["sign_counts"]
+        assert type(counts) is dict and counts == dict(Counter(signs))
+
+    def test_the_open_signs_are_marked(self):
+        record = cli_mod._run_case(OPEN_THM2, 5, None)
+        assert record["csv"] == "-" * 10 + "???"
+        assert record["details"]["sign_counts"] == {"-": 10, "?": 3}
+
+    def test_a_capped_case_has_no_values(self):
+        case = Case("corollary", "1f1-upper", {"a": F(1), "b": F(2), "delta": F(1),
+                                               "c": F(3)},
+                    x_grid=[F(1, 7), F(12345678901, 3)])
+        record = cli_mod._run_case(case, 30, None)
+        assert record["verdict"] == "inconclusive"
+        assert record["csv"] == ""
+        assert "sign_counts" not in record["details"]
+
+    def test_bound_check_pairs(self, monkeypatch):
+        case = EXPLICIT[7]
+        rep = run_case(case)
+        open_rep = dataclasses.replace(rep, within=[True, None, False, True, None])
+        monkeypatch.setattr(cli_mod, "run_case", lambda case, tol: open_rep)
+        record = cli_mod._run_case(case, 30, None)
+        assert record["csv"] == list(zip(map(str, rep.x_grid),
+                                         ["true", "null", "false", "true", "null"]))
+        assert record["details"]["within"] == [True, None, False, True, None]
+
+    def test_csv_text_matches_the_csv_writer_on_the_default_grid(
+            self, default_records):
+        records, values = _split(default_records)
+        text = cli_mod._csv_text(records, values)
+        assert text == _reference_csv(records, values)
+        assert text.count("\n") == 16331
+
+    def test_csv_text_matches_the_csv_writer_on_explicit_cases(self):
+        cases = [
+            Case("thm1", "1f1-upper", {"a": F(3), "b": F(1, 2), "delta": F(1, 2),
+                                       "c": F(1)}, M=cli_mod.MAX_M),
+            Case("corollary", "1f1-upper", {"a": F(1), "b": F(2), "delta": F(1),
+                                            "c": F(3)},
+                 x_grid=[F(1, 7), F(2), F(123, 1000), F(60)]),
+        ]
+        records, values = _split([cli_mod._run_case(c, 30, None) for c in cases])
+        assert values[0][200] in "+-0"
+        # the writer takes any params and x: negative and large rationals,
+        # and params text that csv must quote
+        big = str(F(-12345678901234567890123, 7))
+        records += [{"theorem": "thm1", "params": {"a": "-1/3", "b": big}},
+                    {"theorem": "corollary", "params": {"a": 'x,"y', "b": "1\n2"}}]
+        values += ["+-0?" * 50 + "+", [(big, "false"), ("-3/7", "null")]]
+        text = cli_mod._csv_text(records, values)
+        assert text == _reference_csv(records, values)
+        assert f"\n0,thm1,a=3;b=1/2;c=1;delta=1/2,200,{values[0][200]}\n" in text
+        assert f"\n2,thm1,a=-1/3;b={big},200,+\n" in text
+        assert list(csv.reader(io.StringIO(text)))[-1] == [
+            "3", "corollary", 'a=x,"y;b=1\n2', "-3/7", "null"]
+
+    def test_pickled_default_records_are_small(self, default_records):
+        # the records cross the pool in chunks; the per-index CSV rows as
+        # lists of strings pickled to 406 KB
+        chunks = cli_mod._chunks(default_cases("all"), 53)
+        size = sum(len(pickle.dumps([default_records[i] for i in chunk]))
+                   for chunk in chunks)
+        assert size < 100_000
+
+
 class TestPrecisionScope:
     @pytest.mark.parametrize("argv", [
         SINGLE + ["--precision", "60"],
@@ -564,7 +679,7 @@ class TestInputCaps:
             orders.append(case.spec().order)
             return {"theorem": case.theorem, "params": {},
                     "verdict": "verified", "first_violation": None,
-                    "details": {}, "csv_rows": []}
+                    "details": {}, "csv": ""}
 
         monkeypatch.setattr(cli_mod, "_run_case", fake)
         code, _, _ = run_cli(SINGLE[:-1] + [str(cli_mod.MAX_M)], tmp_path)
@@ -675,7 +790,7 @@ class TestInputCaps:
             seen.append(precision)
             return {"theorem": case.theorem, "params": {},
                     "verdict": "verified", "first_violation": None,
-                    "details": {}, "csv_rows": []}
+                    "details": {}, "csv": ""}
 
         def fake_scan(a, b, delta, c, xs, tol):
             seen.append(get_precision())
@@ -802,7 +917,7 @@ class TestTolerance:
             seen.append((case.theorem, tol))
             return {"theorem": case.theorem, "params": {},
                     "verdict": "verified", "first_violation": None,
-                    "details": {}, "csv_rows": []}
+                    "details": {}, "csv": ""}
 
         monkeypatch.setattr(cli_mod, "_run_case", fake)
         code, rep, _ = run_cli(["verify", "--theorem", theorem,
@@ -820,7 +935,7 @@ class TestExitCodes:
         def fake(case, precision, tol):
             return {"theorem": case.theorem, "params": {},
                     "verdict": "violated", "first_violation": 3,
-                    "details": {}, "csv_rows": []}
+                    "details": {}, "csv": ""}
 
         monkeypatch.setattr(cli_mod, "_run_case", fake)
         code, rep, _ = run_cli(SINGLE, tmp_path)
@@ -834,7 +949,7 @@ class TestExitCodes:
         def fake(case, precision, tol):
             return {"theorem": case.theorem, "params": {},
                     "verdict": "inconclusive", "first_violation": None,
-                    "details": {}, "csv_rows": []}
+                    "details": {}, "csv": ""}
 
         monkeypatch.setattr(cli_mod, "_run_case", fake)
         code, _, _ = run_cli(SINGLE, tmp_path)

@@ -13,7 +13,8 @@ the 600 transformation checks of the acceptance suite, the 64-point
 conjecture scan, two long confluent sums and one sum per special path of
 the summation.  The fourth covers the endpoints of the ln(Gamma)
 enclosure at every reduced n/d with d <= 12 and n < 200, at 10, 30 and
-60 digits.
+60 digits.  The last cover the bytes of the command line's JSON and CSV
+reports of ``verify --theorem all --grid default`` and of ``explore``.
 """
 
 import dataclasses
@@ -22,7 +23,10 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
+import pytest
+
 import turankit.evalf as evalf_module
+from turankit.cli import main
 from turankit.evalf import (PFQSpec, check_euler_pfaff,
                             check_kummer_transform, default_log_grid,
                             eval_1f1, explore_conjecture)
@@ -44,6 +48,19 @@ EVAL_SHA256 = "23e6c3eed902594a03dd4d05e291e3aef9d0a4f25e6ca15d7001749001d46a0f"
 # CertifiedInterval, which the integer term loop replaced endpoint for
 # endpoint
 LOG_GAMMA_SHA256 = "19dd0b5a16bf5dbe27906d4d5d422b66f832b2684cde9be8e2855bd31fe2d1ec"
+# computed by the command line that sent each case's CSV rows back from the
+# pool as lists of strings and wrote them with csv.writer, which the
+# one-pass writer of the sign strings replaced byte for byte
+CLI_SHA256 = {
+    "verify": ("d6374a553cdd0e3a7eb90878f8b44770c72963d9a37804fc4d05829103bcc120",
+               "719aafbbb3b1af45c0a608d2efb89ce5cf50c343542890d935320b171a6018b9"),
+    "explore": ("14b97728fb04e4b220a8eb6afcaac14da98e1ed26812908ff459c71c10d0af77",
+                "515d8ad4de48615ec23b3cec168c0cbb89bed13d323b099fc16a814fb7d7ed2d"),
+}
+CLI_ARGV = {
+    "verify": ["verify", "--theorem", "all", "--grid", "default", "--jobs", "1"],
+    "explore": ["explore"],
+}
 
 GRID_PARAMS = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2),
                Fraction(3))
@@ -172,3 +189,14 @@ def test_log_gamma_endpoints_match_golden_digest():
                     digest.update(f"{dps} {n}/{d} {_hex(ci.lo)} "
                                   f"{_hex(ci.hi)}\n".encode())
     assert digest.hexdigest() == LOG_GAMMA_SHA256
+
+
+@pytest.mark.parametrize("command", sorted(CLI_ARGV))
+def test_cli_reports_match_golden_digest(command, tmp_path):
+    out_json, out_csv = tmp_path / "report.json", tmp_path / "report.csv"
+    code = main(CLI_ARGV[command] + ["--precision", "30", "--out-json",
+                                     str(out_json), "--out-csv", str(out_csv)])
+    assert code == 0
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                    for path in (out_json, out_csv))
+    assert digests == CLI_SHA256[command]
