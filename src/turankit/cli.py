@@ -30,7 +30,6 @@ import hashlib
 import json
 import math
 import os
-import re
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -40,6 +39,7 @@ from types import SimpleNamespace
 
 from .errors import DomainError, TermCapError
 from .evalf import default_log_grid, explore_conjecture
+from .exact import parse_rational
 from .intervals import get_precision, working_precision
 from .verify import (DEFAULT_M, FAMILIES, THEOREM_FAMILIES, Case, SignReport,
                      Verdict, case_params, default_cases, run_case)
@@ -47,6 +47,8 @@ from .verify import (DEFAULT_M, FAMILIES, THEOREM_FAMILIES, Case, SignReport,
 THEOREMS = (*THEOREM_FAMILIES, "all")
 # flags that describe one explicit case
 CASE_FLAGS = ("family", "a", "b", "delta", "c", "a0", "b0", "x_grid")
+# the starts of a negative value, which argparse reads as an option
+NEGATIVE = tuple("-" + ch for ch in ".0123456789")
 # Input caps; a larger value exits 2.  The sign kernel's cost grows about
 # as M^4 (its O(M^2) products are of integers that grow with M), and the
 # smallest point of the geometric explore grid has a denominator of three
@@ -67,34 +69,12 @@ MAX_PRECISION = 350
 MAX_KERNEL_BITS = 2 ** 20
 
 
-# a decimal exponent, which Fraction() expands to a power of ten
-_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
-
-
 def _rational(text: str) -> Fraction:
-    """An exact rational flag value.  The reports print every value, so a
-    numerator or denominator of more digits than the interpreter converts
-    to a string (0: no limit) is refused.  So is, before Fraction() spends
-    time on 10**exponent, a decimal exponent above that limit plus the
-    length of the text in magnitude: the value's numerator or denominator
-    would be past the limit, unless it is 0, so 0e10000000 is refused too."""
-    digits = getattr(sys, "get_int_max_str_digits", int)()
-    exponent = _EXPONENT.search(text)
-    if digits and exponent:
-        bound = digits + len(text)
-        magnitude = exponent[1].lstrip("+-").replace("_", "").lstrip("0")
-        if len(magnitude) > len(str(bound)) or int(magnitude or 0) > bound:
-            raise argparse.ArgumentTypeError(
-                f"{text!r} has the decimal exponent {exponent[1]}, above {bound} "
-                "in magnitude")
+    """An exact rational flag value (:func:`exact.parse_rational`)."""
     try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
-    if digits and max(abs(value.numerator), value.denominator) >= 10 ** digits:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} has a numerator or denominator of more than {digits} digits")
-    return value
+        return parse_rational(text)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _check_x_grid(x_grid) -> None:
@@ -337,11 +317,11 @@ def _csv_text(records: list, values: list) -> str:
     return "".join(lines)
 
 
-def _publish(args, config: dict, records: list, header: list, rows) -> dict | None:
+def _publish(args, config: dict, records: list, header: list, rows: str) -> dict | None:
     """Write the JSON report to --out-json (else stdout) and the CSV header
     and rows to --out-csv if given, and return the summary; None, after an
-    error message, when a file cannot be written.  ``rows`` is a list of
-    CSV rows, or text that follows the header as it is."""
+    error message, when a file cannot be written.  ``rows`` is the CSV text
+    that follows the header as it is."""
     summary = dict.fromkeys(COUNTED_AS.values(), 0)
     for rec in records:
         summary[COUNTED_AS[rec["verdict"]]] += 1
@@ -354,12 +334,8 @@ def _publish(args, config: dict, records: list, header: list, rows) -> dict | No
             fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
         if args.out_csv:
             with open(args.out_csv, "w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(header)
-                if isinstance(rows, str):
-                    fh.write(rows)
-                else:
-                    writer.writerows(rows)
+                csv.writer(fh, lineterminator="\n").writerow(header)
+                fh.write(rows)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
@@ -375,6 +351,9 @@ def cmd_verify(args) -> int:
             raise DomainError(f"--M {args.M} is above the cap of {MAX_M}")
         _check_shift_size(args)
         _check_x_grid(args.x_grid)
+        if args.M is not None and args.theorem in ("corollary", "turan") and all(
+                getattr(args, f) is None for f in CASE_FLAGS):
+            raise DomainError(f"--M is not used for {args.theorem}")
         cases = _cases(args)
         if args.tol is not None and all(c.theorem in DEFAULT_M for c in cases):
             raise DomainError(f"--tol is not used for {args.theorem}")
@@ -470,9 +449,10 @@ def cmd_explore(args) -> int:
         },
     }]
     bound_val = repr(float(rep.bound.midpoint))
-    rows = [[repr(float(x)), repr(float(q.lo)), repr(float(q.hi)), bound_val,
-             rep.steps[i - 1].value if i else ""]
-            for i, (x, q) in enumerate(zip(rep.xs, rep.values))]
+    # float reprs and step names, which no CSV field needs quoted
+    rows = "".join(f"{float(x)!r},{float(q.lo)!r},{float(q.hi)!r},{bound_val},"
+                   f"{rep.steps[i - 1].value if i else ''}\n"
+                   for i, (x, q) in enumerate(zip(rep.xs, rep.values)))
     header = ["x", "Q_lo", "Q_hi",
               "bound_A" if rep.branch == "positive" else "bound_B",
               "decided_monotone_step"]
@@ -486,6 +466,12 @@ def cmd_explore(args) -> int:
 
 
 def main(argv=None) -> int:
+    # every option takes a value, so "--a -1/2" is read as "--a=-1/2"
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(1, len(argv))):
+        flag = argv[i - 1]
+        if flag[:2] == "--" and "=" not in flag and argv[i].startswith(NEGATIVE):
+            argv[i - 1:i + 1] = [f"{flag}={argv[i]}"]
     args = build_parser().parse_args(argv)
     if args.tol is not None and args.tol <= 0:
         print(f"error: --tol must be positive, got {args.tol}", file=sys.stderr)

@@ -59,7 +59,7 @@ from functools import cached_property
 from math import ceil, expm1, lcm, lgamma, log
 
 from .errors import DomainError, PoleError, TermCapError
-from .exact import as_fraction, is_nonpositive_integer, parse_rational
+from .exact import is_nonpositive_integer, parse_rational
 from .intervals import (CertifiedInterval, ci_exp, get_precision,
                         rational_power, working_precision)
 from .series import Family, HypSeriesSpec, gamma_quotient, kummer_upper
@@ -78,8 +78,8 @@ class PFQSpec:
     stop: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        up = tuple(map(as_fraction, self.upper))
-        lo = tuple(map(as_fraction, self.lower))
+        up = tuple(map(parse_rational, self.upper))
+        lo = tuple(map(parse_rational, self.lower))
         object.__setattr__(self, "upper", up)
         object.__setattr__(self, "lower", lo)
         stop = min((-u.numerator for u in up if is_nonpositive_integer(u)),
@@ -106,7 +106,7 @@ class PFQSpec:
         """The pFq computed by a series-family spec at a given shift
         value.  Weight factorials are folded into standard pFq shape via
         n! = (1)_n."""
-        s = as_fraction(shift_param)
+        s = parse_rational(shift_param)
         w = spec.weights
         if spec.family is Family.UPPER_FACTOR:
             upper = (s,) + w.upper
@@ -318,11 +318,11 @@ def eval_pfq(spec: PFQSpec, x, tol=None, term_cap: int = TERM_CAP) -> EvalResult
     below tol (default 10^-precision); hitting the term cap first yields
     a wider but still rigorous interval flagged as inconclusive, or
     TermCapError when no tail bound holds at the cap."""
-    x = parse_rational(x) if not isinstance(x, Fraction) else x
+    x = parse_rational(x)
     if tol is None:
         tol_num, tol_den = 1, 10 ** get_precision()
     else:
-        tol = as_fraction(tol)
+        tol = parse_rational(tol)
         if tol <= 0:
             raise DomainError("tolerance must be positive")
         tol_num, tol_den = tol.numerator, tol.denominator
@@ -408,7 +408,7 @@ def eval_1f1(a, c, x, tol=None, use_transform: bool | None = None) -> EvalResult
     evaluation is routed through exp(x) * 1F1(c-a; c; -x), whose terms
     are eventually one-signed; set use_transform to force either path.
     The transformation fails where c is a nonpositive integer."""
-    a, c, x = map(as_fraction, (a, c, x))
+    a, c, x = map(parse_rational, (a, c, x))
     if use_transform is None:
         use_transform = x < 0 and c - a >= 0 and not is_nonpositive_integer(c)
     if not use_transform:
@@ -440,7 +440,7 @@ class TransformReport:
 def check_kummer_transform(a, c, x, tol=None) -> TransformReport:
     """Certified check of 1F1(a; c; x) = exp(x) * 1F1(c-a; c; -x): both
     sides evaluated independently, intervals must overlap."""
-    a, c, x = map(as_fraction, (a, c, x))
+    a, c, x = map(parse_rational, (a, c, x))
     if is_nonpositive_integer(c):
         raise DomainError(f"Kummer's transformation fails at c = {c}")
 
@@ -477,7 +477,7 @@ def check_euler_pfaff(a, b, c, x, tol=None) -> EulerPfaffReport:
     Branches whose series argument leaves the unit disk are skipped.
     Each prefactor (1-x)^e is a shared :func:`rational_power` enclosure,
     and each branch's midpoint is read once for all its residuals."""
-    a, b, c, x = map(as_fraction, (a, b, c, x))
+    a, b, c, x = map(parse_rational, (a, b, c, x))
     if is_nonpositive_integer(c):
         raise DomainError(f"the Euler and Pfaff transformations fail at c = {c}")
     if x >= 1:
@@ -510,7 +510,7 @@ def cross_ratio(spec: HypSeriesSpec, a, b, delta, x, tol=None) -> CertifiedInter
     """Certified enclosure of f(b+d,x) f(a,x) / [f(a+d,x) f(b,x)] where f
     is the spec's series; the quantity bounded between the Gamma quotient
     and 1 for decreasing-weight-ratio families."""
-    a, b, delta, x = map(as_fraction, (a, b, delta, x))
+    a, b, delta, x = map(parse_rational, (a, b, delta, x))
     f = {}
     for s in (b + delta, a, a + delta, b):
         # one sum per distinct shift: a + d and b coincide for Turan ratios
@@ -550,10 +550,10 @@ def explore_conjecture(a, b, delta, c, xs, tol=None) -> ConjectureReport:
     over a monotone grid.  On x > 0 (needs b > a > 0) the ratio is
     expected to fall from 1 toward the Gamma-quotient bound; on x < 0
     (needs a < b < c - d) it is expected to rise toward 1."""
-    a, b, delta, c = map(as_fraction, (a, b, delta, c))
+    a, b, delta, c = map(parse_rational, (a, b, delta, c))
     if delta <= 0:
         raise DomainError("need delta > 0")
-    xs = list(map(as_fraction, xs))
+    xs = list(map(parse_rational, xs))
     if not xs:
         raise DomainError("empty x grid")
     if any(x2 <= x1 for x1, x2 in zip(xs, xs[1:])):
@@ -602,7 +602,7 @@ def default_log_grid(count: int = 64, x_max=Fraction(50),
     into the negative half-line on request.  The smallest point's
     denominator gains three bits per point, which the CLI's cap on the
     point count assumes."""
-    x_max = Fraction(x_max)
+    x_max = parse_rational(x_max)
     if count < 1 or x_max <= 0:
         raise DomainError("need count >= 1 and x_max > 0")
     pts = [x_max * Fraction(7, 8) ** k for k in range(count)]

@@ -1,21 +1,31 @@
 """Exact rational scalars: parsing, Pochhammer symbols, Bernoulli numbers.
 
 Every sign-critical quantity in this package is a ``fractions.Fraction``:
-arbitrary precision, always reduced, denominator positive.  Parameters
-enter as decimal or ``p/q`` strings and are converted exactly, so no
-rounding happens before a sign is decided.
+arbitrary precision, always reduced, denominator positive.  Every public
+function and command-line flag takes a parameter as a Fraction, an int or
+a decimal or ``p/q`` string through :func:`parse_rational`, which refuses
+floats with a DomainError, so no rounding happens before a sign is decided.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from .errors import DomainError
 
+# a decimal exponent, which Fraction() expands to a power of ten
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
+
 
 def parse_rational(value) -> Fraction:
-    """Convert ``value`` (int, Fraction, or string like "3", "1/2", "0.25")
-    to an exact Fraction.  Binary floats are rejected: a float literal that
-    has passed through rounding cannot be trusted as an exact parameter."""
+    """``value`` (a Fraction, an int, or text like "3", "1/2", "0.25") as an
+    exact Fraction; a Fraction is returned as it is.  A binary float has
+    passed through rounding and is refused.  The reports print every value,
+    so text with a numerator or denominator of more digits than the
+    interpreter converts to a string (0: no limit) is refused, and so,
+    before Fraction() spends time on 10**exponent, is a decimal exponent
+    above that limit plus the length of the text (0e10000000 too)."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -24,15 +34,23 @@ def parse_rational(value) -> Fraction:
         raise DomainError(
             f"refusing float {value!r}; pass a string or Fraction for exactness"
         )
+    text = str(value)
+    digits = getattr(sys, "get_int_max_str_digits", int)()
+    exponent = _EXPONENT.search(text)
+    if digits and exponent:
+        bound = digits + len(text)
+        magnitude = exponent[1].lstrip("+-").replace("_", "").lstrip("0")
+        if len(magnitude) > len(str(bound)) or int(magnitude or 0) > bound:
+            raise DomainError(f"{value!r} has the decimal exponent {exponent[1]}, "
+                              f"above {bound} in magnitude")
     try:
-        return Fraction(str(value).strip())
+        q = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"not a rational number: {value!r}") from exc
-
-
-def as_fraction(value) -> Fraction:
-    """``Fraction(value)``, but a Fraction is kept as it is."""
-    return value if isinstance(value, Fraction) else Fraction(value)
+        raise DomainError(f"not an exact rational: {value!r}") from exc
+    if digits and max(abs(q.numerator), q.denominator) >= 10 ** digits:
+        raise DomainError(f"{value!r} has a numerator or denominator of more "
+                          f"than {digits} digits")
+    return q
 
 
 def is_nonpositive_integer(q: Fraction) -> bool:
@@ -43,7 +61,7 @@ def pochhammer(a, n: int) -> Fraction:
     """Rising factorial a(a+1)...(a+n-1); equals 1 when n = 0."""
     if n < 0:
         raise DomainError(f"pochhammer needs n >= 0, got {n}")
-    a = Fraction(a)
+    a = parse_rational(a)
     prod = Fraction(1)
     for i in range(n):
         prod *= a + i

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .errors import DomainError, PoleError
 from .evalf import PFQSpec, eval_pfq
-from .exact import pochhammer
+from .exact import parse_rational, pochhammer
 from .lemmas import truncated_chain_holds
 from .series import kummer_upper, phi_coefficients, sign_of
 
@@ -42,13 +42,13 @@ class TerminatingSum:
     m: int
 
     def __post_init__(self):
-        up = tuple(Fraction(u) for u in self.upper)
-        lo = tuple(Fraction(l) for l in self.lower)
+        up = tuple(map(parse_rational, self.upper))
+        lo = tuple(map(parse_rational, self.lower))
         object.__setattr__(self, "upper", up)
         object.__setattr__(self, "lower", lo)
         if self.m < 0:
             raise DomainError(f"terminator order must be >= 0, got {self.m}")
-        if Fraction(-self.m) not in up:
+        if -self.m not in up:
             raise DomainError(f"no upper parameter equals -{self.m}")
         # pole screening first: a degenerate 0/0 shape trips both checks
         # and must surface as a pole
@@ -89,7 +89,7 @@ def link_factor(b, c, m: int) -> Fraction:
         [(1-b-m)_k (-am/(a+b))_k]."""
     if m < 1:
         raise DomainError(f"link factor needs m >= 1, got {m}")
-    b, c = Fraction(b), Fraction(c)
+    b, c = parse_rational(b), parse_rational(c)
     return -m * pochhammer(b + 1, m - 1) / (math.factorial(m) * pochhammer(c, m))
 
 
@@ -109,7 +109,7 @@ def check_4f3_coefficient_link(a, b, c, m: int) -> Link4F3Report:
     """Exact cross-validation: the product-difference coefficient phi_m
     (shift step 1) equals link_factor * 4F3(-1).  Mismatch means a real
     arithmetic bug, so it raises instead of reporting."""
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    a, b, c = map(parse_rational, (a, b, c))
     value = eval_terminating(thm4d_sum(a, b, c, m))
     phi_m = phi_coefficients(kummer_upper(c, order=m), a, b, 1)[m]
     factor = link_factor(b, c, m)
@@ -124,9 +124,9 @@ def check_4f3_coefficient_link(a, b, c, m: int) -> Link4F3Report:
 def qfq_sum(alpha, beta, a_list, b_list, m: int) -> TerminatingSum:
     """The 2q+2 F 2q+1 terminating shape; q = len(b_list),
     len(a_list) = q - 1."""
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    av = tuple(Fraction(v) for v in a_list)
-    bv = tuple(Fraction(v) for v in b_list)
+    alpha, beta = parse_rational(alpha), parse_rational(beta)
+    av = tuple(map(parse_rational, a_list))
+    bv = tuple(map(parse_rational, b_list))
     q = len(bv)
     if q < 1:
         raise DomainError("need at least one lower-list parameter")
@@ -137,7 +137,7 @@ def qfq_sum(alpha, beta, a_list, b_list, m: int) -> TerminatingSum:
     if m < 2:
         raise DomainError(f"need m >= 2, got {m}")
     t = alpha * m / (alpha + beta)
-    upper = (Fraction(-m), alpha) + av + tuple(1 - bi - m for bi in bv) + (1 - t,)
+    upper = (-m, alpha) + av + tuple(1 - bi - m for bi in bv) + (1 - t,)
     lower = bv + tuple(1 - ai - m for ai in av) + (1 - beta - m, -t)
     return TerminatingSum(upper, lower, m)
 
@@ -159,7 +159,7 @@ def eval_qfq_sum(alpha, beta, a_list, b_list, m: int) -> QfqResult:
     """Exact value plus verdict; tuples failing the symmetric-chain
     screening are marked skipped rather than judged.  alpha > beta is a
     hard precondition of the shape itself."""
-    alpha, beta = Fraction(alpha), Fraction(beta)
+    alpha, beta = parse_rational(alpha), parse_rational(beta)
     if not alpha > beta > 0:
         raise DomainError(f"need alpha > beta > 0, got {alpha}, {beta}")
     value = eval_terminating(qfq_sum(alpha, beta, a_list, b_list, m))

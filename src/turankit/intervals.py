@@ -52,7 +52,7 @@ from mpmath.libmp import (dps_to_prec, ftwo, fzero, mpf_lt, mpf_neg, mpf_pi,
                           round_floor, to_str)
 
 from .errors import DomainError
-from .exact import as_fraction, bernoulli, pochhammer
+from .exact import bernoulli, parse_rational, pochhammer
 
 DEFAULT_DPS = 30
 _GUARD_DPS = 15
@@ -166,12 +166,12 @@ class CertifiedInterval:
 
     @classmethod
     def from_fraction(cls, q) -> "CertifiedInterval":
-        q = Fraction(q)
+        q = parse_rational(q)
         return cls(_outward(q.numerator, q.denominator, _bits()), exact=q)
 
     @classmethod
     def from_fraction_bounds(cls, lo, hi) -> "CertifiedInterval":
-        lo, hi = Fraction(lo), Fraction(hi)
+        lo, hi = parse_rational(lo), parse_rational(hi)
         if lo > hi:
             raise DomainError(f"bounds out of order: {lo} > {hi}")
         prec = _bits()
@@ -296,7 +296,7 @@ class CertifiedInterval:
         return _sign(self._pair[0]) <= 0 <= _sign(self._pair[1])
 
     def contains(self, value) -> bool:
-        value = as_fraction(value)
+        value = parse_rational(value)
         if self.exact is not None:
             return self.exact == value
         return self.lo <= value <= self.hi
@@ -349,7 +349,7 @@ def rational_power(base, expo) -> CertifiedInterval:
     """Enclosure of base**expo for rational base > 0 and rational expo.
     The result is shared between calls with the same base, exponent and
     precision."""
-    base, expo = as_fraction(base), as_fraction(expo)
+    base, expo = parse_rational(base), parse_rational(expo)
     if base <= 0:
         raise DomainError(f"rational_power needs base > 0, got {base}")
     return _rational_power(base, expo, _bits())
@@ -403,7 +403,7 @@ def _half_log_two_pi(prec: int):
 def log_gamma(x) -> CertifiedInterval:
     """Certified enclosure of ln(Gamma(x)) for rational x > 0.  The result
     is shared between calls with the same x and precision."""
-    x = as_fraction(x)
+    x = parse_rational(x)
     if x <= 0:
         raise DomainError(f"log_gamma needs x > 0, got {x}")
     return _log_gamma(x, get_precision())
@@ -440,7 +440,7 @@ def gamma_ratio(x, delta) -> CertifiedInterval:
     """Enclosure of Gamma(x+delta)/Gamma(x); exact Pochhammer value when
     delta is a nonnegative integer.  The result is shared between calls
     with the same x, delta and precision."""
-    x, delta = as_fraction(x), as_fraction(delta)
+    x, delta = parse_rational(x), parse_rational(delta)
     if x <= 0:
         raise DomainError(f"gamma_ratio needs x > 0, got {x}")
     if delta < 0:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import DomainError
-from .exact import ratio_steps
+from .exact import parse_rational, ratio_steps
 
 
 class ChainKind(enum.Enum):
@@ -48,7 +48,7 @@ class PositivePolynomial:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        cs = tuple(Fraction(c) for c in self.coeffs)
+        cs = tuple(map(parse_rational, self.coeffs))
         if not cs:
             raise DomainError("polynomial needs at least one coefficient")
         object.__setattr__(self, "coeffs", cs)
@@ -65,7 +65,7 @@ class PositivePolynomial:
         return len(self.coeffs) - 1
 
     def __call__(self, x) -> Fraction:
-        return _eval_coeffs(self.coeffs, Fraction(x))
+        return _eval_coeffs(self.coeffs, parse_rational(x))
 
 
 def wronskian_coeffs(A: PositivePolynomial, B: PositivePolynomial) -> list[Fraction]:
@@ -185,7 +185,7 @@ def necessity_witness(n: int) -> list[NecessityWitness]:
 
 def elementary_symmetric(values) -> list[Fraction]:
     """[e_1, ..., e_q] via the product recurrence for prod(1 + c_i t)."""
-    vals = [Fraction(v) for v in values]
+    vals = list(map(parse_rational, values))
     poly = [Fraction(1)]
     for c in vals:
         nxt = poly + [Fraction(0)]
@@ -197,7 +197,7 @@ def elementary_symmetric(values) -> list[Fraction]:
 
 def expand_linear_factors(values) -> PositivePolynomial:
     """prod(v_i + x) as an explicit polynomial in x."""
-    vals = [Fraction(v) for v in values]
+    vals = list(map(parse_rational, values))
     es = [Fraction(1)] + elementary_symmetric(vals)
     q = len(vals)
     return PositivePolynomial(tuple(es[q - k] for k in range(q + 1)))
@@ -214,8 +214,8 @@ def check_symmetric_chain(a_list, b_list) -> ChainReport:
     increasing kind means r_q >= r_{q-1} >= ... >= r_1 >= 1 (so
     R(x) = prod(a+x)/prod(b+x) increases on (0, inf)); decreasing kind is
     the reverse with anchor <= 1."""
-    av = [Fraction(v) for v in a_list]
-    bv = [Fraction(v) for v in b_list]
+    av = list(map(parse_rational, a_list))
+    bv = list(map(parse_rational, b_list))
     if len(av) != len(bv):
         raise DomainError(f"length mismatch: {len(av)} vs {len(bv)}")
     if not av:
@@ -234,8 +234,8 @@ def truncated_chain_holds(a_list, b_list) -> bool:
     (upper parameter count below lower): with q = len(b),
     e_q(b)/e_{q-1}(a) <= e_{q-1}(b)/e_{q-2}(a) <= ... <= e_1(b), where
     e_0 = 1.  Vacuously true for q = 1."""
-    av = [Fraction(v) for v in a_list]
-    bv = [Fraction(v) for v in b_list]
+    av = list(map(parse_rational, a_list))
+    bv = list(map(parse_rational, b_list))
     q = len(bv)
     if len(av) != q - 1:
         raise DomainError(f"expected {q - 1} upper parameters, got {len(av)}")
@@ -248,7 +248,7 @@ def truncated_chain_holds(a_list, b_list) -> bool:
 
 def two_f_two_condition(a1, b1, b2) -> bool:
     """The q = 2 truncated chain collapses to a_1 >= b_1 b_2/(b_1 + b_2)."""
-    a1, b1, b2 = Fraction(a1), Fraction(b1), Fraction(b2)
+    a1, b1, b2 = map(parse_rational, (a1, b1, b2))
     if a1 <= 0 or b1 <= 0 or b2 <= 0:
         raise DomainError("parameters must be positive")
     return a1 >= b1 * b2 / (b1 + b2)

@@ -52,7 +52,7 @@ from functools import cached_property, lru_cache, partial
 from itertools import accumulate
 
 from .errors import DomainError, PoleError
-from .exact import as_fraction, ratio_steps
+from .exact import parse_rational, ratio_steps
 from .intervals import CertifiedInterval, ci_exp, gamma_ratio, log_gamma
 
 
@@ -86,8 +86,8 @@ class WeightRule:
     inv_factorial: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "upper", tuple(Fraction(u) for u in self.upper))
-        object.__setattr__(self, "lower", tuple(Fraction(l) for l in self.lower))
+        object.__setattr__(self, "upper", tuple(map(parse_rational, self.upper)))
+        object.__setattr__(self, "lower", tuple(map(parse_rational, self.lower)))
         for p in self.upper + self.lower:
             if p <= 0:
                 raise DomainError(f"weight parameters must be positive, got {p}")
@@ -128,14 +128,12 @@ DEFAULT_ORDER = 40
 
 def kummer_upper(c, order: int = DEFAULT_ORDER) -> HypSeriesSpec:
     """1F1(a; c; x) viewed as an upper-factor family: w_n = 1/(c)_n."""
-    return HypSeriesSpec(Family.UPPER_FACTOR, WeightRule(lower=(Fraction(c),)), order)
+    return HypSeriesSpec(Family.UPPER_FACTOR, WeightRule(lower=(c,)), order)
 
 
 def gauss_upper(b, c, order: int = DEFAULT_ORDER) -> HypSeriesSpec:
     """2F1(a, b; c; x) shifted in a: w_n = (b)_n/(c)_n."""
-    return HypSeriesSpec(
-        Family.UPPER_FACTOR, WeightRule(upper=(Fraction(b),), lower=(Fraction(c),)), order
-    )
+    return HypSeriesSpec(Family.UPPER_FACTOR, WeightRule(upper=(b,), lower=(c,)), order)
 
 
 def binomial_upper(order: int = DEFAULT_ORDER) -> HypSeriesSpec:
@@ -146,14 +144,14 @@ def binomial_upper(order: int = DEFAULT_ORDER) -> HypSeriesSpec:
 def kummer_gamma(c, order: int = DEFAULT_ORDER) -> HypSeriesSpec:
     """Gamma(a) 1F1(a; c; x) as a gamma-factor family: w_n = 1/[(c)_n n!]."""
     return HypSeriesSpec(
-        Family.GAMMA_FACTOR, WeightRule(lower=(Fraction(c),), inv_factorial=True), order
+        Family.GAMMA_FACTOR, WeightRule(lower=(c,), inv_factorial=True), order
     )
 
 
 def kummer_lower(a0, order: int = DEFAULT_ORDER) -> HypSeriesSpec:
     """1F1(a0; c; x) shifted in c: w_n = (a0)_n/n!."""
     return HypSeriesSpec(
-        Family.LOWER_FACTOR, WeightRule(upper=(Fraction(a0),), inv_factorial=True), order
+        Family.LOWER_FACTOR, WeightRule(upper=(a0,), inv_factorial=True), order
     )
 
 
@@ -161,7 +159,7 @@ def gauss_lower(a0, b0, order: int = DEFAULT_ORDER) -> HypSeriesSpec:
     """2F1(a0, b0; c; x) shifted in c: w_n = (a0)_n (b0)_n / n!."""
     return HypSeriesSpec(
         Family.LOWER_FACTOR,
-        WeightRule(upper=(Fraction(a0), Fraction(b0)), inv_factorial=True),
+        WeightRule(upper=(a0, b0), inv_factorial=True),
         order,
     )
 
@@ -450,7 +448,7 @@ def _row_half(family: Family, a: Fraction, b: Fraction, delta: Fraction,
 
 def shift_point(spec: HypSeriesSpec, a, b, delta) -> tuple:
     """(family, a, b, d, M): all a pass's rows depend on."""
-    return (spec.family, *map(as_fraction, (a, b, delta)), spec.order)
+    return (spec.family, *map(parse_rational, (a, b, delta)), spec.order)
 
 
 def check_family(family: Family, spec: HypSeriesSpec) -> None:
@@ -498,7 +496,7 @@ def mk_profile(spec: HypSeriesSpec, a, b, delta, m: int) -> MkProfile:
     enclosures Gamma(a+d)Gamma(b) p_k - Gamma(a)Gamma(b+d) q_k."""
     if m < 2:
         raise DomainError(f"profile needs m >= 2, got {m}")
-    a, b, delta = as_fraction(a), as_fraction(b), as_fraction(delta)
+    a, b, delta = map(parse_rational, (a, b, delta))
     D, lower_scale, tables = _tables(spec.family, a, b, delta, m)
     row = _fold_row(spec.family, tables, m)
     exact = partial(_scaled, spec.family, D, lower_scale, m)

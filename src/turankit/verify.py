@@ -61,7 +61,7 @@ from itertools import accumulate, chain, dropwhile
 from . import series
 from .errors import DomainError
 from .evalf import cross_ratio
-from .exact import as_fraction
+from .exact import parse_rational
 from .intervals import CertifiedInterval, get_precision, working_precision
 from .series import (DEFAULT_ORDER, Family, HypSeriesSpec, MonotoneClass, Sign,
                      binomial_upper, check_family, cross_products,
@@ -236,7 +236,7 @@ def check_signs(rule: SignRule, spec: HypSeriesSpec, a, b, delta,
     here with ``pair_signs`` against each enclosure in turn: one that is
     not negative (ZERO from an exact retry too) breaks the profile claim,
     and one no enclosure decides leaves it open."""
-    a, b, delta = map(as_fraction, (a, b, delta))
+    a, b, delta = map(parse_rational, (a, b, delta))
     if delta <= 0 or min(a, b) < 0 or (rule.positive_shifts and min(a, b) == 0):
         shifts = "positive" if rule.positive_shifts else "nonnegative"
         raise DomainError(f"need delta > 0 and {shifts} shifts")
@@ -354,8 +354,8 @@ def verify_corollary_twosided(spec: HypSeriesSpec, a, b, delta, x_grid,
     for decreasing-weight-ratio upper-factor series with b > a > 0; also
     reports whether the largest grid point approaches the lower bound to
     within SHARPNESS_REL."""
-    a, b, delta = as_fraction(a), as_fraction(b), as_fraction(delta)
-    xs = list(map(as_fraction, x_grid))
+    a, b, delta = map(parse_rational, (a, b, delta))
+    xs = list(map(parse_rational, x_grid))
     if not xs or any(x <= 0 for x in xs):
         raise DomainError("x grid must be nonempty and positive")
     if not b > a > 0 or delta <= 0:
@@ -395,7 +395,7 @@ def verify_turan(spec: HypSeriesSpec, a, delta, x_grid, tol=None) -> TwoSidedBou
     """Direct and reverse Turan-type bounds
     lower < f(a+2d,x) f(a,x) / f(a+d,x)^2 < 1: the b = a + delta
     specialization, whose lower bound for delta = 1 is a/(a+1)."""
-    a, delta = as_fraction(a), as_fraction(delta)
+    a, delta = map(parse_rational, (a, delta))
     rep = verify_corollary_twosided(spec, a, a + delta, delta, x_grid, tol)
     rep.params = {"a": a, "delta": delta}
     return rep
@@ -425,6 +425,8 @@ THEOREM_FAMILIES = {
 # default truncation order of each sign check
 DEFAULT_M = {"thm1": DEFAULT_ORDER, "thm2": 30, "thm3": DEFAULT_ORDER,
              "binomial": DEFAULT_ORDER}
+# default x points of a bound check
+DEFAULT_X_GRID = (Fraction(1, 4), Fraction(1), Fraction(4), Fraction(16), Fraction(50))
 
 
 def case_params(theorem: str, family: str) -> tuple[str, ...]:
@@ -440,7 +442,7 @@ def case_params(theorem: str, family: str) -> tuple[str, ...]:
 class Case:
     """One check at one parameter point.  M is the order of a sign check
     (default: DEFAULT_M), x_grid the points of a bound check (default:
-    1/4, 1, 4, 16, 50)."""
+    DEFAULT_X_GRID)."""
     theorem: str
     family: str
     params: dict
@@ -471,8 +473,8 @@ class Case:
         """``series.shift_point`` of a sign case's spec, read off the case
         without building the spec."""
         p = self.params
-        return (FAMILIES[self.family][2], as_fraction(p["a"]), as_fraction(p["b"]),
-                as_fraction(p["delta"]), self.order)
+        return (FAMILIES[self.family][2],
+                *map(parse_rational, (p["a"], p["b"], p["delta"])), self.order)
 
 
 def default_cases(theorem: str, M: int | None = None) -> list[Case]:
@@ -507,8 +509,7 @@ def run_case(case: Case, tol=None) -> SignReport | TwoSidedBoundReport:
     where the difference vanishes, so Theorem 1 claims every coefficient
     zero."""
     p, spec = case.params, case.spec()
-    xs = case.x_grid or (Fraction(1, 4), Fraction(1), Fraction(4), Fraction(16),
-                         Fraction(50))
+    xs = case.x_grid or DEFAULT_X_GRID
     if case.theorem == "corollary":
         return verify_corollary_twosided(spec, p["a"], p["b"], p["delta"], xs, tol)
     if case.theorem == "turan":

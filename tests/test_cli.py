@@ -308,6 +308,16 @@ class TestImports:
                              capture_output=True, text=True).stdout
         assert out == "[]\n"
 
+    def test_cli_loads_no_pool_machinery(self):
+        # cmd_verify imports the process pool only when it starts one
+        code = ("import sys, turankit.cli as c; c.build_parser(); "
+                "print(sorted(m for m in sys.modules "
+                "if m in ('concurrent.futures', 'multiprocessing')))")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "[]\n"
+
     def test_every_exported_name_resolves(self):
         import turankit
         from turankit import finite_sums, lemmas
@@ -643,12 +653,60 @@ class TestBadConfiguration:
         assert main(SINGLE + extra) == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["--theorem", "corollary"],
+                                      ["--theorem", "turan", "--grid", "default"]])
+    def test_M_on_bound_checks_only_exits_2_before_any_work(self, argv, no_work,
+                                                            capsys):
+        # no bound check reads --M, so a grid of only bound checks refuses it
+        assert main(["verify", *argv, "--M", "5"]) == 2
+        assert capsys.readouterr().err == f"error: --M is not used for {argv[1]}\n"
+
+    def test_M_with_sign_checks_runs(self, tmp_path):
+        code, rep, _ = run_cli(["verify", "--theorem", "all", "--M", "5"], tmp_path)
+        assert code == 0
+        assert rep["config_echo"]["M"] == 5
+        assert rep["summary"]["verified"] == len(default_cases("all"))
+        orders = {c["theorem"]: c["details"].get("truncation_order")
+                  for c in rep["per_case"]}
+        assert orders == {"thm1": 5, "thm2": 5, "thm3": 5, "binomial": 5,
+                          "corollary": None, "turan": None}
+
     def test_turan_takes_no_second_shift(self, capsys):
         code = main(["verify", "--theorem", "turan", "--family", "1f1-upper",
                      "--c", "5", "--a", "2", "--b", "3", "--delta", "1",
                      "--x-grid", "3"])
         assert code == 2
         assert "--b" in capsys.readouterr().err
+
+
+class TestNegativeValues:
+    """argparse reads a value such as -1/2 as an option; every option takes
+    a value, so main reads "--flag -1/2" as "--flag=-1/2"."""
+
+    def test_negative_grid_needs_no_equals_sign(self, tmp_path):
+        reports = []
+        for name, grid in (("joined", ["--x-grid=-4,-2,-1"]),
+                           ("spaced", ["--x-grid", "-4,-2,-1"])):
+            out_csv = tmp_path / f"{name}.csv"
+            code, rep, blob = run_cli(["explore", "--c", "5", *grid,
+                                       "--out-csv", str(out_csv)], tmp_path, name)
+            assert code == 0
+            assert rep["config_echo"]["branch"] == "negative"
+            reports.append((blob, out_csv.read_bytes()))
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("argv, err", [
+        (SINGLE[:7] + ["--b", "2", "--delta", "1", "--a", "-1/2"],
+         "error: need delta > 0 and nonnegative shifts\n"),
+        (["verify", "--theorem", "turan", "--family", "1f1-upper", "--c", "3",
+          "--a", "1", "--delta", "1", "--tol", "-1/2"],
+         "error: --tol must be positive, got -1/2\n"),
+        (["explore", "--points", "4", "--delta", "-1/2"], "error: need delta > 0\n"),
+    ], ids=["a", "tol", "explore-delta"])
+    def test_negative_value_reads_as_with_equals_sign(self, argv, err, capsys):
+        joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+        assert main(argv) == main(joined) == 2
+        assert capsys.readouterr().err == err * 2
 
 
 class TestInputCaps:

@@ -26,7 +26,8 @@ class TestParseRational:
         assert parse_rational(text) == expected
 
     def test_passthrough(self):
-        assert parse_rational(F(5, 7)) == F(5, 7)
+        q = F(5, 7)
+        assert parse_rational(q) is q
         assert parse_rational(4) == F(4)
 
     def test_float_rejected(self):
