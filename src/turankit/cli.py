@@ -16,10 +16,12 @@ are assembled in input order.
 ``verify`` runs its sign cases grouped by shift point (``Case.shift_point``,
 which reads ``series.shift_point`` off the case), so the weight rules of
 one point run one after another and share one read of its half-range rows.
-Chunks of whole groups run in a process pool or in this process, and the
-records return in case order.  A record carries its CSV values lean: a sign
-case's per-index signs as one string, a bound check's few (x, within)
-pairs.  The parent writes the whole CSV from them in one pass.
+Chunks of whole groups run in this process, or in a process pool when the
+run's kernel work (M^2 times the shifts' bits, summed over its shift
+points) is large enough to pay for starting one, and the records return in
+case order.  A record carries its CSV values lean: a sign case's per-index
+signs as one string, a bound check's few (x, within) pairs.  The parent
+writes the whole CSV from them in one pass.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ NEGATIVE = tuple("-" + ch for ch in ".0123456789")
 # as M^4 (its O(M^2) products are of integers that grow with M), and the
 # smallest point of the geometric explore grid has a denominator of three
 # bits per point, so both are bounded where a run still takes seconds.
+# Each case runs in one process, so these are timed inline: --jobs never
+# splits a case, and starts a pool only for a grid (see POOL_WORK).
 # MAX_POINTS also caps the length of an explicit --x-grid.  The certified
 # ln(Gamma) needs about half as many exact Bernoulli numbers as digits,
 # whose cost grows steeply (0.1 s at 700 digits, 0.6 s at 1,400).  A check
@@ -67,6 +71,14 @@ MAX_PRECISION = 350
 # the slowest case, a thm3 2f1-lower one, takes 3.4 s at M = 200 (26 bits)
 # and 2.0 s at M = 40 (655 bits) on 2 vCPUs; 89 bits at M = 200 took 10.7 s.
 MAX_KERNEL_BITS = 2 ** 20
+# The kernel work, that size summed over a run's shift points, from which
+# a pool pays; a run with less runs inline at any --jobs.  Starting a pool
+# costs about 30 ms (importing concurrent.futures, forking the workers).
+# On 2 vCPUs the default grids (work 319,800) and thm1 at M = 80
+# (499,200) lose 20-40 ms pooled, thm1 and thm3 at M = 100
+# (780,000) and "all" at M = 60 (842,400) break about even, and "all" at
+# M = 80 (1,497,600) and thm1 at M = 140 (1,528,800) win 50-100 ms.
+POOL_WORK = 2 ** 20
 
 
 def _rational(text: str) -> Fraction:
@@ -83,6 +95,15 @@ def _check_x_grid(x_grid) -> None:
                           f"of {MAX_POINTS}")
 
 
+def _kernel_size(M: int, shifts) -> int:
+    """M^2 times the bit length of the largest of D and each shift times D,
+    D the shifts' common denominator: about the size of the sign kernel's
+    tables at one shift point, and the measure of its work there."""
+    D = math.lcm(*(s.denominator for s in shifts))
+    return M * M * max(D, *(abs(s.numerator) * (D // s.denominator)
+                            for s in shifts)).bit_length()
+
+
 def _check_shift_size(args) -> None:
     """Refuse an explicit sign case whose shifts would make the kernel's
     tables larger than MAX_KERNEL_BITS."""
@@ -90,12 +111,11 @@ def _check_shift_size(args) -> None:
     if args.theorem not in DEFAULT_M or not shifts:
         return
     M = DEFAULT_M[args.theorem] if args.M is None else args.M
-    D = math.lcm(*(s.denominator for s in shifts))
-    bits = max(D, *(abs(s.numerator) * (D // s.denominator) for s in shifts)).bit_length()
-    if M * M * bits > MAX_KERNEL_BITS:
-        raise DomainError(f"--a, --b and --delta take {bits} bits over their common "
-                          f"denominator, above the cap of {MAX_KERNEL_BITS // (M * M)} "
-                          f"at --M {M}")
+    size = _kernel_size(M, shifts)
+    if size > MAX_KERNEL_BITS:
+        raise DomainError(f"--a, --b and --delta take {size // (M * M)} bits over "
+                          f"their common denominator, above the cap of "
+                          f"{MAX_KERNEL_BITS // (M * M)} at --M {M}")
 
 
 def _precision(args) -> int:
@@ -161,7 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluation tolerance of the corollary and turan checks")
     v.add_argument("--precision", type=int, help="working decimal digits")
     v.add_argument("--jobs", type=int, default=1,
-                   help="worker processes, at most one per core and case")
+                   help="worker processes, at most one per core and case; a "
+                   "run with too little kernel work to pay for them runs inline")
     v.add_argument("--out-json")
     v.add_argument("--out-csv")
 
@@ -239,15 +260,31 @@ def _run_chunk(cases: list[Case], precision: int, tol) -> list[dict]:
     return [_run_case(case, precision, tol) for case in cases]
 
 
-def _chunks(cases: list[Case], size: int) -> list[list[int]]:
+def _groups(cases: list[Case]) -> dict:
     """The case indices grouped by shift point, groups in the order they
-    first appear and cases in theirs, cut into chunks of at least ``size``
-    cases (the last may be smaller) whose edges fall on group edges.  Each
-    bound check is a group of its own."""
+    first appear and cases in theirs.  Each bound check is a group of its
+    own, keyed by its index."""
     groups = {}
     for i, case in enumerate(cases):
         key = case.shift_point() if case.theorem in DEFAULT_M else i
         groups.setdefault(key, []).append(i)
+    return groups
+
+
+def _workers(jobs: int, cases: list[Case], groups: dict) -> int:
+    """The pool size of a run, 1 to run inline: at most ``jobs``, one a
+    usable core and one a case, and 1 while the kernel work summed over its
+    shift points, the (family, a, b, delta, M) keys of ``groups``, is below
+    POOL_WORK (a bound check, keyed by its index, does none)."""
+    work = sum(_kernel_size(key[-1], key[1:-1]) for key in groups
+               if isinstance(key, tuple))
+    return min(jobs, _usable_cores(), len(cases)) if work >= POOL_WORK else 1
+
+
+def _chunks(groups: dict, size: int) -> list[list[int]]:
+    """The groups of :func:`_groups` in their order, cut into chunks of at
+    least ``size`` cases (the last may be smaller) whose edges fall on
+    group edges."""
     chunks = [[]]
     for group in groups.values():
         if len(chunks[-1]) >= size:
@@ -358,9 +395,10 @@ def cmd_verify(args) -> int:
         if args.tol is not None and all(c.theorem in DEFAULT_M for c in cases):
             raise DomainError(f"--tol is not used for {args.theorem}")
         _check_outputs(args)
-        workers = min(args.jobs, _usable_cores(), len(cases))
+        groups = _groups(cases)
+        workers = _workers(args.jobs, cases, groups)
         # about four chunks a worker: fewer round trips to the parent
-        chunks = _chunks(cases, -(-len(cases) // (4 * workers)))
+        chunks = _chunks(groups, -(-len(cases) // (4 * workers)))
         chunk_cases = ([cases[i] for i in chunk] for chunk in chunks)
         if workers > 1:
             # imported here: the pool machinery is a sizeable share of the

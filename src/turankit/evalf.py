@@ -101,6 +101,11 @@ class PFQSpec:
     def q(self) -> int:
         return len(self.lower)
 
+    def diverges_at(self, x: Fraction) -> bool:
+        """Whether the series diverges at x: it does not stop, p = q + 1
+        and |x| >= 1."""
+        return self.stop is None and self.p == self.q + 1 and abs(x) >= 1
+
     @classmethod
     def from_series(cls, spec: HypSeriesSpec, shift_param) -> "PFQSpec":
         """The pFq computed by a series-family spec at a given shift
@@ -330,7 +335,7 @@ def eval_pfq(spec: PFQSpec, x, tol=None, term_cap: int = TERM_CAP) -> EvalResult
     stop = spec.stop
     if x == 0:
         return EvalResult(CertifiedInterval.from_fraction(Fraction(1)), 1, (0, 1))
-    if stop is None and spec.p == spec.q + 1 and abs(x) >= 1:
+    if spec.diverges_at(x):
         raise DomainError(
             f"series with p = q + 1 diverges at |x| = {abs(x)} >= 1")
     terms = _Terms(spec, x)

@@ -60,7 +60,7 @@ from itertools import accumulate, chain, dropwhile
 
 from . import series
 from .errors import DomainError
-from .evalf import cross_ratio
+from .evalf import PFQSpec, cross_ratio
 from .exact import parse_rational
 from .intervals import CertifiedInterval, get_precision, working_precision
 from .series import (DEFAULT_ORDER, Family, HypSeriesSpec, MonotoneClass, Sign,
@@ -365,6 +365,13 @@ def verify_corollary_twosided(spec: HypSeriesSpec, a, b, delta, x_grid,
     if weight_ratio_class(spec) is not MonotoneClass.DECREASING:
         raise DomainError("two-sided bound needs a decreasing weight-ratio spec")
     xs = sorted(xs)
+    # every f(s, x) here has a positive shift s and the same weights, so
+    # one series tells where all diverge (2F1 from x = 1)
+    f_a = PFQSpec.from_series(spec, a)
+    wide = [x for x in xs if f_a.diverges_at(x)]
+    if wide:
+        raise DomainError(f"x grid reaches x = {wide[0]}, where the series "
+                          "diverge; give an x grid inside (0, 1)")
     lower = gamma_quotient(b, a, delta)
     one = CertifiedInterval.from_fraction(Fraction(1))
     values = []

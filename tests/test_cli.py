@@ -88,7 +88,7 @@ def _shift_point(case):
 
 def _spec_chunks(cases, size):
     """The CLI's chunks planned from each sign case's spec: the reference
-    for ``cli._chunks``."""
+    for ``cli._chunks`` of ``cli._groups``."""
     groups = {}
     for i, case in enumerate(cases):
         key = _shift_point(case) if case.theorem in DEFAULT_M else i
@@ -255,6 +255,8 @@ class TestJobs:
 
     def test_pool_size_clamped_to_cores_and_cases(self, tmp_path, monkeypatch,
                                                   recording_pool):
+        # any kernel work pays for a pool, so that M = 6 starts one
+        monkeypatch.setattr(cli_mod, "POOL_WORK", 1)
         monkeypatch.setattr(cli_mod, "_usable_cores", lambda: 4)
         grid = ["verify", "--theorem", "binomial", "--grid", "default",
                 "--M", "6", "--jobs", "1000000"]
@@ -275,6 +277,39 @@ class TestJobs:
         assert code == 0
         assert recording_pool.sizes == [4]
 
+    @pytest.mark.parametrize("cores", [2, 64])
+    def test_pool_sized_by_kernel_work(self, cores, tmp_path, monkeypatch,
+                                       recording_pool):
+        monkeypatch.setattr(cli_mod, "_usable_cores", lambda: cores)
+        # cases that do no work, so that only the plan is seen
+        monkeypatch.setattr(cli_mod, "_run_chunk", lambda cases, *_: [
+            {"theorem": c.theorem, "params": {}, "verdict": "verified",
+             "csv": ""} for c in cases])
+
+        def sizes(argv):
+            recording_pool.sizes.clear()
+            code, rep, _ = run_cli(argv, tmp_path)
+            assert code == 0
+            assert rep["config_echo"]["jobs"] == int(argv[-1])
+            return recording_pool.sizes
+
+        # every default grid at its default order runs inline
+        for theorem in cli_mod.THEOREMS:
+            for jobs in ("2", "1000000"):
+                assert sizes(["verify", "--theorem", theorem, "--grid",
+                              "default", "--jobs", jobs]) == []
+        # the sign grids at the cap on M pay for a pool
+        for theorem in ("thm1", "thm2", "thm3", "all"):
+            grid = ["verify", "--theorem", theorem, "--grid", "default",
+                    "--M", str(cli_mod.MAX_M), "--jobs"]
+            assert sizes(grid + ["1"]) == []
+            assert sizes(grid + ["2"]) == [2]
+            # and with cores to spare, one worker a core or case
+            cases = len(default_cases(theorem, cli_mod.MAX_M))
+            assert sizes(grid + ["1000000"]) == [min(cores, cases)]
+        # a single case runs inline, however large
+        assert sizes(SINGLE[:-1] + [str(cli_mod.MAX_M), "--jobs", "2"]) == []
+
     def test_cores_are_those_the_process_may_use(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "process_cpu_count", lambda: 3, raising=False)
@@ -286,10 +321,15 @@ class TestJobs:
         monkeypatch.delattr(os, "sched_getaffinity")
         assert cli_mod._usable_cores() == 64
 
-    def test_no_pool_machinery_imported_at_one_job(self):
+    @pytest.mark.parametrize("argv", [
+        ["--theorem", "binomial", "--M", "4", "--jobs", "1"],
+        # too little kernel work to pay for a pool on any core count
+        ["--theorem", "all", "--jobs", "2"]],
+        ids=["one-job", "default-grid-two-jobs"])
+    def test_no_pool_machinery_imported_at_one_job(self, argv):
         code = ("import sys, turankit.cli as c; "
-                "c.main(['verify', '--theorem', 'binomial', '--grid', 'default', "
-                "'--M', '4', '--jobs', '1', '--out-json', '/dev/null']); "
+                f"c.main(['verify', '--grid', 'default', *{argv!r}, "
+                "'--out-json', '/dev/null']); "
                 "print(sorted(m for m in sys.modules if m.startswith("
                 "('concurrent', 'multiprocessing'))))")
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
@@ -363,7 +403,7 @@ class TestPointMajor:
                     for point in points]
         cases = [c for pair in zip(*by_point) for c in pair]
         assert len(cases) == 2 * 6
-        chunks = cli_mod._chunks(cases, 1)
+        chunks = cli_mod._chunks(cli_mod._groups(cases), 1)
         assert len(chunks) == 2
         for chunk in chunks:
             records = cli_mod._run_chunk([cases[i] for i in chunk], get_precision(), None)
@@ -373,6 +413,9 @@ class TestPointMajor:
 
     def test_chunks_hold_whole_shift_points(self, tmp_path, monkeypatch,
                                             recording_pool):
+        # any kernel work pays for a pool, so that the default grid
+        # starts a pool
+        monkeypatch.setattr(cli_mod, "POOL_WORK", 1)
         monkeypatch.setattr(cli_mod, "_usable_cores", lambda: 2)
         code, rep, _ = run_cli(ALL_GRID + ["--jobs", "2"], tmp_path)
         assert code == 0
@@ -406,7 +449,8 @@ class TestPointMajor:
             if case.theorem in DEFAULT_M:
                 assert case.shift_point() == _shift_point(case)
         for size in (1, 7, 53, len(cases)):
-            assert cli_mod._chunks(cases, size) == _spec_chunks(cases, size)
+            assert cli_mod._chunks(cli_mod._groups(cases), size) == \
+                _spec_chunks(cases, size)
 
     def test_binomial_cases_join_their_thm1_point(self):
         cases = default_cases("all")
@@ -414,7 +458,7 @@ class TestPointMajor:
         binomial = [c.shift_point() for c in cases if c.theorem == "binomial"]
         assert len(binomial) == 30 and set(binomial) <= thm1
         # and at an explicit order both share, as the explicit cases do
-        chunks = cli_mod._chunks(EXPLICIT, 1)
+        chunks = cli_mod._chunks(cli_mod._groups(EXPLICIT), 1)
         assert [0, 1, 9] in chunks and [2, 3] in chunks and [5, 6] in chunks
 
     @pytest.mark.parametrize("start", [None, "spawn"])
@@ -429,6 +473,9 @@ class TestPointMajor:
             return real(max_workers=max_workers, mp_context=context)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+        # any kernel work pays for a pool, so that the default grid
+        # starts a pool
+        monkeypatch.setattr(cli_mod, "POOL_WORK", 1)
         monkeypatch.setattr(cli_mod, "_usable_cores", lambda: 2)
         reports = []
         for jobs in ("1", "2"):
@@ -547,7 +594,7 @@ class TestLeanRecords:
     def test_pickled_default_records_are_small(self, default_records):
         # the records cross the pool in chunks; the per-index CSV rows as
         # lists of strings pickled to 406 KB
-        chunks = cli_mod._chunks(default_cases("all"), 53)
+        chunks = cli_mod._chunks(cli_mod._groups(default_cases("all")), 53)
         size = sum(len(pickle.dumps([default_records[i] for i in chunk]))
                    for chunk in chunks)
         assert size < 100_000
@@ -670,6 +717,25 @@ class TestBadConfiguration:
                   for c in rep["per_case"]}
         assert orders == {"thm1": 5, "thm2": 5, "thm3": 5, "binomial": 5,
                           "corollary": None, "turan": None}
+
+    @pytest.mark.parametrize("case", [
+        ["--theorem", "corollary", "--b", "2"], ["--theorem", "turan"]],
+        ids=["corollary", "turan"])
+    @pytest.mark.parametrize("grid, x", [
+        ([], "1"), (["--x-grid", "1/4,3,2"], "2")], ids=["default-grid", "x-grid"])
+    def test_2f1_bound_check_past_x_1_exits_2_before_any_work(
+            self, case, grid, x, monkeypatch, capsys):
+        # the 2F1 series diverge at x >= 1; the default x grid reaches 50
+        for name in ("gamma_quotient", "cross_ratio"):
+            monkeypatch.setattr(verify_module, name, _no_work)
+        argv = ["verify", *case, "--family", "2f1-upper", "--b0", "2",
+                "--c", "1", "--a", "1", "--delta", "1", *grid]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: x grid reaches x = {x}, where the series diverge; "
+            "give an x grid inside (0, 1)\n")
+        with pytest.raises(AssertionError, match="before any work"):
+            main(argv[:-2 if grid else None] + ["--x-grid", "1/4,1/2"])
 
     def test_turan_takes_no_second_shift(self, capsys):
         code = main(["verify", "--theorem", "turan", "--family", "1f1-upper",

@@ -767,6 +767,27 @@ class TestTwoSidedBounds:
             # increasing weight ratios: the bound direction does not apply
             verify_corollary_twosided(gauss_upper(F(1), F(2)), 1, 2, 1, [F(1, 2)])
 
+    def test_2f1_grid_past_x_1_refused_before_evaluation(self, monkeypatch):
+        def no_evaluation(*args):
+            raise AssertionError("a refused grid must not be evaluated")
+
+        for name in ("gamma_quotient", "cross_ratio"):
+            monkeypatch.setattr(verify_module, name, no_evaluation)
+        # 2F1 diverges from x = 1; the smallest such point is named
+        spec = gauss_upper(F(2), F(1))
+        with pytest.raises(DomainError, match=r"^x grid reaches x = 1, where the "
+                           r"series diverge; give an x grid inside \(0, 1\)$"):
+            verify_corollary_twosided(spec, 1, 2, 1, [F(1, 4), F(3), F(1)])
+        with pytest.raises(DomainError, match="^x grid reaches x = 2,"):
+            verify_turan(spec, 1, 1, [F(2)])
+        # the check's own refusals come first
+        with pytest.raises(DomainError, match="decreasing weight-ratio"):
+            verify_corollary_twosided(gauss_upper(F(1), F(2)), 1, 2, 1, [F(3)])
+        with pytest.raises(DomainError, match="nonempty and positive"):
+            verify_corollary_twosided(spec, 1, 2, 1, [F(-2)])
+        with pytest.raises(AssertionError, match="not be evaluated"):
+            verify_corollary_twosided(spec, 1, 2, 1, [F(1, 4), F(99, 100)])
+
     def test_needs_upper_factor_family(self):
         with pytest.raises(DomainError):
             verify_corollary_twosided(kummer_lower(F(3)), 1, 2, 1, [F(1)])
