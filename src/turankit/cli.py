@@ -16,7 +16,7 @@ are assembled in input order.
 ``verify`` runs its sign cases grouped by shift point (``Case.shift_point``,
 which reads ``series.shift_point`` off the case), so the weight rules of
 one point run one after another and share one read of its half-range rows.
-Chunks of whole groups run in this process, or in a process pool when the
+Each group is one task, run in this process, or in a process pool when the
 run's kernel work (M^2 times the shifts' bits, summed over its shift
 points) is large enough to pay for starting one, and the records return in
 case order.  A record carries its CSV values lean: a sign case's per-index
@@ -181,8 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluation tolerance of the corollary and turan checks")
     v.add_argument("--precision", type=int, help="working decimal digits")
     v.add_argument("--jobs", type=int, default=1,
-                   help="worker processes, at most one per core and case; a "
-                   "run with too little kernel work to pay for them runs inline")
+                   help="worker processes, at most one per core and shift "
+                   "point; a run with too little kernel work to pay for them "
+                   "runs inline")
     v.add_argument("--out-json")
     v.add_argument("--out-csv")
 
@@ -256,7 +257,8 @@ def _run_case(case: Case, precision: int, tol) -> dict:
 
 
 def _run_chunk(cases: list[Case], precision: int, tol) -> list[dict]:
-    """Worker entry: the records of a chunk of cases, in its order."""
+    """Worker entry: the records of one task's cases, the cases of one
+    shift point or a single bound check, in their order."""
     return [_run_case(case, precision, tol) for case in cases]
 
 
@@ -271,26 +273,15 @@ def _groups(cases: list[Case]) -> dict:
     return groups
 
 
-def _workers(jobs: int, cases: list[Case], groups: dict) -> int:
+def _workers(jobs: int, groups: dict) -> int:
     """The pool size of a run, 1 to run inline: at most ``jobs``, one a
-    usable core and one a case, and 1 while the kernel work summed over its
-    shift points, the (family, a, b, delta, M) keys of ``groups``, is below
-    POOL_WORK (a bound check, keyed by its index, does none)."""
+    usable core and one a task (a group of ``groups``), and 1 while the
+    kernel work summed over its shift points, the (family, a, b, delta, M)
+    keys of ``groups``, is below POOL_WORK (a bound check, keyed by its
+    index, does none)."""
     work = sum(_kernel_size(key[-1], key[1:-1]) for key in groups
                if isinstance(key, tuple))
-    return min(jobs, _usable_cores(), len(cases)) if work >= POOL_WORK else 1
-
-
-def _chunks(groups: dict, size: int) -> list[list[int]]:
-    """The groups of :func:`_groups` in their order, cut into chunks of at
-    least ``size`` cases (the last may be smaller) whose edges fall on
-    group edges."""
-    chunks = [[]]
-    for group in groups.values():
-        if len(chunks[-1]) >= size:
-            chunks.append([])
-        chunks[-1] += group
-    return chunks
+    return min(jobs, _usable_cores(), len(groups)) if work >= POOL_WORK else 1
 
 
 def _usable_cores() -> int:
@@ -384,6 +375,8 @@ def cmd_verify(args) -> int:
         precision = _precision(args)
         if args.jobs < 1:
             raise DomainError("--jobs must be at least 1")
+        if args.M is not None and args.M < 0:
+            raise DomainError(f"--M must be at least 0, got {args.M}")
         if args.M is not None and args.M > MAX_M:
             raise DomainError(f"--M {args.M} is above the cap of {MAX_M}")
         _check_shift_size(args)
@@ -396,10 +389,7 @@ def cmd_verify(args) -> int:
             raise DomainError(f"--tol is not used for {args.theorem}")
         _check_outputs(args)
         groups = _groups(cases)
-        workers = _workers(args.jobs, cases, groups)
-        # about four chunks a worker: fewer round trips to the parent
-        chunks = _chunks(groups, -(-len(cases) // (4 * workers)))
-        chunk_cases = ([cases[i] for i in chunk] for chunk in chunks)
+        workers = _workers(args.jobs, groups)
         if workers > 1:
             # imported here: the pool machinery is a sizeable share of the
             # start-up of a run that never uses it
@@ -411,9 +401,10 @@ def cmd_verify(args) -> int:
         records = [None] * len(cases)
         values = [None] * len(cases)
         with pool:
-            done = run(_run_chunk, chunk_cases, repeat(precision),
-                       repeat(args.tol))
-            for i, record in zip(chain.from_iterable(chunks),
+            done = run(_run_chunk, ([cases[i] for i in group]
+                                    for group in groups.values()),
+                       repeat(precision), repeat(args.tol))
+            for i, record in zip(chain.from_iterable(groups.values()),
                                  chain.from_iterable(done)):
                 values[i] = record.pop("csv")
                 records[i] = record

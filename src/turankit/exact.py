@@ -9,6 +9,7 @@ floats with a DomainError, so no rounding happens before a sign is decided.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from fractions import Fraction
@@ -62,10 +63,9 @@ def pochhammer(a, n: int) -> Fraction:
     if n < 0:
         raise DomainError(f"pochhammer needs n >= 0, got {n}")
     a = parse_rational(a)
-    prod = Fraction(1)
-    for i in range(n):
-        prod *= a + i
-    return prod
+    p, q = a.numerator, a.denominator
+    # prod(a + i) = prod(p + i q) / q^n, reduced once
+    return Fraction(math.prod(range(p, p + n * q, q)), q ** n)
 
 
 def _even_bernoulli(count: int) -> list[Fraction]:

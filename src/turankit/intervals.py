@@ -44,7 +44,6 @@ from contextvars import ContextVar
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import count
-from math import prod
 
 from mpmath.libmp import (dps_to_prec, ftwo, fzero, mpf_lt, mpf_neg, mpf_pi,
                           mpi_add, mpi_div, mpi_exp, mpi_log, mpi_mul, mpi_neg,
@@ -429,10 +428,10 @@ def _log_gamma(x: Fraction, dps: int) -> CertifiedInterval:
     acc = mpi_add(acc, _symmetric(remainder.numerator, remainder.denominator,
                                   prec), prec)
     if m:
-        # (x)_m = prod(a + i b) / b^m for x = a/b
-        a, b = x.numerator, x.denominator
-        shift = prod(a + i * b for i in range(m))
-        acc = mpi_sub(acc, mpi_log(_outward(shift, b ** m, prec), prec), prec)
+        # ln Gamma(x) = ln Gamma(x + m) - ln (x)_m
+        shift = pochhammer(x, m)
+        acc = mpi_sub(acc, mpi_log(_outward(shift.numerator, shift.denominator,
+                                            prec), prec), prec)
     return CertifiedInterval(acc)
 
 

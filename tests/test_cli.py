@@ -44,7 +44,7 @@ ALL_GRID = ["verify", "--theorem", "all", "--grid", "default"]
 @pytest.fixture
 def recording_pool(monkeypatch):
     """The process pool replaced by one that records its size and the
-    chunks of cases it is sent, and runs them inline."""
+    chunks of cases it is sent, one a task, and runs them inline."""
     seen = SimpleNamespace(sizes=[], chunks=[])
 
     class RecordingPool:
@@ -86,19 +86,14 @@ def _shift_point(case):
     return series_module.shift_point(case.spec(), p["a"], p["b"], p["delta"])
 
 
-def _spec_chunks(cases, size):
-    """The CLI's chunks planned from each sign case's spec: the reference
-    for ``cli._chunks`` of ``cli._groups``."""
+def _spec_groups(cases):
+    """The CLI's groups formed from each sign case's spec: the reference
+    for ``cli._groups``, whose groups are the pool's tasks."""
     groups = {}
     for i, case in enumerate(cases):
         key = _shift_point(case) if case.theorem in DEFAULT_M else i
         groups.setdefault(key, []).append(i)
-    chunks = [[]]
-    for group in groups.values():
-        if len(chunks[-1]) >= size:
-            chunks.append([])
-        chunks[-1] += group
-    return chunks
+    return list(groups.values())
 
 
 F = Fraction
@@ -263,9 +258,9 @@ class TestJobs:
         code, rep, _ = run_cli(grid, tmp_path, "grid")
         assert code == 0
         assert recording_pool.sizes == [4]
-        # 30 binomial cases, each on a shift point of its own, in about
-        # four chunks a worker
-        assert [len(chunk) for chunk in recording_pool.chunks] == [2] * 15
+        # 30 binomial cases, each on a shift point of its own, one task a
+        # shift point
+        assert [len(chunk) for chunk in recording_pool.chunks] == [1] * 30
         assert rep["config_echo"]["jobs"] == 1000000
         # one case: no pool at all
         code, _, _ = run_cli(SINGLE + ["--jobs", "1000000"], tmp_path, "one")
@@ -304,11 +299,26 @@ class TestJobs:
                     "--M", str(cli_mod.MAX_M), "--jobs"]
             assert sizes(grid + ["1"]) == []
             assert sizes(grid + ["2"]) == [2]
-            # and with cores to spare, one worker a core or case
-            cases = len(default_cases(theorem, cli_mod.MAX_M))
-            assert sizes(grid + ["1000000"]) == [min(cores, cases)]
+            # and with cores to spare, one worker a core or shift point
+            points = len(cli_mod._groups(default_cases(theorem, cli_mod.MAX_M)))
+            assert sizes(grid + ["1000000"]) == [min(cores, points)]
         # a single case runs inline, however large
         assert sizes(SINGLE[:-1] + [str(cli_mod.MAX_M), "--jobs", "2"]) == []
+
+    def test_no_more_workers_than_shift_points(self, tmp_path, monkeypatch,
+                                               recording_pool):
+        # any kernel work pays for a pool, so that M = 6 starts one
+        monkeypatch.setattr(cli_mod, "POOL_WORK", 1)
+        monkeypatch.setattr(cli_mod, "_usable_cores", lambda: 64)
+        code, rep, _ = run_cli(["verify", "--theorem", "thm3", "--grid",
+                                "default", "--M", "6", "--jobs", "1000000"],
+                               tmp_path)
+        assert code == 0
+        # 150 cases on 30 shift points: a worker without a task would cost
+        # a fork and do nothing
+        assert rep["config_echo"]["cases"] == 150
+        assert recording_pool.sizes == [30]
+        assert len(recording_pool.chunks) == 30
 
     def test_cores_are_those_the_process_may_use(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -403,10 +413,10 @@ class TestPointMajor:
                     for point in points]
         cases = [c for pair in zip(*by_point) for c in pair]
         assert len(cases) == 2 * 6
-        chunks = cli_mod._chunks(cli_mod._groups(cases), 1)
-        assert len(chunks) == 2
-        for chunk in chunks:
-            records = cli_mod._run_chunk([cases[i] for i in chunk], get_precision(), None)
+        groups = cli_mod._groups(cases)
+        assert len(groups) == 2
+        for group in groups.values():
+            records = cli_mod._run_chunk([cases[i] for i in group], get_precision(), None)
             assert {r["verdict"] for r in records} == {"verified"}
         assert builds == [(Family.UPPER_FACTOR, *point, cli_mod.MAX_M)
                           for point in points]
@@ -433,10 +443,8 @@ class TestPointMajor:
                 chunk_of.setdefault(keys[cases.index(case)], set()).add(n)
         assert len(chunk_of) == 90 + 3
         assert all(len(held) == 1 for held in chunk_of.values())
-        # about four chunks a worker: ceil(423 / 8) = 53 cases or more,
-        # the last excepted
-        assert len(chunks) <= 8
-        assert all(len(chunk) >= 53 for chunk in chunks[:-1])
+        # one task a shift point: no chunk holds two
+        assert len(chunks) == 90 + 3
         # the records come back in case order
         assert [(r["theorem"], r["params"]) for r in rep["per_case"]] == [
             (c.theorem, {k: str(v) for k, v in c.params.items()}) for c in cases]
@@ -448,9 +456,7 @@ class TestPointMajor:
         for case in cases:
             if case.theorem in DEFAULT_M:
                 assert case.shift_point() == _shift_point(case)
-        for size in (1, 7, 53, len(cases)):
-            assert cli_mod._chunks(cli_mod._groups(cases), size) == \
-                _spec_chunks(cases, size)
+        assert list(cli_mod._groups(cases).values()) == _spec_groups(cases)
 
     def test_binomial_cases_join_their_thm1_point(self):
         cases = default_cases("all")
@@ -458,8 +464,8 @@ class TestPointMajor:
         binomial = [c.shift_point() for c in cases if c.theorem == "binomial"]
         assert len(binomial) == 30 and set(binomial) <= thm1
         # and at an explicit order both share, as the explicit cases do
-        chunks = cli_mod._chunks(cli_mod._groups(EXPLICIT), 1)
-        assert [0, 1, 9] in chunks and [2, 3] in chunks and [5, 6] in chunks
+        groups = list(cli_mod._groups(EXPLICIT).values())
+        assert [0, 1, 9] in groups and [2, 3] in groups and [5, 6] in groups
 
     @pytest.mark.parametrize("start", [None, "spawn"])
     def test_pool_gives_the_inline_reports(self, start, tmp_path, monkeypatch):
@@ -592,11 +598,11 @@ class TestLeanRecords:
             "3", "corollary", 'a=x,"y;b=1\n2', "-3/7", "null"]
 
     def test_pickled_default_records_are_small(self, default_records):
-        # the records cross the pool in chunks; the per-index CSV rows as
-        # lists of strings pickled to 406 KB
-        chunks = cli_mod._chunks(cli_mod._groups(default_cases("all")), 53)
-        size = sum(len(pickle.dumps([default_records[i] for i in chunk]))
-                   for chunk in chunks)
+        # the records cross the pool one shift point a task; the per-index
+        # CSV rows as lists of strings pickled to 406 KB
+        groups = cli_mod._groups(default_cases("all")).values()
+        size = sum(len(pickle.dumps([default_records[i] for i in group]))
+                   for group in groups)
         assert size < 100_000
 
 
@@ -793,6 +799,17 @@ class TestInputCaps:
         assert main(argv + [str(cli_mod.MAX_M + 1)]) == 2
         assert capsys.readouterr().err == \
             "error: --M 201 is above the cap of 200\n"
+
+    @pytest.mark.parametrize("argv", [
+        SINGLE[:-1], ["verify", "--theorem", "all", "--jobs", "2", "--M"]],
+        ids=["explicit", "all-two-jobs"])
+    def test_negative_order_exits_2_before_any_work(self, argv, no_work,
+                                                    recording_pool, capsys):
+        # M^2 makes a negative order look like a large shift size and a
+        # large kernel work
+        assert main(argv + ["-1000"]) == 2
+        assert capsys.readouterr().err == "error: --M must be at least 0, got -1000\n"
+        assert recording_pool.sizes == []
 
     def test_order_at_cap_accepted(self, tmp_path, monkeypatch):
         import turankit.cli as cli_mod
