@@ -13,15 +13,16 @@ toward the lower bound as x grows.
 
 from fractions import Fraction as F
 
-from turankit import (cross_ratio, gamma_ratio, kummer_upper,
+from turankit import (cross_ratio, gamma_quotient, kummer_upper,
                       verify_corollary_twosided, verify_turan)
 
 spec = kummer_upper(F(3))
 a, b, delta = F(1), F(2), F(1)
 
-# The lower bound is (a)_delta-like: Gamma(a+delta)Gamma(b) over
-# Gamma(a)Gamma(b+delta).  Integer delta makes it an exact rational.
-lower = gamma_ratio(a, delta) / gamma_ratio(b, delta)
+# The lower bound is the Gamma quotient Gamma(a+delta)Gamma(b) over
+# Gamma(a)Gamma(b+delta).  An integer delta or b - a makes it an exact
+# rational.
+lower = gamma_quotient(b, a, delta)
 print("exact lower bound:", lower.exact, "  upper bound: 1\n")
 
 xs = [F(1, 4), F(1), F(4), F(16), F(50)]

@@ -4,7 +4,7 @@ A :class:`CertifiedInterval` is a pair of raw binary floats [lo, hi]
 guaranteed to contain the true real value; each operation is one libmp
 interval function (``mpi_add``, ``mpi_exp``, ...), which rounds outward.
 Intervals whose value is known to be an exact rational carry that rational
-alongside the enclosure, so integer-shift Gamma ratios stay exact end to end.
+alongside the enclosure, so Gamma ratios over a short integer step stay exact.
 
 A rational num/den, reduced or not, is rounded with one division: the
 quotient that libmp's ``mpf_div`` forms, with a sticky bit for a nonzero
@@ -55,6 +55,8 @@ from .exact import bernoulli, parse_rational, pochhammer
 
 DEFAULT_DPS = 30
 _GUARD_DPS = 15
+# the longest integer Gamma-ratio step made an exact product (cost ~ step^2)
+POCHHAMMER_STEPS = 1000
 
 # (decimal digits, bits including the guard digits) in the current context;
 # unset outside every working_precision block
@@ -437,8 +439,8 @@ def _log_gamma(x: Fraction, dps: int) -> CertifiedInterval:
 
 def gamma_ratio(x, delta) -> CertifiedInterval:
     """Enclosure of Gamma(x+delta)/Gamma(x); exact Pochhammer value when
-    delta is a nonnegative integer.  The result is shared between calls
-    with the same x, delta and precision."""
+    delta is an integer of at most POCHHAMMER_STEPS.  The result is shared
+    between calls with the same x, delta and precision."""
     x, delta = parse_rational(x), parse_rational(delta)
     if x <= 0:
         raise DomainError(f"gamma_ratio needs x > 0, got {x}")
@@ -451,6 +453,6 @@ def gamma_ratio(x, delta) -> CertifiedInterval:
 def _gamma_ratio(x: Fraction, delta: Fraction, prec: int) -> CertifiedInterval:
     """Gamma(x+delta)/Gamma(x) at the current precision, whose bits
     ``prec`` are (see :func:`_rational_power`)."""
-    if delta.denominator == 1:
+    if delta.denominator == 1 and delta <= POCHHAMMER_STEPS:
         return CertifiedInterval.from_fraction(pochhammer(x, delta.numerator))
     return ci_exp(log_gamma(x + delta) - log_gamma(x))

@@ -201,18 +201,19 @@ def sign_of(value) -> Sign:
 
 
 def gamma_quotient(a, b, delta) -> CertifiedInterval:
-    """Enclosure of Gamma(b+d)Gamma(a) / [Gamma(a+d)Gamma(b)]; exact when
-    d is an integer."""
-    return gamma_ratio(b, delta) / gamma_ratio(a, delta)
-
-
-def pair_quotient(a, b, delta) -> CertifiedInterval:
-    """The Gamma quotient Q against which the gamma family's pairs (S1_m,
-    S2_m) and (p_k, q_k) are read, enclosed at the precision in force:
-    :func:`gamma_quotient`, but exactly 1 at a = b, where S1 = S2."""
-    if a == b:
-        return CertifiedInterval.from_fraction(1)
-    return gamma_quotient(a, b, delta)
+    """Q = Gamma(b+d)Gamma(a) / [Gamma(a+d)Gamma(b)] at the precision in
+    force, as two Gamma ratios over one step: n = b - a, Q = (a+d)_n/(a)_n
+    (for n < 0, one over Q at (b, a)), if n is an integer shorter than d or
+    d is fractional, else d.  Exact for an integer step, so 1 at a = b."""
+    b, delta, a = map(parse_rational, (b, delta, a))
+    n = b - a
+    # gamma_ratio refuses a or b <= 0 and delta < 0, so these take the step d
+    if (min(a, b) <= 0 or delta < 0 or n.denominator != 1
+            or delta.denominator == 1 and abs(n) >= delta):
+        return gamma_ratio(b, delta) / gamma_ratio(a, delta)
+    if n < 0:
+        return gamma_ratio(b, -n) / gamma_ratio(b + delta, -n)
+    return gamma_ratio(a + delta, n) / gamma_ratio(a, n)
 
 
 @dataclass
@@ -391,8 +392,8 @@ class HalfRangePass:
         return [self.exact(m, s, L2) for m, s in enumerate(self.sums())]
 
     def quotient(self) -> CertifiedInterval:
-        """The Gamma quotient Q of a gamma-family pass (:func:`pair_quotient`)."""
-        return pair_quotient(self.a, self.b, self.delta)
+        """The Gamma quotient Q of a gamma-family pass (:func:`gamma_quotient`)."""
+        return gamma_quotient(self.a, self.b, self.delta)
 
     def psi(self) -> list[PsiCoefficient]:
         """Factored psi_m with certified signs for m = 0..M (gamma family),

@@ -52,6 +52,7 @@ runs one.  The command line goes through these.
 from __future__ import annotations
 
 import enum
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -66,8 +67,8 @@ from .intervals import CertifiedInterval, get_precision, working_precision
 from .series import (DEFAULT_ORDER, Family, HypSeriesSpec, MonotoneClass, Sign,
                      binomial_upper, check_family, cross_products,
                      gamma_quotient, gauss_lower, gauss_upper, half_range_pass,
-                     kummer_gamma, kummer_lower, kummer_upper, pair_quotient,
-                     pair_signs, shift_point, sign_of, weight_ratio_class)
+                     kummer_gamma, kummer_lower, kummer_upper, pair_signs,
+                     shift_point, sign_of, weight_ratio_class)
 
 
 class Verdict(enum.Enum):
@@ -247,7 +248,8 @@ def check_signs(rule: SignRule, spec: HypSeriesSpec, a, b, delta,
         mirror = check_signs(rule, spec, b, a, delta)
         return replace(mirror, params={"a": a, "b": b, "delta": delta},
                        per_index_sign=[_FLIP.get(s, s) for s in mirror.per_index_sign])
-    quotients = [pair_quotient(a, b, delta)] if rule.family is Family.GAMMA_FACTOR else []
+    quotients = ([series.gamma_quotient(a, b, delta)]
+                 if rule.family is Family.GAMMA_FACTOR else [])
     end, interval = None, False
     if quotients:  # the exact Gamma quotient, or its first enclosure's lower end
         interval = quotients[0].exact is None
@@ -275,7 +277,7 @@ def check_signs(rule: SignRule, spec: HypSeriesSpec, a, b, delta,
     pending = [m for m, s in enumerate(signs) if s is Sign.INCONCLUSIVE]
     if pending:
         with working_precision(2 * get_precision()):
-            quotients.append(pair_quotient(a, b, delta))
+            quotients.append(series.gamma_quotient(a, b, delta))
         retry = pair_signs([sums[m] for m in pending], quotients[-1])
         for m, sign in zip(pending, retry):
             signs[m] = sign
@@ -339,7 +341,7 @@ class TwoSidedBoundReport:
     lower_bound: CertifiedInterval  # the upper bound is 1
     within: list  # True / False / None per x
     approaches_lower: bool
-    rel_gap_at_top: float
+    rel_gap_at_top: float  # inf past the float range: Gamma q can be ~4^-delta
     verdict: Verdict
 
 
@@ -385,17 +387,16 @@ def verify_corollary_twosided(spec: HypSeriesSpec, a, b, delta, x_grid,
             within.append(False)
         else:
             within.append(None)
-    top = values[-1]
-    gap = abs(top.midpoint - lower.midpoint) / abs(lower.midpoint)
-    approaches = float(gap) <= SHARPNESS_REL
+    gap = abs(values[-1].midpoint - lower.midpoint) / abs(lower.midpoint)
     if any(w is False for w in within):
         verdict = Verdict.VIOLATED
     elif any(w is None for w in within):
         verdict = Verdict.INCONCLUSIVE
     else:
         verdict = Verdict.VERIFIED
-    return TwoSidedBoundReport({"a": a, "b": b, "delta": delta}, xs, values,
-                               lower, within, approaches, float(gap), verdict)
+    rel_gap = float(gap) if gap <= sys.float_info.max else float("inf")
+    return TwoSidedBoundReport({"a": a, "b": b, "delta": delta}, xs, values, lower,
+                               within, gap <= SHARPNESS_REL, rel_gap, verdict)
 
 
 def verify_turan(spec: HypSeriesSpec, a, delta, x_grid, tol=None) -> TwoSidedBoundReport:

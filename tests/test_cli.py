@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import multiprocessing
 import os
 import pickle
@@ -1011,6 +1012,34 @@ class TestInputCaps:
     def test_an_exponent_within_the_limit_reaches_the_work(self, value, no_work):
         with pytest.raises(AssertionError, match="before any work"):
             main(self.TURAN + ["--a", value, "--delta", "1"])
+
+
+class TestLargeShifts:
+    """A long integer step is enclosed, not multiplied out, and a relative
+    gap past the float range is reported, not raised."""
+
+    @pytest.mark.parametrize("argv, gap", [
+        (["verify", "--theorem", "thm2", "--family", "1f1-gamma", "--a", "1/2",
+          "--b", "2", "--delta", "300000", "--c", "1", "--M", "1"], None),
+        (["verify", "--theorem", "corollary", "--family", "1f1-upper", "--a", "1",
+          "--b", "2", "--delta", "300000", "--c", "3"], "finite"),
+        (["explore", "--delta", "300000", "--points", "2"], None),
+        (["verify", "--theorem", "turan", "--family", "1f1-upper", "--a", "1",
+          "--delta", "800", "--c", "3"], "inf"),
+        (["verify", "--theorem", "corollary", "--family", "1f1-upper", "--a", "1",
+          "--b", "700", "--delta", "700", "--c", "3"], "inf"),
+    ], ids=["thm2", "corollary", "explore", "turan-gap", "corollary-gap"])
+    def test_exits_0_at_once(self, argv, gap, tmp_path):
+        start = time.perf_counter()
+        code, rep, _ = run_cli(argv, tmp_path)
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        assert rep["summary"] == {"verified": 1, "violated": 0, "inconclusive": 0}
+        details = rep["per_case"][0]["details"]
+        if gap is not None:
+            # json.loads reads the gap past the float range as inf
+            assert math.isinf(details["rel_gap_at_top"]) == (gap == "inf")
+            assert details["approaches_lower"] is False
 
 
 class TestTolerance:

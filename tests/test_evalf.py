@@ -400,6 +400,50 @@ class TestConjectureExplorer:
             explore_conjecture(F(1), F(2), F(1), F(3), [F(-2), F(-1)])
 
 
+class TestTamperedExplore:
+    """explore_conjecture reads each step from the two enclosures
+    cross_ratio returns; these return chosen ones, as no true input gives
+    a wrong-direction step."""
+
+    # enclosures by name: two certainly apart, and one that overlaps both
+    LEVELS = {"low": (F(1, 2), F(5, 8)), "high": (F(3, 4), F(7, 8)),
+              "wide": (F(9, 16), F(13, 16))}
+
+    def _scan(self, monkeypatch, xs, names):
+        table = dict(zip(xs, names))
+
+        def tampered(spec, a, b, delta, x, tol=None):
+            return CertifiedInterval.from_fraction_bounds(*self.LEVELS[table[x]])
+
+        monkeypatch.setattr(evalf_mod, "cross_ratio", tampered)
+        return explore_conjecture(F(1), F(2), F(1), F(4), xs)
+
+    @pytest.mark.parametrize("branch, xs, violations", [
+        ("positive", [F(1), F(2), F(3), F(4), F(5)], 1),
+        ("negative", [F(-5), F(-4), F(-3), F(-2), F(-1)], 2),
+    ])
+    def test_steps_violations_and_undecided(self, monkeypatch, branch, xs,
+                                            violations):
+        # down, up, down, undecided: on the positive branch the up step is
+        # the violation, on the negative branch the two down steps
+        rep = self._scan(monkeypatch, xs, ["high", "low", "high", "low", "wide"])
+        assert rep.branch == branch
+        assert rep.steps == [StepKind.DOWN, StepKind.UP, StepKind.DOWN,
+                             StepKind.UNDECIDED]
+        assert (rep.violations, rep.undecided) == (violations, 1)
+
+    @pytest.mark.parametrize("xs, names, expected", [
+        ([F(1), F(2), F(3)], ["high", "low", "low"], StepKind.DOWN),
+        ([F(-3), F(-2), F(-1)], ["low", "high", "high"], StepKind.UP),
+    ])
+    def test_a_tie_is_undecided_never_expected(self, monkeypatch, xs, names,
+                                               expected):
+        # equal enclosures overlap, so that step is undecided on either branch
+        rep = self._scan(monkeypatch, xs, names)
+        assert rep.steps == [expected, StepKind.UNDECIDED]
+        assert (rep.violations, rep.undecided) == (0, 1)
+
+
 class TestDefaultLogGrid:
     def test_shape(self):
         xs = default_log_grid(16, F(50))

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from fractions import Fraction as F
 from itertools import product
 
@@ -345,6 +346,25 @@ class TestGammaRatio:
         lhs = gamma_ratio(x, d1 + d2)
         rhs = gamma_ratio(x, d1) * gamma_ratio(x + d1, d2)
         assert lhs.overlaps(rhs)
+
+    def test_long_integer_step_is_enclosed(self, monkeypatch):
+        # the exact product costs the square of the step, so a step past
+        # POCHHAMMER_STEPS is enclosed through ln Gamma, and stays fast
+        real, steps = intervals.pochhammer, intervals.POCHHAMMER_STEPS
+
+        def bounded(x, n):
+            assert n <= steps, f"a product of {n} factors"
+            return real(x, n)
+
+        monkeypatch.setattr(intervals, "pochhammer", bounded)
+        assert gamma_ratio(F(1, 2), steps).exact == real(F(1, 2), steps)
+        for x, delta in ((F(1, 2), steps + 1), (F(7, 3), 3 * steps)):
+            ci = gamma_ratio(x, delta)
+            assert ci.exact is None and ci.contains(real(x, delta))
+        start = time.perf_counter()
+        for delta in (300_000, 10 ** 9):
+            assert gamma_ratio(F(1, 2), delta).exact is None
+        assert time.perf_counter() - start < 1
 
     def test_domain(self):
         with pytest.raises(DomainError):

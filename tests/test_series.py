@@ -7,6 +7,7 @@ convolutions over Pochhammer symbols for the exact coefficients, and
 
 import math
 import operator
+import re
 import sys
 import threading
 from dataclasses import replace
@@ -15,13 +16,14 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from turankit import intervals as intervals_module
 from turankit import series as series_module
 from turankit import verify as verify_module
 from turankit.errors import DomainError, PoleError
-from turankit.intervals import (CertifiedInterval, get_precision,
+from turankit.intervals import (CertifiedInterval, gamma_ratio, get_precision,
                                 working_precision)
 from turankit.series import (DEFAULT_ORDER, Family, HypSeriesSpec, MonotoneClass,
                              Sign, WeightRule, binomial_upper, gamma_quotient,
@@ -647,7 +649,7 @@ class TestRowMemo:
         # which the precision sets
         for digits in (30, 30, 60, 60):
             with working_precision(digits):
-                verify_theorem2(kummer_gamma(F(3), 10), 1, 2, F(1, 2))
+                verify_theorem2(kummer_gamma(F(3), 10), 1, F(5, 2), F(1, 2))
         assert len(builds) == 3
         info = verify_module._read_point.cache_info()
         assert (info.hits, info.misses) == (5, 3)
@@ -779,19 +781,90 @@ class TestSignTest:
         None, CertifiedInterval.from_fraction(2),
         CertifiedInterval.from_fraction_bounds(0, 10 ** 6)])
     def test_equal_shifts_ignore_the_quotient(self, quotient, monkeypatch):
-        # whatever the enclosure would be, and at any precision, S1 = S2
+        # Q is taken over the step b - a = 0, so whatever the enclosure of
+        # a ratio over the step d would be, and at either precision, S1 = S2
         # and Q = 1 exactly
         if quotient is not None:
-            monkeypatch.setattr(series_module, "gamma_quotient",
-                                lambda *args: quotient)
+            real = series_module.gamma_ratio
+            monkeypatch.setattr(series_module, "gamma_ratio",
+                                lambda x, step: real(x, step) if step == 0 else quotient)
         spec = kummer_gamma(F(3), 8)
         a, d = F(3, 2), F(1, 2)
-        with working_precision(60):
-            hr = half_range_pass(Family.GAMMA_FACTOR, spec, a, a, d)
-            assert hr.quotient().exact == 1
-            assert pair_signs(hr.sums(), hr.quotient()) == [Sign.ZERO] * 9
-            assert [p.sign for p in psi_coefficients(spec, a, a, d)] == \
-                [Sign.ZERO] * 9
+        for digits in (get_precision(), 60):
+            with working_precision(digits):
+                hr = half_range_pass(Family.GAMMA_FACTOR, spec, a, a, d)
+                assert gamma_quotient(a, a, d).exact == hr.quotient().exact == 1
+                assert pair_signs(hr.sums(), hr.quotient()) == [Sign.ZERO] * 9
+                assert [p.sign for p in psi_coefficients(spec, a, a, d)] == \
+                    [Sign.ZERO] * 9
+
+
+class TestGammaQuotient:
+    """Q = Gamma(b+d)Gamma(a) / [Gamma(a+d)Gamma(b)] is taken over the step
+    b - a when that is an integer shorter than d, or d is not one, so it
+    is exact whenever d or b - a is an integer."""
+
+    @given(st.fractions(min_value=F(1, 10), max_value=10, max_denominator=12),
+           st.integers(min_value=-12, max_value=12),
+           st.fractions(min_value=F(1, 12), max_value=30, max_denominator=12),
+           st.sampled_from([30, 60]))
+    @settings(max_examples=60, deadline=None)
+    def test_integer_b_minus_a_is_exact(self, a, n, d, digits):
+        b = a + n
+        assume(b > 0)
+        with working_precision(digits):
+            q = gamma_quotient(a, b, d)
+            assert q.exact is not None
+            # inside the quotient of the two ratios over the step d
+            assert (gamma_ratio(b, d) / gamma_ratio(a, d)).contains(q.exact)
+            assert gamma_quotient(b, a, d).exact == 1 / q.exact
+
+    @pytest.mark.parametrize("a, d", [(F(3, 2), F(1, 2)), (F(1, 7), F(22, 7)),
+                                      (F(5), F(1, 1000))])
+    def test_equal_shifts_give_exactly_one(self, a, d):
+        for digits in (30, 60):
+            with working_precision(digits):
+                assert gamma_quotient(a, a, d).exact == 1
+
+    def test_no_integer_step_is_enclosed(self):
+        # Gamma(3) Gamma(1) / [Gamma(3/2) Gamma(5/2)] = 16 / (3 pi)
+        q = gamma_quotient(1, F(5, 2), F(1, 2))
+        assert q.exact is None
+        with mpmath.workdps(80):
+            ref = mpmath.mpf(16) / (3 * mpmath.pi)
+            assert q.lo <= F(*mpmath.libmp.to_rational(ref._mpf_)) <= q.hi
+
+    def test_long_steps(self, monkeypatch):
+        # a step past POCHHAMMER_STEPS is enclosed, not multiplied out; the
+        # step b - a = 1 keeps (1, 2) exact at any d
+        real = intervals_module.pochhammer
+
+        def bounded(x, n):
+            assert n <= intervals_module.POCHHAMMER_STEPS, f"a product of {n} factors"
+            return real(x, n)
+
+        monkeypatch.setattr(intervals_module, "pochhammer", bounded)
+        for d in (300_000, 10 ** 9):
+            assert gamma_quotient(1, 2, d).exact == d + 1
+            assert gamma_quotient(2, 1, d).exact == F(1, d + 1)
+            assert gamma_quotient(F(1, 2), 2, d).exact is None
+        assert gamma_quotient(1, 3002, F(1, 2)).exact is None
+
+    # refused as gamma_ratio refuses them, before a step is chosen: b,
+    # then d, then a
+    @pytest.mark.parametrize("args, message", [
+        ((1, 2, F(-1, 2)), "gamma_ratio needs delta >= 0, got -1/2"),
+        ((1, 2, -1), "gamma_ratio needs delta >= 0, got -1"),
+        ((F(-1, 2), F(1, 2), F(1, 2)), "gamma_ratio needs x > 0, got -1/2"),
+        ((F(-1, 2), F(1, 2), 3), "gamma_ratio needs x > 0, got -1/2"),
+        ((1, 0, F(1, 2)), "gamma_ratio needs x > 0, got 0"),
+        ((0, 0, 1), "gamma_ratio needs x > 0, got 0"),
+        ((1, -2, F(-1, 2)), "gamma_ratio needs x > 0, got -2"),
+        ((-1, 1, F(-1, 2)), "gamma_ratio needs delta >= 0, got -1/2"),
+    ])
+    def test_domain_errors(self, args, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            gamma_quotient(*args)
 
 
 # -------------------------------------------------- half-range profiles

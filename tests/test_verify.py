@@ -5,6 +5,7 @@ profile predicates on integers, and the two-sided function bounds."""
 import math
 from dataclasses import replace
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -750,7 +751,8 @@ class TestTwoSidedBounds:
         assert F(2, 3) < v.lo and v.hi < 1
 
     def test_fractional_delta_bound_is_interval(self):
-        rep = verify_corollary_twosided(kummer_upper(F(3)), 1, 2, F(1, 2),
+        # b - a is fractional too, so neither step is an integer
+        rep = verify_corollary_twosided(kummer_upper(F(3)), 1, F(5, 2), F(1, 2),
                                         [F(1), F(4)])
         assert rep.verdict is Verdict.VERIFIED
         assert rep.lower_bound.exact is None
@@ -793,6 +795,82 @@ class TestTwoSidedBounds:
             verify_corollary_twosided(kummer_lower(F(3)), 1, 2, 1, [F(1)])
         with pytest.raises(DomainError):
             verify_turan(kummer_lower(F(3)), 1, 1, [F(1)])
+
+    def test_a_tiny_x_stays_inconclusive(self):
+        # Q(x) - 1 is O(x^2) near 0, so at 10^-40 the default precision
+        # cannot separate Q from 1
+        x = F(1, 10 ** 40)
+        for rep in (verify_corollary_twosided(kummer_upper(F(3)), 1, 2, 1, [x]),
+                    verify_turan(kummer_upper(F(5)), 2, 1, [x])):
+            assert rep.within == [None]
+            assert rep.verdict is Verdict.INCONCLUSIVE
+
+
+_EPS = F(1, 10 ** 6)
+
+
+def _tampered(lower):
+    """Enclosures of the cross-ratio by where they lie against the bounds
+    lower < Q < 1: name -> (enclosure, its within value)."""
+    def between(lo, hi):
+        return CertifiedInterval.from_fraction_bounds(lo, hi)
+
+    return {
+        "inside": (between(lower + _EPS, 1 - _EPS), True),
+        "above-1": (between(1 + _EPS, 1 + 2 * _EPS), False),
+        "below-lower": (between(lower - 2 * _EPS, lower - _EPS), False),
+        "across-1": (between(1 - _EPS, 1 + _EPS), None),
+        "across-lower": (between(lower - _EPS, lower + _EPS), None),
+        "at-1": (CertifiedInterval.from_fraction(1), None),
+        "at-lower": (CertifiedInterval.from_fraction(lower), None),
+    }
+
+
+class TestTamperedBounds:
+    """The bound checks decide each point from the enclosure cross_ratio
+    returns; these return chosen enclosures on either side of both
+    bounds, as no true input gives a violation."""
+
+    # (check, its lower bound): the corollary at a = 1, b = 2, d = 1 and
+    # the Turan form at a = 2, d = 1, both exact
+    CHECKS = {
+        "corollary": (partial(verify_corollary_twosided, kummer_upper(F(3)), 1, 2, 1),
+                      F(1, 2)),
+        "turan": (partial(verify_turan, kummer_upper(F(5)), 2, 1), F(2, 3)),
+    }
+
+    @staticmethod
+    def _run(monkeypatch, check, lower, kinds):
+        """The check on the grid 1, 2, ..., its point x patched to hold the
+        enclosure of kinds[x - 1]."""
+        table = _tampered(lower)
+
+        def tampered(spec, a, b, delta, x, tol=None):
+            return table[kinds[int(x) - 1]][0]
+
+        monkeypatch.setattr(verify_module, "cross_ratio", tampered)
+        rep = check([F(x) for x in range(1, len(kinds) + 1)])
+        assert rep.lower_bound.exact == lower
+        assert rep.within == [table[k][1] for k in kinds]
+        return rep.verdict
+
+    @pytest.mark.parametrize("check", CHECKS)
+    @pytest.mark.parametrize("kind, verdict", [
+        ("inside", Verdict.VERIFIED),
+        ("above-1", Verdict.VIOLATED), ("below-lower", Verdict.VIOLATED),
+        ("across-1", Verdict.INCONCLUSIVE), ("across-lower", Verdict.INCONCLUSIVE),
+        ("at-1", Verdict.INCONCLUSIVE), ("at-lower", Verdict.INCONCLUSIVE),
+    ])
+    def test_each_kind_alone(self, monkeypatch, check, kind, verdict):
+        fn, lower = self.CHECKS[check]
+        assert self._run(monkeypatch, fn, lower, [kind]) is verdict
+        assert self._run(monkeypatch, fn, lower, ["inside", kind, "inside"]) is verdict
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_a_violation_outweighs_an_undecided_point(self, monkeypatch, check):
+        fn, lower = self.CHECKS[check]
+        for kinds in (["across-1", "above-1"], ["below-lower", "across-lower"]):
+            assert self._run(monkeypatch, fn, lower, kinds) is Verdict.VIOLATED
 
 
 @pytest.mark.parametrize("check, spec", [
