@@ -27,7 +27,11 @@ either test is the row's profile check.  The read depends on neither the
 weights nor the claim, so it is cached by shift point (and, for the gamma
 family, the end of the Gamma-quotient enclosure it reads against):
 ``_read_point``, an ``lru_cache`` that holds the 90 shift points of a
-default pass, keeps reads, not rows.  Rows are scanned by C-level
+default pass, keeps reads, not rows.  An upper or lower row is read as the
+signs of its entries, which the certified float filter of
+``series._sign_rows`` decides from the point's tables, exact integers
+settling only the entries it leaves open; a gamma row, and a point the
+filter declines, is read from its exact rows.  Rows are scanned by C-level
 reductions (``max``/``min``, ``sum``, ``dropwhile``), a gamma pair (p, q)
 through its cross-products with an enclosure end
 (``series.cross_products``).  ``check_signs`` applies the claim, and
@@ -112,11 +116,14 @@ _OFF_SIGN = None, False, "profile value off-sign"
 _CLAIMED = "claimed"
 
 
-def _row_signs(rows, end, interval, chebyshev):
+def _row_signs(rows, end, interval, chebyshev, exact=True):
     """The one reader of the rows of all three rules, for b >= a, before any
-    is weighed and without the claim.  Coefficient m is sum_k c_k r_k over
-    row m with c_k = W_k W_{m-k} > 0, so a row of values all >= 0, or all
-    <= 0, gives it the sign of any nonzero one, or ZERO.
+    is weighed and without the claim.  The rows, an iterable, hold the
+    entries themselves or, with ``exact`` false, floats of their signs
+    (``series._sign_rows``), whose upper-family row sums are zero.
+    Coefficient m is sum_k c_k r_k over row m with c_k = W_k W_{m-k} > 0, so
+    a row of values all >= 0, or all <= 0, gives it the sign of any nonzero
+    one, or ZERO.
 
     With ``chebyshev`` (the upper family), a row that starts negative, sums
     to zero and changes sign once is claimed: it has Theorem 1's sign for
@@ -144,6 +151,7 @@ def _row_signs(rows, end, interval, chebyshev):
     :func:`check_signs` reads against each enclosure in turn."""
     near = rows
     if end is not None:  # one cross_products call over all rows, cut row by row
+        rows = tuple(rows)
         cross = cross_products(list(chain.from_iterable(rows)), end)
         ends = list(accumulate(map(len, rows), initial=0))
         near = [cross[i:j] for i, j in zip(ends, ends[1:])]
@@ -152,8 +160,9 @@ def _row_signs(rows, end, interval, chebyshev):
         change = False
         if chebyshev:
             # M_0 < 0; past the values <= 0, one is left and none is < 0
-            change = values[0] < 0 and min(dropwhile((0).__ge__, values), default=-1) >= 0
-            zero_sum = not sum(values)
+            # ((0).__ge__ would give NotImplemented, not False, on a float)
+            change = values[0] < 0 and min(dropwhile((0.0).__ge__, values), default=-1) >= 0
+            zero_sum = not exact or not sum(values)
             if m >= 2:
                 one_change, zero_sums = one_change and change, zero_sums and zero_sum
         if change:  # of both signs: claimed, or weighed
@@ -162,14 +171,14 @@ def _row_signs(rows, end, interval, chebyshev):
             lo, hi = min(values), max(values)
             sign = sign_of(hi) if lo >= 0 else Sign.NEGATIVE if hi <= 0 else None
             if not chebyshev and m >= 2 and hi >= 0:
-                # a profile value not shown negative
-                off += [pair for pair, v in zip(rows[m], values) if v >= 0]
+                off.append(m)  # a row with a profile value not shown negative
         signs.append(None if interval and sign is not Sign.NEGATIVE else sign)
     if chebyshev:
         profile = (one_change, None, "profile sum nonzero" if not zero_sums else
                    None if one_change else "profile sign pattern broken")
     else:
-        profile = tuple(off) if interval else _OFF_SIGN if off else (None, True, None)
+        profile = (tuple(pair for m in off for pair, v in zip(rows[m], near[m]) if v >= 0)
+                   if interval else _OFF_SIGN if off else (None, True, None))
     return tuple(signs), profile
 
 
@@ -185,12 +194,29 @@ _READS = 128
 @lru_cache(maxsize=_READS)
 def _read_point(family: Family, a: Fraction, b: Fraction, delta: Fraction,
                 M: int, end: Fraction | None, interval: bool) -> tuple:
-    """:func:`_row_signs` of a shift point's rows (``series._row_half``),
-    b >= a, the same for every weight rule and claim.  Tuples, so no caller
-    can change a cached read; a refused point (a lower-family pole, a
-    nonpositive gamma shift) raises on every request and is not cached."""
-    rows = series._row_half(family, a, b, delta, M)[2]
-    return _row_signs(rows, end, interval, family is Family.UPPER_FACTOR)
+    """:func:`_row_signs` of a shift point's rows, b >= a, the same for every
+    weight rule and claim.  Tuples, so no caller can change a cached read; a
+    refused point (a lower-family pole, a nonpositive gamma shift) raises on
+    every request and is not cached.
+
+    What is decided: for the upper and lower families, the sign of every
+    entry, read from the point's four integer tables (``series._tables``)
+    by the float filter ``series._sign_rows``, without the rows.  An entry
+    is decided when its computed quotient p~/q~ lies more than 2^-45 from 1,
+    where the filter's error is under 2^-48; the entries left inside (in the
+    default grids only the exact zeros) are computed from the tables.  Thm1's
+    row sums are not computed there: they are zero by Chu-Vandermonde.  The
+    filter declines, and the rows are folded exactly (``series._fold_rows``)
+    and read with their sums, for a nonpositive table entry, for a scaled
+    entry outside [2^-FILTER_SPAN, 2^FILTER_SPAN] and for tables whose
+    largest entry has under FILTER_MIN_BITS bits (``series`` constants); a
+    gamma point is always read from its exact pairs."""
+    tables = series._tables(family, a, b, delta, M)[2]
+    rows = None if family is Family.GAMMA_FACTOR else series._sign_rows(tables)
+    exact = rows is None
+    if exact:
+        rows = series._fold_rows(family, tables)
+    return _row_signs(rows, end, interval, family is Family.UPPER_FACTOR, exact)
 
 
 @dataclass(frozen=True)

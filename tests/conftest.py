@@ -4,6 +4,13 @@ import pytest
 
 from turankit import intervals, series, verify
 
+
+def pytest_addoption(parser):
+    parser.addoption("--checker-M", type=int, default=40,
+                     help="the order at which tests/test_sign_filter.py runs the "
+                          "independent checker on the default shift points")
+
+
 # the process-wide memos a test can fill, or fill with a patched value
 MEMOS = (verify._read_point, intervals._gamma_ratio, series._weight_class)
 

@@ -27,6 +27,7 @@ CORO = "tests/test_verify.py::TestTamperedBounds"
 EXPLORE = "tests/test_evalf.py::TestTamperedExplore"
 QUOTIENT = "tests/test_series.py::TestGammaQuotient"
 LARGE = "tests/test_cli.py::TestLargeShifts"
+FILTER = "tests/test_sign_filter.py::TestSoundness"
 
 # (what the mutant does, file under src/turankit, the line's text, the
 # mutated text, the test ids that must kill it)
@@ -59,6 +60,12 @@ MUTANTS = [
     ("a relative gap past the float range raises", "verify.py",
      'rel_gap = float(gap) if gap <= sys.float_info.max else float("inf")',
      "rel_gap = float(gap)", [LARGE]),
+    ("the row-sign filter has no slack", "series.py",
+     "FILTER_SLACK = 2.0 ** -45", "FILTER_SLACK = 0.0", [FILTER]),
+    ("the row-sign filter reads an undecided entry by its float sign", "series.py",
+     "if min(map(abs, values)) <= FILTER_SLACK:", "if False:", [FILTER]),
+    ("the row-sign filter takes a nonpositive table entry", "series.py",
+     "if min(map(min, tables)) <= 0:", "if False:", [FILTER]),
 ]
 
 

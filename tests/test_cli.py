@@ -15,11 +15,14 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import turankit.cli as cli_mod
 from turankit import series as series_module
@@ -27,7 +30,7 @@ from turankit import verify as verify_module
 from turankit.cli import build_parser, main
 from turankit.errors import TermCapError
 from turankit.intervals import get_precision, working_precision
-from turankit.series import Family
+from turankit.series import Family, gamma_quotient
 from turankit.verify import DEFAULT_M, Case, default_cases, run_case
 
 
@@ -392,8 +395,8 @@ class TestPointMajor:
                                                        monkeypatch):
         verify_module._read_point.cache_clear()
         builds = []
-        real = series_module._row_half
-        monkeypatch.setattr(series_module, "_row_half",
+        real = series_module._tables
+        monkeypatch.setattr(series_module, "_tables",
                             lambda *key: builds.append(key) or real(*key))
         code, _, _ = run_cli(ALL_GRID + ["--jobs", "1"], tmp_path)
         assert code == 0
@@ -403,8 +406,8 @@ class TestPointMajor:
         # the cases of two shift points at the cap on M, interleaved, run
         # as the CLI groups them
         builds = []
-        real = series_module._row_half
-        monkeypatch.setattr(series_module, "_row_half",
+        real = series_module._tables
+        monkeypatch.setattr(series_module, "_tables",
                             lambda *key: builds.append(key) or real(*key))
         points = [(Fraction(1, 2), Fraction(3), Fraction(1)),
                   (Fraction(1), Fraction(2), Fraction(1))]
@@ -1040,6 +1043,51 @@ class TestLargeShifts:
             # json.loads reads the gap past the float range as inf
             assert math.isinf(details["rel_gap_at_top"]) == (gap == "inf")
             assert details["approaches_lower"] is False
+
+
+    def test_a_bound_below_the_float_range_is_written_in_decimal(self, tmp_path):
+        # Gamma q of turan at delta = 800 is about 4^-800, below every float
+        code, rep, _ = run_cli(["verify", "--theorem", "turan", "--family",
+                                "1f1-upper", "--a", "1", "--delta", "800", "--c", "3"],
+                               tmp_path)
+        assert code == 0
+        text = rep["per_case"][0]["details"]["lower_bound"]
+        midpoint = gamma_quotient(801, 1, 800).midpoint
+        assert 0 < midpoint < Fraction(1, 10 ** 400)
+        assert abs(Fraction(Decimal(text)) / midpoint - 1) < Fraction(1, 10 ** 16)
+
+
+class TestNumberText:
+    @pytest.mark.parametrize("value", [Fraction(0), Fraction(1, 3), Fraction(-7, 2),
+                                       Fraction(10 ** 300), Fraction(1, 10 ** 300)])
+    def test_a_float_in_range_is_its_repr(self, value):
+        assert cli_mod._number_text(value) == repr(float(value))
+
+    @pytest.mark.parametrize("value", [Fraction(1, 3 * 10 ** 400), Fraction(-2 * 10 ** 400, 3),
+                                       Fraction(1, 2 ** 1060)])  # the last subnormal
+    def test_past_the_normal_range_it_is_decimal(self, value):
+        text = cli_mod._number_text(value)
+        assert "e" in text
+        assert abs(Fraction(Decimal(text)) / value - 1) < Fraction(1, 10 ** 16)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30)
+
+
+@given(json_values)
+@settings(max_examples=300, deadline=None)
+def test_json_text_is_json_dumps_with_sorted_keys_and_indent_2(value):
+    assert cli_mod._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], {"a": {}, "b": [], "c": [[], {}]}, [math.inf, -math.inf, math.nan, -0.0],
+    {"\u00e9t\u00e9": "\u2212\U0001d53c\n\"", "": None}, (1, True, False)])
+def test_json_text_of_edge_values(value):
+    assert cli_mod._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
 class TestTolerance:

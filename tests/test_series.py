@@ -513,10 +513,11 @@ def test_profile_makes_the_pass_to_its_own_order():
 # ------------------------------------------------------ the row-read memo
 
 def _count_builds(monkeypatch) -> list:
-    """The keys of the row sets built from now on, one entry a build."""
+    """The keys of the shift points whose tables are built from now on, one
+    entry a build."""
     builds = []
-    real = series_module._row_half
-    monkeypatch.setattr(series_module, "_row_half",
+    real = series_module._tables
+    monkeypatch.setattr(series_module, "_tables",
                         lambda *key: builds.append(key) or real(*key))
     return builds
 

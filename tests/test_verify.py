@@ -140,25 +140,26 @@ class TestTheorem3:
 
 
 def _tamper(monkeypatch, change, keep_sums=False):
-    """Hand change() list copies of the rows of every shift point built from
-    now on, the reads made before dropped: the sign checks read the changed
-    rows, and a pass they build weighs them too, but with keep_sums a pass
-    weighs the true rows, so that its coefficients are the true ones and
-    only the read, with the profile verdict, sees the change."""
-    real = series_module._row_half
+    """Hand change() list copies of the exact rows of every shift point
+    folded from now on, the reads made before dropped, and have the float
+    filter decline: the sign checks read the changed rows, and a pass they
+    build weighs them too, but with keep_sums a pass weighs the true rows,
+    so that its coefficients are the true ones and only the read, with the
+    profile verdict, sees the change."""
+    real = series_module._fold_rows
 
-    def tampered(*key):
-        D, lower_scale, rows = real(*key)
-        rows = [list(row) for row in rows]
+    def tampered(family, tables):
+        rows = [list(row) for row in real(family, tables)]
         change(rows)
-        return D, lower_scale, rows
+        return rows
 
-    monkeypatch.setattr(series_module, "_row_half", tampered)
+    monkeypatch.setattr(series_module, "_fold_rows", tampered)
+    monkeypatch.setattr(series_module, "_sign_rows", lambda tables: None)
     verify_module._read_point.cache_clear()
     if keep_sums:
         def true_pass(*args, _real=verify_module.half_range_pass):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(series_module, "_row_half", real)
+                patch.setattr(series_module, "_fold_rows", real)
                 return _real(*args)
 
         monkeypatch.setattr(verify_module, "half_range_pass", true_pass)
@@ -450,8 +451,8 @@ class TestMirror:
     @pytest.mark.parametrize("check", [THM1, THM2, THM3], ids=["thm1", "thm2", "thm3"])
     def test_a_case_and_its_mirror_build_once(self, monkeypatch, check):
         builds = []
-        real = series_module._row_half
-        monkeypatch.setattr(series_module, "_row_half",
+        real = series_module._tables
+        monkeypatch.setattr(series_module, "_tables",
                             lambda *key: builds.append(key) or real(*key))
         fn, spec, (a, b, d, M) = check
         assert fn(spec, b, a, d, M).verdict is fn(spec, a, b, d, M).verdict \
@@ -583,7 +584,7 @@ def test_thm2_profiles_match_the_sign_lists(rows, quotients):
     tie = [(first.numerator, first.denominator)]
     enclosure = iter(quotients)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(series_module, "_row_half", lambda *key: (1, 1, [tie, tie, *rows]))
+        patch.setattr(series_module, "_fold_rows", lambda *args: [tie, tie, *rows])
         patch.setattr(series_module, "gamma_quotient",
                       lambda *args: next(enclosure, quotients[-1]))
         verify_module._read_point.cache_clear()  # the point of another example
